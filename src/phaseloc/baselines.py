@@ -43,6 +43,12 @@ class BaselineSpec:
         if not (self.tagoram_sigma > 0.0):
             raise ValueError(f"tagoram_sigma must be > 0, got {self.tagoram_sigma!r}")
 
+    def __call__(self, phases: np.ndarray, dists: np.ndarray, wavelength: float) -> np.ndarray:
+        """Scores per candidate row of ``dists``; the spec is its own scorer."""
+        if self.kind == "sarfid":
+            return sarfid_batch(phases, dists, wavelength)
+        return tagoram_batch(phases, dists, wavelength, self.tagoram_sigma)
+
 
 def sarfid_batch(phases: np.ndarray, dists: np.ndarray, wavelength: float) -> np.ndarray:
     """Coherent-sum magnitude per candidate row of ``dists``, in [0, 1].
@@ -62,11 +68,10 @@ def tagoram_batch(
     dists: np.ndarray,
     wavelength: float,
     sigma: float,
-    reference_index: int = 0,
 ) -> np.ndarray:
     """CDF-weighted cosine score per candidate row of ``dists``.
 
-    Reference-subtracted residuals are wrapped to (-pi, pi] (a tail
+    Residuals referenced to the first read are wrapped to (-pi, pi] (a tail
     probability of an unwrapped circular residual would be meaningless),
     then each pair contributes w*cos(residual) with
     w = 2*(1 - Phi(|residual|/sigma)) = erfc(|residual|/(sigma*sqrt(2))).
@@ -75,9 +80,7 @@ def tagoram_batch(
         raise ValueError(f"sigma must be > 0, got {sigma!r}")
     phases = np.asarray(phases, dtype=float)
     dists = np.atleast_2d(np.asarray(dists, dtype=float))
-    idx_a, idx_b = pair_indices(
-        DifferentialScheme.reference(reference_index), phases.shape[0]
-    )
+    idx_a, idx_b = pair_indices(DifferentialScheme.reference(0), phases.shape[0])
     dphi_m = phases[idx_a] - phases[idx_b]
     geom = 4.0 * math.pi * (dists[:, idx_a] - dists[:, idx_b]) / wavelength
     residual = wrap_pm_pi(dphi_m[None, :] - geom)

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from ..baselines import DEFAULT_TAGORAM_SIGMA, BaselineSpec
-from ..likelihood import BRANCH_NEAREST, DifferentialScheme, LikelihoodSpec
+from ..likelihood import DifferentialScheme, LikelihoodSpec
 from ..phase_model import Position3D
 from ..solver import GridEvaluator, SearchRegion, argmax_estimate
 from ..synthesis import Scenario, synthesize
@@ -44,8 +44,14 @@ def resolve_method(
     scheme: DifferentialScheme | None = None,
     tagoram_sigma: float = DEFAULT_TAGORAM_SIGMA,
 ) -> LikelihoodSpec | BaselineSpec:
-    """Map a CLI method name to its spec object."""
+    """Map a CLI method name to its spec object.
+
+    The scheme applies to the five likelihood methods; sarfid and tagoram
+    accept only the default reference:0.
+    """
     scheme = scheme or DifferentialScheme.reference(0)
+    if name in ("sarfid", "tagoram") and scheme != DifferentialScheme.reference(0):
+        raise ValueError(f"{name} takes no differential scheme; only reference:0 is accepted")
     if name == "wnlf":
         raise ValueError("wnlf: no weight exists for the naive likelihood; use wclf or wslf")
     if name in ("nlf", "clf", "slf"):
@@ -170,7 +176,6 @@ def run_bench(
     methods: list[tuple[str, LikelihoodSpec | BaselineSpec]],
     trials: int,
     base_seed: int | None = None,
-    nlf_branch: str = BRANCH_NEAREST,
 ) -> BenchReport:
     """Run the Monte-Carlo comparison.
 
@@ -194,7 +199,7 @@ def run_bench(
         for method_name, spec in methods:
             for tag_id, samples in streams.items():
                 try:
-                    holo = evaluator.hologram(samples, spec, nlf_branch)
+                    holo = evaluator.hologram(samples, spec)
                     est = argmax_estimate(holo, truth=truth[tag_id], tag_id=tag_id)
                 except Exception as exc:
                     raise RuntimeError(

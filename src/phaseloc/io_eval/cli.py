@@ -75,10 +75,13 @@ def _build_region(args, config_region) -> SearchRegion:
 
 
 def _resolve_method_args(args):
+    names = args.method.split(",")
+    if args.tagoram_sigma is not None and "tagoram" not in names:
+        raise UsageError("--tagoram-sigma needs the tagoram method")
+    sigma = DEFAULT_TAGORAM_SIGMA if args.tagoram_sigma is None else args.tagoram_sigma
     try:
         scheme = parse_scheme(args.scheme)
-        sigma = getattr(args, "tagoram_sigma", None) or DEFAULT_TAGORAM_SIGMA
-        return [(name, resolve_method(name, scheme, sigma)) for name in args.method.split(",")]
+        return [(name, resolve_method(name, scheme, sigma)) for name in names]
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 

@@ -93,6 +93,10 @@ class LikelihoodSpec:
         if self.weighted and self.variant == "nlf":
             raise ValueError("weights are defined only for clf and slf variants")
 
+    def __call__(self, phases: np.ndarray, dists: np.ndarray, wavelength: float) -> np.ndarray:
+        """Scores per candidate row of ``dists``; the spec is its own scorer."""
+        return objective_batch(phases, dists, self, wavelength)
+
 
 @dataclass(frozen=True)
 class DifferentialPair:

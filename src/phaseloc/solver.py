@@ -20,8 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .baselines import BaselineSpec, sarfid_batch, tagoram_batch
-from .likelihood import BRANCH_NEAREST, LikelihoodSpec, objective_batch, shared_wavelength
+from .likelihood import shared_wavelength
 from .phase_model import PhaseSample, Position3D, poses_to_array, squared_norm_rows
 
 DEFAULT_CELL_CAP = 10_000_000
@@ -154,18 +153,6 @@ class RefineResult:
     refined: bool
 
 
-def _batch_scores(method, phases, dists, wavelength, nlf_branch=BRANCH_NEAREST) -> np.ndarray:
-    if isinstance(method, LikelihoodSpec):
-        return objective_batch(phases, dists, method, wavelength, nlf_branch)
-    if isinstance(method, BaselineSpec):
-        if method.kind == "sarfid":
-            return sarfid_batch(phases, dists, wavelength)
-        return tagoram_batch(phases, dists, wavelength, method.tagoram_sigma)
-    if callable(method):
-        return np.asarray(method(phases, dists, wavelength), dtype=float)
-    raise TypeError(f"unsupported method object {method!r}")
-
-
 class GridEvaluator:
     """Reusable scorer for one (region, trajectory) pair.
 
@@ -173,6 +160,10 @@ class GridEvaluator:
     holograms for many tags, methods, or Monte-Carlo trials over the same
     geometry share one distance matrix.  Large grids are scored in
     candidate chunks to bound memory.
+
+    A method is any callable taking (phases, dists, wavelength) and
+    returning one score per row of dists; LikelihoodSpec and BaselineSpec
+    objects are such callables.
     """
 
     def __init__(self, region: SearchRegion, poses_xyz: np.ndarray):
@@ -190,28 +181,26 @@ class GridEvaluator:
         delta = self.candidates[lo:hi, None, :] - self.poses[None, :, :]
         return np.sqrt(squared_norm_rows(delta))
 
-    def raw_scores(self, phases: np.ndarray, method, wavelength: float,
-                   nlf_branch: str = BRANCH_NEAREST) -> np.ndarray:
+    def raw_scores(self, phases: np.ndarray, method, wavelength: float) -> np.ndarray:
         m = self.candidates.shape[0]
         if self._cacheable:
             if self._dists is None:
                 self._dists = self._distance_block(0, m)
-            return _batch_scores(method, phases, self._dists, wavelength, nlf_branch)
+            return np.asarray(method(phases, self._dists, wavelength), dtype=float)
         out = np.empty(m)
         for lo in range(0, m, self._chunk):
             hi = min(lo + self._chunk, m)
-            out[lo:hi] = _batch_scores(
-                method, phases, self._distance_block(lo, hi), wavelength, nlf_branch
-            )
+            out[lo:hi] = method(phases, self._distance_block(lo, hi), wavelength)
         return out
 
-    def hologram(self, samples: list[PhaseSample], method,
-                 nlf_branch: str = BRANCH_NEAREST) -> Hologram:
+    def hologram(self, samples: list[PhaseSample], method) -> Hologram:
         if len(samples) < 2:
             raise ValueError(f"need at least 2 samples, got {len(samples)}")
+        if not np.array_equal(poses_to_array(s.antenna_pose for s in samples), self.poses):
+            raise ValueError("sample poses differ from the evaluator's trajectory")
         wavelength = shared_wavelength(samples)
         phases = np.array([s.phase_wrapped for s in samples])
-        raw = self.raw_scores(phases, method, wavelength, nlf_branch)
+        raw = self.raw_scores(phases, method, wavelength)
         rmin, rmax = float(raw.min()), float(raw.max())
         norm = (raw - rmin) / (rmax - rmin) if rmax > rmin else np.ones_like(raw)
         return Hologram(
@@ -227,16 +216,16 @@ def evaluate_hologram(
     samples: list[PhaseSample],
     region: SearchRegion,
     method,
-    nlf_branch: str = BRANCH_NEAREST,
 ) -> Hologram:
     """Score every cell center of ``region`` with ``method``.
 
-    method is a LikelihoodSpec, a BaselineSpec, or any callable taking
-    (phases, dists, wavelength) and returning per-candidate scores.  For
-    repeated evaluations over one geometry build a GridEvaluator instead.
+    method is any callable taking (phases, dists, wavelength) and
+    returning per-candidate scores; LikelihoodSpec and BaselineSpec
+    objects are such callables.  For repeated evaluations over one
+    geometry build a GridEvaluator instead.
     """
     evaluator = GridEvaluator(region, poses_to_array(s.antenna_pose for s in samples))
-    return evaluator.hologram(samples, method, nlf_branch)
+    return evaluator.hologram(samples, method)
 
 
 def _neighborhood_mask(shape: tuple[int, ...], peak: tuple[int, ...]) -> np.ndarray:
@@ -315,7 +304,6 @@ def refine_local(
     holo: Hologram,
     samples: list[PhaseSample],
     method=None,
-    nlf_branch: str = BRANCH_NEAREST,
 ) -> RefineResult:
     """One level of local refinement around the coarse peak.
 
@@ -333,24 +321,12 @@ def refine_local(
     if int((holo.scores >= 1.0 - 1e-12).sum()) != 1:
         return RefineResult(position=coarse, refined=False)
 
-    wavelength = shared_wavelength(samples)
-    phases = np.array([s.phase_wrapped for s in samples])
-    axes = []
     center = (coarse.x, coarse.y, coarse.z)
-    for axis in range(3):
-        if len(holo.region.axis_cells(axis)) == 1:
-            axes.append(np.array([center[axis]]))
-        else:
-            fine = holo.region.resolution[axis] / 10.0
-            axes.append(center[axis] + fine * np.arange(-15, 16))
-    gx, gy, gz = np.meshgrid(*axes, indexing="ij")
-    cands = np.column_stack([gx.ravel(), gy.ravel(), gz.ravel()])
-    poses = poses_to_array(s.antenna_pose for s in samples)
-    delta = cands[:, None, :] - poses[None, :, :]
-    dists = np.sqrt(squared_norm_rows(delta))
-    scores = _batch_scores(method, phases, dists, wavelength, nlf_branch)
-    best = cands[int(np.argmax(scores))]
-    return RefineResult(
-        position=Position3D(float(best[0]), float(best[1]), float(best[2])),
-        refined=True,
+    res = holo.region.resolution
+    half = [0.0 if n == 1 else 1.5 * r for r, n in zip(res, holo.region.shape)]
+    fine = SearchRegion(
+        *((c - h, c + h) for c, h in zip(center, half)),
+        resolution=tuple(r / 10.0 for r in res),
     )
+    fine_holo = evaluate_hologram(samples, fine, method)
+    return RefineResult(position=fine.position_at(int(np.argmax(fine_holo.scores))), refined=True)

@@ -278,7 +278,15 @@ class TestMethodResolution:
         assert resolve_method("wclf", scheme) == LikelihoodSpec("clf", scheme, weighted=True)
         assert resolve_method("wslf", scheme) == LikelihoodSpec("slf", scheme, weighted=True)
         assert resolve_method("sarfid") == BaselineSpec("sarfid")
+        assert resolve_method("sarfid", scheme) == BaselineSpec("sarfid")
         assert resolve_method("tagoram", tagoram_sigma=0.05) == BaselineSpec("tagoram", 0.05)
+        assert resolve_method("tagoram", parse_scheme("reference")) == BaselineSpec("tagoram")
+
+    @pytest.mark.parametrize("name", ["sarfid", "tagoram"])
+    @pytest.mark.parametrize("scheme", ["misaligned", "reference:50"])
+    def test_baselines_reject_scheme(self, name, scheme):
+        with pytest.raises(ValueError, match="reference:0"):
+            resolve_method(name, parse_scheme(scheme))
 
     def test_wnlf_rejected(self):
         with pytest.raises(ValueError, match="wnlf"):
@@ -414,6 +422,19 @@ class TestCli:
                     "--config", str(config_path)])
         assert code == 1
         assert "wnlf" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra", [
+        ["--method", "tagoram", "--tagoram-sigma", "0"],
+        ["--method", "tagoram", "--tagoram-sigma", "-1"],
+        ["--method", "clf", "--tagoram-sigma", "0.05"],
+        ["--method", "tagoram", "--scheme", "misaligned"],
+    ])
+    def test_bad_baseline_flags_are_usage_errors(self, config_path, tmp_path, capsys, extra):
+        log = tmp_path / "log.csv"
+        cli(["simulate", "--config", str(config_path), "--seed", "7", "--out", str(log)])
+        capsys.readouterr()
+        assert cli(["locate", "--input", str(log), "--config", str(config_path), *extra]) == 1
+        assert "usage error" in capsys.readouterr().err
 
     def test_unknown_subcommand_usage_error(self, capsys):
         assert cli(["transmogrify"]) == 1

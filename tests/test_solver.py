@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from phaseloc import (
+    BaselineSpec,
     CarrierConfig,
     DifferentialScheme,
     GridEvaluator,
@@ -21,9 +22,13 @@ from phaseloc import (
     find_peak_regions,
     linear_track,
     objective,
+    objective_batch,
     refine_local,
     synthesize,
 )
+from phaseloc.baselines import sarfid_batch, tagoram_batch
+from phaseloc.io_eval.bench import METHOD_NAMES, resolve_method
+from phaseloc.phase_model import poses_to_array
 
 CARRIER = CarrierConfig(866.9e6)
 
@@ -307,7 +312,32 @@ class TestGridEvaluator:
         chunked = chunked_ev.hologram(samples, CLF)
         assert np.array_equal(cached.scores, chunked.scores)
 
+    @pytest.mark.parametrize("method", [CLF, BaselineSpec("sarfid")])
+    def test_truncated_stream_rejected(self, method):
+        samples = noise_free_samples()
+        region = SearchRegion(x=(0.0, 0.0), y=(-0.1, 0.1), z=(0.0, 0.2), resolution=0.02)
+        ev = GridEvaluator(region, poses_to_array(s.antenna_pose for s in samples))
+        with pytest.raises(ValueError, match="poses"):
+            ev.hologram(samples[10:], method)
+
     def test_refine_without_method_rejected(self):
         holo = manual_hologram(np.eye(4))
         with pytest.raises(ValueError):
             refine_local(holo, noise_free_samples())
+
+
+@pytest.mark.parametrize("name", METHOD_NAMES)
+def test_method_spec_is_its_own_scorer(name):
+    poses = poses_to_array(s.antenna_pose for s in noise_free_samples())
+    cells = SearchRegion(x=(0.0, 0.0), y=(-0.1, 0.1), z=(0.0, 0.2), resolution=0.02).candidates()
+    dists = np.linalg.norm(cells[:, None, :] - poses[None, :, :], axis=2)
+    phases = np.random.default_rng(3).uniform(0.0, 2.0 * math.pi, len(poses))
+    lam = CARRIER.wavelength
+    spec = resolve_method(name)
+    if name == "sarfid":
+        direct = sarfid_batch(phases, dists, lam)
+    elif name == "tagoram":
+        direct = tagoram_batch(phases, dists, lam, spec.tagoram_sigma)
+    else:
+        direct = objective_batch(phases, dists, spec, lam)
+    assert np.array_equal(spec(phases, dists, lam), direct)
