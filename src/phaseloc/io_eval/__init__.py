@@ -4,13 +4,12 @@ benchmark harness."""
 from .bench import BenchReport, resolve_method, parse_scheme, run_bench, write_bench_report
 from .config import ConfigError, load_scenario
 from .holograms import export_hologram, read_hologram
-from .logs import LogFormatError, PhaseLogRecord, export_phase_log, ingest_log
+from .logs import LogFormatError, export_phase_log, ingest_log
 
 __all__ = [
     "BenchReport",
     "ConfigError",
     "LogFormatError",
-    "PhaseLogRecord",
     "export_hologram",
     "export_phase_log",
     "ingest_log",

@@ -33,9 +33,12 @@ def parse_scheme(text: str) -> DifferentialScheme:
         return DifferentialScheme.reference(0)
     if text.startswith("reference:"):
         try:
-            return DifferentialScheme.reference(int(text.split(":", 1)[1]))
+            index = int(text.split(":", 1)[1])
         except ValueError as exc:
             raise ValueError(f"bad reference index in scheme {text!r}") from exc
+        if index < 0:
+            raise ValueError(f"reference index must be >= 0 in scheme {text!r}")
+        return DifferentialScheme.reference(index)
     raise ValueError(f"unknown scheme {text!r} (expected misaligned or reference[:index])")
 
 

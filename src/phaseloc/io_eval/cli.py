@@ -4,8 +4,9 @@ Subcommands: simulate (scenario -> phase log), locate (phase log ->
 printed estimates), hologram (phase log -> grid export files), bench
 (scenario -> Monte-Carlo report files).
 
-Exit codes: 0 success, 1 usage error, 2 data error (unreadable or
-malformed inputs), 3 internal invariant violation.
+Exit codes: 0 success, 1 usage error (bad flags or flag values), 2 data
+error (unreadable or malformed config or log values, or a tag that
+cannot be scored), 3 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from ..baselines import DEFAULT_TAGORAM_SIGMA
 from ..solver import SearchRegion, argmax_estimate, evaluate_hologram
 from ..synthesis import synthesize
 from .bench import METHOD_NAMES, parse_scheme, resolve_method, run_bench, write_bench_report
-from .config import ConfigError, load_scenario
+from .config import ConfigError, build_region, load_scenario
 from .holograms import export_hologram
 from .logs import LogFormatError, export_phase_log, ingest_log
 
@@ -32,44 +33,41 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{message}\n{self.format_usage()}")
 
 
-def _parse_region_flag(text: str) -> dict[str, tuple[float, float]]:
-    axes: dict[str, tuple[float, float]] = {}
-    for part in text.split(","):
-        if "=" not in part:
-            raise UsageError(f"bad region component {part!r} (expected axis=value or axis=min:max)")
-        name, value = part.split("=", 1)
-        name = name.strip()
-        if name not in ("x", "y", "z"):
-            raise UsageError(f"unknown region axis {name!r}")
-        try:
-            if ":" in value:
-                lo, hi = (float(v) for v in value.split(":", 1))
-            else:
-                lo = hi = float(value)
-        except ValueError:
-            raise UsageError(f"bad region bounds {value!r}") from None
-        axes[name] = (lo, hi)
-    return axes
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {value}")
+        return value
+
+    return parse
 
 
 def _build_region(args, config_region) -> SearchRegion:
+    """--region/--resolution over the config's region; flag errors exit 1."""
     if args.region is None:
         if config_region is None:
             raise UsageError("no search region: pass --region or a config with region keys")
-        region = config_region
         if args.resolution is None:
-            return region
-        bounds = {"x": region.x, "y": region.y, "z": region.z}
+            return config_region
+        bounds = dict(zip("xyz", config_region.bounds))
     else:
-        bounds = _parse_region_flag(args.region)
-        if set(bounds) != {"x", "y", "z"}:
-            missing = sorted({"x", "y", "z"} - set(bounds))
-            raise UsageError(f"--region is missing axes: {', '.join(missing)}")
-    resolution = args.resolution if args.resolution is not None else 0.01
+        bounds = {}
+        for part in args.region.split(","):
+            name, sep, value = (t.strip() for t in part.partition("="))
+            if not sep:
+                raise UsageError(
+                    f"bad region component {part!r} (expected axis=value or axis=min:max)"
+                )
+            if name not in ("x", "y", "z") or name in bounds:
+                raise UsageError(f"unknown or repeated region axis {name!r}")
+            lo, colon, hi = value.partition(":")
+            try:
+                bounds[name] = (float(lo), float(hi if colon else lo))
+            except ValueError:
+                raise UsageError(f"bad region bounds {value!r}") from None
     try:
-        return SearchRegion(
-            x=bounds["x"], y=bounds["y"], z=bounds["z"], resolution=resolution
-        )
+        return build_region(bounds, 0.01 if args.resolution is None else args.resolution)
     except ValueError as exc:
         raise UsageError(f"bad region: {exc}") from exc
 
@@ -86,15 +84,6 @@ def _resolve_method_args(args):
         raise UsageError(str(exc)) from exc
 
 
-def _load_samples(args):
-    return ingest_log(
-        args.input,
-        sign_flip=args.sign_flip,
-        unit=args.phase_unit,
-        auto_wrap=args.auto_wrap,
-    )
-
-
 def _cmd_simulate(args) -> int:
     scenario, _ = load_scenario(args.config, seed_override=args.seed)
     streams = synthesize(scenario)
@@ -104,22 +93,37 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _cmd_locate(args) -> int:
-    truth = {}
-    config_region = None
+def _tag_holograms(args):
+    """locate's and hologram's shared front half: truth by tag id, the tag
+    count and a lazy (tag_id, hologram) iterator, so only one hologram is
+    alive at a time.  A tag that cannot be scored is a data error."""
+    truth, config_region = {}, None
     if args.config:
         scenario, config_region = load_scenario(args.config)
         truth = {t.tag_id: t.position for t in scenario.tags}
     region = _build_region(args, config_region)
     methods = _resolve_method_args(args)
     if len(methods) != 1:
-        raise UsageError("locate takes exactly one method")
+        raise UsageError(f"{args.command} takes exactly one method")
     _, spec = methods[0]
-    streams = _load_samples(args)
+    streams = ingest_log(
+        args.input, sign_flip=args.sign_flip, unit=args.phase_unit, auto_wrap=args.auto_wrap
+    )
 
+    def holograms():
+        for tag_id, samples in streams.items():
+            try:
+                yield tag_id, evaluate_hologram(samples, region, spec)
+            except ValueError as exc:
+                raise LogFormatError(f"tag {tag_id}: {exc}") from exc
+
+    return truth, len(streams), holograms()
+
+
+def _cmd_locate(args) -> int:
+    truth, _, holograms = _tag_holograms(args)
     print("tag_id,est_x,est_y,est_z,err_y,err_z,err_combined,peak_ratio")
-    for tag_id, samples in streams.items():
-        holo = evaluate_hologram(samples, region, spec)
+    for tag_id, holo in holograms:
         est = argmax_estimate(holo, truth=truth.get(tag_id), tag_id=tag_id)
         err = (
             f"{est.err_y!r},{est.err_z!r},{est.err_combined_yz!r}"
@@ -134,20 +138,10 @@ def _cmd_locate(args) -> int:
 
 
 def _cmd_hologram(args) -> int:
-    config_region = None
-    if args.config:
-        _, config_region = load_scenario(args.config)
-    region = _build_region(args, config_region)
-    methods = _resolve_method_args(args)
-    if len(methods) != 1:
-        raise UsageError("hologram takes exactly one method")
-    _, spec = methods[0]
-    streams = _load_samples(args)
-
+    _, n_tags, holograms = _tag_holograms(args)
     out = Path(args.out)
-    for tag_id, samples in streams.items():
-        holo = evaluate_hologram(samples, region, spec)
-        path = out if len(streams) == 1 else out.with_name(f"{out.stem}.{tag_id}{out.suffix}")
+    for tag_id, holo in holograms:
+        path = out if n_tags == 1 else out.with_name(f"{out.stem}.{tag_id}{out.suffix}")
         export_hologram(holo, path)
         print(f"wrote hologram for {tag_id} to {path}")
     return 0
@@ -171,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="synthesize a phase log from a scenario config")
     p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_int_at_least(0), default=None)
     p.add_argument("--out", required=True)
     p.add_argument("--phase-unit", choices=("radians", "ticks"), default=None)
     p.set_defaults(func=_cmd_simulate)
@@ -202,8 +196,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--method", required=True, help="comma-separated method list")
     p.add_argument("--scheme", default="reference:0")
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--trials", type=_int_at_least(1), default=100)
+    p.add_argument("--seed", type=_int_at_least(0), default=None)
     p.add_argument("--region", default=None, help='e.g. "x=0,y=-0.5:0.5,z=0:0.7"')
     p.add_argument("--resolution", type=float, default=None)
     p.add_argument("--out", required=True, help="output directory for report files")

@@ -44,6 +44,7 @@ pair always builds the identical scenario.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -88,9 +89,19 @@ def _get_float(kv: dict[str, str], key: str, default: float | None = None) -> fl
     if key not in kv:
         return default
     try:
-        return float(kv[key])
+        value = float(kv[key])
     except ValueError as exc:
         raise ConfigError(f"key {key}: expected a number, got {kv[key]!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"key {key}: expected a finite number, got {kv[key]!r}")
+    return value
+
+
+def _get_int(kv: dict[str, str], key: str, default: int = 0) -> int:
+    value = _get_float(kv, key, default)
+    if value != int(value):
+        raise ConfigError(f"key {key}: expected an integer, got {kv[key]!r}")
+    return int(value)
 
 
 def _require_float(kv: dict[str, str], key: str) -> float:
@@ -111,7 +122,16 @@ def _tag_keys(kv: dict[str, str]) -> list[str]:
     return sorted(indices, key=sort_key)
 
 
-def _build_region(kv: dict[str, str]) -> SearchRegion | None:
+def build_region(bounds: dict[str, tuple[float, float]], resolution: float) -> SearchRegion:
+    """The SearchRegion over {axis: (lo, hi)} for config keys and --region
+    alike; raises ValueError unless x, y and z are all given and valid."""
+    missing = sorted({"x", "y", "z"} - set(bounds))
+    if missing:
+        raise ValueError(f"missing axes: {', '.join(missing)}")
+    return SearchRegion(x=bounds["x"], y=bounds["y"], z=bounds["z"], resolution=resolution)
+
+
+def _config_region(kv: dict[str, str]) -> SearchRegion | None:
     axes = {}
     for name in ("x", "y", "z"):
         fixed = _get_float(kv, f"region.{name}")
@@ -127,12 +147,8 @@ def _build_region(kv: dict[str, str]) -> SearchRegion | None:
             raise ConfigError(f"region.{name}_min and region.{name}_max must come together")
     if not axes:
         return None
-    if set(axes) != {"x", "y", "z"}:
-        missing = sorted({"x", "y", "z"} - set(axes))
-        raise ConfigError(f"region is missing axes: {', '.join(missing)}")
-    resolution = _get_float(kv, "region.resolution", 0.01)
     try:
-        return SearchRegion(x=axes["x"], y=axes["y"], z=axes["z"], resolution=resolution)
+        return build_region(axes, _get_float(kv, "region.resolution", 0.01))
     except ValueError as exc:
         raise ConfigError(f"bad region: {exc}") from exc
 
@@ -155,8 +171,9 @@ def load_scenario(
             seed = int(raw_seed)
         except ValueError as exc:
             raise ConfigError(f"seed must be an integer, got {raw_seed!r}") from exc
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
 
-    carrier = CarrierConfig(frequency=_require_float(kv, "carrier.frequency_hz"))
     try:
         trajectory = linear_track(
             x=_require_float(kv, "trajectory.x"),
@@ -168,12 +185,6 @@ def load_scenario(
     except ValueError as exc:
         raise ConfigError(f"bad trajectory: {exc}") from exc
 
-    noise = NoiseModel(
-        sigma_slope=_get_float(kv, "noise.sigma_slope", 0.006),
-        sigma_intercept=_get_float(kv, "noise.sigma_intercept", 0.0084),
-        constant_sigma=_get_float(kv, "noise.constant_sigma"),
-    )
-
     interference = None
     if "interference.bias_rad" in kv or "interference.period" in kv:
         if "interference.bias_rad" not in kv or "interference.period" not in kv:
@@ -181,50 +192,48 @@ def load_scenario(
         try:
             interference = InterferenceSchedule(
                 bias_rad=_require_float(kv, "interference.bias_rad"),
-                period=int(_require_float(kv, "interference.period")),
-                offset=int(_get_float(kv, "interference.offset", 0)),
+                period=_get_int(kv, "interference.period"),
+                offset=_get_int(kv, "interference.offset", 0),
             )
         except ValueError as exc:
             raise ConfigError(f"bad interference schedule: {exc}") from exc
 
     phi0_rng = np.random.default_rng(np.random.SeedSequence([int(seed), _PHI0_STREAM]))
-    tags = []
-    for k in _tag_keys(kv):
-        tag_id = kv.get(f"tag.{k}.id", f"tag{k}")
-        raw_phi0 = kv.get(f"tag.{k}.phi0", "0")
-        if raw_phi0 == "random":
-            phi0 = float(phi0_rng.uniform(0.0, TWO_PI))
-        else:
-            try:
-                phi0 = float(raw_phi0)
-            except ValueError as exc:
-                raise ConfigError(
-                    f"tag.{k}.phi0 must be a number or 'random', got {raw_phi0!r}"
-                ) from exc
-        tags.append(
-            TagTruth(
-                tag_id=tag_id,
-                position=Position3D(
-                    _require_float(kv, f"tag.{k}.x"),
-                    _require_float(kv, f"tag.{k}.y"),
-                    _require_float(kv, f"tag.{k}.z"),
-                ),
-                phi0=phi0,
-            )
-        )
-
     try:
+        tags = []
+        for k in _tag_keys(kv):
+            if kv.get(f"tag.{k}.phi0") == "random":
+                phi0 = float(phi0_rng.uniform(0.0, TWO_PI))
+            else:
+                phi0 = _get_float(kv, f"tag.{k}.phi0", 0.0)
+            tags.append(
+                TagTruth(
+                    tag_id=kv.get(f"tag.{k}.id", f"tag{k}"),
+                    position=Position3D(
+                        _require_float(kv, f"tag.{k}.x"),
+                        _require_float(kv, f"tag.{k}.y"),
+                        _require_float(kv, f"tag.{k}.z"),
+                    ),
+                    phi0=phi0,
+                )
+            )
         scenario = Scenario(
             tags=tuple(tags),
             trajectory=trajectory,
-            carrier=carrier,
-            noise=noise,
+            carrier=CarrierConfig(frequency=_require_float(kv, "carrier.frequency_hz")),
+            noise=NoiseModel(
+                sigma_slope=_get_float(kv, "noise.sigma_slope", 0.006),
+                sigma_intercept=_get_float(kv, "noise.sigma_intercept", 0.0084),
+                constant_sigma=_get_float(kv, "noise.constant_sigma"),
+            ),
             jump_probability=_get_float(kv, "jump.probability", 0.0),
             jump_guard_band=_get_float(kv, "jump.guard_band", DEFAULT_JUMP_GUARD_BAND),
             interference=interference,
             rng_seed=int(seed),
         )
+    except ConfigError:
+        raise
     except ValueError as exc:
         raise ConfigError(f"bad scenario: {exc}") from exc
 
-    return scenario, _build_region(kv)
+    return scenario, _config_region(kv)

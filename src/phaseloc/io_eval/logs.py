@@ -5,18 +5,18 @@ Schema (UTF-8, comma-separated, header required)::
     tag_id,ant_x,ant_y,ant_z,freq_hz,phase,phase_unit
 
 phase_unit is ``radians`` or ``ticks`` (one tick = 2*pi/4096, the usual
-reader quantization); an optional trailing ``timestamp`` column is kept
-but unused.  Floats are written with repr so a synthesize -> export ->
-ingest round trip reproduces the samples bit-for-bit.  The log schema
-carries no per-read sigma; ingestion fills sigma_hint from the
-``sigma_default`` option.
+reader quantization); extra columns such as a trailing ``timestamp`` are
+accepted and ignored.  Floats are written with repr so a synthesize ->
+export -> ingest round trip reproduces phases and poses bit-for-bit.  The
+schema carries no per-read sigma, so ingested samples have no sigma_hint.
+Each row becomes a PhaseSample directly; any bad value raises
+LogFormatError naming its line.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
 from ..phase_model import TWO_PI, CarrierConfig, PhaseSample, Position3D, wrap_2pi
@@ -28,22 +28,8 @@ _UNITS = ("radians", "ticks")
 
 
 class LogFormatError(ValueError):
-    """Malformed phase-log content; the message carries the line number."""
-
-
-@dataclass(frozen=True)
-class PhaseLogRecord:
-    """One parsed log row, before conversion into a PhaseSample."""
-
-    tag_id: str
-    ant_x: float
-    ant_y: float
-    ant_z: float
-    freq_hz: float
-    phase_raw: float
-    phase_unit: str
-    timestamp: str | None = None
-    lineno: int = 0
+    """Malformed or unusable phase-log content; the message names the line
+    (or, for a tag that cannot be scored, the tag)."""
 
 
 def export_phase_log(
@@ -89,10 +75,22 @@ def _parse_float(value: str, column: str, lineno: int) -> float:
     return out
 
 
-def read_log_records(path: str | Path, unit_override: str | None = None) -> list[PhaseLogRecord]:
-    """Parse a log file into rows without any phase conversion."""
-    path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
+def ingest_log(
+    path: str | Path,
+    sign_flip: bool = False,
+    unit: str | None = None,
+    auto_wrap: bool = False,
+) -> dict[str, list[PhaseSample]]:
+    """Load a phase log into per-tag PhaseSample lists, in file order.
+
+    unit overrides the phase_unit column (and is required when the file
+    has none).  Unit conversion happens first; a converted phase outside
+    [0, 2*pi) is rejected with its line number unless auto_wrap folds it.
+    sign_flip then maps phase -> wrap(-phase) for readers reporting the
+    conjugate convention.  Rows are checked in file order, so the first
+    bad row is the one reported.
+    """
+    with Path(path).open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -104,71 +102,46 @@ def read_log_records(path: str | Path, unit_override: str | None = None) -> list
         missing = [f for f in required if f not in header]
         if missing:
             raise LogFormatError(f"header is missing columns: {', '.join(missing)}")
-        if not has_unit_column and unit_override is None:
+        if not has_unit_column and unit is None:
             raise LogFormatError("no phase_unit column; pass an explicit unit")
         col = {name: header.index(name) for name in header}
 
-        records = []
+        out: dict[str, list[PhaseSample]] = {}
         for lineno, row in enumerate(reader, start=2):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             if len(row) < len(header):
                 raise LogFormatError(f"line {lineno}: expected {len(header)} fields, got {len(row)}")
-            unit = unit_override or row[col["phase_unit"]].strip()
-            if unit not in _UNITS:
-                raise LogFormatError(f"line {lineno}: unknown phase unit {unit!r}")
-            records.append(
-                PhaseLogRecord(
-                    tag_id=row[col["tag_id"]].strip(),
-                    ant_x=_parse_float(row[col["ant_x"]], "ant_x", lineno),
-                    ant_y=_parse_float(row[col["ant_y"]], "ant_y", lineno),
-                    ant_z=_parse_float(row[col["ant_z"]], "ant_z", lineno),
-                    freq_hz=_parse_float(row[col["freq_hz"]], "freq_hz", lineno),
-                    phase_raw=_parse_float(row[col["phase"]], "phase", lineno),
-                    phase_unit=unit,
-                    timestamp=row[col["timestamp"]].strip() if "timestamp" in col else None,
-                    lineno=lineno,
-                )
+            row_unit = unit or row[col["phase_unit"]].strip()
+            if row_unit not in _UNITS:
+                raise LogFormatError(f"line {lineno}: unknown phase unit {row_unit!r}")
+            tag_id = row[col["tag_id"]].strip()
+            x, y, z, freq_hz, phase = (
+                _parse_float(row[col[name]], name, lineno)
+                for name in ("ant_x", "ant_y", "ant_z", "freq_hz", "phase")
             )
-    return records
-
-
-def ingest_log(
-    path: str | Path,
-    sign_flip: bool = False,
-    unit: str | None = None,
-    sigma_default: float | None = None,
-    auto_wrap: bool = False,
-) -> dict[str, list[PhaseSample]]:
-    """Load a phase log into per-tag PhaseSample lists, in record order.
-
-    Unit conversion happens first; a converted phase outside [0, 2*pi) is
-    rejected with its line number unless auto_wrap folds it.  sign_flip
-    then maps phase -> wrap(-phase) for readers reporting the conjugate
-    convention.
-    """
-    records = read_log_records(path, unit_override=unit)
-    out: dict[str, list[PhaseSample]] = {}
-    for rec in records:
-        phase = rec.phase_raw * TICK_RADIANS if rec.phase_unit == "ticks" else rec.phase_raw
-        if not (0.0 <= phase < TWO_PI):
-            if not auto_wrap:
-                raise LogFormatError(
-                    f"line {rec.lineno}: phase {phase!r} outside [0, 2*pi); "
-                    "pass auto_wrap to fold it"
+            if row_unit == "ticks":
+                phase *= TICK_RADIANS
+            if not (0.0 <= phase < TWO_PI):
+                if not auto_wrap:
+                    raise LogFormatError(
+                        f"line {lineno}: phase {phase!r} outside [0, 2*pi); "
+                        "pass auto_wrap to fold it"
+                    )
+                phase = wrap_2pi(phase)
+            if sign_flip:
+                phase = wrap_2pi(-phase)
+            samples = out.setdefault(tag_id, [])
+            try:
+                samples.append(
+                    PhaseSample(
+                        antenna_pose=Position3D(x, y, z),
+                        carrier=CarrierConfig(frequency=freq_hz),
+                        phase_wrapped=phase,
+                        sample_index=len(samples),
+                        tag_id=tag_id,
+                    )
                 )
-            phase = wrap_2pi(phase)
-        if sign_flip:
-            phase = wrap_2pi(-phase)
-        samples = out.setdefault(rec.tag_id, [])
-        samples.append(
-            PhaseSample(
-                antenna_pose=Position3D(rec.ant_x, rec.ant_y, rec.ant_z),
-                carrier=CarrierConfig(frequency=rec.freq_hz),
-                phase_wrapped=phase,
-                sample_index=len(samples),
-                tag_id=rec.tag_id,
-                sigma_hint=sigma_default,
-            )
-        )
+            except ValueError as exc:
+                raise LogFormatError(f"line {lineno}: {exc}") from exc
     return out

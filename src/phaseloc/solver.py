@@ -29,11 +29,12 @@ _DIST_CACHE_LIMIT = 50_000_000  # max cached (cells x poses) distance entries
 _AXES = ("x", "y", "z")
 
 
-def _axis_cells(lo: float, hi: float, res: float) -> np.ndarray:
+def _axis_count(lo: float, hi: float, res: float) -> int:
     if lo == hi:
-        return np.array([lo], dtype=float)
-    n = int(math.floor((hi - lo) / res + 1e-9)) + 1
-    return lo + res * np.arange(n)
+        return 1
+    # Saturating at the cap keeps an overflowing span/res (e.g. a denormal
+    # resolution) a finite count that the cap check then rejects.
+    return int(math.floor(min((hi - lo) / res, DEFAULT_CELL_CAP) + 1e-9)) + 1
 
 
 @dataclass(frozen=True)
@@ -50,7 +51,6 @@ class SearchRegion:
     y: tuple[float, float]
     z: tuple[float, float]
     resolution: float | tuple[float, float, float] = 0.01
-    cell_cap: int = DEFAULT_CELL_CAP
 
     def __post_init__(self) -> None:
         res = self.resolution
@@ -66,12 +66,10 @@ class SearchRegion:
                 raise ValueError(f"{name} bounds must be finite")
             if lo > hi:
                 raise ValueError(f"degenerate region: {name} min {lo!r} > max {hi!r}")
-            if r <= 0:
+            if not r > 0:
                 raise ValueError(f"{name} resolution must be positive, got {r!r}")
-        if self.cell_count > self.cell_cap:
-            raise ValueError(
-                f"region holds {self.cell_count} cells, above the cap of {self.cell_cap}"
-            )
+        if self.cell_count > DEFAULT_CELL_CAP:
+            raise ValueError(f"region holds more than the cap of {DEFAULT_CELL_CAP} cells")
 
     @property
     def bounds(self) -> tuple[tuple[float, float], ...]:
@@ -79,11 +77,13 @@ class SearchRegion:
 
     def axis_cells(self, axis: int) -> np.ndarray:
         lo, hi = self.bounds[axis]
-        return _axis_cells(lo, hi, self.resolution[axis])
+        if lo == hi:
+            return np.array([lo], dtype=float)
+        return lo + self.resolution[axis] * np.arange(self.shape[axis])
 
     @property
     def shape(self) -> tuple[int, int, int]:
-        return tuple(len(self.axis_cells(i)) for i in range(3))
+        return tuple(_axis_count(lo, hi, r) for (lo, hi), r in zip(self.bounds, self.resolution))
 
     @property
     def cell_count(self) -> int:

@@ -89,6 +89,10 @@ class NoiseModel:
     sigma_intercept: float = DEFAULT_SIGMA_INTERCEPT
     constant_sigma: float | None = None
 
+    def __post_init__(self) -> None:
+        if self.constant_sigma is not None and not self.constant_sigma >= 0.0:
+            raise ValueError(f"constant_sigma must be >= 0, got {self.constant_sigma!r}")
+
     def sigma(self, dist):
         """STD in radians at distance(s) ``dist`` (scalar or ndarray)."""
         if self.constant_sigma is not None:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phaseloc import (
     CarrierConfig,
@@ -77,6 +79,29 @@ def config_path(tmp_path):
     return path
 
 
+def config_with(path, overrides: dict[str, str]):
+    """BASE_CONFIG with each key in overrides set (replaced or added)."""
+    lines = [l for l in BASE_CONFIG.splitlines() if l.split("=")[0].strip() not in overrides]
+    lines += [f"{key} = {value}" for key, value in overrides.items()]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+FUZZ_KEYS = (
+    "seed", "carrier.frequency_hz",
+    "tag.1.id", "tag.1.x", "tag.1.y", "tag.1.z", "tag.1.phi0",
+    "noise.sigma_slope", "noise.sigma_intercept", "noise.constant_sigma",
+    "jump.probability", "jump.guard_band",
+    "interference.bias_rad", "interference.period", "interference.offset",
+)
+FUZZ_VALUES = st.one_of(
+    st.floats().map(repr),
+    st.integers().map(str),
+    st.sampled_from(["nan", "-inf", "1e400", "random", "10", "2.7"]),
+    st.text(min_size=1).filter(lambda t: t.splitlines() == [t]),
+)
+
+
 class TestConfig:
     def test_load_full_scenario(self, config_path):
         scenario, region = load_scenario(config_path)
@@ -127,6 +152,40 @@ class TestConfig:
         path.write_text(BASE_CONFIG + "interference.bias_rad = 0.5\n")
         with pytest.raises(ConfigError, match="interference"):
             load_scenario(path)
+
+    @pytest.mark.parametrize("overrides, match", [
+        ({"tag.1.x": "nan"}, "tag.1.x"),
+        ({"tag.1.phi0": "inf"}, "tag.1.phi0"),
+        ({"interference.bias_rad": "nan", "interference.period": "10"}, "bias_rad"),
+        ({"noise.sigma_intercept": "nan"}, "sigma_intercept"),
+        ({"interference.bias_rad": "0.5", "interference.period": "inf"}, "period"),
+        ({"carrier.frequency_hz": "-5"}, "carrier frequency"),
+        ({"seed": "-1"}, "seed"),
+        ({"noise.constant_sigma": "-1"}, "constant_sigma"),
+        ({"interference.bias_rad": "0.5", "interference.period": "2.7"}, "period"),
+        ({"interference.bias_rad": "0.5", "interference.period": "10",
+          "interference.offset": "1.5"}, "offset"),
+    ])
+    def test_bad_values_are_config_errors(self, tmp_path, overrides, match):
+        with pytest.raises(ConfigError, match=match):
+            load_scenario(config_with(tmp_path / "bad.cfg", overrides))
+
+    def test_integral_interference_values_parse(self, tmp_path):
+        path = config_with(tmp_path / "ok.cfg", {
+            "interference.bias_rad": "0.5", "interference.period": "10",
+            "interference.offset": "5.0",
+        })
+        scenario, _ = load_scenario(path)
+        assert (scenario.interference.period, scenario.interference.offset) == (10, 5)
+
+    @settings(max_examples=300, deadline=None)
+    @given(overrides=st.dictionaries(st.sampled_from(FUZZ_KEYS), FUZZ_VALUES, max_size=4))
+    def test_fuzzed_values_load_or_raise_config_error(self, tmp_path_factory, overrides):
+        path = config_with(tmp_path_factory.mktemp("fuzz") / "fuzz.cfg", overrides)
+        try:
+            load_scenario(path)
+        except ConfigError:
+            pass
 
 
 def scenario_for_logs():
@@ -219,15 +278,6 @@ class TestPhaseLogs:
         )
         samples = ingest_log(path, sign_flip=True)["T"]
         assert samples[0].phase_wrapped == pytest.approx(TWO_PI - 1.0)
-
-    def test_sigma_default_applied(self, tmp_path):
-        path = tmp_path / "log.csv"
-        path.write_text(
-            "tag_id,ant_x,ant_y,ant_z,freq_hz,phase,phase_unit\n"
-            "T,1.4,0.0,0.0,866.9e6,1.0,radians\n"
-        )
-        samples = ingest_log(path, sigma_default=0.02)["T"]
-        assert samples[0].sigma_hint == 0.02
 
 
 class TestHologramExport:
@@ -435,6 +485,65 @@ class TestCli:
         capsys.readouterr()
         assert cli(["locate", "--input", str(log), "--config", str(config_path), *extra]) == 1
         assert "usage error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["bench", "--method", "clf", "--trials", "0"],
+        ["bench", "--method", "clf", "--trials", "-3"],
+        ["bench", "--method", "clf", "--trials", "1", "--seed", "-4"],
+        ["simulate", "--seed", "-4"],
+        ["locate", "--method", "clf", "--scheme", "reference:-1"],
+        ["locate", "--method", "clf", "--region", "x=0,x=1,y=0:0.1,z=0:0.1"],
+        ["locate", "--method", "clf", "--region", "x=0,y=0:0.1"],
+        ["locate", "--method", "clf", "--region", "x=0,y=a:b,z=0:0.1"],
+        ["locate", "--method", "clf", "--region", "x=0,y=0:0.1,z=0:0.1",
+         "--resolution", "1e-320"],
+    ])
+    def test_bad_flags_are_usage_errors(self, config_path, tmp_path, capsys, argv):
+        log = tmp_path / "log.csv"
+        cli(["simulate", "--config", str(config_path), "--seed", "7", "--out", str(log)])
+        capsys.readouterr()
+        needs = {
+            "bench": ["--config", str(config_path), "--out", str(tmp_path / "bench")],
+            "simulate": ["--config", str(config_path), "--out", str(tmp_path / "sim.csv")],
+            "locate": ["--input", str(log), "--config", str(config_path)],
+        }[argv[0]]
+        assert cli([*argv, *needs]) == 1
+        assert "usage error" in capsys.readouterr().err
+
+    def test_resolution_flag_overrides_config_region(self, config_path, tmp_path):
+        log = tmp_path / "log.csv"
+        cli(["simulate", "--config", str(config_path), "--seed", "7", "--out", str(log)])
+        out = tmp_path / "holo.csv"
+        assert cli([
+            "hologram", "--input", str(log), "--method", "clf", "--config", str(config_path),
+            "--resolution", "0.05", "--out", str(out),
+        ]) == 0
+        region = read_hologram(tmp_path / "holo.T01.csv").region
+        assert region.resolution == (0.05, 0.05, 0.05)
+        assert region.bounds == ((0.0, 0.0), (-0.3, 0.3), (0.0, 0.5))
+
+    @pytest.mark.parametrize("command", ["locate", "hologram"])
+    @pytest.mark.parametrize("rows, extra, where", [
+        (["T,1.4,0.0,0.0,0,1.0,radians", "T,1.4,0.1,0.0,866.9e6,1.0,radians"], [], "line 2"),
+        (["T,1.4,0.0,0.0,866.9e6,1.0,radians"], [], "tag T"),
+        (["T,1.4,0.0,0.0,866.9e6,1.0,radians", "T,1.4,0.1,0.0,867.5e6,1.0,radians"], [],
+         "tag T"),
+        (None, ["--scheme", "reference:500"], "tag T01"),
+    ])
+    def test_unusable_log_is_data_error(
+        self, config_path, tmp_path, capsys, command, rows, extra, where
+    ):
+        log = tmp_path / "log.csv"
+        if rows is None:
+            cli(["simulate", "--config", str(config_path), "--seed", "7", "--out", str(log)])
+        else:
+            log.write_text("\n".join(["tag_id,ant_x,ant_y,ant_z,freq_hz,phase,phase_unit", *rows]))
+        capsys.readouterr()
+        out = ["--out", str(tmp_path / "holo.csv")] if command == "hologram" else []
+        code = cli([command, "--input", str(log), "--method", "clf",
+                    "--config", str(config_path), *extra, *out])
+        assert code == 2
+        assert where in capsys.readouterr().err
 
     def test_unknown_subcommand_usage_error(self, capsys):
         assert cli(["transmogrify"]) == 1

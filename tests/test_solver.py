@@ -1,6 +1,7 @@
 """Grid regions, holograms, argmax estimates and refinement."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -73,6 +74,16 @@ class TestSearchRegion:
     def test_cell_cap(self):
         with pytest.raises(ValueError):
             SearchRegion(x=(0, 1), y=(0, 1), z=(0, 1), resolution=0.001)
+
+    def test_cell_cap_rejects_before_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="cap"):
+                SearchRegion(x=(0.0, 0.0), y=(0.0, 1.0), z=(0.0, 0.0), resolution=5e-8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_degenerate_and_bad_resolution(self):
         with pytest.raises(ValueError):
