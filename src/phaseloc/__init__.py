@@ -3,32 +3,22 @@
 Wrapped-phase reads collected along an antenna trajectory are scored
 against candidate tag positions with a family of likelihood kernels
 (naive, cosine, sine, weighted) plus coherent-sum and CDF-weighted
-baselines, over grid holograms with Monte-Carlo benchmarking on top.
+baselines, each chosen by a MethodSpec, over grid holograms with
+Monte-Carlo benchmarking on top.
 """
 
-from .baselines import (
-    DEFAULT_TAGORAM_SIGMA,
-    BaselineSpec,
-    sarfid_score,
-    tagoram_score,
-)
 from .likelihood import (
     BRANCH_NEAREST,
     BRANCH_NEGATIVE,
     BRANCH_NONNEGATIVE,
-    DifferentialPair,
+    METHOD_NAMES,
     DifferentialScheme,
-    LikelihoodSpec,
+    MethodSpec,
     SamplingConditionError,
-    build_differentials,
-    clf_term,
     delta_phi_d_mod,
     delta_phi_d_unwrap,
-    nlf_term,
-    objective,
     objective_batch,
-    slf_term,
-    weight,
+    sarfid_batch,
 )
 from .phase_model import (
     SPEED_OF_LIGHT,

@@ -16,13 +16,10 @@ from pathlib import Path
 
 import numpy as np
 
-from ..baselines import DEFAULT_TAGORAM_SIGMA, BaselineSpec
-from ..likelihood import DifferentialScheme, LikelihoodSpec
+from ..likelihood import DifferentialScheme, MethodSpec
 from ..phase_model import Position3D
 from ..solver import GridEvaluator, SearchRegion, argmax_estimate
 from ..synthesis import Scenario, synthesize
-
-METHOD_NAMES = ("nlf", "clf", "slf", "wclf", "wslf", "sarfid", "tagoram")
 
 
 def parse_scheme(text: str) -> DifferentialScheme:
@@ -42,30 +39,8 @@ def parse_scheme(text: str) -> DifferentialScheme:
     raise ValueError(f"unknown scheme {text!r} (expected misaligned or reference[:index])")
 
 
-def resolve_method(
-    name: str,
-    scheme: DifferentialScheme | None = None,
-    tagoram_sigma: float = DEFAULT_TAGORAM_SIGMA,
-) -> LikelihoodSpec | BaselineSpec:
-    """Map a CLI method name to its spec object.
-
-    The scheme applies to the five likelihood methods; sarfid and tagoram
-    accept only the default reference:0.
-    """
-    scheme = scheme or DifferentialScheme.reference(0)
-    if name in ("sarfid", "tagoram") and scheme != DifferentialScheme.reference(0):
-        raise ValueError(f"{name} takes no differential scheme; only reference:0 is accepted")
-    if name == "wnlf":
-        raise ValueError("wnlf: no weight exists for the naive likelihood; use wclf or wslf")
-    if name in ("nlf", "clf", "slf"):
-        return LikelihoodSpec(variant=name, scheme=scheme)
-    if name in ("wclf", "wslf"):
-        return LikelihoodSpec(variant=name[1:], scheme=scheme, weighted=True)
-    if name == "sarfid":
-        return BaselineSpec(kind="sarfid")
-    if name == "tagoram":
-        return BaselineSpec(kind="tagoram", tagoram_sigma=tagoram_sigma)
-    raise ValueError(f"unknown method {name!r} (expected one of {', '.join(METHOD_NAMES)})")
+# A CLI method name with its --scheme and --tagoram-sigma values is a spec.
+resolve_method = MethodSpec
 
 
 def trial_seed(base_seed: int, trial: int) -> int:
@@ -176,7 +151,7 @@ class BenchReport:
 def run_bench(
     scenario: Scenario,
     region: SearchRegion,
-    methods: list[tuple[str, LikelihoodSpec | BaselineSpec]],
+    methods: list[tuple[str, MethodSpec]],
     trials: int,
     base_seed: int | None = None,
 ) -> BenchReport:

@@ -15,10 +15,10 @@ import argparse
 import sys
 from pathlib import Path
 
-from ..baselines import DEFAULT_TAGORAM_SIGMA
+from ..likelihood import DEFAULT_TAGORAM_SIGMA, METHOD_NAMES
 from ..solver import SearchRegion, argmax_estimate, evaluate_hologram
 from ..synthesis import synthesize
-from .bench import METHOD_NAMES, parse_scheme, resolve_method, run_bench, write_bench_report
+from .bench import parse_scheme, resolve_method, run_bench, write_bench_report
 from .config import ConfigError, build_region, load_scenario
 from .holograms import export_hologram
 from .logs import LogFormatError, export_phase_log, ingest_log
@@ -95,7 +95,7 @@ def _cmd_simulate(args) -> int:
 
 def _tag_holograms(args):
     """locate's and hologram's shared front half: truth by tag id, the tag
-    count and a lazy (tag_id, hologram) iterator, so only one hologram is
+    ids and a lazy (tag_id, hologram) iterator, so only one hologram is
     alive at a time.  A tag that cannot be scored is a data error."""
     truth, config_region = {}, None
     if args.config:
@@ -117,7 +117,7 @@ def _tag_holograms(args):
             except ValueError as exc:
                 raise LogFormatError(f"tag {tag_id}: {exc}") from exc
 
-    return truth, len(streams), holograms()
+    return truth, list(streams), holograms()
 
 
 def _cmd_locate(args) -> int:
@@ -137,13 +137,28 @@ def _cmd_locate(args) -> int:
     return 0
 
 
+def _hologram_paths(out: Path, tag_ids: list[str]) -> dict[str, Path]:
+    """``out`` for a single tag, else ``out.stem.TAG.suffix`` per tag; a
+    tag id that cannot be part of a file name is a data error."""
+    if len(tag_ids) == 1:
+        return {tag_ids[0]: out}
+    paths = {}
+    for tag_id in tag_ids:
+        try:
+            if "\0" in tag_id:
+                raise ValueError("embedded null character")
+            paths[tag_id] = out.with_name(f"{out.stem}.{tag_id}{out.suffix}")
+        except ValueError as exc:
+            raise LogFormatError(f"tag {tag_id}: unusable in a file name: {exc}") from exc
+    return paths
+
+
 def _cmd_hologram(args) -> int:
-    _, n_tags, holograms = _tag_holograms(args)
-    out = Path(args.out)
+    _, tag_ids, holograms = _tag_holograms(args)
+    paths = _hologram_paths(Path(args.out), tag_ids)
     for tag_id, holo in holograms:
-        path = out if n_tags == 1 else out.with_name(f"{out.stem}.{tag_id}{out.suffix}")
-        export_hologram(holo, path)
-        print(f"wrote hologram for {tag_id} to {path}")
+        export_hologram(holo, paths[tag_id])
+        print(f"wrote hologram for {tag_id} to {paths[tag_id]}")
     return 0
 
 

@@ -38,31 +38,25 @@ def export_phase_log(
     unit: str = "radians",
 ) -> None:
     """Write per-tag sample streams as one log file, tag by tag in dict
-    order.  With unit="ticks" phases are quantized to 2*pi/4096."""
+    order.  With unit="ticks" phases are quantized to 2*pi/4096.  A tag id
+    holding a comma or a quote is quoted, as ingest_log's csv reader
+    expects."""
     if unit not in _UNITS:
         raise ValueError(f"unknown phase unit {unit!r}")
-    lines = [",".join(LOG_FIELDS)]
-    for tag_id, samples in samples_by_tag.items():
-        for s in samples:
-            if unit == "ticks":
-                phase = str(int(round(s.phase_wrapped / TICK_RADIANS)) % TICKS_PER_TURN)
-            else:
-                phase = repr(s.phase_wrapped)
-            pose = s.antenna_pose
-            lines.append(
-                ",".join(
-                    [
-                        tag_id,
-                        repr(pose.x),
-                        repr(pose.y),
-                        repr(pose.z),
-                        repr(s.carrier.frequency),
-                        phase,
-                        unit,
-                    ]
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(LOG_FIELDS)
+        for tag_id, samples in samples_by_tag.items():
+            for s in samples:
+                if unit == "ticks":
+                    phase = str(int(round(s.phase_wrapped / TICK_RADIANS)) % TICKS_PER_TURN)
+                else:
+                    phase = repr(s.phase_wrapped)
+                pose = s.antenna_pose
+                writer.writerow(
+                    [tag_id, repr(pose.x), repr(pose.y), repr(pose.z),
+                     repr(s.carrier.frequency), phase, unit]
                 )
-            )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _parse_float(value: str, column: str, lineno: int) -> float:

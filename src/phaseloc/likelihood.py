@@ -1,28 +1,40 @@
-"""Variant likelihood kernels for wrapped-phase positioning.
+"""The seven scoring methods for wrapped-phase positioning.
 
-The per-tag phase offset phi0 is unknown, so all kernels work on
-differences of measured phases: either consecutive reads ("misaligned"
+The per-tag phase offset phi0 is unknown, so the likelihood kernels work
+on differences of measured phases: either consecutive reads ("misaligned"
 subtraction) or every read against one fixed reference read.  For a
 candidate tag position the geometric counterpart of a measured difference
 is 4*pi*(d_a - d_b)/lambda, which must be folded into the same branch the
 measurement lives in; because the true branch is unknowable from the data
 alone, the fold is exposed as an explicit branch strategy.
 
-Three likelihood terms are provided per differential pair:
+Per differential pair with residual r = dphi_measured - dphi_geometric:
 
-* NLF, the naive negative squared residual, which is discontinuous when a
-  measurement jumps across the 0/2*pi boundary;
-* CLF, cos(residual), periodic and hence immune to such jumps, matching
-  NLF to second order for small residuals;
-* SLF, -sin(residual)^2, likewise periodic (with period pi, so it admits
-  spurious maxima at residual pi that CLF does not - see slf_term).
+* nlf, the naive -r^2 with the geometric difference folded into a branch,
+  which is discontinuous when a measurement jumps across the 0/2*pi
+  boundary;
+* clf, cos(r), periodic and hence immune to such jumps, matching nlf to
+  second order for small residuals;
+* slf, -sin(r)^2, likewise periodic, but with period pi, so residual pi
+  scores like residual 0 and slf holograms can show spurious maxima that
+  clf does not (the solver does not special-case this; inspect the peak
+  diagnostics);
+* wclf and wslf multiply each clf/slf term by a weight in [0, 1] built
+  from the same residual, |cos r| and exp(-sin(r)^2), which equals 1
+  exactly when r is a multiple of pi and down-ranks contaminated reads.
+  No weight exists for nlf.
 
-Weighted variants multiply each CLF/SLF term by a weight in [0, 1] built
-from the same residual, down-ranking contaminated reads.
+The two comparison methods are stand-ins matching how SARFID and Tagoram
+are used as baselines, not faithful reimplementations of either pipeline.
+sarfid scores a candidate by the magnitude of the phase-aligned coherent
+sum (the synthetic-aperture matched filter), which cancels the per-tag
+offset as a common complex rotation instead of differencing.  tagoram
+scores reference-subtracted cosine residuals weighted by a two-sided
+Gaussian tail probability, so reads that disagree with the candidate
+geometry by many sigma contribute almost nothing.
 
-All functions are pure; sample lists are treated as read-only shared
-state, and batch scoring over many candidates is order-stable (per-pair
-sums always run in sample order).
+All functions are pure, and batch scoring over many candidates is
+order-stable (per-pair sums always run in sample order).
 """
 
 from __future__ import annotations
@@ -31,21 +43,20 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import erfc
 
-from .phase_model import (
-    TWO_PI,
-    PhaseSample,
-    Position3D,
-    distance,
-    wrap_2pi,
-)
+from .phase_model import TWO_PI, PhaseSample, wrap_2pi, wrap_pm_pi
+from .synthesis import DEFAULT_SIGMA_INTERCEPT, DEFAULT_SIGMA_SLOPE
+
+METHOD_NAMES = ("nlf", "clf", "slf", "wclf", "wslf", "sarfid", "tagoram")
 
 # Branch strategies for folding the geometric phase difference.
 BRANCH_NONNEGATIVE = "nonnegative"
 BRANCH_NEGATIVE = "negative"
 BRANCH_NEAREST = "nearest"
 
-_VARIANTS = ("nlf", "clf", "slf")
+# Constant-sigma noise model evaluated at the default 1.4 m standoff.
+DEFAULT_TAGORAM_SIGMA = DEFAULT_SIGMA_SLOPE * 1.4 + DEFAULT_SIGMA_INTERCEPT
 
 
 class SamplingConditionError(ValueError):
@@ -79,34 +90,31 @@ class DifferentialScheme:
 
 
 @dataclass(frozen=True)
-class LikelihoodSpec:
-    """Which kernel to run: variant in {nlf, clf, slf}, a differential
-    scheme, and whether per-pair weights are applied (clf/slf only)."""
+class MethodSpec:
+    """One of the METHOD_NAMES with its settings: the differential scheme
+    (the five likelihood methods; sarfid and tagoram accept only
+    reference:0) and the sigma of tagoram's Gaussian-CDF weighting.  The
+    spec is its own scorer."""
 
-    variant: str
-    scheme: DifferentialScheme
-    weighted: bool = False
+    name: str
+    scheme: DifferentialScheme = DifferentialScheme.reference(0)
+    tagoram_sigma: float = DEFAULT_TAGORAM_SIGMA
 
     def __post_init__(self) -> None:
-        if self.variant not in _VARIANTS:
-            raise ValueError(f"unknown likelihood variant {self.variant!r}")
-        if self.weighted and self.variant == "nlf":
-            raise ValueError("weights are defined only for clf and slf variants")
+        if self.name not in METHOD_NAMES:
+            raise ValueError(
+                f"unknown method {self.name!r} (expected one of {', '.join(METHOD_NAMES)})"
+            )
+        if self.name in ("sarfid", "tagoram") and self.scheme != DifferentialScheme.reference(0):
+            raise ValueError(f"{self.name} takes no differential scheme; only reference:0 is accepted")
+        if not (self.tagoram_sigma > 0.0):
+            raise ValueError(f"tagoram_sigma must be > 0, got {self.tagoram_sigma!r}")
 
     def __call__(self, phases: np.ndarray, dists: np.ndarray, wavelength: float) -> np.ndarray:
-        """Scores per candidate row of ``dists``; the spec is its own scorer."""
+        """Scores per candidate row of ``dists``."""
+        if self.name == "sarfid":
+            return sarfid_batch(phases, dists, wavelength)
         return objective_batch(phases, dists, self, wavelength)
-
-
-@dataclass(frozen=True)
-class DifferentialPair:
-    """One differenced observation: the raw measured-phase difference (no
-    re-wrapping, so it lies in (-2*pi, 2*pi)), the candidate-dependent
-    distance difference in meters, and the (n, other) sample indices."""
-
-    dphi_measured: float
-    ddist: float
-    indices: tuple[int, int]
 
 
 def pair_indices(scheme: DifferentialScheme, n_samples: int) -> tuple[np.ndarray, np.ndarray]:
@@ -134,30 +142,6 @@ def shared_wavelength(samples: list[PhaseSample]) -> float:
     if len(freqs) != 1:
         raise ValueError(f"samples must share one carrier, got frequencies {sorted(freqs)}")
     return samples[0].carrier.wavelength
-
-
-def build_differentials(
-    samples: list[PhaseSample],
-    candidate: Position3D,
-    scheme: DifferentialScheme,
-) -> list[DifferentialPair]:
-    """Differential pairs for one candidate position.
-
-    Requires >= 2 samples sharing one carrier.  dphi_measured is the raw
-    difference of the two wrapped measurements; ddist is the difference of
-    the candidate-to-antenna distances for the paired poses.
-    """
-    shared_wavelength(samples)
-    idx_a, idx_b = pair_indices(scheme, len(samples))
-    dists = [distance(s.antenna_pose, candidate) for s in samples]
-    return [
-        DifferentialPair(
-            dphi_measured=samples[a].phase_wrapped - samples[b].phase_wrapped,
-            ddist=dists[a] - dists[b],
-            indices=(int(a), int(b)),
-        )
-        for a, b in zip(idx_a, idx_b)
-    ]
 
 
 def delta_phi_d_unwrap(ddist: float, dphi_measured: float, wavelength: float) -> float:
@@ -208,108 +192,31 @@ def delta_phi_d_mod(
     raise ValueError(f"unknown branch {branch!r}")
 
 
-def nlf_term(
-    pair: DifferentialPair,
-    wavelength: float,
-    branch: str = BRANCH_NEAREST,
-) -> float:
-    """Naive likelihood term -(dphi_measured - dphi_geometric)^2, <= 0.
-
-    Sensitive to boundary jumps: a measurement crossing 0/2*pi drags the
-    raw difference by nearly 2*pi and the term craters.
-    """
-    dpd = delta_phi_d_mod(pair.ddist, wavelength, branch, pair.dphi_measured)
-    return -((pair.dphi_measured - dpd) ** 2)
-
-
-def _residual(pair: DifferentialPair, wavelength: float) -> float:
-    return pair.dphi_measured - 4.0 * math.pi * pair.ddist / wavelength
-
-
-def clf_term(pair: DifferentialPair, wavelength: float) -> float:
-    """Cosine likelihood term cos(residual), in [-1, 1].
-
-    2*pi-periodic in the measured difference, so no branch correction is
-    needed and boundary jumps barely move it.
-    """
-    return math.cos(_residual(pair, wavelength))
-
-
-def slf_term(pair: DifferentialPair, wavelength: float) -> float:
-    """Sine likelihood term -sin(residual)^2, in [-1, 0].
-
-    Note the pi-periodicity: residual pi scores 0 just like residual 0,
-    so SLF holograms can show spurious maxima where CLF would not.  The
-    solver does not special-case this; inspect the peak diagnostics.
-    """
-    return -math.sin(_residual(pair, wavelength)) ** 2
-
-
-def weight(pair: DifferentialPair, wavelength: float, variant: str) -> float:
-    """Per-pair weight in [0, 1] for the weighted kernels.
-
-    clf weights by |cos(residual)|, slf by exp(-sin(residual)^2); both
-    equal 1 exactly when the residual is a multiple of pi and decay as the
-    measured difference strays from the candidate's geometry.  Rejects
-    nlf, for which no weight is defined.
-    """
-    r = _residual(pair, wavelength)
-    if variant == "clf":
-        return abs(math.cos(r))
-    if variant == "slf":
-        return math.exp(-math.sin(r) ** 2)
-    raise ValueError(f"no weight defined for variant {variant!r}")
-
-
-def objective(
-    samples: list[PhaseSample],
-    candidate: Position3D,
-    spec: LikelihoodSpec,
-    wavelength: float,
-    nlf_branch: str = BRANCH_NEAREST,
-) -> float:
-    """Total (optionally weighted) likelihood score of one candidate.
-
-    Sums the variant term over the scheme's differential pairs in sample
-    order; weights are recomputed for this candidate, never frozen from a
-    preliminary estimate.
-    """
-    pairs = build_differentials(samples, candidate, spec.scheme)
-    total = 0.0
-    for pair in pairs:
-        if spec.variant == "nlf":
-            term = nlf_term(pair, wavelength, nlf_branch)
-        elif spec.variant == "clf":
-            term = clf_term(pair, wavelength)
-        else:
-            term = slf_term(pair, wavelength)
-        if spec.weighted:
-            term *= weight(pair, wavelength, spec.variant)
-        total += term
-    return total
-
-
 def objective_batch(
     phases: np.ndarray,
     dists: np.ndarray,
-    spec: LikelihoodSpec,
+    spec: MethodSpec,
     wavelength: float,
     nlf_branch: str = BRANCH_NEAREST,
 ) -> np.ndarray:
-    """Vectorized objective over many candidates at once.
+    """Differential score per candidate for every method but sarfid.
 
     phases is the (N,) wrapped measurement vector; dists is (M, N) with
     row m holding candidate m's distances to the N poses.  Returns (M,)
-    scores identical (to float round-off) to calling ``objective`` per
-    candidate.
+    sums over the scheme's pairs.  tagoram wraps each residual to
+    (-pi, pi] (a tail probability of an unwrapped circular residual would
+    be meaningless) and weights cos(residual) by
+    2*(1 - Phi(|residual|/sigma)) = erfc(|residual|/(sigma*sqrt(2))).
     """
+    if spec.name == "sarfid":
+        raise ValueError("sarfid is not a differential method; use sarfid_batch")
     phases = np.asarray(phases, dtype=float)
     dists = np.atleast_2d(np.asarray(dists, dtype=float))
     idx_a, idx_b = pair_indices(spec.scheme, phases.shape[0])
     dphi_m = phases[idx_a] - phases[idx_b]
     geom = 4.0 * math.pi * (dists[:, idx_a] - dists[:, idx_b]) / wavelength
 
-    if spec.variant == "nlf":
+    if spec.name == "nlf":
         folded = wrap_2pi(geom)
         res_hi = dphi_m[None, :] - folded
         if nlf_branch == BRANCH_NONNEGATIVE:
@@ -324,13 +231,30 @@ def objective_batch(
         return -(res**2).sum(axis=1)
 
     res = dphi_m[None, :] - geom
-    if spec.variant == "clf":
+    if spec.name == "tagoram":
+        res = wrap_pm_pi(res)
+        weights = erfc(np.abs(res) / (spec.tagoram_sigma * math.sqrt(2.0)))
+        return (weights * np.cos(res)).sum(axis=1)
+    if spec.name in ("clf", "wclf"):
         terms = np.cos(res)
-        if spec.weighted:
+        if spec.name == "wclf":
             terms = np.abs(terms) * terms
     else:
         sin2 = np.sin(res) ** 2
         terms = -sin2
-        if spec.weighted:
+        if spec.name == "wslf":
             terms = np.exp(-sin2) * terms
     return terms.sum(axis=1)
+
+
+def sarfid_batch(phases: np.ndarray, dists: np.ndarray, wavelength: float) -> np.ndarray:
+    """Coherent-sum magnitude per candidate row of ``dists``, in [0, 1].
+
+    |sum_n exp(j*(phi[n] - 4*pi*d[n]/lambda))| / N.  A common phase shift
+    on all reads rotates every term equally, so the magnitude is
+    invariant to the per-tag offset.
+    """
+    phases = np.asarray(phases, dtype=float)
+    dists = np.atleast_2d(np.asarray(dists, dtype=float))
+    residual = phases[None, :] - 4.0 * math.pi * dists / wavelength
+    return np.abs(np.exp(1j * residual).mean(axis=1))

@@ -162,8 +162,8 @@ class GridEvaluator:
     candidate chunks to bound memory.
 
     A method is any callable taking (phases, dists, wavelength) and
-    returning one score per row of dists; LikelihoodSpec and BaselineSpec
-    objects are such callables.
+    returning one score per row of dists; MethodSpec objects are such
+    callables.
     """
 
     def __init__(self, region: SearchRegion, poses_xyz: np.ndarray):
@@ -220,8 +220,8 @@ def evaluate_hologram(
     """Score every cell center of ``region`` with ``method``.
 
     method is any callable taking (phases, dists, wavelength) and
-    returning per-candidate scores; LikelihoodSpec and BaselineSpec
-    objects are such callables.  For repeated evaluations over one
+    returning per-candidate scores; MethodSpec objects are such
+    callables.  For repeated evaluations over one
     geometry build a GridEvaluator instead.
     """
     evaluator = GridEvaluator(region, poses_to_array(s.antenna_pose for s in samples))

@@ -35,6 +35,7 @@ from .phase_model import (
 DEFAULT_SIGMA_SLOPE = 0.006  # rad per meter
 DEFAULT_SIGMA_INTERCEPT = 0.0084  # rad
 DEFAULT_JUMP_GUARD_BAND = 0.1 * math.pi  # rad around the 0/2*pi boundary
+MAX_TRACK_POSES = 100_000  # a linear track's pose cap, checked before any pose is built
 
 
 @dataclass(frozen=True)
@@ -63,13 +64,16 @@ def linear_track(
     """Straight track along Y at fixed standoff x and height z.
 
     Poses run y_start, y_start+spacing, ... up to and including y_stop
-    when the span divides evenly.
+    when the span divides evenly, at most MAX_TRACK_POSES of them.
     """
-    if spacing <= 0:
+    if not spacing > 0:
         raise ValueError(f"spacing must be positive, got {spacing!r}")
-    n = int(math.floor((y_stop - y_start) / spacing + 1e-9)) + 1
-    if n < 2:
+    steps = (y_stop - y_start) / spacing + 1e-9
+    if not steps >= 1.0:
         raise ValueError("track must contain at least 2 poses")
+    if not steps < MAX_TRACK_POSES:
+        raise ValueError(f"track would hold more than the cap of {MAX_TRACK_POSES} poses")
+    n = int(math.floor(steps)) + 1
     ys = y_start + spacing * np.arange(n)
     return Trajectory(
         poses=tuple(Position3D(x, float(y), z) for y in ys),

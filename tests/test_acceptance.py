@@ -15,12 +15,12 @@ from scipy import stats
 from phaseloc import (
     BRANCH_NEGATIVE,
     BRANCH_NONNEGATIVE,
-    BaselineSpec,
+    METHOD_NAMES,
     CarrierConfig,
     DifferentialScheme,
     GridEvaluator,
     InterferenceSchedule,
-    LikelihoodSpec,
+    MethodSpec,
     NoiseModel,
     Position3D,
     Scenario,
@@ -46,15 +46,7 @@ CARRIER = CarrierConfig(866.9e6)
 LAM = CARRIER.wavelength
 REF = DifferentialScheme.reference(0)
 
-ALL_METHODS = {
-    "nlf": LikelihoodSpec("nlf", REF),
-    "clf": LikelihoodSpec("clf", REF),
-    "slf": LikelihoodSpec("slf", REF),
-    "wclf": LikelihoodSpec("clf", REF, weighted=True),
-    "wslf": LikelihoodSpec("slf", REF, weighted=True),
-    "sarfid": BaselineSpec("sarfid"),
-    "tagoram": BaselineSpec("tagoram"),
-}
+ALL_METHODS = {name: MethodSpec(name, REF) for name in METHOD_NAMES}
 
 
 def report(num, label, ok, detail=""):
@@ -105,10 +97,9 @@ def test_criterion_1_exact_recovery_suite():
 def test_criterion_2_jump_robustness():
     rng = np.random.default_rng(777)
     periodic = [
-        LikelihoodSpec(v, s, weighted=w)
-        for v in ("clf", "slf")
+        MethodSpec(name, s)
+        for name in ("clf", "slf", "wclf", "wslf")
         for s in (REF, DifferentialScheme.misaligned())
-        for w in (False, True)
     ]
     poses = np.column_stack([
         np.full(12, 1.4), np.linspace(-0.3, 0.3, 12), np.zeros(12)
@@ -132,7 +123,7 @@ def test_criterion_2_jump_robustness():
     # 1.95*pi, geometry folding to 0.35*pi.  The jump to 0.03*pi drags the
     # measured difference from 0.35*pi to -1.57*pi and the prophet-branch
     # naive objective drops by (1.92*pi)^2.
-    nlf = LikelihoodSpec("nlf", REF)
+    nlf = MethodSpec("nlf", REF)
     dd = 0.35 * LAM / 4.0
     d0 = 1.4
     poses_fig = np.array([[d0, 0.0, 0.0], [d0 + dd, 0.0, 0.0]])
@@ -203,10 +194,10 @@ def test_criterion_5_reference_beats_misaligned():
     scenario = _mc_scenario()
     mis = DifferentialScheme.misaligned()
     methods = [
-        ("clf-mis", LikelihoodSpec("clf", mis)),
-        ("clf-ref", LikelihoodSpec("clf", REF)),
-        ("slf-mis", LikelihoodSpec("slf", mis)),
-        ("slf-ref", LikelihoodSpec("slf", REF)),
+        ("clf-mis", MethodSpec("clf", mis)),
+        ("clf-ref", MethodSpec("clf", REF)),
+        ("slf-mis", MethodSpec("slf", mis)),
+        ("slf-ref", MethodSpec("slf", REF)),
     ]
     rep = run_bench(scenario, MC_REGION, methods, trials=120, base_seed=777)
     means = rep.method_means()
@@ -271,7 +262,7 @@ def test_criterion_8_symmetric_ambiguity():
         rng_seed=3,
     )
     samples = synthesize(scenario)["T1"]
-    spec = LikelihoodSpec("clf", REF)
+    spec = MethodSpec("clf", REF)
 
     full = SearchRegion(x=(0.0, 0.0), y=(-0.5, 0.5), z=(-0.6, 0.6), resolution=0.01)
     peaks_full = find_peak_regions(evaluate_hologram(samples, full, spec))

@@ -1,4 +1,8 @@
-"""SARFID coherent-sum and Tagoram CDF-weighted baselines."""
+"""SARFID coherent-sum and Tagoram CDF-weighted baselines.
+
+The complex-sum and erfc oracles are the references for sarfid_batch and
+for objective_batch's tagoram branch.
+"""
 
 import cmath
 import math
@@ -8,10 +12,9 @@ import pytest
 from scipy.special import erfc
 
 from phaseloc import (
-    BaselineSpec,
     CarrierConfig,
+    MethodSpec,
     NoiseModel,
-    PhaseSample,
     Position3D,
     Scenario,
     SearchRegion,
@@ -20,9 +23,8 @@ from phaseloc import (
     evaluate_hologram,
     linear_track,
     predict_phase,
-    sarfid_score,
+    sarfid_batch,
     synthesize,
-    tagoram_score,
     wrap_2pi,
 )
 
@@ -31,11 +33,18 @@ CARRIER = CarrierConfig(866.9e6)
 LAM = CARRIER.wavelength
 
 
-def make_samples(phases, poses):
-    return [
-        PhaseSample(pose, CARRIER, float(ph), i, "T")
-        for i, (pose, ph) in enumerate(zip(poses, phases))
-    ]
+def candidate_dists(poses, cand):
+    """(1, N) distances from one candidate to the poses."""
+    return np.array([[math.dist((p.x, p.y, p.z), (cand.x, cand.y, cand.z)) for p in poses]])
+
+
+def sarfid_score(phases, poses, cand):
+    return float(sarfid_batch(np.asarray(phases), candidate_dists(poses, cand), LAM)[0])
+
+
+def tagoram_score(phases, poses, cand, sigma):
+    spec = MethodSpec("tagoram", tagoram_sigma=sigma)
+    return float(spec(np.asarray(phases), candidate_dists(poses, cand), LAM)[0])
 
 
 def circle_poses(dist, n):
@@ -48,11 +57,12 @@ def circle_poses(dist, n):
 class TestBaselineSpec:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
-            BaselineSpec(kind="music")
+            MethodSpec("music")
 
     def test_bad_sigma(self):
-        with pytest.raises(ValueError):
-            BaselineSpec(kind="tagoram", tagoram_sigma=0.0)
+        for sigma in (0.0, -0.1, math.nan):
+            with pytest.raises(ValueError):
+                MethodSpec("tagoram", tagoram_sigma=sigma)
 
 
 class TestSarfid:
@@ -60,7 +70,7 @@ class TestSarfid:
         poses = [Position3D(1.4, y, 0.0) for y in np.linspace(-0.3, 0.3, 20)]
         truth = Position3D(0.0, 0.1, 0.2)
         phases = [predict_phase(p, truth, CARRIER, 0.0) for p in poses]
-        score = sarfid_score(make_samples(phases, poses), truth, LAM)
+        score = sarfid_score(phases, poses, truth)
         assert score == pytest.approx(1.0, abs=1e-12)
 
     def test_phi0_invariance(self):
@@ -68,7 +78,7 @@ class TestSarfid:
         truth = Position3D(0.0, 0.1, 0.2)
         for phi0 in (0.7, 2.9, 5.5):
             phases = [predict_phase(p, truth, CARRIER, phi0) for p in poses]
-            score = sarfid_score(make_samples(phases, poses), truth, LAM)
+            score = sarfid_score(phases, poses, truth)
             assert score == pytest.approx(1.0, abs=1e-12)
 
     def test_uniform_residual_spread_cancels(self):
@@ -77,7 +87,7 @@ class TestSarfid:
         poses = circle_poses(1.0, n)
         base = predict_phase(poses[0], Position3D(0, 0, 0), CARRIER, 0.0)
         phases = [wrap_2pi(base + TWO_PI * k / n) for k in range(n)]
-        score = sarfid_score(make_samples(phases, poses), Position3D(0, 0, 0), LAM)
+        score = sarfid_score(phases, poses, Position3D(0, 0, 0))
         assert score == pytest.approx(0.0, abs=1e-12)
 
     def test_global_shift_invariance_noisy(self):
@@ -85,8 +95,8 @@ class TestSarfid:
         poses = [Position3D(1.4, float(y), 0.0) for y in rng.uniform(-0.4, 0.4, 15)]
         phases = rng.uniform(0.0, TWO_PI, 15)
         cand = Position3D(0.0, 0.05, 0.3)
-        base = sarfid_score(make_samples(phases, poses), cand, LAM)
-        shifted = sarfid_score(make_samples(wrap_2pi(phases + 1.234), poses), cand, LAM)
+        base = sarfid_score(phases, poses, cand)
+        shifted = sarfid_score(wrap_2pi(phases + 1.234), poses, cand)
         assert shifted == pytest.approx(base, abs=1e-12)
 
     def test_matches_independent_complex_sum_oracle(self):
@@ -94,7 +104,7 @@ class TestSarfid:
         poses = [Position3D(1.4, float(y), float(z)) for y, z in rng.uniform(-0.4, 0.4, (12, 2))]
         phases = rng.uniform(0.0, TWO_PI, 12)
         cand = Position3D(0.0, 0.11, 0.21)
-        got = sarfid_score(make_samples(phases, poses), cand, LAM)
+        got = sarfid_score(phases, poses, cand)
 
         total = 0.0 + 0.0j
         for p, ph in zip(poses, phases):
@@ -103,8 +113,9 @@ class TestSarfid:
         assert got == pytest.approx(abs(total) / 12, rel=1e-12)
 
     def test_needs_a_sample(self):
+        region = SearchRegion(x=(0.0, 0.0), y=(0.0, 0.0), z=(0.0, 0.0))
         with pytest.raises(ValueError):
-            sarfid_score([], Position3D(0, 0, 0), LAM)
+            evaluate_hologram([], region, MethodSpec("sarfid"))
 
 
 class TestTagoram:
@@ -112,8 +123,7 @@ class TestTagoram:
         poses = [Position3D(1.4, y, 0.0) for y in np.linspace(-0.3, 0.3, 9)]
         truth = Position3D(0.0, 0.1, 0.2)
         phases = [predict_phase(p, truth, CARRIER, 1.3) for p in poses]
-        spec = BaselineSpec("tagoram", tagoram_sigma=0.02)
-        score = tagoram_score(make_samples(phases, poses), truth, LAM, spec)
+        score = tagoram_score(phases, poses, truth, 0.02)
         assert score == pytest.approx(len(poses) - 1, rel=1e-9)
 
     def test_three_sigma_residual_weight_below_percent(self):
@@ -121,8 +131,7 @@ class TestTagoram:
         poses = circle_poses(1.0, 2)
         base = predict_phase(poses[0], Position3D(0, 0, 0), CARRIER, 0.0)
         phases = [base, wrap_2pi(base + 3 * sigma)]  # single pair, residual 3*sigma
-        spec = BaselineSpec("tagoram", tagoram_sigma=sigma)
-        score = tagoram_score(make_samples(phases, poses), Position3D(0, 0, 0), LAM, spec)
+        score = tagoram_score(phases, poses, Position3D(0, 0, 0), sigma)
         w = score / math.cos(3 * sigma)
         assert 0.0 < w < 0.01
 
@@ -132,8 +141,7 @@ class TestTagoram:
         phases = rng.uniform(0.0, TWO_PI, 10)
         cand = Position3D(0.0, -0.08, 0.33)
         sigma = 0.03
-        spec = BaselineSpec("tagoram", tagoram_sigma=sigma)
-        got = tagoram_score(make_samples(phases, poses), cand, LAM, spec)
+        got = tagoram_score(phases, poses, cand, sigma)
 
         d = [
             math.sqrt((p.x - cand.x) ** 2 + (p.y - cand.y) ** 2 + (p.z - cand.z) ** 2)
@@ -148,23 +156,21 @@ class TestTagoram:
         assert got == pytest.approx(total, rel=1e-12, abs=1e-12)
 
     def test_weights_monotone_in_residual_magnitude(self):
-        spec = BaselineSpec("tagoram", tagoram_sigma=0.5)
         poses = circle_poses(1.0, 2)
         base = predict_phase(poses[0], Position3D(0, 0, 0), CARRIER, 0.0)
         prev = math.inf
         for r in np.linspace(0.0, math.pi, 40):
             phases = [base, wrap_2pi(base + r)]
-            score = tagoram_score(make_samples(phases, poses), Position3D(0, 0, 0), LAM, spec)
+            score = tagoram_score(phases, poses, Position3D(0, 0, 0), 0.5)
             w = score / math.cos(r) if abs(math.cos(r)) > 1e-9 else None
             if w is not None and not math.isclose(math.cos(r), 0.0, abs_tol=1e-6):
                 assert w <= prev + 1e-12
                 prev = w
 
     def test_needs_two_samples(self):
-        spec = BaselineSpec("tagoram", tagoram_sigma=0.02)
         poses = circle_poses(1.0, 1)
         with pytest.raises(ValueError):
-            tagoram_score(make_samples([1.0], poses), Position3D(0, 0, 0), LAM, spec)
+            tagoram_score([1.0], poses, Position3D(0, 0, 0), 0.02)
 
 
 class TestBaselineHolograms:
@@ -179,6 +185,6 @@ class TestBaselineHolograms:
         )
         samples = synthesize(sc)["T1"]
         region = SearchRegion(x=(0.0, 0.0), y=(-0.3, 0.3), z=(0.0, 0.5), resolution=0.02)
-        for spec in (BaselineSpec("sarfid"), BaselineSpec("tagoram")):
+        for spec in (MethodSpec("sarfid"), MethodSpec("tagoram")):
             est = argmax_estimate(evaluate_hologram(samples, region, spec), truth=truth)
-            assert est.err_combined_yz <= math.hypot(0.02, 0.02) + 1e-12, spec.kind
+            assert est.err_combined_yz <= math.hypot(0.02, 0.02) + 1e-12, spec.name

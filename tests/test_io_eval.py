@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phaseloc import (
+    METHOD_NAMES,
     CarrierConfig,
     DifferentialScheme,
-    LikelihoodSpec,
+    MethodSpec,
     NoiseModel,
     Position3D,
     Scenario,
@@ -20,7 +21,6 @@ from phaseloc import (
     linear_track,
     synthesize,
 )
-from phaseloc.baselines import BaselineSpec
 from phaseloc.io_eval import (
     ConfigError,
     LogFormatError,
@@ -93,6 +93,10 @@ FUZZ_KEYS = (
     "noise.sigma_slope", "noise.sigma_intercept", "noise.constant_sigma",
     "jump.probability", "jump.guard_band",
     "interference.bias_rad", "interference.period", "interference.offset",
+    "trajectory.x", "trajectory.z", "trajectory.y_start", "trajectory.y_stop",
+    "trajectory.spacing",
+    "region.x", "region.y", "region.x_min", "region.y_min", "region.y_max",
+    "region.z_min", "region.z_max", "region.resolution",
 )
 FUZZ_VALUES = st.one_of(
     st.floats().map(repr),
@@ -165,6 +169,7 @@ class TestConfig:
         ({"interference.bias_rad": "0.5", "interference.period": "2.7"}, "period"),
         ({"interference.bias_rad": "0.5", "interference.period": "10",
           "interference.offset": "1.5"}, "offset"),
+        ({"trajectory.spacing": "1e-8"}, "cap"),
     ])
     def test_bad_values_are_config_errors(self, tmp_path, overrides, match):
         with pytest.raises(ConfigError, match=match):
@@ -179,7 +184,7 @@ class TestConfig:
         assert (scenario.interference.period, scenario.interference.offset) == (10, 5)
 
     @settings(max_examples=300, deadline=None)
-    @given(overrides=st.dictionaries(st.sampled_from(FUZZ_KEYS), FUZZ_VALUES, max_size=4))
+    @given(overrides=st.dictionaries(st.sampled_from(FUZZ_KEYS), FUZZ_VALUES, max_size=6))
     def test_fuzzed_values_load_or_raise_config_error(self, tmp_path_factory, overrides):
         path = config_with(tmp_path_factory.mktemp("fuzz") / "fuzz.cfg", overrides)
         try:
@@ -216,6 +221,19 @@ class TestPhaseLogs:
                 assert g.antenna_pose == s.antenna_pose
                 assert g.carrier.frequency == s.carrier.frequency
                 assert g.sample_index == s.sample_index
+
+    def test_quoted_tag_ids_round_trip(self, tmp_path):
+        streams = synthesize(scenario_for_logs())
+        streams = {"T,01": streams["A"], 'T"1': streams["B"]}
+        path = tmp_path / "log.csv"
+        export_phase_log(streams, path)
+        back = ingest_log(path)
+        assert list(back) == ["T,01", 'T"1']
+        for tag_id, samples in streams.items():
+            got = back[tag_id]
+            assert [g.tag_id for g in got] == [tag_id] * len(samples)
+            assert [g.antenna_pose for g in got] == [s.antenna_pose for s in samples]
+            assert [g.phase_wrapped for g in got] == [s.phase_wrapped for s in samples]
 
     def test_tick_conversion(self, tmp_path):
         path = tmp_path / "ticks.csv"
@@ -283,8 +301,7 @@ class TestPhaseLogs:
 class TestHologramExport:
     def holo(self, region):
         samples = synthesize(scenario_for_logs())["A"]
-        spec = LikelihoodSpec("clf", DifferentialScheme.reference(0))
-        return evaluate_hologram(samples, region, spec)
+        return evaluate_hologram(samples, region, MethodSpec("clf"))
 
     def test_single_cell_export(self, tmp_path):
         region = SearchRegion(x=(0.0, 0.0), y=(0.1, 0.1), z=(0.2, 0.2))
@@ -324,13 +341,15 @@ class TestHologramExport:
 class TestMethodResolution:
     def test_all_names(self):
         scheme = DifferentialScheme.reference(0)
-        assert resolve_method("nlf", scheme) == LikelihoodSpec("nlf", scheme)
-        assert resolve_method("wclf", scheme) == LikelihoodSpec("clf", scheme, weighted=True)
-        assert resolve_method("wslf", scheme) == LikelihoodSpec("slf", scheme, weighted=True)
-        assert resolve_method("sarfid") == BaselineSpec("sarfid")
-        assert resolve_method("sarfid", scheme) == BaselineSpec("sarfid")
-        assert resolve_method("tagoram", tagoram_sigma=0.05) == BaselineSpec("tagoram", 0.05)
-        assert resolve_method("tagoram", parse_scheme("reference")) == BaselineSpec("tagoram")
+        assert resolve_method("nlf", scheme) == MethodSpec("nlf", scheme)
+        assert resolve_method("wclf", scheme) == MethodSpec("wclf", scheme)
+        assert resolve_method("wslf", scheme) == MethodSpec("wslf", scheme)
+        assert resolve_method("sarfid") == MethodSpec("sarfid")
+        assert resolve_method("sarfid", scheme) == MethodSpec("sarfid")
+        assert resolve_method("tagoram", tagoram_sigma=0.05) == MethodSpec("tagoram", tagoram_sigma=0.05)
+        assert resolve_method("tagoram", parse_scheme("reference")) == MethodSpec("tagoram")
+        for name in METHOD_NAMES:
+            assert resolve_method(name).name == name
 
     @pytest.mark.parametrize("name", ["sarfid", "tagoram"])
     @pytest.mark.parametrize("scheme", ["misaligned", "reference:50"])
@@ -453,6 +472,29 @@ class TestCli:
         assert [f.name for f in files] == ["holo.T01.csv", "holo.T02.csv"]
         holo = read_hologram(files[0])
         assert holo.scores.max() == 1.0
+
+    @pytest.mark.parametrize("tag_id", ["a/b", "a\0b"])
+    def test_unusable_tag_id_is_data_error(self, config_path, tmp_path, capsys, tag_id):
+        # locate takes any tag id; hologram puts it in a file name
+        log = tmp_path / "log.csv"
+        log.write_text("\n".join([
+            "tag_id,ant_x,ant_y,ant_z,freq_hz,phase,phase_unit",
+            "T,1.4,0.0,0.0,866.9e6,1.0,radians", "T,1.4,0.1,0.0,866.9e6,2.0,radians",
+            f"{tag_id},1.4,0.0,0.0,866.9e6,1.0,radians", f"{tag_id},1.4,0.1,0.0,866.9e6,2.0,radians",
+        ]))
+        code = cli(["hologram", "--input", str(log), "--method", "clf",
+                    "--config", str(config_path), "--out", str(tmp_path / "holo.csv")])
+        assert code == 2
+        assert f"tag {tag_id}" in capsys.readouterr().err
+        assert not list(tmp_path.glob("holo*"))  # rejected before any file is written
+
+    def test_comma_tag_id_simulate_then_locate(self, tmp_path, capsys):
+        config = config_with(tmp_path / "comma.cfg", {"tag.1.id": "T,01"})
+        log = tmp_path / "log.csv"
+        assert cli(["simulate", "--config", str(config), "--out", str(log)]) == 0
+        capsys.readouterr()
+        assert cli(["locate", "--input", str(log), "--method", "clf", "--config", str(config)]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 3  # header and two tags
 
     def test_bench_subcommand_four_methods(self, config_path, tmp_path, capsys):
         out = tmp_path / "bench"

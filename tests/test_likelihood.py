@@ -1,32 +1,35 @@
-"""Differential construction, kernel terms, weights and objectives."""
+"""Differential construction, kernel terms, weights and objectives.
+
+A raw-loop oracle is the reference for objective_batch; single-pair
+checks score two reads whose difference is the pair under test.
+"""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from phaseloc import (
     BRANCH_NEAREST,
     BRANCH_NEGATIVE,
     BRANCH_NONNEGATIVE,
+    METHOD_NAMES,
     CarrierConfig,
-    DifferentialPair,
     DifferentialScheme,
-    LikelihoodSpec,
+    MethodSpec,
     PhaseSample,
     Position3D,
     SamplingConditionError,
-    build_differentials,
-    clf_term,
     delta_phi_d_mod,
     delta_phi_d_unwrap,
-    nlf_term,
-    objective,
     objective_batch,
     predict_phase,
-    slf_term,
-    weight,
+    wrap_2pi,
 )
+from phaseloc.likelihood import pair_indices, shared_wavelength
 
 TWO_PI = 2.0 * math.pi
 CARRIER = CarrierConfig(866.9e6)
@@ -46,49 +49,63 @@ def synth_phases(poses, tag, phi0=0.0, carrier=CARRIER):
     return [predict_phase(p, tag, carrier, phi0) for p in poses]
 
 
+def dists_to(poses, candidates):
+    """(M, N) candidate-to-pose distances, one row per candidate."""
+    return np.array([
+        [math.dist((p.x, p.y, p.z), (c.x, c.y, c.z)) for p in poses] for c in candidates
+    ])
+
+
+def score(samples, candidate, spec, nlf_branch=BRANCH_NEAREST):
+    """objective_batch for one candidate, from a sample list."""
+    phases = np.array([s.phase_wrapped for s in samples])
+    dists = dists_to([s.antenna_pose for s in samples], [candidate])
+    return float(objective_batch(phases, dists, spec, shared_wavelength(samples), nlf_branch)[0])
+
+
 class TestBuildDifferentials:
     def test_misaligned_indices(self):
-        samples = make_samples([0.1, 0.2, 0.3])
-        pairs = build_differentials(samples, Position3D(0, 0, 0), DifferentialScheme.misaligned())
-        assert [p.indices for p in pairs] == [(1, 0), (2, 1)]
+        a, b = pair_indices(DifferentialScheme.misaligned(), 3)
+        assert list(zip(a, b)) == [(1, 0), (2, 1)]
 
     def test_reference_indices(self):
-        samples = make_samples([0.1, 0.2, 0.3])
-        pairs = build_differentials(samples, Position3D(0, 0, 0), DifferentialScheme.reference(0))
-        assert [p.indices for p in pairs] == [(1, 0), (2, 0)]
+        a, b = pair_indices(DifferentialScheme.reference(0), 3)
+        assert list(zip(a, b)) == [(1, 0), (2, 0)]
 
     def test_reference_middle(self):
-        samples = make_samples([0.1, 0.2, 0.3, 0.4])
-        pairs = build_differentials(samples, Position3D(0, 0, 0), DifferentialScheme.reference(2))
-        assert [p.indices for p in pairs] == [(0, 2), (1, 2), (3, 2)]
+        a, b = pair_indices(DifferentialScheme.reference(2), 4)
+        assert list(zip(a, b)) == [(0, 2), (1, 2), (3, 2)]
 
     def test_equidistant_candidate_gives_zero_ddist(self):
         poses = [Position3D(1.4, -0.1, 0.0), Position3D(1.4, 0.1, 0.0)]
         samples = make_samples([0.5, 1.5], poses)
-        # candidate on the perpendicular bisector plane of the two poses
-        pairs = build_differentials(samples, Position3D(0, 0, 0.3), DifferentialScheme.misaligned())
-        assert pairs[0].ddist == pytest.approx(0.0, abs=1e-15)
+        # candidate on the perpendicular bisector plane of the two poses:
+        # no geometric difference, so clf is the cosine of the measured one
+        spec = MethodSpec("clf", DifferentialScheme.misaligned())
+        assert score(samples, Position3D(0, 0, 0.3), spec) == pytest.approx(math.cos(1.0), abs=1e-13)
 
     def test_raw_difference_not_rewrapped(self):
-        samples = make_samples([1.9 * math.pi, 0.1 * math.pi])
-        pairs = build_differentials(samples, Position3D(0, 0, 0), DifferentialScheme.misaligned())
-        assert pairs[0].dphi_measured == pytest.approx(-1.8 * math.pi)
+        # zero geometric difference: the nonnegative-branch nlf term is the
+        # raw -1.8*pi difference squared, not its re-wrapped 0.2*pi
+        poses = [Position3D(1.4, -0.1, 0.0), Position3D(1.4, 0.1, 0.0)]
+        samples = make_samples([1.9 * math.pi, 0.1 * math.pi], poses)
+        spec = MethodSpec("nlf", DifferentialScheme.misaligned())
+        out = score(samples, Position3D(0, 0, 0), spec, BRANCH_NONNEGATIVE)
+        assert out == pytest.approx(-((1.8 * math.pi) ** 2), rel=1e-12)
 
     def test_too_few_samples(self):
         with pytest.raises(ValueError):
-            build_differentials(make_samples([0.1]), Position3D(0, 0, 0), DifferentialScheme.misaligned())
+            score(make_samples([0.1]), Position3D(0, 0, 0), MethodSpec("clf", DifferentialScheme.misaligned()))
 
     def test_reference_out_of_range(self):
         with pytest.raises(ValueError):
-            build_differentials(
-                make_samples([0.1, 0.2]), Position3D(0, 0, 0), DifferentialScheme.reference(5)
-            )
+            score(make_samples([0.1, 0.2]), Position3D(0, 0, 0), MethodSpec("clf", DifferentialScheme.reference(5)))
 
     def test_mixed_carrier_rejected(self):
         samples = make_samples([0.1, 0.2])
         other = PhaseSample(Position3D(1.4, 0.3, 0), CarrierConfig(915e6), 0.3, 2, "T")
         with pytest.raises(ValueError):
-            build_differentials(samples + [other], Position3D(0, 0, 0), DifferentialScheme.misaligned())
+            shared_wavelength(samples + [other])
 
 
 class TestDeltaPhiDUnwrap:
@@ -156,64 +173,75 @@ class TestDeltaPhiDMod:
 
 
 class TestTerms:
-    def pair(self, dphi, ddist):
-        return DifferentialPair(dphi_measured=dphi, ddist=ddist, indices=(1, 0))
+    @staticmethod
+    def term(name, dphi, ddist, nlf_branch=BRANCH_NEAREST):
+        """Score of the single pair (read 1 - read 0) with measured
+        difference dphi and distance difference ddist."""
+        phases = np.array([0.0, dphi])
+        dists = np.array([[0.0, ddist]])
+        return float(objective_batch(phases, dists, MethodSpec(name), LAM, nlf_branch)[0])
+
+    def weight(self, name, dphi, ddist):
+        """Weight of the wclf/wslf term: weighted over unweighted score."""
+        return self.term(name, dphi, ddist) / self.term(name[1:], dphi, ddist)
 
     def test_nlf_perfect_match(self):
-        p = self.pair(math.pi / 2, LAM / 8)  # geometric fold is exactly pi/2
-        assert nlf_term(p, LAM, BRANCH_NONNEGATIVE) == pytest.approx(0.0, abs=1e-24)
+        # geometric fold is exactly pi/2
+        assert self.term("nlf", math.pi / 2, LAM / 8, BRANCH_NONNEGATIVE) == pytest.approx(0.0, abs=1e-24)
 
     def test_nlf_pi_residual(self):
-        p = self.pair(3 * math.pi / 2, LAM / 8)
-        assert nlf_term(p, LAM, BRANCH_NONNEGATIVE) == pytest.approx(-math.pi**2, rel=1e-12)
+        out = self.term("nlf", 3 * math.pi / 2, LAM / 8, BRANCH_NONNEGATIVE)
+        assert out == pytest.approx(-math.pi**2, rel=1e-12)
 
     def test_nlf_jump_example(self):
         # Measured difference drops from 0.35*pi to -1.57*pi while the
         # geometry still folds to 0.35*pi: the term craters by (1.92*pi)^2.
         ddist = 0.35 * LAM / 4.0
-        before = nlf_term(self.pair(0.35 * math.pi, ddist), LAM, BRANCH_NONNEGATIVE)
-        after = nlf_term(self.pair(-1.57 * math.pi, ddist), LAM, BRANCH_NONNEGATIVE)
+        before = self.term("nlf", 0.35 * math.pi, ddist, BRANCH_NONNEGATIVE)
+        after = self.term("nlf", -1.57 * math.pi, ddist, BRANCH_NONNEGATIVE)
         assert before == pytest.approx(0.0, abs=1e-24)
         assert after == pytest.approx(-((1.92 * math.pi) ** 2), rel=1e-12)
 
     def test_clf_examples(self):
-        assert clf_term(self.pair(math.pi / 2, LAM / 8), LAM) == pytest.approx(1.0)
-        assert clf_term(self.pair(math.pi, LAM / 8), LAM) == pytest.approx(0.0, abs=1e-12)
-        base = clf_term(self.pair(0.7, 0.01), LAM)
-        assert clf_term(self.pair(0.7 + TWO_PI, 0.01), LAM) == pytest.approx(base, abs=1e-12)
-        assert clf_term(self.pair(0.7 - TWO_PI, 0.01), LAM) == pytest.approx(base, abs=1e-12)
+        assert self.term("clf", math.pi / 2, LAM / 8) == pytest.approx(1.0)
+        assert self.term("clf", math.pi, LAM / 8) == pytest.approx(0.0, abs=1e-12)
+        base = self.term("clf", 0.7, 0.01)
+        assert self.term("clf", 0.7 + TWO_PI, 0.01) == pytest.approx(base, abs=1e-12)
+        assert self.term("clf", 0.7 - TWO_PI, 0.01) == pytest.approx(base, abs=1e-12)
 
     def test_slf_examples(self):
-        assert slf_term(self.pair(math.pi / 2, LAM / 8), LAM) == pytest.approx(0.0, abs=1e-24)
-        assert slf_term(self.pair(math.pi, LAM / 8), LAM) == pytest.approx(-1.0)
+        assert self.term("slf", math.pi / 2, LAM / 8) == pytest.approx(0.0, abs=1e-24)
+        assert self.term("slf", math.pi, LAM / 8) == pytest.approx(-1.0)
         # pi-periodicity: residual pi scores like residual 0
-        assert slf_term(self.pair(3 * math.pi / 2, LAM / 8), LAM) == pytest.approx(0.0, abs=1e-24)
+        assert self.term("slf", 3 * math.pi / 2, LAM / 8) == pytest.approx(0.0, abs=1e-24)
 
     def test_weight_examples(self):
-        assert weight(self.pair(math.pi / 2, LAM / 8), LAM, "clf") == pytest.approx(1.0)
-        assert weight(self.pair(math.pi, LAM / 8), LAM, "clf") == pytest.approx(0.0, abs=1e-12)
-        w = weight(self.pair(math.pi, LAM / 8), LAM, "slf")
+        assert self.weight("wclf", math.pi / 2, LAM / 8) == pytest.approx(1.0)
+        # residual pi/2: the clf weight |cos r| is 0, so the weighted term vanishes
+        assert self.term("wclf", math.pi, LAM / 8) == pytest.approx(0.0, abs=1e-12)
+        w = self.weight("wslf", math.pi, LAM / 8)
         assert w == pytest.approx(0.36787944117144233, rel=1e-12)  # exp(-1)
 
     def test_weight_bounds_and_maximum(self):
         rng = np.random.default_rng(37)
         for _ in range(500):
-            p = self.pair(rng.uniform(-TWO_PI, TWO_PI), rng.uniform(-0.4, 0.4) * LAM)
-            for v in ("clf", "slf"):
-                assert 0.0 <= weight(p, LAM, v) <= 1.0
+            dphi, ddist = rng.uniform(-TWO_PI, TWO_PI), rng.uniform(-0.4, 0.4) * LAM
+            for name in ("wclf", "wslf"):
+                if abs(self.term(name[1:], dphi, ddist)) > 1e-9:
+                    assert 0.0 <= self.weight(name, dphi, ddist) <= 1.0 + 1e-15
         # weight is exactly 1 iff the residual is a multiple of pi
         for k in range(-2, 3):
-            p = self.pair(k * math.pi, 0.0)
-            assert weight(p, LAM, "clf") == pytest.approx(1.0)
-            assert weight(p, LAM, "slf") == pytest.approx(1.0)
+            assert self.weight("wclf", k * math.pi, 0.0) == pytest.approx(1.0)
+            # the slf term is 0 or a few 1e-32 here; a weight of 1 leaves it unchanged
+            assert self.term("wslf", k * math.pi, 0.0) == self.term("slf", k * math.pi, 0.0)
 
     def test_weight_rejects_nlf(self):
-        with pytest.raises(ValueError):
-            weight(self.pair(0.1, 0.0), LAM, "nlf")
+        with pytest.raises(ValueError, match="wnlf"):
+            MethodSpec("wnlf")
 
     def test_weighted_nlf_spec_rejected(self):
         with pytest.raises(ValueError):
-            LikelihoodSpec("nlf", DifferentialScheme.misaligned(), weighted=True)
+            MethodSpec("wnlf", DifferentialScheme.misaligned())
 
     def test_second_order_taylor_agreement(self):
         # The remainder bound holds in real arithmetic; 1e-15 covers the
@@ -226,64 +254,51 @@ class TestTerms:
 
 
 def all_specs():
-    out = []
-    for scheme in (DifferentialScheme.misaligned(), DifferentialScheme.reference(0)):
-        for variant in ("nlf", "clf", "slf"):
-            out.append(LikelihoodSpec(variant, scheme))
-        for variant in ("clf", "slf"):
-            out.append(LikelihoodSpec(variant, scheme, weighted=True))
-    return out
+    return [
+        MethodSpec(name, scheme)
+        for scheme in (DifferentialScheme.misaligned(), DifferentialScheme.reference(0))
+        for name in ("nlf", "clf", "slf", "wclf", "wslf")
+    ]
 
 
 class TestObjective:
     def test_truth_is_maximal_noise_free(self):
         poses = [Position3D(1.4, -0.2 + 0.05 * i, 0.0) for i in range(9)]
         truth = Position3D(0.0, 0.07, 0.22)
-        samples = make_samples(synth_phases(poses, truth, phi0=1.9), poses)
+        phases = np.array(synth_phases(poses, truth, phi0=1.9))
         candidates = [truth] + [
             Position3D(0.0, 0.07 + dy, 0.22 + dz)
             for dy in (-0.15, 0.1) for dz in (-0.12, 0.08)
         ]
+        dists = dists_to(poses, candidates)
         for spec in all_specs():
-            scores = [objective(samples, c, spec, LAM) for c in candidates]
-            assert int(np.argmax(scores)) == 0, spec
+            assert int(np.argmax(objective_batch(phases, dists, spec, LAM))) == 0, spec
         # zero-residual objective values at the truth
-        n_pairs = len(samples) - 1
-        ref = DifferentialScheme.reference(0)
-        assert objective(samples, truth, LikelihoodSpec("nlf", ref), LAM) == pytest.approx(0.0, abs=1e-18)
-        assert objective(samples, truth, LikelihoodSpec("slf", ref), LAM) == pytest.approx(0.0, abs=1e-18)
-        assert objective(samples, truth, LikelihoodSpec("clf", ref), LAM) == pytest.approx(n_pairs, rel=1e-12)
+        n_pairs = len(poses) - 1
+        at_truth = dists[:1]
+        assert objective_batch(phases, at_truth, MethodSpec("nlf"), LAM)[0] == pytest.approx(0.0, abs=1e-18)
+        assert objective_batch(phases, at_truth, MethodSpec("slf"), LAM)[0] == pytest.approx(0.0, abs=1e-18)
+        assert objective_batch(phases, at_truth, MethodSpec("clf"), LAM)[0] == pytest.approx(n_pairs, rel=1e-12)
 
     def test_clf_invariant_to_global_2pi_shift(self):
         poses = [Position3D(1.4, 0.1 * i, 0.0) for i in range(6)]
         truth = Position3D(0.0, 0.2, 0.3)
-        phases = synth_phases(poses, truth, phi0=0.4)
-        samples = make_samples(phases, poses)
-        cand = Position3D(0.0, 0.18, 0.25)
-        spec = LikelihoodSpec("clf", DifferentialScheme.reference(0))
-        base = objective(samples, cand, spec, LAM)
+        phases = np.array(synth_phases(poses, truth, phi0=0.4))
+        dists = dists_to(poses, [Position3D(0.0, 0.18, 0.25)])
+        spec = MethodSpec("clf")
+        base = objective_batch(phases, dists, spec, LAM)[0]
         # shifting every measured phase by 2*pi leaves every difference alone
-        shifted = [
-            PhaseSample(s.antenna_pose, s.carrier, s.phase_wrapped, s.sample_index, s.tag_id)
-            for s in samples
-        ]
-        raw = np.array([s.phase_wrapped for s in samples]) + TWO_PI
-        batch = objective_batch(raw, self._dists(poses, cand), spec, LAM)[0]
-        assert batch == pytest.approx(base, abs=1e-9)
-
-    @staticmethod
-    def _dists(poses, cand):
-        return np.array([[math.dist((p.x, p.y, p.z), (cand.x, cand.y, cand.z)) for p in poses]])
+        shifted = objective_batch(phases + TWO_PI, dists, spec, LAM)[0]
+        assert shifted == pytest.approx(base, abs=1e-9)
 
     def test_matches_independent_direct_summation_oracle(self):
         # Brute-force oracle built from scratch: raw loops, no library calls.
         rng = np.random.default_rng(43)
         poses = [Position3D(1.4, float(y), 0.05) for y in rng.uniform(-0.4, 0.4, 5)]
         phases = rng.uniform(0.0, TWO_PI, 5)
-        samples = make_samples(phases, poses)
         candidates = [Position3D(0.0, float(y), float(z)) for y, z in rng.uniform(-0.3, 0.5, (3, 2))]
 
-        def oracle(candidate, variant, scheme_kind, ref, weighted):
+        def oracle(candidate, name, scheme_kind, ref):
             d = [math.sqrt((p.x - candidate.x) ** 2 + (p.y - candidate.y) ** 2
                            + (p.z - candidate.z) ** 2) for p in poses]
             if scheme_kind == "misaligned":
@@ -294,38 +309,64 @@ class TestObjective:
             for a, b in pairs:
                 dphi = phases[a] - phases[b]
                 geom = 4.0 * math.pi * (d[a] - d[b]) / LAM
-                if variant == "nlf":
+                if name == "nlf":
                     folded = geom % TWO_PI
                     lo, hi = folded - TWO_PI, folded
                     dpd = hi if abs(dphi - hi) <= abs(dphi - lo) else lo
                     term = -((dphi - dpd) ** 2)
                     wgt = 1.0
-                elif variant == "clf":
+                elif name in ("clf", "wclf"):
                     term = math.cos(dphi - geom)
-                    wgt = abs(math.cos(dphi - geom)) if weighted else 1.0
+                    wgt = abs(math.cos(dphi - geom)) if name == "wclf" else 1.0
                 else:
                     term = -math.sin(dphi - geom) ** 2
-                    wgt = math.exp(-math.sin(dphi - geom) ** 2) if weighted else 1.0
+                    wgt = math.exp(-math.sin(dphi - geom) ** 2) if name == "wslf" else 1.0
                 total += wgt * term
             return total
 
+        dists = dists_to(poses, candidates)
         for spec in all_specs():
+            got = objective_batch(phases, dists, spec, LAM)
             ref = spec.scheme.reference_index
-            for cand in candidates:
-                got = objective(samples, cand, spec, LAM)
-                want = oracle(cand, spec.variant, spec.scheme.kind, ref, spec.weighted)
-                assert got == pytest.approx(want, rel=1e-12, abs=1e-12), spec
+            for m, cand in enumerate(candidates):
+                want = oracle(cand, spec.name, spec.scheme.kind, ref)
+                assert got[m] == pytest.approx(want, rel=1e-12, abs=1e-12), spec
 
     def test_batch_matches_scalar(self):
+        # scoring many candidates at once equals scoring each on its own
         rng = np.random.default_rng(47)
         poses = [Position3D(1.4, float(y), 0.0) for y in np.linspace(-0.3, 0.3, 8)]
         phases = rng.uniform(0.0, TWO_PI, 8)
-        samples = make_samples(phases, poses)
         cands = [Position3D(0.0, float(y), float(z)) for y, z in rng.uniform(-0.4, 0.6, (20, 2))]
-        dists = np.array([
-            [math.dist((p.x, p.y, p.z), (c.x, c.y, c.z)) for p in poses] for c in cands
-        ])
+        dists = dists_to(poses, cands)
         for spec in all_specs():
             batch = objective_batch(phases, dists, spec, LAM)
-            scalar = np.array([objective(samples, c, spec, LAM) for c in cands])
-            np.testing.assert_allclose(batch, scalar, rtol=1e-12, atol=1e-12)
+            single = np.array([objective_batch(phases, row, spec, LAM)[0] for row in dists])
+            np.testing.assert_allclose(batch, single, rtol=1e-12, atol=1e-12)
+
+
+@st.composite
+def phase_scenes(draw):
+    """Phases, (M, N) candidate distances and a common offset c."""
+    n = draw(st.integers(2, 40))
+    m = draw(st.integers(1, 5))
+    coords = st.floats(-2.0, 2.0)
+    poses = draw(arrays(float, (n, 3), elements=coords))
+    cands = draw(arrays(float, (m, 3), elements=coords))
+    phases = draw(arrays(float, n, elements=st.floats(0.0, TWO_PI, exclude_max=True)))
+    shift = draw(st.floats(0.0, TWO_PI, exclude_max=True))
+    dists = np.sqrt(((cands[:, None, :] - poses[None, :, :]) ** 2).sum(axis=2))
+    return phases, dists, shift
+
+
+@settings(max_examples=200, deadline=None)
+@given(scene=phase_scenes())
+def test_phi0_shift_invariance_all_methods(scene):
+    phases, dists, c = scene
+    for name in METHOD_NAMES:
+        spec = MethodSpec(name)
+        base = spec(phases, dists, LAM)
+        # nlf folds only the geometry, so it is invariant to an unwrapped shift
+        shifted = phases + c if name == "nlf" else wrap_2pi(phases + c)
+        got = spec(shifted, dists, LAM)
+        assert np.all(np.abs(got - base) <= 1e-9 * np.maximum(1.0, np.abs(base))), name

@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 
 from phaseloc import (
-    BaselineSpec,
+    METHOD_NAMES,
     CarrierConfig,
     DifferentialScheme,
     GridEvaluator,
     Hologram,
-    LikelihoodSpec,
+    MethodSpec,
     NoiseModel,
     Position3D,
     Scenario,
@@ -22,13 +22,12 @@ from phaseloc import (
     evaluate_hologram,
     find_peak_regions,
     linear_track,
-    objective,
     objective_batch,
     refine_local,
+    sarfid_batch,
     synthesize,
 )
-from phaseloc.baselines import sarfid_batch, tagoram_batch
-from phaseloc.io_eval.bench import METHOD_NAMES, resolve_method
+from phaseloc.io_eval import resolve_method
 from phaseloc.phase_model import poses_to_array
 
 CARRIER = CarrierConfig(866.9e6)
@@ -51,7 +50,7 @@ def assert_positions_close(a, b, tol=1e-9):
     assert abs(a.x - b.x) <= tol and abs(a.y - b.y) <= tol and abs(a.z - b.z) <= tol
 
 
-CLF = LikelihoodSpec("clf", DifferentialScheme.reference(0))
+CLF = MethodSpec("clf", DifferentialScheme.reference(0))
 
 
 class TestSearchRegion:
@@ -160,9 +159,12 @@ class TestEvaluateHologram:
         holo = evaluate_hologram(samples, region, CLF)
         est = argmax_estimate(holo, tag_id="T1")
 
+        phases = np.array([s.phase_wrapped for s in samples])
+        poses = poses_to_array(s.antenna_pose for s in samples)
         best_idx, best_score = None, -math.inf
         for idx, cand in enumerate(region.candidates()):
-            score = objective(samples, Position3D(*cand), CLF, CARRIER.wavelength)
+            dists = np.sqrt(((poses - cand) ** 2).sum(axis=1))
+            score = objective_batch(phases, dists, CLF, CARRIER.wavelength)[0]
             if score > best_score:
                 best_idx, best_score = idx, score
         assert est.position == region.position_at(best_idx)
@@ -323,7 +325,7 @@ class TestGridEvaluator:
         chunked = chunked_ev.hologram(samples, CLF)
         assert np.array_equal(cached.scores, chunked.scores)
 
-    @pytest.mark.parametrize("method", [CLF, BaselineSpec("sarfid")])
+    @pytest.mark.parametrize("method", [CLF, MethodSpec("sarfid")])
     def test_truncated_stream_rejected(self, method):
         samples = noise_free_samples()
         region = SearchRegion(x=(0.0, 0.0), y=(-0.1, 0.1), z=(0.0, 0.2), resolution=0.02)
@@ -347,8 +349,8 @@ def test_method_spec_is_its_own_scorer(name):
     spec = resolve_method(name)
     if name == "sarfid":
         direct = sarfid_batch(phases, dists, lam)
-    elif name == "tagoram":
-        direct = tagoram_batch(phases, dists, lam, spec.tagoram_sigma)
+        with pytest.raises(ValueError, match="sarfid_batch"):
+            objective_batch(phases, dists, spec, lam)
     else:
         direct = objective_batch(phases, dists, spec, lam)
     assert np.array_equal(spec(phases, dists, lam), direct)

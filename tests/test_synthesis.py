@@ -1,6 +1,7 @@
 """Synthetic stream generation: noise model, determinism, jump injection."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from phaseloc import (
     wrap_2pi,
     wrap_pm_pi,
 )
+from phaseloc.synthesis import MAX_TRACK_POSES
 
 TWO_PI = 2.0 * math.pi
 CARRIER = CarrierConfig(866.9e6)
@@ -50,6 +52,26 @@ class TestTrajectory:
             Trajectory(poses=(Position3D(0, 0, 0),), spacing=0.01)
         with pytest.raises(ValueError):
             linear_track(x=0, z=0, y_start=0.0, y_stop=0.005, spacing=0.01)
+
+    def test_pose_cap(self):
+        assert len(linear_track(x=0, z=0, y_start=0.0, y_stop=MAX_TRACK_POSES - 1.0,
+                                spacing=1.0).poses) == MAX_TRACK_POSES
+        with pytest.raises(ValueError, match="cap"):
+            linear_track(x=0, z=0, y_start=0.0, y_stop=float(MAX_TRACK_POSES), spacing=1.0)
+        for spacing in (1e-300, 5e-324):  # the pose count overflows a float
+            with pytest.raises(ValueError, match="cap"):
+                linear_track(x=0, z=0, y_start=-0.5, y_stop=0.5, spacing=spacing)
+
+    def test_pose_cap_rejects_before_allocating(self):
+        # 1e8 poses at 1e-8 spacing would need gigabytes
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="cap"):
+                linear_track(x=1.4, z=0.0, y_start=-0.5, y_stop=0.5, spacing=1e-8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestNoiseModel:
