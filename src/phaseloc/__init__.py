@@ -25,6 +25,7 @@ from .phase_model import (
     CarrierConfig,
     PhaseSample,
     Position3D,
+    SampleStream,
     distance,
     predict_phase,
     predict_phase_unwrapped,

@@ -10,8 +10,9 @@ report files.
 
 from __future__ import annotations
 
+import csv
 import time
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -83,11 +84,19 @@ class BenchReport:
     records: tuple[TrialRecord, ...]
     runtime_s: float
 
+    def _group(self, key) -> dict:
+        """Records by ``key(record)``, in one pass and in record order."""
+        groups: dict = {}
+        for r in self.records:
+            groups.setdefault(key(r), []).append(r)
+        return groups
+
     def stats(self) -> dict[tuple[str, str], MethodTagStats]:
+        groups = self._group(lambda r: (r.method, r.tag_id))
         out: dict[tuple[str, str], MethodTagStats] = {}
         for method in self.methods:
             for tag in self.tag_ids:
-                errs = [r for r in self.records if r.method == method and r.tag_id == tag]
+                errs = groups.get((method, tag), [])
                 combined = [r.err_combined for r in errs]
                 out[(method, tag)] = MethodTagStats(
                     mean=float(np.mean(combined)),
@@ -101,24 +110,19 @@ class BenchReport:
 
     def method_means(self) -> dict[str, float]:
         """Mean combined error per method over all tags and trials."""
+        groups = self._group(lambda r: r.method)
         return {
-            method: float(
-                np.mean([r.err_combined for r in self.records if r.method == method])
-            )
+            method: float(np.mean([r.err_combined for r in groups.get(method, [])]))
             for method in self.methods
         }
 
     def trial_errors(self, method: str, tag_id: str | None = None) -> np.ndarray:
         """Per-trial combined errors, averaged over tags unless one is named."""
-        out = []
-        for t in range(self.trials):
-            errs = [
-                r.err_combined
-                for r in self.records
-                if r.trial == t and r.method == method and (tag_id is None or r.tag_id == tag_id)
-            ]
-            out.append(float(np.mean(errs)))
-        return np.array(out)
+        groups = self._group(lambda r: (r.method, r.trial, None if tag_id is None else r.tag_id))
+        return np.array([
+            float(np.mean([r.err_combined for r in groups.get((method, t, tag_id), [])]))
+            for t in range(self.trials)
+        ])
 
     def to_text(self) -> str:
         lines = [
@@ -205,12 +209,18 @@ def run_bench(
     )
 
 
+def _write_csv(path: Path, rows) -> None:
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+
+
 def write_bench_report(report: BenchReport, out_dir: str | Path) -> dict[str, Path]:
     """Write report.txt, report.csv and errors.csv into out_dir.
 
     All three files are byte-deterministic for fixed inputs and seed;
     errors.csv holds the raw per-trial records the statistics derive
-    from, at full float precision.
+    from, at full float precision.  The two .csv files follow CSV
+    quoting, so a tag id holding a comma or a quote stays one field.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -223,21 +233,15 @@ def write_bench_report(report: BenchReport, out_dir: str | Path) -> dict[str, Pa
     paths["text"].write_text(report.to_text(), encoding="utf-8")
 
     stats = report.stats()
-    rows = ["method,tag_id,trials,mean,median,max,mean_x,mean_y,mean_z"]
-    for method in report.methods:
-        for tag in report.tag_ids:
-            s = stats[(method, tag)]
-            rows.append(
-                f"{method},{tag},{report.trials},{s.mean!r},{s.median!r},{s.max!r},"
-                f"{s.mean_x!r},{s.mean_y!r},{s.mean_z!r}"
-            )
-    paths["summary"].write_text("\n".join(rows) + "\n", encoding="utf-8")
-
-    rows = ["trial,method,tag_id,est_x,est_y,est_z,err_x,err_y,err_z,err_combined"]
-    for r in report.records:
-        rows.append(
-            f"{r.trial},{r.method},{r.tag_id},{r.est.x!r},{r.est.y!r},{r.est.z!r},"
-            f"{r.err_x!r},{r.err_y!r},{r.err_z!r},{r.err_combined!r}"
-        )
-    paths["errors"].write_text("\n".join(rows) + "\n", encoding="utf-8")
+    _write_csv(paths["summary"], [
+        "method,tag_id,trials,mean,median,max,mean_x,mean_y,mean_z".split(","),
+        *([method, tag, report.trials, *map(repr, astuple(stats[(method, tag)]))]
+          for method in report.methods for tag in report.tag_ids),
+    ])
+    _write_csv(paths["errors"], [
+        "trial,method,tag_id,est_x,est_y,est_z,err_x,err_y,err_z,err_combined".split(","),
+        *([r.trial, r.method, r.tag_id,
+           *map(repr, (r.est.x, r.est.y, r.est.z, r.err_x, r.err_y, r.err_z, r.err_combined))]
+          for r in report.records),
+    ])
     return paths

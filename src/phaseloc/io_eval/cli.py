@@ -12,6 +12,7 @@ cannot be scored), 3 internal invariant violation.
 from __future__ import annotations
 
 import argparse
+import csv
 import sys
 from pathlib import Path
 
@@ -122,18 +123,13 @@ def _tag_holograms(args):
 
 def _cmd_locate(args) -> int:
     truth, _, holograms = _tag_holograms(args)
-    print("tag_id,est_x,est_y,est_z,err_y,err_z,err_combined,peak_ratio")
+    writer = csv.writer(sys.stdout, lineterminator="\n")
+    writer.writerow("tag_id,est_x,est_y,est_z,err_y,err_z,err_combined,peak_ratio".split(","))
     for tag_id, holo in holograms:
         est = argmax_estimate(holo, truth=truth.get(tag_id), tag_id=tag_id)
-        err = (
-            f"{est.err_y!r},{est.err_z!r},{est.err_combined_yz!r}"
-            if est.err_combined_yz is not None
-            else ",,"
-        )
-        print(
-            f"{tag_id},{est.position.x!r},{est.position.y!r},{est.position.z!r},"
-            f"{err},{est.peak_ratio!r}"
-        )
+        p = est.position
+        values = (p.x, p.y, p.z, est.err_y, est.err_z, est.err_combined_yz, est.peak_ratio)
+        writer.writerow([tag_id, *("" if v is None else repr(v) for v in values)])
     return 0
 
 

@@ -23,12 +23,12 @@ def export_hologram(holo: Hologram, path: str | Path) -> None:
     region = holo.region
     lines = ["# phaseloc hologram"]
     for axis, name in enumerate(_AXES):
-        lo, hi = region.bounds[axis]
+        lo, hi = map(float, region.bounds[axis])
         lines.append(
             f"# {name}_min={lo!r} {name}_max={hi!r} "
             f"{name}_res={region.resolution[axis]!r} {name}_cells={region.shape[axis]}"
         )
-    lines.append(f"# raw_min={holo.raw_min!r} raw_max={holo.raw_max!r}")
+    lines.append(f"# raw_min={float(holo.raw_min)!r} raw_max={float(holo.raw_max)!r}")
 
     active = [axis for axis in range(3) if region.shape[axis] > 1]
     lines.append(",".join([_AXES[a] for a in active] + ["score"]))

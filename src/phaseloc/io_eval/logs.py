@@ -7,10 +7,10 @@ Schema (UTF-8, comma-separated, header required)::
 phase_unit is ``radians`` or ``ticks`` (one tick = 2*pi/4096, the usual
 reader quantization); extra columns such as a trailing ``timestamp`` are
 accepted and ignored.  Floats are written with repr so a synthesize ->
-export -> ingest round trip reproduces phases and poses bit-for-bit.  The
-schema carries no per-read sigma, so ingested samples have no sigma_hint.
-Each row becomes a PhaseSample directly; any bad value raises
-LogFormatError naming its line.
+export -> ingest round trip reproduces phases and poses bit-for-bit.
+Rows are parsed into per-tag columns and each tag becomes one
+SampleStream at end of file; any bad value, or a tag whose freq_hz
+changes, raises LogFormatError naming its line.
 """
 
 from __future__ import annotations
@@ -19,7 +19,9 @@ import csv
 import math
 from pathlib import Path
 
-from ..phase_model import TWO_PI, CarrierConfig, PhaseSample, Position3D, wrap_2pi
+import numpy as np
+
+from ..phase_model import TWO_PI, CarrierConfig, SampleStream, wrap_2pi
 
 LOG_FIELDS = ("tag_id", "ant_x", "ant_y", "ant_z", "freq_hz", "phase", "phase_unit")
 TICKS_PER_TURN = 4096
@@ -33,30 +35,32 @@ class LogFormatError(ValueError):
 
 
 def export_phase_log(
-    samples_by_tag: dict[str, list[PhaseSample]],
-    path: str | Path,
-    unit: str = "radians",
+    streams: dict[str, SampleStream], path: str | Path, unit: str = "radians"
 ) -> None:
     """Write per-tag sample streams as one log file, tag by tag in dict
     order.  With unit="ticks" phases are quantized to 2*pi/4096.  A tag id
     holding a comma or a quote is quoted, as ingest_log's csv reader
-    expects."""
+    expects.  An id that would not read back unchanged raises ValueError
+    before the file is opened: surrounding whitespace (ingest strips ids),
+    a carriage return (written unquoted) or a NUL (which the csv reader of
+    Python 3.10 rejects)."""
     if unit not in _UNITS:
         raise ValueError(f"unknown phase unit {unit!r}")
+    bad = [t for t in streams if t != t.strip() or "\r" in t or "\0" in t]
+    if bad:
+        raise ValueError(f"tag ids would not read back from a phase log: {bad!r}")
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(LOG_FIELDS)
-        for tag_id, samples in samples_by_tag.items():
-            for s in samples:
-                if unit == "ticks":
-                    phase = str(int(round(s.phase_wrapped / TICK_RADIANS)) % TICKS_PER_TURN)
-                else:
-                    phase = repr(s.phase_wrapped)
-                pose = s.antenna_pose
-                writer.writerow(
-                    [tag_id, repr(pose.x), repr(pose.y), repr(pose.z),
-                     repr(s.carrier.frequency), phase, unit]
-                )
+        for tag_id, stream in streams.items():
+            freq = repr(stream.carrier.frequency)
+            if unit == "ticks":
+                ticks = np.round(stream.phases / TICK_RADIANS).astype(int) % TICKS_PER_TURN
+                phases = map(str, ticks.tolist())
+            else:
+                phases = map(repr, stream.phases.tolist())
+            for (x, y, z), phase in zip(stream.poses.tolist(), phases):
+                writer.writerow([tag_id, repr(x), repr(y), repr(z), freq, phase, unit])
 
 
 def _parse_float(value: str, column: str, lineno: int) -> float:
@@ -74,15 +78,15 @@ def ingest_log(
     sign_flip: bool = False,
     unit: str | None = None,
     auto_wrap: bool = False,
-) -> dict[str, list[PhaseSample]]:
-    """Load a phase log into per-tag PhaseSample lists, in file order.
+) -> dict[str, SampleStream]:
+    """Load a phase log into one SampleStream per tag, reads in file order.
 
     unit overrides the phase_unit column (and is required when the file
     has none).  Unit conversion happens first; a converted phase outside
     [0, 2*pi) is rejected with its line number unless auto_wrap folds it.
     sign_flip then maps phase -> wrap(-phase) for readers reporting the
-    conjugate convention.  Rows are checked in file order, so the first
-    bad row is the one reported.
+    conjugate convention.  A tag's reads must share one freq_hz.  Rows are
+    checked in file order, so the first bad row is the one reported.
     """
     with Path(path).open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -100,7 +104,8 @@ def ingest_log(
             raise LogFormatError("no phase_unit column; pass an explicit unit")
         col = {name: header.index(name) for name in header}
 
-        out: dict[str, list[PhaseSample]] = {}
+        # tag id -> its carrier and its (x, y, z, phase) rows
+        reads: dict[str, tuple[CarrierConfig, list]] = {}
         for lineno, row in enumerate(reader, start=2):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
@@ -125,17 +130,20 @@ def ingest_log(
                 phase = wrap_2pi(phase)
             if sign_flip:
                 phase = wrap_2pi(-phase)
-            samples = out.setdefault(tag_id, [])
-            try:
-                samples.append(
-                    PhaseSample(
-                        antenna_pose=Position3D(x, y, z),
-                        carrier=CarrierConfig(frequency=freq_hz),
-                        phase_wrapped=phase,
-                        sample_index=len(samples),
-                        tag_id=tag_id,
-                    )
+            if tag_id not in reads:
+                try:
+                    reads[tag_id] = (CarrierConfig(freq_hz), [])
+                except ValueError as exc:
+                    raise LogFormatError(f"line {lineno}: {exc}") from exc
+            carrier, rows = reads[tag_id]
+            if freq_hz != carrier.frequency:
+                raise LogFormatError(
+                    f"line {lineno}: tag {tag_id} changes freq_hz from "
+                    f"{carrier.frequency!r} to {freq_hz!r}; a tag's reads share one carrier"
                 )
-            except ValueError as exc:
-                raise LogFormatError(f"line {lineno}: {exc}") from exc
+            rows.append((x, y, z, phase))
+    out = {}
+    for tag_id, (carrier, rows) in reads.items():
+        columns = np.array(rows)
+        out[tag_id] = SampleStream(columns[:, :3], columns[:, 3], carrier)
     return out

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfc
 
-from .phase_model import TWO_PI, PhaseSample, wrap_2pi, wrap_pm_pi
+from .phase_model import TWO_PI, wrap_2pi, wrap_pm_pi
 from .synthesis import DEFAULT_SIGMA_INTERCEPT, DEFAULT_SIGMA_SLOPE
 
 METHOD_NAMES = ("nlf", "clf", "slf", "wclf", "wslf", "sarfid", "tagoram")
@@ -131,17 +131,6 @@ def pair_indices(scheme: DifferentialScheme, n_samples: int) -> tuple[np.ndarray
         raise ValueError(f"reference index {r} out of range for {n_samples} samples")
     a = np.concatenate([np.arange(0, r), np.arange(r + 1, n_samples)])
     return a, np.full(len(a), r)
-
-
-def shared_wavelength(samples: list[PhaseSample]) -> float:
-    """Wavelength of the carrier all samples share; rejects mixed carriers
-    (channel-hopping streams are out of scope for these kernels)."""
-    if not samples:
-        raise ValueError("empty sample list")
-    freqs = {s.carrier.frequency for s in samples}
-    if len(freqs) != 1:
-        raise ValueError(f"samples must share one carrier, got frequencies {sorted(freqs)}")
-    return samples[0].carrier.wavelength
 
 
 def delta_phi_d_unwrap(ddist: float, dphi_measured: float, wavelength: float) -> float:

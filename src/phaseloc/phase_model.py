@@ -6,6 +6,9 @@ per-tag offset phi0 (transceiver circuits + tag reflection) that is
 constant along a trajectory but unknown in advance.  Readers report the
 phase modulo 2*pi, wrapped into [0, 2*pi).
 
+One tag's reads travel as a SampleStream: a pose column, a phase column
+and the one carrier they were taken on, checked once at construction.
+
 Everything in this module is pure and thread-safe; the domain types are
 immutable after construction.
 """
@@ -13,6 +16,7 @@ immutable after construction.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,27 +65,54 @@ class CarrierConfig:
 @dataclass(frozen=True)
 class PhaseSample:
     """One tag read: where the antenna was, and the wrapped phase it saw.
-
-    phase_wrapped lies in [0, 2*pi).  sample_index is the ordinal of the
-    read within one (tag, acquisition run) and must match trajectory
-    order.  sigma_hint, when present, is the phase noise STD in radians
-    the producer believes applies to this read.
-    """
+    SampleStream indexing hands these out; the stream did the checks."""
 
     antenna_pose: Position3D
     carrier: CarrierConfig
     phase_wrapped: float
-    sample_index: int
-    tag_id: str = ""
-    sigma_hint: float | None = None
+
+
+def _read_only(values) -> np.ndarray:
+    arr = np.asarray(values, dtype=float)
+    if arr.flags.writeable:
+        arr = arr.copy()
+        arr.setflags(write=False)
+    return arr
+
+
+@dataclass(frozen=True, eq=False)
+class SampleStream:
+    """One tag's reads on one carrier as read-only columns: antenna poses
+    (N, 3) in meters and wrapped phases (N,) in [0, 2*pi), in trajectory
+    order.  A writable input array is copied, a read-only one (a scenario's
+    shared pose array) is kept.  len(), integer indexing and iteration give
+    PhaseSample views of single reads."""
+
+    poses: np.ndarray
+    phases: np.ndarray
+    carrier: CarrierConfig
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.phase_wrapped < TWO_PI):
-            raise ValueError(
-                f"phase_wrapped must lie in [0, 2*pi), got {self.phase_wrapped!r}"
-            )
-        if self.sigma_hint is not None and not (self.sigma_hint >= 0.0):
-            raise ValueError(f"sigma_hint must be >= 0, got {self.sigma_hint!r}")
+        poses, phases = _read_only(self.poses), _read_only(self.phases)
+        if poses.ndim != 2 or poses.shape[1] != 3 or phases.shape != poses.shape[:1]:
+            raise ValueError(f"need (N, 3) poses, (N,) phases; got {poses.shape}, {phases.shape}")
+        if not np.isfinite(poses).all():
+            raise ValueError("poses must be finite")
+        if not ((phases >= 0.0) & (phases < TWO_PI)).all():
+            raise ValueError("phases must lie in [0, 2*pi)")
+        object.__setattr__(self, "poses", poses)
+        object.__setattr__(self, "phases", phases)
+
+    def __len__(self) -> int:
+        return self.phases.shape[0]
+
+    def __getitem__(self, index: int) -> PhaseSample:
+        index = operator.index(index)
+        x, y, z = (float(v) for v in self.poses[index])
+        return PhaseSample(Position3D(x, y, z), self.carrier, float(self.phases[index]))
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
 
 
 def distance(ant: Position3D, tag: Position3D) -> float:
@@ -132,19 +163,8 @@ def predict_phase(
     return wrap_2pi(predict_phase_unwrapped(ant, tag, carrier, phi0))
 
 
-def poses_to_array(poses) -> np.ndarray:
-    """Stack an iterable of Position3D into an (N, 3) float array."""
-    return np.array([[p.x, p.y, p.z] for p in poses], dtype=float)
-
-
 def squared_norm_rows(delta: np.ndarray) -> np.ndarray:
     """Row-wise |delta|^2 over the last axis of an (..., 3) array, summed
     in the same (x, then y, then z) order as the scalar ``distance`` so
     vectorized and scalar paths agree bit-for-bit."""
     return delta[..., 0] ** 2 + delta[..., 1] ** 2 + delta[..., 2] ** 2
-
-
-def distances_to_point(poses_xyz: np.ndarray, point: Position3D) -> np.ndarray:
-    """Distances from each row of an (N, 3) pose array to one point."""
-    delta = np.asarray(poses_xyz, dtype=float) - point.as_array()
-    return np.sqrt(squared_norm_rows(delta))

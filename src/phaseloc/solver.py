@@ -7,6 +7,8 @@ candidate from its mirror image across the track axis, so full symmetric
 regions show a mirror peak; the supported mitigation is restricting the
 region to the half-space the rack occupies.
 
+Every entry point takes one tag's reads as a SampleStream and scores its
+phase column against the candidate-to-pose distances of its pose column.
 Cells are scored independently in one vectorized pass (chunked to bound
 memory) with per-cell sums taken in fixed sample order, so results do not
 depend on evaluation order and are reproducible bit-for-bit.
@@ -20,8 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .likelihood import shared_wavelength
-from .phase_model import PhaseSample, Position3D, poses_to_array, squared_norm_rows
+from .phase_model import Position3D, SampleStream, squared_norm_rows
 
 DEFAULT_CELL_CAP = 10_000_000
 _DIST_CACHE_LIMIT = 50_000_000  # max cached (cells x poses) distance entries
@@ -193,14 +194,12 @@ class GridEvaluator:
             out[lo:hi] = method(phases, self._distance_block(lo, hi), wavelength)
         return out
 
-    def hologram(self, samples: list[PhaseSample], method) -> Hologram:
-        if len(samples) < 2:
-            raise ValueError(f"need at least 2 samples, got {len(samples)}")
-        if not np.array_equal(poses_to_array(s.antenna_pose for s in samples), self.poses):
+    def hologram(self, stream: SampleStream, method) -> Hologram:
+        if len(stream) < 2:
+            raise ValueError(f"need at least 2 samples, got {len(stream)}")
+        if not np.array_equal(stream.poses, self.poses):
             raise ValueError("sample poses differ from the evaluator's trajectory")
-        wavelength = shared_wavelength(samples)
-        phases = np.array([s.phase_wrapped for s in samples])
-        raw = self.raw_scores(phases, method, wavelength)
+        raw = self.raw_scores(stream.phases, method, stream.carrier.wavelength)
         rmin, rmax = float(raw.min()), float(raw.max())
         norm = (raw - rmin) / (rmax - rmin) if rmax > rmin else np.ones_like(raw)
         return Hologram(
@@ -212,11 +211,7 @@ class GridEvaluator:
         )
 
 
-def evaluate_hologram(
-    samples: list[PhaseSample],
-    region: SearchRegion,
-    method,
-) -> Hologram:
+def evaluate_hologram(stream: SampleStream, region: SearchRegion, method) -> Hologram:
     """Score every cell center of ``region`` with ``method``.
 
     method is any callable taking (phases, dists, wavelength) and
@@ -224,8 +219,7 @@ def evaluate_hologram(
     callables.  For repeated evaluations over one
     geometry build a GridEvaluator instead.
     """
-    evaluator = GridEvaluator(region, poses_to_array(s.antenna_pose for s in samples))
-    return evaluator.hologram(samples, method)
+    return GridEvaluator(region, stream.poses).hologram(stream, method)
 
 
 def _neighborhood_mask(shape: tuple[int, ...], peak: tuple[int, ...]) -> np.ndarray:
@@ -300,11 +294,7 @@ def find_peak_regions(holo: Hologram, threshold: float = 0.999) -> list[tuple[in
     return peaks
 
 
-def refine_local(
-    holo: Hologram,
-    samples: list[PhaseSample],
-    method=None,
-) -> RefineResult:
+def refine_local(holo: Hologram, stream: SampleStream, method=None) -> RefineResult:
     """One level of local refinement around the coarse peak.
 
     Re-scores a 3x3-cell neighborhood of the peak at a tenth of the
@@ -328,5 +318,5 @@ def refine_local(
         *((c - h, c + h) for c, h in zip(center, half)),
         resolution=tuple(r / 10.0 for r in res),
     )
-    fine_holo = evaluate_hologram(samples, fine, method)
+    fine_holo = evaluate_hologram(stream, fine, method)
     return RefineResult(position=fine.position_at(int(np.argmax(fine_holo.scores))), refined=True)

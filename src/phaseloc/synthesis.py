@@ -9,9 +9,11 @@ on their own; an explicit jump injector exaggerates that pathology on
 demand, and a deterministic interference schedule can bias a subset of
 reads to mimic unmodeled contamination.
 
-Generation is deterministic: each tag derives an independent substream
-from (rng_seed, tag_id), so per-tag output never depends on how many
-other tags the scenario holds.
+Each tag's reads come out as one SampleStream (a phase column over the
+trajectory's shared, read-only pose array).  Generation is
+deterministic: each tag derives an independent substream from
+(rng_seed, tag_id), so per-tag output never depends on how many other
+tags the scenario holds.
 """
 
 from __future__ import annotations
@@ -25,10 +27,9 @@ import numpy as np
 from .phase_model import (
     TWO_PI,
     CarrierConfig,
-    PhaseSample,
     Position3D,
-    distances_to_point,
-    poses_to_array,
+    SampleStream,
+    squared_norm_rows,
     wrap_2pi,
 )
 
@@ -40,7 +41,8 @@ MAX_TRACK_POSES = 100_000  # a linear track's pose cap, checked before any pose 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Ordered antenna sampling positions; pose k produces sample_index k.
+    """Ordered antenna sampling positions; pose k produces read k of every
+    tag's stream.
 
     spacing records the nominal distance between consecutive poses (pure
     metadata; the poses themselves are authoritative).
@@ -55,7 +57,7 @@ class Trajectory:
         object.__setattr__(self, "poses", tuple(self.poses))
 
     def as_array(self) -> np.ndarray:
-        return poses_to_array(self.poses)
+        return np.array([[p.x, p.y, p.z] for p in self.poses], dtype=float)
 
 
 def linear_track(
@@ -175,54 +177,50 @@ def _tag_rng(rng_seed: int, tag_id: str) -> np.random.Generator:
 
 
 def inject_jump(
-    sample: PhaseSample,
+    phases: np.ndarray,
     rng: np.random.Generator,
     probability: float,
     guard_band: float = DEFAULT_JUMP_GUARD_BAND,
-) -> PhaseSample:
-    """Maybe flip a near-boundary read to the other side of 0/2*pi.
+) -> np.ndarray:
+    """A copy of ``phases`` with near-boundary reads maybe flipped to the
+    other side of 0/2*pi.
 
-    Reads farther than guard_band from the boundary come back untouched.
-    A read at distance b from the boundary lands at a uniform fraction of
-    b on the opposite side, e.g. 1.95*pi jumps to about 0.03*pi.
-    """
-    phase = sample.phase_wrapped
-    near_low = phase < guard_band
-    near_high = phase > TWO_PI - guard_band
-    if probability <= 0.0 or not (near_low or near_high):
-        return sample
-    if rng.uniform() >= probability:
-        return sample
-    u = rng.uniform()
-    if near_high:
-        jumped = u * (TWO_PI - phase)  # land just right of 0
-    else:
-        jumped = TWO_PI - u * phase  # land just left of 2*pi
-    return PhaseSample(
-        antenna_pose=sample.antenna_pose,
-        carrier=sample.carrier,
-        phase_wrapped=wrap_2pi(jumped),
-        sample_index=sample.sample_index,
-        tag_id=sample.tag_id,
-        sigma_hint=sample.sigma_hint,
-    )
+    Reads within guard_band of the boundary are visited in index order;
+    each draws a uniform for the decision and, when it jumps, one more for
+    where it lands: at a uniform fraction of its distance b from the
+    boundary, on the opposite side (1.95*pi jumps to about 0.03*pi).
+    Other reads draw nothing."""
+    out = np.array(phases, dtype=float)
+    if probability <= 0.0:
+        return out
+    near = np.flatnonzero((out < guard_band) | (out > TWO_PI - guard_band))
+    for i in near:
+        if rng.uniform() >= probability:
+            continue
+        u = rng.uniform()
+        phase = float(out[i])
+        if phase > TWO_PI - guard_band:
+            jumped = u * (TWO_PI - phase)  # land just right of 0
+        else:
+            jumped = TWO_PI - u * phase  # land just left of 2*pi
+        out[i] = wrap_2pi(jumped)
+    return out
 
 
-def synthesize(scenario: Scenario) -> dict[str, list[PhaseSample]]:
+def synthesize(scenario: Scenario) -> dict[str, SampleStream]:
     """Generate one wrapped-phase stream per tag, keyed by tag id.
 
     For tag t and pose n the emitted phase is
     wrap(4*pi*d[n]/lambda + phi0_t + bias[n] + eps[n]) with
     eps[n] ~ N(0, sigma(d[n])^2), then the jump injector runs over the
-    wrapped stream.  sigma_hint carries sigma(d[n]).  Fixed seed means
-    byte-identical output.
+    wrapped stream.  Every stream shares one read-only pose array.  Fixed
+    seed means byte-identical output.
     """
     if not scenario.tags:
         raise ValueError("scenario has no tags")
     poses_xyz = scenario.trajectory.as_array()
+    poses_xyz.setflags(write=False)
     n = poses_xyz.shape[0]
-    if n < 2:
-        raise ValueError("scenario trajectory has fewer than 2 poses")
     wavelength = scenario.carrier.wavelength
     bias = (
         scenario.interference.bias_vector(n)
@@ -230,30 +228,14 @@ def synthesize(scenario: Scenario) -> dict[str, list[PhaseSample]]:
         else np.zeros(n)
     )
 
-    out: dict[str, list[PhaseSample]] = {}
+    out: dict[str, SampleStream] = {}
     for tag in scenario.tags:
         rng = _tag_rng(scenario.rng_seed, tag.tag_id)
-        dists = distances_to_point(poses_xyz, tag.position)
-        sigma = np.asarray(scenario.noise.sigma(dists), dtype=float)
-        eps = rng.standard_normal(n) * sigma
+        dists = np.sqrt(squared_norm_rows(poses_xyz - tag.position.as_array()))
+        eps = rng.standard_normal(n) * scenario.noise.sigma(dists)
         unwrapped = 4.0 * math.pi * dists / wavelength + tag.phi0 + bias + eps
-        wrapped = wrap_2pi(unwrapped)
-
-        samples = [
-            PhaseSample(
-                antenna_pose=scenario.trajectory.poses[i],
-                carrier=scenario.carrier,
-                phase_wrapped=float(wrapped[i]),
-                sample_index=i,
-                tag_id=tag.tag_id,
-                sigma_hint=float(sigma[i]),
-            )
-            for i in range(n)
-        ]
+        phases = wrap_2pi(unwrapped)
         if scenario.jump_probability > 0.0:
-            samples = [
-                inject_jump(s, rng, scenario.jump_probability, scenario.jump_guard_band)
-                for s in samples
-            ]
-        out[tag.tag_id] = samples
+            phases = inject_jump(phases, rng, scenario.jump_probability, scenario.jump_guard_band)
+        out[tag.tag_id] = SampleStream(poses_xyz, phases, scenario.carrier)
     return out

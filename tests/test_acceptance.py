@@ -248,7 +248,7 @@ def test_criterion_7_sigma_model_validation():
     got = float(np.std(residuals, ddof=1))
     want = 0.006 * d + 0.0084
     ok = abs(got - want) <= 0.02 * want
-    assert samples[0].sigma_hint == pytest.approx(want, rel=1e-9)
+    assert scenario.noise.sigma(d) == pytest.approx(want, rel=1e-9)
     report(7, "sigma(d) model STD within 2% (1e5 draws)", ok, f"({got:.6f} vs {want:.6f})")
 
 

@@ -16,6 +16,7 @@ from phaseloc import (
     MethodSpec,
     NoiseModel,
     Position3D,
+    SampleStream,
     Scenario,
     SearchRegion,
     TagTruth,
@@ -115,7 +116,8 @@ class TestSarfid:
     def test_needs_a_sample(self):
         region = SearchRegion(x=(0.0, 0.0), y=(0.0, 0.0), z=(0.0, 0.0))
         with pytest.raises(ValueError):
-            evaluate_hologram([], region, MethodSpec("sarfid"))
+            empty = SampleStream(np.empty((0, 3)), np.empty(0), CARRIER)
+            evaluate_hologram(empty, region, MethodSpec("sarfid"))
 
 
 class TestTagoram:

@@ -1,19 +1,25 @@
 """Config parsing, log round trips, hologram export, bench harness, CLI."""
 
+import csv
+import io
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from phaseloc import (
     METHOD_NAMES,
     CarrierConfig,
     DifferentialScheme,
+    Hologram,
     MethodSpec,
     NoiseModel,
     Position3D,
+    SampleStream,
     Scenario,
     SearchRegion,
     TagTruth,
@@ -34,6 +40,7 @@ from phaseloc.io_eval import (
     run_bench,
     write_bench_report,
 )
+from phaseloc.io_eval.bench import BenchReport, TrialRecord
 from phaseloc.io_eval.cli import cli
 
 TWO_PI = 2.0 * math.pi
@@ -220,7 +227,7 @@ class TestPhaseLogs:
                 assert g.phase_wrapped == s.phase_wrapped  # bit-exact
                 assert g.antenna_pose == s.antenna_pose
                 assert g.carrier.frequency == s.carrier.frequency
-                assert g.sample_index == s.sample_index
+            assert got.poses.tobytes() == samples.poses.tobytes()  # same read order
 
     def test_quoted_tag_ids_round_trip(self, tmp_path):
         streams = synthesize(scenario_for_logs())
@@ -231,9 +238,19 @@ class TestPhaseLogs:
         assert list(back) == ["T,01", 'T"1']
         for tag_id, samples in streams.items():
             got = back[tag_id]
-            assert [g.tag_id for g in got] == [tag_id] * len(samples)
+            assert len(got) == len(samples)
             assert [g.antenna_pose for g in got] == [s.antenna_pose for s in samples]
             assert [g.phase_wrapped for g in got] == [s.phase_wrapped for s in samples]
+
+    @pytest.mark.parametrize("tag_id", [" T1", "T1 ", "\tT1", "T1\n", "a\rb", "a\0b"])
+    def test_ids_that_do_not_read_back_rejected(self, tmp_path, tag_id):
+        # ingest strips ids, a bare carriage return is written unquoted, and
+        # the csv reader of Python 3.10 rejects a NUL
+        streams = synthesize(scenario_for_logs())
+        path = tmp_path / "log.csv"
+        with pytest.raises(ValueError, match=re.escape(repr(tag_id))):
+            export_phase_log({"A": streams["A"], tag_id: streams["B"]}, path)
+        assert not path.exists()
 
     def test_tick_conversion(self, tmp_path):
         path = tmp_path / "ticks.csv"
@@ -296,6 +313,66 @@ class TestPhaseLogs:
         )
         samples = ingest_log(path, sign_flip=True)["T"]
         assert samples[0].phase_wrapped == pytest.approx(TWO_PI - 1.0)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def tag_streams(draw):
+    """Streams under arbitrary text ids: finite poses, phases in [0, 2*pi)
+    and one positive finite carrier per tag."""
+    streams = {}
+    for tag_id in draw(st.lists(st.text(max_size=6), min_size=1, max_size=3, unique=True)):
+        n = draw(st.integers(1, 4))
+        streams[tag_id] = SampleStream(
+            draw(arrays(float, (n, 3), elements=FINITE)),
+            draw(arrays(float, n, elements=st.floats(0.0, TWO_PI, exclude_max=True))),
+            CarrierConfig(draw(st.floats(0.0, exclude_min=True, allow_infinity=False))),
+        )
+    return streams
+
+
+@settings(max_examples=200, deadline=None)
+@given(streams=tag_streams())
+def test_phase_log_round_trip_property(tmp_path_factory, streams):
+    path = tmp_path_factory.mktemp("log") / "log.csv"
+    try:
+        export_phase_log(streams, path)
+    except ValueError:
+        assert not path.exists()
+        return
+    back = ingest_log(path)
+    assert list(back) == list(streams)
+    for tag_id, stream in streams.items():
+        assert back[tag_id].poses.tobytes() == stream.poses.tobytes()
+        assert back[tag_id].phases.tobytes() == stream.phases.tobytes()
+        assert back[tag_id].carrier == stream.carrier
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_hologram_round_trip_property(tmp_path_factory, data):
+    region = SearchRegion(x=(0.0, 0.0), y=(-0.02, 0.02), z=(0.0, 0.03), resolution=0.01)
+    scores = data.draw(arrays(float, region.shape, elements=FINITE))
+    raw_min, raw_max = data.draw(FINITE), data.draw(FINITE)
+    path = tmp_path_factory.mktemp("holo") / "holo.csv"
+    export_hologram(Hologram(region=region, scores=scores, raw_min=raw_min, raw_max=raw_max), path)
+    back = read_hologram(path)
+    assert back.scores.tobytes() == scores.tobytes()
+    assert np.array([back.raw_min, back.raw_max]).tobytes() == np.array([raw_min, raw_max]).tobytes()
+
+
+def test_hologram_numpy_scalars_read_back(tmp_path):
+    # numpy 2 reprs a numpy scalar as "np.float64(...)"; the file must hold plain floats
+    region = SearchRegion(x=(np.float64(0.0),) * 2, y=(np.float64(-0.01), np.float64(0.01)),
+                          z=(0.0, 0.0), resolution=0.01)
+    holo = Hologram(region=region, scores=np.ones(region.shape),
+                    raw_min=np.float64(-1.5), raw_max=np.float64(2.5))
+    export_hologram(holo, tmp_path / "holo.csv")
+    back = read_hologram(tmp_path / "holo.csv")
+    assert (back.raw_min, back.raw_max) == (-1.5, 2.5)
+    assert back.region.bounds == ((0.0, 0.0), (-0.01, 0.01), (0.0, 0.0))
 
 
 class TestHologramExport:
@@ -434,6 +511,29 @@ class TestBench:
             run_bench(scenario, region, methods, trials=0)
 
 
+    def test_grouped_statistics_match_full_rescan(self):
+        # records out of (trial, method, tag) order; the oracle rescans all of them per cell
+        rng = np.random.default_rng(9)
+        recs = tuple(
+            TrialRecord(t, m, tag, Position3D(0.0, 0.0, 0.0), *rng.uniform(size=4))
+            for t in (1, 0, 2) for m in ("b", "a") for tag in ("Y", "X")
+        )
+        report = BenchReport(methods=("a", "b"), tag_ids=("X", "Y"), trials=3, base_seed=0,
+                             records=recs, runtime_s=0.0)
+        stats, means = report.stats(), report.method_means()
+        for m in report.methods:
+            assert means[m] == float(np.mean([r.err_combined for r in recs if r.method == m]))
+            for tag in (None, "X", "Y"):
+                want = [np.mean([r.err_combined for r in recs
+                                 if r.trial == t and r.method == m and tag in (None, r.tag_id)])
+                        for t in range(3)]
+                assert report.trial_errors(m, tag).tolist() == want
+            for tag in report.tag_ids:
+                cell = [r for r in recs if r.method == m and r.tag_id == tag]
+                assert stats[(m, tag)].median == float(np.median([r.err_combined for r in cell]))
+                assert stats[(m, tag)].mean_z == float(np.mean([r.err_z for r in cell]))
+
+
 class TestCli:
     def test_simulate_locate_end_to_end(self, config_path, tmp_path, capsys):
         log = tmp_path / "log.csv"
@@ -494,7 +594,22 @@ class TestCli:
         assert cli(["simulate", "--config", str(config), "--out", str(log)]) == 0
         capsys.readouterr()
         assert cli(["locate", "--input", str(log), "--method", "clf", "--config", str(config)]) == 0
-        assert len(capsys.readouterr().out.splitlines()) == 3  # header and two tags
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert len(rows) == 3  # header and two tags
+        assert [len(row) for row in rows] == [len(rows[0])] * 3
+        assert [row[0] for row in rows[1:]] == ["T,01", "T02"]
+
+    def test_comma_tag_id_bench_reports(self, tmp_path, capsys):
+        config = config_with(tmp_path / "comma.cfg", {"tag.1.id": "T,01"})
+        out = tmp_path / "bench"
+        assert cli(["bench", "--config", str(config), "--method", "clf,sarfid",
+                    "--trials", "2", "--out", str(out)]) == 0
+        for name, n_rows in (("report.csv", 2 * 2), ("errors.csv", 2 * 2 * 2)):
+            with (out / name).open(newline="", encoding="utf-8") as fh:
+                rows = list(csv.reader(fh))
+            assert [len(row) for row in rows] == [len(rows[0])] * (1 + n_rows)
+            tag_col = rows[0].index("tag_id")
+            assert sorted({row[tag_col] for row in rows[1:]}) == ["T,01", "T02"]
 
     def test_bench_subcommand_four_methods(self, config_path, tmp_path, capsys):
         out = tmp_path / "bench"

@@ -20,8 +20,8 @@ from phaseloc import (
     CarrierConfig,
     DifferentialScheme,
     MethodSpec,
-    PhaseSample,
     Position3D,
+    SampleStream,
     SamplingConditionError,
     delta_phi_d_mod,
     delta_phi_d_unwrap,
@@ -29,7 +29,8 @@ from phaseloc import (
     predict_phase,
     wrap_2pi,
 )
-from phaseloc.likelihood import pair_indices, shared_wavelength
+from phaseloc.io_eval import LogFormatError, ingest_log
+from phaseloc.likelihood import pair_indices
 
 TWO_PI = 2.0 * math.pi
 CARRIER = CarrierConfig(866.9e6)
@@ -39,10 +40,7 @@ LAM = CARRIER.wavelength
 def make_samples(phases, poses=None, carrier=CARRIER):
     if poses is None:
         poses = [Position3D(1.4, 0.05 * i, 0.0) for i in range(len(phases))]
-    return [
-        PhaseSample(pose, carrier, float(ph), i, "T")
-        for i, (pose, ph) in enumerate(zip(poses, phases))
-    ]
+    return SampleStream(np.array([p.as_array() for p in poses]), np.array(phases), carrier)
 
 
 def synth_phases(poses, tag, phi0=0.0, carrier=CARRIER):
@@ -56,11 +54,11 @@ def dists_to(poses, candidates):
     ])
 
 
-def score(samples, candidate, spec, nlf_branch=BRANCH_NEAREST):
-    """objective_batch for one candidate, from a sample list."""
-    phases = np.array([s.phase_wrapped for s in samples])
-    dists = dists_to([s.antenna_pose for s in samples], [candidate])
-    return float(objective_batch(phases, dists, spec, shared_wavelength(samples), nlf_branch)[0])
+def score(stream, candidate, spec, nlf_branch=BRANCH_NEAREST):
+    """objective_batch for one candidate, from a sample stream."""
+    dists = dists_to([s.antenna_pose for s in stream], [candidate])
+    wavelength = stream.carrier.wavelength
+    return float(objective_batch(stream.phases, dists, spec, wavelength, nlf_branch)[0])
 
 
 class TestBuildDifferentials:
@@ -101,11 +99,16 @@ class TestBuildDifferentials:
         with pytest.raises(ValueError):
             score(make_samples([0.1, 0.2]), Position3D(0, 0, 0), MethodSpec("clf", DifferentialScheme.reference(5)))
 
-    def test_mixed_carrier_rejected(self):
-        samples = make_samples([0.1, 0.2])
-        other = PhaseSample(Position3D(1.4, 0.3, 0), CarrierConfig(915e6), 0.3, 2, "T")
-        with pytest.raises(ValueError):
-            shared_wavelength(samples + [other])
+    def test_mixed_carrier_rejected(self, tmp_path):
+        # a stream holds one carrier; a tag whose log changes it is rejected
+        log = tmp_path / "log.csv"
+        log.write_text(
+            "tag_id,ant_x,ant_y,ant_z,freq_hz,phase,phase_unit\n"
+            "T,1.4,0.0,0.0,866.9e6,0.1,radians\n"
+            "T,1.4,0.3,0.0,915e6,0.3,radians\n"
+        )
+        with pytest.raises(LogFormatError, match="line 3: tag T"):
+            ingest_log(log)
 
 
 class TestDeltaPhiDUnwrap:

@@ -1,4 +1,4 @@
-"""Forward-model and angle-wrapping contracts."""
+"""Forward-model, angle-wrapping and sample-stream contracts."""
 
 import math
 
@@ -9,6 +9,7 @@ from phaseloc import (
     CarrierConfig,
     PhaseSample,
     Position3D,
+    SampleStream,
     SPEED_OF_LIGHT,
     distance,
     predict_phase,
@@ -147,17 +148,62 @@ class TestPredictPhase:
             assert math.isclose(near, far, abs_tol=1e-9)
 
 
+POSES = np.array([[1.4, -0.1, 0.0], [1.4, 0.0, 0.0], [1.4, 0.1, 0.0]])
+CARRIER = CarrierConfig(866.9e6)
+
+
 class TestPhaseSample:
     def test_rejects_out_of_range_phase(self):
-        pose = Position3D(0, 0, 0)
-        carrier = CarrierConfig(866.9e6)
-        with pytest.raises(ValueError):
-            PhaseSample(pose, carrier, TWO_PI, 0)
-        with pytest.raises(ValueError):
-            PhaseSample(pose, carrier, -0.1, 0)
-        with pytest.raises(ValueError):
-            PhaseSample(pose, carrier, 1.0, 0, sigma_hint=-0.1)
+        # the per-read checks live in SampleStream, which hands out PhaseSamples
+        for bad in (TWO_PI, -0.1, math.nan):
+            with pytest.raises(ValueError, match="phases"):
+                SampleStream(POSES, np.array([0.5, bad, 1.0]), CARRIER)
 
     def test_accepts_valid(self):
-        s = PhaseSample(Position3D(0, 0, 0), CarrierConfig(866.9e6), 1.0, 3, "T", 0.01)
-        assert s.sample_index == 3 and s.tag_id == "T"
+        s = SampleStream(POSES, np.array([0.5, 1.0, 0.0]), CARRIER)[1]
+        assert s == PhaseSample(Position3D(1.4, 0.0, 0.0), CARRIER, 1.0)
+
+
+class TestSampleStream:
+    def test_sequence_of_reads(self):
+        stream = SampleStream(POSES, np.array([0.5, 1.0, 6.0]), CARRIER)
+        assert len(stream) == 3
+        assert [s.phase_wrapped for s in stream] == [0.5, 1.0, 6.0]
+        assert stream[-1].antenna_pose == Position3D(1.4, 0.1, 0.0)
+        assert stream[np.int64(0)].carrier is CARRIER
+        with pytest.raises(IndexError):
+            stream[3]
+        with pytest.raises(TypeError):
+            stream[1:]
+
+    @pytest.mark.parametrize("poses, phases, match", [
+        (POSES[:, :2], [0.5, 1.0, 2.0], "N, 3"),
+        (POSES[0], [0.5], "N, 3"),
+        (POSES, [0.5, 1.0], "N, 3"),
+        (POSES, [[0.5, 1.0, 2.0]], "N, 3"),
+        (np.where(POSES == 0.1, math.inf, POSES), [0.5, 1.0, 2.0], "finite"),
+        (np.where(POSES == 0.1, math.nan, POSES), [0.5, 1.0, 2.0], "finite"),
+    ])
+    def test_rejects_bad_columns(self, poses, phases, match):
+        with pytest.raises(ValueError, match=match):
+            SampleStream(poses, np.array(phases), CARRIER)
+
+    def test_columns_are_read_only_copies(self):
+        poses, phases = POSES.copy(), np.array([0.5, 1.0, 2.0])
+        stream = SampleStream(poses, phases, CARRIER)
+        phases[0] = 3.0
+        assert stream.phases[0] == 0.5
+        with pytest.raises(ValueError):
+            stream.poses[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            stream.phases[0] = 0.0
+
+    def test_read_only_input_is_shared(self):
+        poses = POSES.copy()
+        poses.setflags(write=False)
+        a = SampleStream(poses, np.array([0.5, 1.0, 2.0]), CARRIER)
+        b = SampleStream(poses, np.array([1.5, 2.0, 3.0]), CARRIER)
+        assert a.poses is poses and b.poses is poses
+
+    def test_empty_stream(self):
+        assert len(SampleStream(np.empty((0, 3)), np.empty(0), CARRIER)) == 0

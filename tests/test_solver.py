@@ -15,6 +15,7 @@ from phaseloc import (
     MethodSpec,
     NoiseModel,
     Position3D,
+    SampleStream,
     Scenario,
     SearchRegion,
     TagTruth,
@@ -28,7 +29,6 @@ from phaseloc import (
     synthesize,
 )
 from phaseloc.io_eval import resolve_method
-from phaseloc.phase_model import poses_to_array
 
 CARRIER = CarrierConfig(866.9e6)
 
@@ -44,6 +44,12 @@ def noise_free_samples(
         rng_seed=seed,
     )
     return synthesize(sc)["T1"]
+
+
+def reads(stream, start, stop=None):
+    """Reads start..stop of a stream, as a stream of their own."""
+    cut = slice(start, stop)
+    return SampleStream(stream.poses[cut], stream.phases[cut], stream.carrier)
 
 
 def assert_positions_close(a, b, tol=1e-9):
@@ -131,7 +137,7 @@ class TestEvaluateHologram:
         assert est.err_combined_yz <= math.hypot(0.02, 0.02) + 1e-12
 
     def test_requires_two_samples(self):
-        samples = noise_free_samples()[:1]
+        samples = reads(noise_free_samples(), 0, 1)
         region = SearchRegion(x=(0.0, 0.0), y=(0, 0.1), z=(0, 0.1))
         with pytest.raises(ValueError):
             evaluate_hologram(samples, region, CLF)
@@ -160,7 +166,7 @@ class TestEvaluateHologram:
         est = argmax_estimate(holo, tag_id="T1")
 
         phases = np.array([s.phase_wrapped for s in samples])
-        poses = poses_to_array(s.antenna_pose for s in samples)
+        poses = np.array([s.antenna_pose.as_array() for s in samples])
         best_idx, best_score = None, -math.inf
         for idx, cand in enumerate(region.candidates()):
             dists = np.sqrt(((poses - cand) ** 2).sum(axis=1))
@@ -329,9 +335,9 @@ class TestGridEvaluator:
     def test_truncated_stream_rejected(self, method):
         samples = noise_free_samples()
         region = SearchRegion(x=(0.0, 0.0), y=(-0.1, 0.1), z=(0.0, 0.2), resolution=0.02)
-        ev = GridEvaluator(region, poses_to_array(s.antenna_pose for s in samples))
+        ev = GridEvaluator(region, samples.poses)
         with pytest.raises(ValueError, match="poses"):
-            ev.hologram(samples[10:], method)
+            ev.hologram(reads(samples, 10), method)
 
     def test_refine_without_method_rejected(self):
         holo = manual_hologram(np.eye(4))
@@ -341,7 +347,7 @@ class TestGridEvaluator:
 
 @pytest.mark.parametrize("name", METHOD_NAMES)
 def test_method_spec_is_its_own_scorer(name):
-    poses = poses_to_array(s.antenna_pose for s in noise_free_samples())
+    poses = noise_free_samples().poses
     cells = SearchRegion(x=(0.0, 0.0), y=(-0.1, 0.1), z=(0.0, 0.2), resolution=0.02).candidates()
     dists = np.linalg.norm(cells[:, None, :] - poses[None, :, :], axis=2)
     phases = np.random.default_rng(3).uniform(0.0, 2.0 * math.pi, len(poses))

@@ -10,7 +10,6 @@ from phaseloc import (
     CarrierConfig,
     InterferenceSchedule,
     NoiseModel,
-    PhaseSample,
     Position3D,
     Scenario,
     TagTruth,
@@ -22,7 +21,7 @@ from phaseloc import (
     wrap_2pi,
     wrap_pm_pi,
 )
-from phaseloc.synthesis import MAX_TRACK_POSES
+from phaseloc.synthesis import MAX_TRACK_POSES, _tag_rng
 
 TWO_PI = 2.0 * math.pi
 CARRIER = CarrierConfig(866.9e6)
@@ -99,18 +98,19 @@ class TestSynthesize:
         for s in samples:
             want = predict_phase(s.antenna_pose, sc.tags[0].position, CARRIER, sc.tags[0].phi0)
             assert abs(s.phase_wrapped - want) < 5e-16  # within an ulp of the wrap
-            assert s.sigma_hint == 0.0
-        assert [s.sample_index for s in samples] == list(range(len(samples)))
+        # read n sits at trajectory pose n
+        assert [s.antenna_pose for s in samples] == list(sc.trajectory.poses)
 
     def test_same_seed_identical_streams(self):
         sc = basic_scenario(noise=NoiseModel(), rng_seed=99)
         a = synthesize(sc)["T1"]
         b = synthesize(sc)["T1"]
-        assert [s.phase_wrapped for s in a] == [s.phase_wrapped for s in b]
-        assert [s.sigma_hint for s in a] == [s.sigma_hint for s in b]
+        assert a.phases.tobytes() == b.phases.tobytes()
+        assert a.poses.tobytes() == b.poses.tobytes()
 
     def test_sigma_hint_uses_distance_model(self):
-        # first pose is exactly 1.0 m from the tag
+        # first pose is exactly 1.0 m from the tag, so its noise is
+        # sigma(1.0) = 0.0144 times the tag stream's first normal draw
         traj = Trajectory(poses=(Position3D(1.4, 0, 0), Position3D(1.4, 0.1, 0)), spacing=0.1)
         sc = basic_scenario(
             tags=(TagTruth("T1", Position3D(0.4, 0.0, 0.0)),),
@@ -118,7 +118,10 @@ class TestSynthesize:
             noise=NoiseModel(),
         )
         samples = synthesize(sc)["T1"]
-        assert samples[0].sigma_hint == pytest.approx(0.0144, rel=1e-12)
+        noise_free = predict_phase(traj.poses[0], sc.tags[0].position, CARRIER)
+        eps = wrap_pm_pi(samples[0].phase_wrapped - noise_free)
+        draw = _tag_rng(sc.rng_seed, "T1").standard_normal(2)[0]
+        assert eps == pytest.approx(0.0144 * draw, rel=1e-9)
 
     def test_per_tag_streams_independent_of_other_tags(self):
         tags2 = (
@@ -184,9 +187,9 @@ class TestInterference:
         sc = basic_scenario(interference=sched)
         samples = synthesize(sc)["T1"]
         truth, phi0 = sc.tags[0].position, sc.tags[0].phi0
-        for s in samples:
+        for n, s in enumerate(samples):
             want = predict_phase(s.antenna_pose, truth, CARRIER, phi0)
-            if s.sample_index % 4 == 1:
+            if n % 4 == 1:
                 want = wrap_2pi(want + 0.5)
             assert abs(s.phase_wrapped - want) < 5e-16
 
@@ -198,29 +201,43 @@ class TestInterference:
 
 
 class TestInjectJump:
-    def sample(self, phase):
-        return PhaseSample(Position3D(1.4, 0, 0), CARRIER, phase, 0, "T")
-
     def test_forced_jump_lands_opposite_low_side(self):
         rng = np.random.default_rng(1)
-        s = inject_jump(self.sample(1.95 * math.pi), rng, probability=1.0)
-        assert 0.0 <= s.phase_wrapped < 0.1 * math.pi
+        out = inject_jump(np.array([1.95 * math.pi]), rng, probability=1.0)
+        assert 0.0 <= out[0] < 0.1 * math.pi
 
     def test_forced_jump_lands_opposite_high_side(self):
         rng = np.random.default_rng(2)
-        s = inject_jump(self.sample(0.04 * math.pi), rng, probability=1.0)
-        assert s.phase_wrapped > 1.9 * math.pi
+        out = inject_jump(np.array([0.04 * math.pi]), rng, probability=1.0)
+        assert out[0] > 1.9 * math.pi
 
     def test_outside_guard_band_unchanged(self):
         rng = np.random.default_rng(3)
-        s0 = self.sample(math.pi)
-        assert inject_jump(s0, rng, probability=1.0) is s0
+        state = rng.bit_generator.state
+        phases = np.array([math.pi, 1.0, 5.0])
+        out = inject_jump(phases, rng, probability=1.0)
+        assert np.array_equal(out, phases) and out is not phases
+        assert rng.bit_generator.state == state  # nothing drawn
 
     def test_zero_probability_identity(self):
         rng = np.random.default_rng(4)
-        for phase in (0.01, 1.95 * math.pi, math.pi):
-            s0 = self.sample(phase)
-            assert inject_jump(s0, rng, probability=0.0) is s0
+        state = rng.bit_generator.state
+        phases = np.array([0.01, 1.95 * math.pi, math.pi])
+        assert np.array_equal(inject_jump(phases, rng, probability=0.0), phases)
+        assert rng.bit_generator.state == state
+
+    def test_draws_in_index_order(self):
+        # one decision draw per near-boundary read, one landing draw per jump
+        phases = np.array([0.02, math.pi, 6.2, 3.0, 0.1])
+        out = inject_jump(phases, np.random.default_rng(2), probability=0.5)
+        assert list(out != phases) == [True, False, False, False, True]
+        rng = np.random.default_rng(2)
+        want = phases.copy()
+        for i in (0, 2, 4):
+            if rng.uniform() < 0.5:
+                u = rng.uniform()
+                want[i] = u * (TWO_PI - phases[i]) if phases[i] > math.pi else TWO_PI - u * phases[i]
+        assert np.array_equal(out, want)
 
     def test_jump_probability_invariants(self):
         sc = basic_scenario(noise=NoiseModel(), jump_probability=1.0, rng_seed=12)
