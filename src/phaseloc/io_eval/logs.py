@@ -73,6 +73,14 @@ def _parse_float(value: str, column: str, lineno: int) -> float:
     return out
 
 
+def _rows(reader):
+    """A csv reader's rows; a csv.Error becomes a LogFormatError naming the line."""
+    try:
+        yield from reader
+    except csv.Error as exc:  # a NUL on Python 3.10, a field over the size limit
+        raise LogFormatError(f"line {reader.line_num}: {exc}") from exc
+
+
 def ingest_log(
     path: str | Path,
     sign_flip: bool = False,
@@ -89,11 +97,10 @@ def ingest_log(
     checked in file order, so the first bad row is the one reported.
     """
     with Path(path).open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise LogFormatError("empty file: missing header") from None
+        reader = _rows(csv.reader(fh))
+        header = next(reader, None)
+        if header is None:
+            raise LogFormatError("empty file: missing header")
         header = [h.strip() for h in header]
         has_unit_column = "phase_unit" in header
         required = [f for f in LOG_FIELDS if f != "phase_unit" or has_unit_column]

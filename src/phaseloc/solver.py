@@ -9,9 +9,9 @@ region to the half-space the rack occupies.
 
 Every entry point takes one tag's reads as a SampleStream and scores its
 phase column against the candidate-to-pose distances of its pose column.
-Cells are scored independently in one vectorized pass (chunked to bound
-memory) with per-cell sums taken in fixed sample order, so results do not
-depend on evaluation order and are reproducible bit-for-bit.
+Cells are scored independently, in fixed-size blocks of cells that bound
+memory, with per-cell sums taken in fixed sample order, so results do not
+depend on the block size and are reproducible bit-for-bit.
 """
 
 from __future__ import annotations
@@ -22,10 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .phase_model import Position3D, SampleStream, squared_norm_rows
+from .phase_model import Position3D, SampleStream
 
 DEFAULT_CELL_CAP = 10_000_000
-_DIST_CACHE_LIMIT = 50_000_000  # max cached (cells x poses) distance entries
+BLOCK = 65_536  # cell-pose entries scored at a time: 512 KiB of float64 distances
 
 _AXES = ("x", "y", "z")
 
@@ -157,10 +157,13 @@ class RefineResult:
 class GridEvaluator:
     """Reusable scorer for one (region, trajectory) pair.
 
-    Candidate-to-pose distances depend only on the grid and the poses, so
-    holograms for many tags, methods, or Monte-Carlo trials over the same
-    geometry share one distance matrix.  Large grids are scored in
-    candidate chunks to bound memory.
+    A cell's squared distance to a pose is a sum of three per-axis terms,
+    so the evaluator keeps one (cells on the axis x N) table per axis.
+    raw_scores sums them in x, y, z order like squared_norm_rows and
+    scores the cells in C order, BLOCK entries at a time but never fewer
+    than two cells (numpy sums a lone row pairwise, a taller block's rows
+    term by term).  Memory budget beyond the tables and the (M,) outputs:
+    8 float64 arrays of max(BLOCK, 2N) entries, 4 MiB for N <= 32,768.
 
     A method is any callable taking (phases, dists, wavelength) and
     returning one score per row of dists; MethodSpec objects are such
@@ -172,26 +175,19 @@ class GridEvaluator:
         self.poses = np.asarray(poses_xyz, dtype=float)
         if self.poses.ndim != 2 or self.poses.shape[1] != 3:
             raise ValueError("poses must be an (N, 3) array")
-        self.candidates = region.candidates()
-        self._dists: np.ndarray | None = None
-        n_entries = self.candidates.shape[0] * self.poses.shape[0]
-        self._chunk = max(1, _DIST_CACHE_LIMIT // max(1, self.poses.shape[0]))
-        self._cacheable = n_entries <= _DIST_CACHE_LIMIT
-
-    def _distance_block(self, lo: int, hi: int) -> np.ndarray:
-        delta = self.candidates[lo:hi, None, :] - self.poses[None, :, :]
-        return np.sqrt(squared_norm_rows(delta))
+        self._sq = [(region.axis_cells(a)[:, None] - self.poses[None, :, a]) ** 2 for a in range(3)]
 
     def raw_scores(self, phases: np.ndarray, method, wavelength: float) -> np.ndarray:
-        m = self.candidates.shape[0]
-        if self._cacheable:
-            if self._dists is None:
-                self._dists = self._distance_block(0, m)
-            return np.asarray(method(phases, self._dists, wavelength), dtype=float)
+        m = self.region.cell_count
+        rows = max(2, BLOCK // max(1, self.poses.shape[0]))
+        sq_x, sq_y, sq_z = self._sq
         out = np.empty(m)
-        for lo in range(0, m, self._chunk):
-            hi = min(lo + self._chunk, m)
-            out[lo:hi] = method(phases, self._distance_block(lo, hi), wavelength)
+        for lo in range(0, m, rows):
+            hi = min(lo + rows, m)
+            lo = min(lo, max(0, hi - 2))  # a lone last cell joins its neighbour
+            ix, iy, iz = np.unravel_index(np.arange(lo, hi), self.region.shape)
+            dists = np.sqrt(sq_x[ix] + sq_y[iy] + sq_z[iz])
+            out[lo:hi] = method(phases, dists, wavelength)
         return out
 
     def hologram(self, stream: SampleStream, method) -> Hologram:
@@ -212,13 +208,9 @@ class GridEvaluator:
 
 
 def evaluate_hologram(stream: SampleStream, region: SearchRegion, method) -> Hologram:
-    """Score every cell center of ``region`` with ``method``.
-
-    method is any callable taking (phases, dists, wavelength) and
-    returning per-candidate scores; MethodSpec objects are such
-    callables.  For repeated evaluations over one
-    geometry build a GridEvaluator instead.
-    """
+    """Score every cell center of ``region`` with ``method`` (see
+    GridEvaluator); for repeated evaluations over one geometry build a
+    GridEvaluator instead."""
     return GridEvaluator(region, stream.poses).hologram(stream, method)
 
 

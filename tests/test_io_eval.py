@@ -4,6 +4,7 @@ import csv
 import io
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -585,7 +586,9 @@ class TestCli:
         code = cli(["hologram", "--input", str(log), "--method", "clf",
                     "--config", str(config_path), "--out", str(tmp_path / "holo.csv")])
         assert code == 2
-        assert f"tag {tag_id}" in capsys.readouterr().err
+        # Python 3.10's csv reader rejects a NUL itself, naming the line
+        nul_in_csv = "\0" in tag_id and sys.version_info < (3, 11)
+        assert ("line 4" if nul_in_csv else f"tag {tag_id}") in capsys.readouterr().err
         assert not list(tmp_path.glob("holo*"))  # rejected before any file is written
 
     def test_comma_tag_id_simulate_then_locate(self, tmp_path, capsys):
@@ -686,6 +689,7 @@ class TestCli:
         (["T,1.4,0.0,0.0,866.9e6,1.0,radians", "T,1.4,0.1,0.0,867.5e6,1.0,radians"], [],
          "tag T"),
         (None, ["--scheme", "reference:500"], "tag T01"),
+        (["T" * 131_073 + ",1.4,0.0,0.0,866.9e6,1.0,radians"], [], "line 2: field larger"),
     ])
     def test_unusable_log_is_data_error(
         self, config_path, tmp_path, capsys, command, rows, extra, where

@@ -2,10 +2,15 @@
 
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+import phaseloc.solver as solver_mod
 from phaseloc import (
     METHOD_NAMES,
     CarrierConfig,
@@ -29,6 +34,7 @@ from phaseloc import (
     synthesize,
 )
 from phaseloc.io_eval import resolve_method
+from phaseloc.phase_model import squared_norm_rows
 
 CARRIER = CarrierConfig(866.9e6)
 
@@ -308,6 +314,30 @@ class TestRefineLocal:
         assert res.position == region.position_at(0)
 
 
+BLOCK_SPECS = [MethodSpec(name) for name in METHOD_NAMES] + [
+    MethodSpec(name, DifferentialScheme.misaligned()) for name in ("nlf", "clf", "slf", "wclf", "wslf")
+]
+
+
+@st.composite
+def block_scenes(draw):
+    """A region with 1-3 free axes, N poses and phases, and a BLOCK size
+    from one entry (two cells per block) up to the whole grid, with a
+    ragged last block whenever the row count does not divide the cells."""
+    free = draw(st.sets(st.integers(0, 2), min_size=1))
+    bounds, res = [], []
+    for axis in range(3):
+        lo, step = draw(st.floats(-1.0, 1.0)), draw(st.floats(0.005, 0.2))
+        count = draw(st.integers(2, 6)) if axis in free else 1
+        bounds.append((lo, lo + (count - 1) * step))
+        res.append(step)
+    region = SearchRegion(*bounds, resolution=tuple(res))
+    n = draw(st.integers(2, 60))
+    poses = draw(arrays(float, (n, 3), elements=st.floats(-2.0, 2.0)))
+    phases = draw(arrays(float, n, elements=st.floats(0.0, 2.0 * math.pi, exclude_max=True)))
+    return region, poses, phases, draw(st.integers(1, region.cell_count * n))
+
+
 class TestGridEvaluator:
     def test_distance_cache_consistency(self):
         samples = noise_free_samples()
@@ -318,18 +348,40 @@ class TestGridEvaluator:
         b = evaluate_hologram(samples, region, CLF)
         assert np.array_equal(a.scores, b.scores)
 
-    def test_chunked_path_matches_cached(self, monkeypatch):
-        import phaseloc.solver as solver_mod
+    @settings(max_examples=150, deadline=None)
+    @given(scene=block_scenes())
+    # 5 cells in blocks of 2: the last cell would be a one-row block, whose
+    # 8 clf terms numpy would sum pairwise instead of in order
+    @example(scene=(
+        SearchRegion(x=(0.0, 0.5), y=(0.0, 0.0), z=(0.0, 0.0), resolution=0.125),
+        np.zeros((9, 3)), np.array([2.0, 0, 0, 0, 0, 0, 0, 0, 0]), 18,
+    ))
+    def test_block_path_matches_whole_matrix(self, scene):
+        region, poses, phases, block = scene
+        cells = region.candidates()
+        dists = np.sqrt(squared_norm_rows(cells[:, None, :] - poses[None, :, :]))
+        lam = CARRIER.wavelength
+        with mock.patch.object(solver_mod, "BLOCK", block):
+            ev = GridEvaluator(region, poses)
+            for spec in BLOCK_SPECS:
+                assert np.array_equal(ev.raw_scores(phases, spec, lam), spec(phases, dists, lam)), spec
 
-        samples = noise_free_samples()
-        region = SearchRegion(x=(0.0, 0.0), y=(-0.2, 0.2), z=(0.0, 0.3), resolution=0.02)
-        poses = np.array([[s.antenna_pose.x, s.antenna_pose.y, s.antenna_pose.z] for s in samples])
-        cached = GridEvaluator(region, poses).hologram(samples, CLF)
-        monkeypatch.setattr(solver_mod, "_DIST_CACHE_LIMIT", 100)  # forces chunking
-        chunked_ev = GridEvaluator(region, poses)
-        assert not chunked_ev._cacheable
-        chunked = chunked_ev.hologram(samples, CLF)
-        assert np.array_equal(cached.scores, chunked.scores)
+    def test_scoring_stays_in_block_budget(self):
+        # 27 x 27 x 27 = 19,683 cells x 101 poses: a cached distance matrix
+        # alone would take 16 MB, and wslf's temporaries six times that
+        region = SearchRegion(x=(0.0, 0.26), y=(-0.13, 0.13), z=(0.0, 0.26), resolution=0.01)
+        samples = noise_free_samples(spacing=0.01, y_half=0.5)
+        m, n = region.cell_count, len(samples)
+        assert (m, n) == (19_683, 101)
+        tracemalloc.start()
+        try:
+            evaluate_hologram(samples, region, MethodSpec("wslf"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # GridEvaluator's stated budget: 4 MiB of block arrays, plus the
+        # per-axis tables and the hologram's raw, shifted and normalized scores
+        assert peak < 4 * 2**20 + 8 * n * sum(region.shape) + 3 * 8 * m
 
     @pytest.mark.parametrize("method", [CLF, MethodSpec("sarfid")])
     def test_truncated_stream_rejected(self, method):
