@@ -33,8 +33,21 @@ scores reference-subtracted cosine residuals weighted by a two-sided
 Gaussian tail probability, so reads that disagree with the candidate
 geometry by many sigma contribute almost nothing.
 
-All functions are pure, and batch scoring over many candidates is
-order-stable (per-pair sums always run in sample order).
+All functions are pure.  Given two or more candidate rows,
+objective_batch sums each row's pair terms in sample order, term by
+term; a lone row is summed pairwise by numpy and can differ in the last
+bit, so GridEvaluator never scores fewer than two rows at a time.
+
+Every kernel sees the data only through the per-read phasors
+z_n = exp(j*phi_n) * A_n, with the steering phasors
+A = exp(-j*4*pi*d/lambda) fixed by the geometry.  Scoring several
+streams over one trajectory (phases of shape (S, N)) builds A once per
+distance block and scores every stream from it with elementwise work on
+the pair phasors u = z_a * conj(z_b) = exp(j*r): clf sums Re u, wclf
+|Re u| * Re u, slf -(Im u)^2, wslf -exp(-(Im u)^2) * (Im u)^2 and
+tagoram weights Re u by the tail probability of atan2(Im u, Re u).  One
+stream (phases of shape (N,)) keeps the residual form, which costs one
+transcendental per term where A costs two.
 """
 
 from __future__ import annotations
@@ -111,10 +124,13 @@ class MethodSpec:
             raise ValueError(f"tagoram_sigma must be > 0, got {self.tagoram_sigma!r}")
 
     def __call__(self, phases: np.ndarray, dists: np.ndarray, wavelength: float) -> np.ndarray:
-        """Scores per candidate row of ``dists``."""
+        """Scores per candidate row of ``dists``: (M,) for one stream's
+        (N,) phases, (S, M) for S streams' stacked (S, N) phases."""
         if self.name == "sarfid":
             return sarfid_batch(phases, dists, wavelength)
-        return objective_batch(phases, dists, self, wavelength)
+        if np.ndim(phases) == 1:
+            return objective_batch(phases, dists, self, wavelength)
+        return _stacked_objective(phases, dists, self, wavelength)
 
 
 def pair_indices(scheme: DifferentialScheme, n_samples: int) -> tuple[np.ndarray, np.ndarray]:
@@ -206,18 +222,7 @@ def objective_batch(
     geom = 4.0 * math.pi * (dists[:, idx_a] - dists[:, idx_b]) / wavelength
 
     if spec.name == "nlf":
-        folded = wrap_2pi(geom)
-        res_hi = dphi_m[None, :] - folded
-        if nlf_branch == BRANCH_NONNEGATIVE:
-            res = res_hi
-        elif nlf_branch == BRANCH_NEGATIVE:
-            res = res_hi + TWO_PI
-        elif nlf_branch == BRANCH_NEAREST:
-            res_lo = res_hi + TWO_PI
-            res = np.where(np.abs(res_hi) <= np.abs(res_lo), res_hi, res_lo)
-        else:
-            raise ValueError(f"unknown branch {nlf_branch!r}")
-        return -(res**2).sum(axis=1)
+        return _nlf_scores(dphi_m, wrap_2pi(geom), nlf_branch)
 
     res = dphi_m[None, :] - geom
     if spec.name == "tagoram":
@@ -236,14 +241,81 @@ def objective_batch(
     return terms.sum(axis=1)
 
 
-def sarfid_batch(phases: np.ndarray, dists: np.ndarray, wavelength: float) -> np.ndarray:
-    """Coherent-sum magnitude per candidate row of ``dists``, in [0, 1].
+def _nlf_scores(dphi_m: np.ndarray, folded: np.ndarray, branch: str) -> np.ndarray:
+    """-sum r^2 per row for measured differences (P,) against the folded
+    geometric differences (M, P), with r in the branch's choice."""
+    res_hi = dphi_m[None, :] - folded
+    if branch == BRANCH_NONNEGATIVE:
+        res = res_hi
+    elif branch == BRANCH_NEGATIVE:
+        res = res_hi + TWO_PI
+    elif branch == BRANCH_NEAREST:
+        res_lo = res_hi + TWO_PI
+        res = np.where(np.abs(res_hi) <= np.abs(res_lo), res_hi, res_lo)
+    else:
+        raise ValueError(f"unknown branch {branch!r}")
+    return -(res**2).sum(axis=1)
 
-    |sum_n exp(j*(phi[n] - 4*pi*d[n]/lambda))| / N.  A common phase shift
-    on all reads rotates every term equally, so the magnitude is
-    invariant to the per-tag offset.
+
+def _steering(dists: np.ndarray, wavelength: float) -> np.ndarray:
+    """The steering phasors exp(-j*4*pi*d/lambda), one per entry of dists."""
+    neg_kd = (-4.0 * math.pi / wavelength) * np.asarray(dists, dtype=float)
+    a = np.empty(neg_kd.shape, dtype=complex)
+    np.cos(neg_kd, out=a.real)
+    np.sin(neg_kd, out=a.imag)
+    return a
+
+
+def _stacked_objective(
+    phases: np.ndarray, dists: np.ndarray, spec: MethodSpec, wavelength: float
+) -> np.ndarray:
+    """objective_batch for S streams at once: (S, N) phases -> (S, M).
+
+    nlf folds the geometric differences once and then matches
+    objective_batch bit for bit per stream.  The other methods score the
+    pair phasors u = (A_a * conj(A_b)) * exp(j*(phi_a - phi_b)), an
+    (S, M, P) C-order block whose rows numpy sums pairwise, so a row's
+    score does not depend on how many rows share the block.
     """
     phases = np.asarray(phases, dtype=float)
     dists = np.atleast_2d(np.asarray(dists, dtype=float))
-    residual = phases[None, :] - 4.0 * math.pi * dists / wavelength
-    return np.abs(np.exp(1j * residual).mean(axis=1))
+    idx_a, idx_b = pair_indices(spec.scheme, phases.shape[1])
+    dphi_m = phases[:, idx_a] - phases[:, idx_b]
+    if spec.name == "nlf":
+        folded = wrap_2pi(4.0 * math.pi * (dists[:, idx_a] - dists[:, idx_b]) / wavelength)
+        return np.stack([_nlf_scores(d, folded, BRANCH_NEAREST) for d in dphi_m])
+
+    a = _steering(dists, wavelength)
+    pairs = np.multiply(a[:, idx_a], np.conj(a[:, idx_b]), order="C")
+    u = np.multiply(pairs[None, :, :], np.exp(1j * dphi_m)[:, None, :], order="C")
+    # In-place steps keep at most one real block beside u.
+    if spec.name == "tagoram":
+        terms = np.abs(np.arctan2(u.imag, u.real))
+        terms /= spec.tagoram_sigma * math.sqrt(2.0)
+        erfc(terms, out=terms)
+        terms *= u.real
+        return terms.sum(axis=2)
+    if spec.name in ("clf", "wclf"):
+        terms = u.real
+        if spec.name == "wclf":
+            terms = np.abs(terms) * terms
+        return terms.sum(axis=2)
+    sin2 = np.square(u.imag)
+    if spec.name == "wslf":
+        weights = np.negative(sin2, out=u.real)
+        sin2 *= np.exp(weights, out=weights)
+    return -sin2.sum(axis=2)
+
+
+def sarfid_batch(phases: np.ndarray, dists: np.ndarray, wavelength: float) -> np.ndarray:
+    """Coherent-sum magnitude per candidate row of ``dists``, in [0, 1].
+
+    |sum_n exp(j*phi[n]) * exp(-j*4*pi*d[n]/lambda)| / N, per row of
+    ``dists`` and per stream: (M,) for (N,) phases, (S, M) for (S, N).
+    A common phase shift on all reads rotates every term equally, so the
+    magnitude is invariant to the per-tag offset.
+    """
+    phases = np.asarray(phases, dtype=float)
+    a = _steering(np.atleast_2d(dists), wavelength)
+    z = a * np.exp(1j * phases)[..., None, :]
+    return np.abs(z.sum(axis=-1)) / phases.shape[-1]

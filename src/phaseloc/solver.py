@@ -8,10 +8,12 @@ regions show a mirror peak; the supported mitigation is restricting the
 region to the half-space the rack occupies.
 
 Every entry point takes one tag's reads as a SampleStream and scores its
-phase column against the candidate-to-pose distances of its pose column.
-Cells are scored independently, in fixed-size blocks of cells that bound
-memory, with per-cell sums taken in fixed sample order, so results do not
-depend on the block size and are reproducible bit-for-bit.
+phase column against the candidate-to-pose distances of its pose column;
+GridEvaluator.holograms scores several streams over one trajectory in
+one pass, sharing each distance block.  Cells are scored independently,
+in fixed-size blocks of cells that bound memory, with per-cell sums
+taken in a fixed order, so results do not depend on the block size and
+are reproducible bit-for-bit.
 """
 
 from __future__ import annotations
@@ -160,14 +162,17 @@ class GridEvaluator:
     A cell's squared distance to a pose is a sum of three per-axis terms,
     so the evaluator keeps one (cells on the axis x N) table per axis.
     raw_scores sums them in x, y, z order like squared_norm_rows and
-    scores the cells in C order, BLOCK entries at a time but never fewer
-    than two cells (numpy sums a lone row pairwise, a taller block's rows
-    term by term).  Memory budget beyond the tables and the (M,) outputs:
-    8 float64 arrays of max(BLOCK, 2N) entries, 4 MiB for N <= 32,768.
+    scores the cells in C order, BLOCK // (S*N) cells at a time for S
+    stacked streams but never fewer than two cells (numpy sums a lone row
+    pairwise, a taller block's rows term by term).  Memory budget beyond
+    the tables and the (S, M) outputs: 8 float64 arrays of
+    max(BLOCK, 2*S*N) entries, 4 MiB while S*N <= 32,768.
 
     A method is any callable taking (phases, dists, wavelength) and
     returning one score per row of dists; MethodSpec objects are such
-    callables.
+    callables.  hologram passes one stream's (N,) phases; holograms
+    stacks two or more streams into (S, N) phases, which the method must
+    score as (S, rows).
     """
 
     def __init__(self, region: SearchRegion, poses_xyz: np.ndarray):
@@ -178,24 +183,48 @@ class GridEvaluator:
         self._sq = [(region.axis_cells(a)[:, None] - self.poses[None, :, a]) ** 2 for a in range(3)]
 
     def raw_scores(self, phases: np.ndarray, method, wavelength: float) -> np.ndarray:
+        """Raw scores of every cell: (M,) for (N,) phases, (S, M) for
+        S streams' stacked (S, N) phases."""
+        phases = np.asarray(phases, dtype=float)
         m = self.region.cell_count
-        rows = max(2, BLOCK // max(1, self.poses.shape[0]))
+        rows = max(2, BLOCK // max(1, phases.size))
         sq_x, sq_y, sq_z = self._sq
-        out = np.empty(m)
+        out = np.empty(phases.shape[:-1] + (m,))
         for lo in range(0, m, rows):
             hi = min(lo + rows, m)
             lo = min(lo, max(0, hi - 2))  # a lone last cell joins its neighbour
             ix, iy, iz = np.unravel_index(np.arange(lo, hi), self.region.shape)
             dists = np.sqrt(sq_x[ix] + sq_y[iy] + sq_z[iz])
-            out[lo:hi] = method(phases, dists, wavelength)
+            out[..., lo:hi] = method(phases, dists, wavelength)
         return out
 
     def hologram(self, stream: SampleStream, method) -> Hologram:
-        if len(stream) < 2:
-            raise ValueError(f"need at least 2 samples, got {len(stream)}")
-        if not np.array_equal(stream.poses, self.poses):
-            raise ValueError("sample poses differ from the evaluator's trajectory")
-        raw = self.raw_scores(stream.phases, method, stream.carrier.wavelength)
+        return self.holograms([stream], method)[0]
+
+    def holograms(self, streams: list[SampleStream], method) -> list[Hologram]:
+        """One hologram per stream, all scored in one pass over the grid.
+
+        The streams must share the evaluator's trajectory and one
+        wavelength.  One stream is scored from its (N,) phases, two or
+        more from their stacked (S, N) phases.
+        """
+        if not streams:
+            raise ValueError("no streams to score")
+        for stream in streams:
+            if len(stream) < 2:
+                raise ValueError(f"need at least 2 samples, got {len(stream)}")
+            if not np.array_equal(stream.poses, self.poses):
+                raise ValueError("sample poses differ from the evaluator's trajectory")
+        wavelength = streams[0].carrier.wavelength
+        if any(s.carrier.wavelength != wavelength for s in streams):
+            raise ValueError("streams differ in wavelength")
+        phases = np.stack([s.phases for s in streams]) if len(streams) > 1 else streams[0].phases
+        return [
+            self._normalized(raw, method)
+            for raw in np.atleast_2d(self.raw_scores(phases, method, wavelength))
+        ]
+
+    def _normalized(self, raw: np.ndarray, method) -> Hologram:
         rmin, rmax = float(raw.min()), float(raw.max())
         norm = (raw - rmin) / (rmax - rmin) if rmax > rmin else np.ones_like(raw)
         return Hologram(

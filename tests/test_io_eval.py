@@ -511,6 +511,14 @@ class TestBench:
         with pytest.raises(ValueError):
             run_bench(scenario, region, methods, trials=0)
 
+    def test_failing_method_named_in_batched_pass(self, config_path):
+        # 2 trials x the scenario's tags are scored in one pass per method;
+        # reference:999 fails there, before any trial or tag is in hand
+        scenario, region, methods = self.bench_inputs(config_path)
+        far = ("clf-far", MethodSpec("clf", DifferentialScheme.reference(999)))
+        with pytest.raises(RuntimeError, match=r"^method clf-far: reference index 999 out of range"):
+            run_bench(scenario, region, [*methods, far], trials=2)
+
 
     def test_grouped_statistics_match_full_rescan(self):
         # records out of (trial, method, tag) order; the oracle rescans all of them per cell

@@ -319,11 +319,12 @@ BLOCK_SPECS = [MethodSpec(name) for name in METHOD_NAMES] + [
 ]
 
 
+PHASES = st.floats(0.0, 2.0 * math.pi, exclude_max=True)
+
+
 @st.composite
-def block_scenes(draw):
-    """A region with 1-3 free axes, N poses and phases, and a BLOCK size
-    from one entry (two cells per block) up to the whole grid, with a
-    ragged last block whenever the row count does not divide the cells."""
+def regions(draw):
+    """A region with 1-3 free axes of 2-6 cells each."""
     free = draw(st.sets(st.integers(0, 2), min_size=1))
     bounds, res = [], []
     for axis in range(3):
@@ -331,11 +332,54 @@ def block_scenes(draw):
         count = draw(st.integers(2, 6)) if axis in free else 1
         bounds.append((lo, lo + (count - 1) * step))
         res.append(step)
-    region = SearchRegion(*bounds, resolution=tuple(res))
-    n = draw(st.integers(2, 60))
+    return SearchRegion(*bounds, resolution=tuple(res))
+
+
+@st.composite
+def block_scenes(draw, streams=st.just(0)):
+    """A region, N poses, phases of shape (N,) (or (S, N) for S drawn from
+    ``streams``) and a BLOCK size from one entry (two cells per block) up
+    to the whole grid, with a ragged last block whenever the row count
+    does not divide the cells."""
+    region = draw(regions())
+    n, s = draw(st.integers(2, 60)), draw(streams)
     poses = draw(arrays(float, (n, 3), elements=st.floats(-2.0, 2.0)))
-    phases = draw(arrays(float, n, elements=st.floats(0.0, 2.0 * math.pi, exclude_max=True)))
-    return region, poses, phases, draw(st.integers(1, region.cell_count * n))
+    phases = draw(arrays(float, (s, n) if s else n, elements=PHASES))
+    return region, poses, phases, draw(st.integers(1, region.cell_count * max(1, s) * n))
+
+
+@st.composite
+def stacked_scenes(draw):
+    """A region, N in 2-40 poses, S in 2-6 stacked phase rows and a
+    reference index."""
+    region = draw(regions())
+    n, s = draw(st.integers(2, 40)), draw(st.integers(2, 6))
+    poses = draw(arrays(float, (n, 3), elements=st.floats(-2.0, 2.0)))
+    phases = draw(arrays(float, (s, n), elements=PHASES))
+    return region, poses, phases, draw(st.integers(0, n - 1))
+
+
+def stacked_specs(ref):
+    """nlf under both schemes, the four other likelihoods under
+    misaligned and reference:ref, and the two baselines."""
+    schemes = (DifferentialScheme.misaligned(), DifferentialScheme.reference(ref))
+    likelihoods = [
+        MethodSpec(name, scheme) for name in ("clf", "slf", "wclf", "wslf") for scheme in schemes
+    ]
+    return [MethodSpec("nlf", scheme) for scheme in schemes], likelihoods + [
+        MethodSpec("sarfid"), MethodSpec("tagoram")
+    ]
+
+
+def score_scale(spec, n):
+    """The largest change an error eps in one residual can make to a score,
+    per unit eps: every term's slope is at most 1 (tagoram's erfc weight
+    adds sqrt(2/pi)/sigma), over N-1 terms (sarfid: a mean of unit
+    phasors)."""
+    if spec.name == "sarfid":
+        return 1.0
+    slope = 1.0 + math.sqrt(2.0 / math.pi) / spec.tagoram_sigma if spec.name == "tagoram" else 1.0
+    return slope * (n - 1)
 
 
 class TestGridEvaluator:
@@ -366,22 +410,105 @@ class TestGridEvaluator:
             for spec in BLOCK_SPECS:
                 assert np.array_equal(ev.raw_scores(phases, spec, lam), spec(phases, dists, lam)), spec
 
+    @settings(max_examples=100, deadline=None)
+    @given(scene=block_scenes(streams=st.integers(2, 4)))
+    # 5 cells of 3 streams x 9 poses with BLOCK below S*N: two cells per
+    # block and a lone last cell that joins its neighbour
+    @example(scene=(
+        SearchRegion(x=(0.0, 0.5), y=(0.0, 0.0), z=(0.0, 0.0), resolution=0.125),
+        np.zeros((9, 3)), np.tile([2.0, 0, 0, 0, 0, 0, 0, 0, 0], (3, 1)), 5,
+    ))
+    def test_stacked_block_path_matches_whole_matrix(self, scene):
+        region, poses, phases, block = scene
+        cells = region.candidates()
+        dists = np.sqrt(squared_norm_rows(cells[:, None, :] - poses[None, :, :]))
+        lam = CARRIER.wavelength
+        with mock.patch.object(solver_mod, "BLOCK", block):
+            ev = GridEvaluator(region, poses)
+            for spec in BLOCK_SPECS:
+                assert np.array_equal(ev.raw_scores(phases, spec, lam), spec(phases, dists, lam)), spec
+
+    @settings(max_examples=150, deadline=None)
+    @given(scene=stacked_scenes())
+    @example(scene=(  # N = 2
+        SearchRegion(x=(0.0, 0.2), y=(0.0, 0.0), z=(0.0, 0.0), resolution=0.1),
+        np.array([[1.4, -0.1, 0.0], [1.4, 0.1, 0.0]]), np.array([[0.1, 6.0], [3.0, 3.0]]), 1,
+    ))
+    @example(scene=(  # duplicate poses: misaligned pairs with zero distance difference
+        SearchRegion(x=(0.0, 0.0), y=(-0.2, 0.2), z=(0.0, 0.3), resolution=0.1),
+        np.repeat([[1.4, -0.3, 0.0], [1.4, 0.3, 0.0]], 3, axis=0),
+        np.array([[0.5, 0.5, 0.6, 2.0, 2.1, 2.0], [6.0, 0.1, 6.2, 3.0, 1.0, 3.0]]), 0,
+    ))
+    @example(scene=(  # candidates exactly at poses (d = 0)
+        SearchRegion(x=(0.0, 0.0), y=(0.0, 0.1), z=(0.0, 0.0), resolution=0.05),
+        np.array([[0.0, 0.0, 0.0], [0.0, 0.05, 0.0], [0.0, 0.1, 0.0], [0.3, 0.1, 0.0]]),
+        np.array([[0.0, 1.0, 2.0, 3.0], [5.0, 4.0, 3.0, 2.0], [0.0, 0.0, 0.0, 0.0]]), 2,
+    ))
+    @example(scene=(  # constant phases
+        SearchRegion(x=(0.0, 0.0), y=(-0.3, 0.3), z=(0.0, 0.5), resolution=0.1),
+        linear_track(x=1.4, z=0.0, y_start=-0.3, y_stop=0.3, spacing=0.02).as_array(),
+        np.full((3, 31), 1.25), 15,
+    ))
+    def test_stacked_scores_match_single_stream(self, scene):
+        # The phasor path carries each residual with an error of a few ulps
+        # of 4*pi*d/lambda; nlf keeps the residual form and is bitwise equal.
+        region, poses, phases, ref = scene
+        lam = CARRIER.wavelength
+        ev = GridEvaluator(region, poses)
+        bitwise, phasor = stacked_specs(ref)
+        for spec in bitwise:
+            single = np.stack([ev.raw_scores(row, spec, lam) for row in phases])
+            assert np.array_equal(ev.raw_scores(phases, spec, lam), single), spec
+        for spec in phasor:
+            tol = 1e-12 * score_scale(spec, phases.shape[1])
+            stacked = ev.raw_scores(phases, spec, lam)
+            for row, got in zip(phases, stacked):
+                want = ev.raw_scores(row, spec, lam)
+                assert np.max(np.abs(got - want)) <= tol, spec
+                # a different argmax only on a true tie
+                assert want[np.argmax(got)] >= want.max() - tol, spec
+
+    def test_holograms_match_one_stream_at_a_time(self):
+        region = SearchRegion(x=(0.0, 0.0), y=(-0.3, 0.3), z=(0.0, 0.5), resolution=0.05)
+        streams = [noise_free_samples(phi0=phi0) for phi0 in (0.3, 1.9, 4.0)]
+        ev = GridEvaluator(region, streams[0].poses)
+        for spec in (MethodSpec("nlf"), MethodSpec("sarfid")):
+            for stacked, stream in zip(ev.holograms(streams, spec), streams):
+                assert np.array_equal(stacked.scores, ev.hologram(stream, spec).scores)
+        assert len(ev.holograms(streams[:1], CLF)) == 1
+
+    def test_holograms_reject_unusable_streams(self):
+        region = SearchRegion(x=(0.0, 0.0), y=(-0.1, 0.1), z=(0.0, 0.2), resolution=0.05)
+        stream = noise_free_samples()
+        ev = GridEvaluator(region, stream.poses)
+        other = SampleStream(stream.poses, stream.phases, CarrierConfig(915e6))
+        with pytest.raises(ValueError, match="wavelength"):
+            ev.holograms([stream, other], CLF)
+        with pytest.raises(ValueError, match="poses"):
+            ev.holograms([stream, reads(stream, 10)], CLF)
+        with pytest.raises(ValueError, match="no streams"):
+            ev.holograms([], CLF)
+
     def test_scoring_stays_in_block_budget(self):
         # 27 x 27 x 27 = 19,683 cells x 101 poses: a cached distance matrix
         # alone would take 16 MB, and wslf's temporaries six times that
         region = SearchRegion(x=(0.0, 0.26), y=(-0.13, 0.13), z=(0.0, 0.26), resolution=0.01)
-        samples = noise_free_samples(spacing=0.01, y_half=0.5)
-        m, n = region.cell_count, len(samples)
+        streams = [noise_free_samples(phi0=0.7 * k, spacing=0.01, y_half=0.5) for k in range(8)]
+        m, n, s = region.cell_count, len(streams[0]), len(streams)
         assert (m, n) == (19_683, 101)
-        tracemalloc.start()
-        try:
-            evaluate_hologram(samples, region, MethodSpec("wslf"))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        # GridEvaluator's stated budget: 4 MiB of block arrays, plus the
-        # per-axis tables and the hologram's raw, shifted and normalized scores
-        assert peak < 4 * 2**20 + 8 * n * sum(region.shape) + 3 * 8 * m
+        tables = 8 * n * sum(region.shape)
+        # one wslf stream, then 8 stacked wslf and tagoram streams
+        for name, count in (("wslf", 1), ("wslf", s), ("tagoram", s)):
+            tracemalloc.start()
+            try:
+                GridEvaluator(region, streams[0].poses).holograms(streams[:count], MethodSpec(name))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            # GridEvaluator's stated budget: 4 MiB of block arrays while
+            # S*N <= 32,768, plus the tables, the (S, M) raw scores and,
+            # per hologram, its shifted and normalized scores
+            assert peak < 4 * 2**20 + tables + (2 * count + 1) * 8 * m, (name, count)
 
     @pytest.mark.parametrize("method", [CLF, MethodSpec("sarfid")])
     def test_truncated_stream_rejected(self, method):
