@@ -2,9 +2,9 @@
 
 Each trial re-seeds the scenario from (base_seed, trial), synthesizes
 fresh phase streams, and locates every tag with every requested method on
-the identical data, so method comparisons are paired.  All trials are
-synthesized first; each method then scores every (trial, tag) stream in
-one GridEvaluator pass.  Reports are
+the identical data, so method comparisons are paired.  Trials are
+synthesized a few at a time, and each method scores their (trial, tag)
+streams together in GridEvaluator.holograms passes.  Reports are
 reproducible byte-for-byte from the same inputs: wall-clock runtime is
 kept on the in-memory report (and stdout) but never written into the
 report files.
@@ -44,11 +44,6 @@ def parse_scheme(text: str) -> DifferentialScheme:
 
 # A CLI method name with its --scheme and --tagoram-sigma values is a spec.
 resolve_method = MethodSpec
-
-
-# Raw scores one scoring pass may hold: 32 MiB, so a long run's memory
-# does not grow with its number of trials.
-_STACK_SCORES = 1 << 22
 
 
 def trial_seed(base_seed: int, trial: int) -> int:
@@ -182,16 +177,42 @@ def run_bench(
     evaluator = GridEvaluator(region, scenario.trajectory.as_array())
     truth = {tag.tag_id: tag.position for tag in scenario.tags}
     # Every (trial, tag) stream shares the trajectory and the carrier, so a
-    # method scores them together, as many per pass as _STACK_SCORES allows.
-    jobs = [
-        (t, tag_id, samples)
-        for t in range(trials)
-        for tag_id, samples in synthesize(
-            replace(scenario, rng_seed=trial_seed(base_seed, t))
-        ).items()
-    ]
-    per_pass = max(1, _STACK_SCORES // region.cell_count)
-    records: dict[tuple, TrialRecord] = {}
+    # method scores them in passes of up to streams_per_pass streams.  Trials
+    # are synthesized a pass's worth at a time, so memory does not grow with
+    # the number of trials.
+    per_pass = evaluator.streams_per_pass
+    chunk = max(1, per_pass // max(1, len(truth)))
+    records: list[TrialRecord] = []
+    for first in range(0, trials, chunk):
+        chunk_trials = range(first, min(first + chunk, trials))
+        jobs = [
+            (t, tag_id, samples)
+            for t in chunk_trials
+            for tag_id, samples in synthesize(
+                replace(scenario, rng_seed=trial_seed(base_seed, t))
+            ).items()
+        ]
+        found = _locate_jobs(evaluator, methods, jobs, truth, per_pass)
+        records.extend(
+            found[t, k, tag_id]
+            for t in chunk_trials
+            for k in range(len(methods))
+            for tag_id in truth
+        )
+    return BenchReport(
+        methods=tuple(name for name, _ in methods),
+        tag_ids=tuple(truth),
+        trials=trials,
+        base_seed=base_seed,
+        records=tuple(records),
+        runtime_s=time.perf_counter() - t0,
+    )
+
+
+def _locate_jobs(evaluator, methods, jobs, truth, per_pass) -> dict[tuple, TrialRecord]:
+    """Records keyed by (trial, method index, tag) for (trial, tag,
+    stream) jobs, each method scoring up to per_pass streams at a time."""
+    records = {}
     for k, (method_name, spec) in enumerate(methods):
         for lo in range(0, len(jobs), per_pass):
             batch = jobs[lo:lo + per_pass]
@@ -216,19 +237,7 @@ def run_bench(
                     err_z=est.err_z,
                     err_combined=est.err_combined_yz,
                 )
-    return BenchReport(
-        methods=tuple(name for name, _ in methods),
-        tag_ids=tuple(truth),
-        trials=trials,
-        base_seed=base_seed,
-        records=tuple(
-            records[t, k, tag_id]
-            for t in range(trials)
-            for k in range(len(methods))
-            for tag_id in truth
-        ),
-        runtime_s=time.perf_counter() - t0,
-    )
+    return records
 
 
 def _write_csv(path: Path, rows) -> None:

@@ -40,14 +40,18 @@ bit, so GridEvaluator never scores fewer than two rows at a time.
 
 Every kernel sees the data only through the per-read phasors
 z_n = exp(j*phi_n) * A_n, with the steering phasors
-A = exp(-j*4*pi*d/lambda) fixed by the geometry.  Scoring several
-streams over one trajectory (phases of shape (S, N)) builds A once per
-distance block and scores every stream from it with elementwise work on
-the pair phasors u = z_a * conj(z_b) = exp(j*r): clf sums Re u, wclf
+A = exp(-j*4*pi*d/lambda) fixed by the geometry.  Several streams over
+one trajectory (phases of shape (S, N)) share A: it is built once per
+call, and every stream is scored from it with elementwise work on the
+pair phasors u = z_a * conj(z_b) = exp(j*r): clf sums Re u, wclf
 |Re u| * Re u, slf -(Im u)^2, wslf -exp(-(Im u)^2) * (Im u)^2 and
-tagoram weights Re u by the tail probability of atan2(Im u, Re u).  One
-stream (phases of shape (N,)) keeps the residual form, which costs one
-transcendental per term where A costs two.
+tagoram weights Re u by the tail probability of atan2(Im u, Re u).
+These match the residual forms to rounding, not bit for bit.  nlf needs
+the folded residual itself: its stacked form shares the folded geometry
+and scores each stream exactly as alone.  sarfid sums z directly, in one
+form for one or S streams.  One stream's (N,) phases keep the residual
+forms, which pay one transcendental per term where A costs two per
+entry; A pays off once it is shared by several streams.
 """
 
 from __future__ import annotations
@@ -128,9 +132,9 @@ class MethodSpec:
         (N,) phases, (S, M) for S streams' stacked (S, N) phases."""
         if self.name == "sarfid":
             return sarfid_batch(phases, dists, wavelength)
-        if np.ndim(phases) == 1:
-            return objective_batch(phases, dists, self, wavelength)
-        return _stacked_objective(phases, dists, self, wavelength)
+        if np.ndim(phases) == 2 and self.name != "nlf":
+            return _pair_phasor_scores(phases, dists, self, wavelength)
+        return objective_batch(phases, dists, self, wavelength)
 
 
 def pair_indices(scheme: DifferentialScheme, n_samples: int) -> tuple[np.ndarray, np.ndarray]:
@@ -206,25 +210,47 @@ def objective_batch(
 ) -> np.ndarray:
     """Differential score per candidate for every method but sarfid.
 
-    phases is the (N,) wrapped measurement vector; dists is (M, N) with
-    row m holding candidate m's distances to the N poses.  Returns (M,)
-    sums over the scheme's pairs.  tagoram wraps each residual to
-    (-pi, pi] (a tail probability of an unwrapped circular residual would
-    be meaningless) and weights cos(residual) by
-    2*(1 - Phi(|residual|/sigma)) = erfc(|residual|/(sigma*sqrt(2))).
+    phases is the (N,) wrapped measurement vector, or (S, N) for S
+    streams over the same poses; dists is (M, N) with row m holding
+    candidate m's distances to the N poses.  Returns (M,) sums over the
+    scheme's pairs, or (S, M).  The geometric differences are computed
+    once and each stream is then scored exactly as on its own, so row s
+    of a stacked call equals the (N,) call on phases[s] bit for bit.
+    tagoram wraps each residual to (-pi, pi] (a tail probability of an
+    unwrapped circular residual would be meaningless) and weights
+    cos(residual) by 2*(1 - Phi(|residual|/sigma)) =
+    erfc(|residual|/(sigma*sqrt(2))).
     """
     if spec.name == "sarfid":
         raise ValueError("sarfid is not a differential method; use sarfid_batch")
     phases = np.asarray(phases, dtype=float)
     dists = np.atleast_2d(np.asarray(dists, dtype=float))
-    idx_a, idx_b = pair_indices(spec.scheme, phases.shape[0])
-    dphi_m = phases[idx_a] - phases[idx_b]
+    idx_a, idx_b = pair_indices(spec.scheme, phases.shape[-1])
     geom = 4.0 * math.pi * (dists[:, idx_a] - dists[:, idx_b]) / wavelength
-
     if spec.name == "nlf":
-        return _nlf_scores(dphi_m, wrap_2pi(geom), nlf_branch)
+        geom = wrap_2pi(geom)
+    scores = [
+        _pair_scores(row[idx_a] - row[idx_b], geom, spec, nlf_branch)
+        for row in np.atleast_2d(phases)
+    ]
+    return scores[0] if phases.ndim == 1 else np.stack(scores)
 
+
+def _pair_scores(
+    dphi_m: np.ndarray, geom: np.ndarray, spec: MethodSpec, nlf_branch: str
+) -> np.ndarray:
+    """Per-row sums for measured differences (P,) against geometric
+    differences (M, P), folded into [0, 2*pi) for nlf."""
     res = dphi_m[None, :] - geom
+    if spec.name == "nlf":
+        if nlf_branch == BRANCH_NEGATIVE:
+            res = res + TWO_PI
+        elif nlf_branch == BRANCH_NEAREST:
+            res_lo = res + TWO_PI
+            res = np.where(np.abs(res) <= np.abs(res_lo), res, res_lo)
+        elif nlf_branch != BRANCH_NONNEGATIVE:
+            raise ValueError(f"unknown branch {nlf_branch!r}")
+        return -(res**2).sum(axis=1)
     if spec.name == "tagoram":
         res = wrap_pm_pi(res)
         weights = erfc(np.abs(res) / (spec.tagoram_sigma * math.sqrt(2.0)))
@@ -241,53 +267,42 @@ def objective_batch(
     return terms.sum(axis=1)
 
 
-def _nlf_scores(dphi_m: np.ndarray, folded: np.ndarray, branch: str) -> np.ndarray:
-    """-sum r^2 per row for measured differences (P,) against the folded
-    geometric differences (M, P), with r in the branch's choice."""
-    res_hi = dphi_m[None, :] - folded
-    if branch == BRANCH_NONNEGATIVE:
-        res = res_hi
-    elif branch == BRANCH_NEGATIVE:
-        res = res_hi + TWO_PI
-    elif branch == BRANCH_NEAREST:
-        res_lo = res_hi + TWO_PI
-        res = np.where(np.abs(res_hi) <= np.abs(res_lo), res_hi, res_lo)
-    else:
-        raise ValueError(f"unknown branch {branch!r}")
-    return -(res**2).sum(axis=1)
-
-
 def _steering(dists: np.ndarray, wavelength: float) -> np.ndarray:
-    """The steering phasors exp(-j*4*pi*d/lambda), one per entry of dists."""
+    """exp(-j*4*pi*d/lambda) per entry of dists; cos and sin into one
+    complex array cost less than np.exp of an imaginary array."""
     neg_kd = (-4.0 * math.pi / wavelength) * np.asarray(dists, dtype=float)
-    a = np.empty(neg_kd.shape, dtype=complex)
-    np.cos(neg_kd, out=a.real)
-    np.sin(neg_kd, out=a.imag)
-    return a
+    steering = np.empty(neg_kd.shape, dtype=complex)
+    np.cos(neg_kd, out=steering.real)
+    np.sin(neg_kd, out=steering.imag)
+    return steering
 
 
-def _stacked_objective(
+def _steering_pairs(
+    dists: np.ndarray, idx_a: np.ndarray, idx_b: np.ndarray, wavelength: float
+) -> np.ndarray:
+    """A_a * conj(A_b) per candidate row and pair, in place where it can."""
+    a = _steering(dists, wavelength)
+    pairs, conj_b = a[:, idx_a], a[:, idx_b]
+    del a
+    pairs *= np.conjugate(conj_b, out=conj_b)
+    return pairs
+
+
+def _pair_phasor_scores(
     phases: np.ndarray, dists: np.ndarray, spec: MethodSpec, wavelength: float
 ) -> np.ndarray:
-    """objective_batch for S streams at once: (S, N) phases -> (S, M).
-
-    nlf folds the geometric differences once and then matches
-    objective_batch bit for bit per stream.  The other methods score the
-    pair phasors u = (A_a * conj(A_b)) * exp(j*(phi_a - phi_b)), an
-    (S, M, P) C-order block whose rows numpy sums pairwise, so a row's
-    score does not depend on how many rows share the block.
-    """
+    """objective_batch's scores for S streams' (S, N) phases, from the
+    pair phasors u = (A_a * conj(A_b)) * exp(j*(phi_a - phi_b)) = exp(j*r)
+    with the steering phasors A built once for all streams.  u is an
+    (S, M, P) C-order block whose rows numpy sums pairwise, so a stream's
+    scores do not depend on which or how many streams share the call."""
     phases = np.asarray(phases, dtype=float)
     dists = np.atleast_2d(np.asarray(dists, dtype=float))
     idx_a, idx_b = pair_indices(spec.scheme, phases.shape[1])
     dphi_m = phases[:, idx_a] - phases[:, idx_b]
-    if spec.name == "nlf":
-        folded = wrap_2pi(4.0 * math.pi * (dists[:, idx_a] - dists[:, idx_b]) / wavelength)
-        return np.stack([_nlf_scores(d, folded, BRANCH_NEAREST) for d in dphi_m])
-
-    a = _steering(dists, wavelength)
-    pairs = np.multiply(a[:, idx_a], np.conj(a[:, idx_b]), order="C")
+    pairs = _steering_pairs(dists, idx_a, idx_b, wavelength)
     u = np.multiply(pairs[None, :, :], np.exp(1j * dphi_m)[:, None, :], order="C")
+    del pairs
     # In-place steps keep at most one real block beside u.
     if spec.name == "tagoram":
         terms = np.abs(np.arctan2(u.imag, u.real))
@@ -316,6 +331,5 @@ def sarfid_batch(phases: np.ndarray, dists: np.ndarray, wavelength: float) -> np
     magnitude is invariant to the per-tag offset.
     """
     phases = np.asarray(phases, dtype=float)
-    a = _steering(np.atleast_2d(dists), wavelength)
-    z = a * np.exp(1j * phases)[..., None, :]
+    z = _steering(np.atleast_2d(dists), wavelength) * np.exp(1j * phases)[..., None, :]
     return np.abs(z.sum(axis=-1)) / phases.shape[-1]

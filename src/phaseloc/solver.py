@@ -10,10 +10,11 @@ region to the half-space the rack occupies.
 Every entry point takes one tag's reads as a SampleStream and scores its
 phase column against the candidate-to-pose distances of its pose column;
 GridEvaluator.holograms scores several streams over one trajectory in
-one pass, sharing each distance block.  Cells are scored independently,
-in fixed-size blocks of cells that bound memory, with per-cell sums
-taken in a fixed order, so results do not depend on the block size and
-are reproducible bit-for-bit.
+one pass, sharing each distance block; a stream's scores there do not
+depend on which or how many streams share the pass.  Cells are scored
+independently, in fixed-size blocks of cells that bound memory, with
+per-cell sums taken in a fixed order, so results do not depend on the
+block size and are reproducible bit-for-bit.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ from .phase_model import Position3D, SampleStream
 
 DEFAULT_CELL_CAP = 10_000_000
 BLOCK = 65_536  # cell-pose entries scored at a time: 512 KiB of float64 distances
+PASS_CELLS = 32  # fewest cells per block in a pass of streams_per_pass streams
+PASS_SCORES = 1 << 20  # most raw scores a pass of streams_per_pass streams holds: 8 MiB
 
 _AXES = ("x", "y", "z")
 
@@ -168,10 +171,22 @@ class GridEvaluator:
     the tables and the (S, M) outputs: 8 float64 arrays of
     max(BLOCK, 2*S*N) entries, 4 MiB while S*N <= 32,768.
 
+    Stacked streams share each block's distances, so the more streams a
+    pass holds the less the geometry costs per stream; MethodSpec also
+    builds the steering phasors once per block for all of them.  But
+    each pass holds its (S, M) raw scores and S holograms, and nlf scores
+    stacked streams one by one, which gets slow once a block holds only
+    a few cells.  streams_per_pass balances these: on the stock
+    7171-cell plane with 101 poses (2-core VM) the seven methods took
+    204-237 ms per stream alone, 92 ms per stream 8 at a time (81 cells
+    per block), 70-72 ms 20 at a time (32 cells, a PASS_CELLS pass) and
+    70-75 ms 40 at a time (16 cells), while nlf alone rose from 7 ms to
+    10 and 12-13 ms.
+
     A method is any callable taking (phases, dists, wavelength) and
     returning one score per row of dists; MethodSpec objects are such
     callables.  hologram passes one stream's (N,) phases; holograms
-    stacks two or more streams into (S, N) phases, which the method must
+    passes S >= 1 streams' stacked (S, N) phases, which the method must
     score as (S, rows).
     """
 
@@ -181,6 +196,13 @@ class GridEvaluator:
         if self.poses.ndim != 2 or self.poses.shape[1] != 3:
             raise ValueError("poses must be an (N, 3) array")
         self._sq = [(region.axis_cells(a)[:, None] - self.poses[None, :, a]) ** 2 for a in range(3)]
+
+    @property
+    def streams_per_pass(self) -> int:
+        """The most streams one holograms pass should stack: blocks of at
+        least PASS_CELLS cells, at most PASS_SCORES raw scores."""
+        n, m = self.poses.shape[0], self.region.cell_count
+        return max(1, min(BLOCK // (PASS_CELLS * n), PASS_SCORES // m))
 
     def raw_scores(self, phases: np.ndarray, method, wavelength: float) -> np.ndarray:
         """Raw scores of every cell: (M,) for (N,) phases, (S, M) for
@@ -199,30 +221,34 @@ class GridEvaluator:
         return out
 
     def hologram(self, stream: SampleStream, method) -> Hologram:
-        return self.holograms([stream], method)[0]
+        """One stream's hologram, scored from its (N,) phases."""
+        self._check(stream)
+        raw = self.raw_scores(stream.phases, method, stream.carrier.wavelength)
+        return self._normalized(raw, method)
 
     def holograms(self, streams: list[SampleStream], method) -> list[Hologram]:
-        """One hologram per stream, all scored in one pass over the grid.
-
-        The streams must share the evaluator's trajectory and one
-        wavelength.  One stream is scored from its (N,) phases, two or
-        more from their stacked (S, N) phases.
+        """One hologram per stream, scored from the streams' stacked
+        (S, N) phases in one pass over the grid, for any S >= 1, so a
+        stream's hologram does not depend on which or how many streams
+        share the pass.  The streams must share the evaluator's
+        trajectory and one wavelength; streams_per_pass is the pass size
+        to use for many streams.
         """
         if not streams:
             raise ValueError("no streams to score")
         for stream in streams:
-            if len(stream) < 2:
-                raise ValueError(f"need at least 2 samples, got {len(stream)}")
-            if not np.array_equal(stream.poses, self.poses):
-                raise ValueError("sample poses differ from the evaluator's trajectory")
+            self._check(stream)
         wavelength = streams[0].carrier.wavelength
         if any(s.carrier.wavelength != wavelength for s in streams):
             raise ValueError("streams differ in wavelength")
-        phases = np.stack([s.phases for s in streams]) if len(streams) > 1 else streams[0].phases
-        return [
-            self._normalized(raw, method)
-            for raw in np.atleast_2d(self.raw_scores(phases, method, wavelength))
-        ]
+        raw = self.raw_scores(np.stack([s.phases for s in streams]), method, wavelength)
+        return [self._normalized(row, method) for row in raw]
+
+    def _check(self, stream: SampleStream) -> None:
+        if len(stream) < 2:
+            raise ValueError(f"need at least 2 samples, got {len(stream)}")
+        if not np.array_equal(stream.poses, self.poses):
+            raise ValueError("sample poses differ from the evaluator's trajectory")
 
     def _normalized(self, raw: np.ndarray, method) -> Hologram:
         rmin, rmax = float(raw.min()), float(raw.max())

@@ -5,6 +5,8 @@ import io
 import math
 import re
 import sys
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from phaseloc import (
     METHOD_NAMES,
     CarrierConfig,
     DifferentialScheme,
+    GridEvaluator,
     Hologram,
     MethodSpec,
     NoiseModel,
@@ -518,6 +521,45 @@ class TestBench:
         far = ("clf-far", MethodSpec("clf", DifferentialScheme.reference(999)))
         with pytest.raises(RuntimeError, match=r"^method clf-far: reference index 999 out of range"):
             run_bench(scenario, region, [*methods, far], trials=2)
+
+    @pytest.mark.parametrize("per_pass", [2, 4, 7])
+    def test_records_do_not_depend_on_pass_size(self, tmp_path, per_pass):
+        # 3 noisy tags over 5 trials: passes of 2 end in a one-stream pass,
+        # 4 holds a whole trial and 7 two trials with a one-trial last chunk;
+        # every record must equal the one scored with one stream per pass
+        path = config_with(tmp_path / "three.cfg", {
+            "noise.constant_sigma": "0.4", "tag.3.id": "T03", "tag.3.x": "0.0",
+            "tag.3.y": "0.2", "tag.3.z": "0.1", "tag.3.phi0": "random",
+        })
+        scenario, region = load_scenario(path)
+        methods = [(name, resolve_method(name)) for name in METHOD_NAMES]
+
+        def bench(streams):
+            with mock.patch.object(GridEvaluator, "streams_per_pass", streams):
+                return run_bench(scenario, region, methods, trials=5, base_seed=3).records
+
+        records = bench(per_pass)
+        assert records == bench(1)
+        # trial, then method, then tag order
+        assert [(r.trial, r.method, r.tag_id) for r in records] == [
+            (t, name, tag) for t in range(5) for name, _ in methods for tag in ("T01", "T02", "T03")
+        ]
+
+    def test_memory_does_not_grow_with_trials(self, config_path):
+        # passes of 4 streams: 2 trials of the scenario's 2 tags at a time
+        scenario, region, methods = self.bench_inputs(config_path)
+        peaks = []
+        for trials in (2, 30):
+            with mock.patch.object(GridEvaluator, "streams_per_pass", 4):
+                tracemalloc.start()
+                try:
+                    run_bench(scenario, region, methods, trials=trials)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+        # 112 more records take about 90 KiB; scoring all 60 streams of
+        # 30 trials in one pass (806 cells) takes about 730 KiB more
+        assert peaks[1] < peaks[0] + 160 * 1024, peaks
 
 
     def test_grouped_statistics_match_full_rescan(self):

@@ -475,7 +475,25 @@ class TestGridEvaluator:
         for spec in (MethodSpec("nlf"), MethodSpec("sarfid")):
             for stacked, stream in zip(ev.holograms(streams, spec), streams):
                 assert np.array_equal(stacked.scores, ev.hologram(stream, spec).scores)
-        assert len(ev.holograms(streams[:1], CLF)) == 1
+        # a stacked stream's scores do not depend on the other streams
+        for spec in (CLF, MethodSpec("tagoram")):
+            stacked = ev.holograms(streams, spec)
+            for k, stream in enumerate(streams):
+                (alone,) = ev.holograms([stream], spec)
+                assert np.array_equal(alone.scores, stacked[k].scores), spec
+
+    def test_streams_per_pass_bounds_blocks_and_raw_scores(self):
+        poses = noise_free_samples().poses  # 31 poses
+        plane = SearchRegion(x=(0.0, 0.0), y=(-0.3, 0.3), z=(0.0, 0.5), resolution=0.02)
+        # 806 cells: blocks of PASS_CELLS cells bound the pass
+        s = GridEvaluator(plane, poses).streams_per_pass
+        assert s == solver_mod.BLOCK // (solver_mod.PASS_CELLS * 31) == 66
+        assert solver_mod.BLOCK // (s * 31) >= solver_mod.PASS_CELLS
+        # 501 x 261 = 130,761 cells: the pass's raw scores bound it
+        fine = SearchRegion(x=(0.0, 0.0), y=(-0.5, 0.5), z=(0.0, 0.52), resolution=0.002)
+        assert GridEvaluator(fine, poses).streams_per_pass == solver_mod.PASS_SCORES // 130_761 == 8
+        # a single stream per pass once one stream's poses fill a block
+        assert GridEvaluator(plane, np.zeros((70_000, 3))).streams_per_pass == 1
 
     def test_holograms_reject_unusable_streams(self):
         region = SearchRegion(x=(0.0, 0.0), y=(-0.1, 0.1), z=(0.0, 0.2), resolution=0.05)
@@ -497,8 +515,8 @@ class TestGridEvaluator:
         m, n, s = region.cell_count, len(streams[0]), len(streams)
         assert (m, n) == (19_683, 101)
         tables = 8 * n * sum(region.shape)
-        # one wslf stream, then 8 stacked wslf and tagoram streams
-        for name, count in (("wslf", 1), ("wslf", s), ("tagoram", s)):
+        # one wslf stream, then 8 stacked wslf, tagoram and sarfid streams
+        for name, count in (("wslf", 1), ("wslf", s), ("tagoram", s), ("sarfid", s)):
             tracemalloc.start()
             try:
                 GridEvaluator(region, streams[0].poses).holograms(streams[:count], MethodSpec(name))
