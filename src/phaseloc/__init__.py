@@ -28,7 +28,6 @@ from .phase_model import (
     SampleStream,
     distance,
     predict_phase,
-    predict_phase_unwrapped,
     wrap_2pi,
     wrap_pm_pi,
 )

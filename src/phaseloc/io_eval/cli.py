@@ -162,6 +162,9 @@ def _cmd_bench(args) -> int:
     scenario, config_region = load_scenario(args.config, seed_override=args.seed)
     region = _build_region(args, config_region)
     methods = _resolve_method_args(args)
+    index, poses = methods[0][1].scheme.reference_index, len(scenario.trajectory.poses)
+    if index >= poses:
+        raise UsageError(f"--scheme reference:{index} is out of range for {poses} poses")
     report = run_bench(scenario, region, methods, trials=args.trials, base_seed=args.seed)
     paths = write_bench_report(report, args.out)
     print(report.to_text(), end="")

@@ -33,25 +33,32 @@ scores reference-subtracted cosine residuals weighted by a two-sided
 Gaussian tail probability, so reads that disagree with the candidate
 geometry by many sigma contribute almost nothing.
 
-All functions are pure.  Given two or more candidate rows,
-objective_batch sums each row's pair terms in sample order, term by
-term; a lone row is summed pairwise by numpy and can differ in the last
-bit, so GridEvaluator never scores fewer than two rows at a time.
+All functions are pure.  Each method's per-pair term is written once, as
+a function of cos r and sin r, and fed by one of two sources picked by
+the shape of the phases:
 
-Every kernel sees the data only through the per-read phasors
-z_n = exp(j*phi_n) * A_n, with the steering phasors
-A = exp(-j*4*pi*d/lambda) fixed by the geometry.  Several streams over
-one trajectory (phases of shape (S, N)) share A: it is built once per
-call, and every stream is scored from it with elementwise work on the
-pair phasors u = z_a * conj(z_b) = exp(j*r): clf sums Re u, wclf
-|Re u| * Re u, slf -(Im u)^2, wslf -exp(-(Im u)^2) * (Im u)^2 and
-tagoram weights Re u by the tail probability of atan2(Im u, Re u).
-These match the residual forms to rounding, not bit for bit.  nlf needs
-the folded residual itself: its stacked form shares the folded geometry
-and scores each stream exactly as alone.  sarfid sums z directly, in one
-form for one or S streams.  One stream's (N,) phases keep the residual
-forms, which pay one transcendental per term where A costs two per
-entry; A pays off once it is shared by several streams.
+* one stream's (N,) phases give cos r and sin r of the residual itself,
+  only the ones the method reads: one transcendental per pair for clf,
+  wclf and slf, sin and exp for wslf;
+* S streams' (S, N) phases over one trajectory give them as the real and
+  imaginary parts of the pair phasors u = A_a * conj(A_b) * exp(j*dphi)
+  = exp(j*r), with the steering phasors A = exp(-j*4*pi*d/lambda) built
+  once per call for all streams, so no stream pays a cos or sin of its
+  own.
+
+The two agree to rounding, not bit for bit.  Both stay because A costs
+two transcendentals per entry where one stream's residual pays one, and
+pays off only once it is shared by several streams.  nlf needs the
+folded residual itself: its stacked form shares the folded geometry and
+scores each stream exactly as alone.  sarfid sums z_n = exp(j*phi_n) *
+A_n directly, in one form for one or S streams.
+
+With one stream and two or more candidate rows, objective_batch sums
+each row's pair terms in sample order, term by term; a lone row is
+summed pairwise by numpy and can differ in the last bit, so
+GridEvaluator never scores fewer than two rows at a time.  The stacked
+(S, M, P) phasor block is C-order and its rows are summed pairwise, so a
+stream's scores do not depend on which or how many streams share a call.
 """
 
 from __future__ import annotations
@@ -62,7 +69,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfc
 
-from .phase_model import TWO_PI, wrap_2pi, wrap_pm_pi
+from .phase_model import TWO_PI, wrap_2pi
 from .synthesis import DEFAULT_SIGMA_INTERCEPT, DEFAULT_SIGMA_SLOPE
 
 METHOD_NAMES = ("nlf", "clf", "slf", "wclf", "wslf", "sarfid", "tagoram")
@@ -132,8 +139,6 @@ class MethodSpec:
         (N,) phases, (S, M) for S streams' stacked (S, N) phases."""
         if self.name == "sarfid":
             return sarfid_batch(phases, dists, wavelength)
-        if np.ndim(phases) == 2 and self.name != "nlf":
-            return _pair_phasor_scores(phases, dists, self, wavelength)
         return objective_batch(phases, dists, self, wavelength)
 
 
@@ -213,58 +218,78 @@ def objective_batch(
     phases is the (N,) wrapped measurement vector, or (S, N) for S
     streams over the same poses; dists is (M, N) with row m holding
     candidate m's distances to the N poses.  Returns (M,) sums over the
-    scheme's pairs, or (S, M).  The geometric differences are computed
-    once and each stream is then scored exactly as on its own, so row s
-    of a stacked call equals the (N,) call on phases[s] bit for bit.
-    tagoram wraps each residual to (-pi, pi] (a tail probability of an
-    unwrapped circular residual would be meaningless) and weights
-    cos(residual) by 2*(1 - Phi(|residual|/sigma)) =
-    erfc(|residual|/(sigma*sqrt(2))).
+    scheme's pairs, or (S, M).  Every method but nlf scores its pair terms
+    (_terms) from cos r and sin r: for (N,) phases those of the residual,
+    for (S, N) phases the real and imaginary parts of the pair phasors u,
+    whose steering phasors are built once for all streams.  Stacked rows
+    match the (N,) call on phases[s] to about 1e-12 of the score scale;
+    nlf shares the folded geometric differences and scores each stream
+    exactly as alone, so its stacked rows match bit for bit.  tagoram
+    weights cos r by 2*(1 - Phi(|r|/sigma)) = erfc(|r|/(sigma*sqrt(2)))
+    with r = atan2(sin r, cos r) in [-pi, pi], since a tail probability
+    of an unwrapped circular residual would be meaningless.
     """
     if spec.name == "sarfid":
         raise ValueError("sarfid is not a differential method; use sarfid_batch")
     phases = np.asarray(phases, dtype=float)
     dists = np.atleast_2d(np.asarray(dists, dtype=float))
     idx_a, idx_b = pair_indices(spec.scheme, phases.shape[-1])
+    dphi_m = phases[..., idx_a] - phases[..., idx_b]
+    if phases.ndim == 2 and spec.name != "nlf":
+        # u = A_a * conj(A_b) * exp(j*dphi) = exp(j*r), an (S, M, P) C-order
+        # block; the in-place steps keep at most one real block beside it
+        steering = _steering(dists, wavelength)
+        pairs, conj_b = steering[:, idx_a], steering[:, idx_b]
+        del steering
+        pairs *= np.conjugate(conj_b, out=conj_b)
+        del conj_b
+        u = np.multiply(pairs[None, :, :], np.exp(1j * dphi_m)[:, None, :], order="C")
+        del pairs
+        return _terms(spec, u.real, u.imag).sum(axis=2)
     geom = 4.0 * math.pi * (dists[:, idx_a] - dists[:, idx_b]) / wavelength
     if spec.name == "nlf":
         geom = wrap_2pi(geom)
-    scores = [
-        _pair_scores(row[idx_a] - row[idx_b], geom, spec, nlf_branch)
-        for row in np.atleast_2d(phases)
-    ]
-    return scores[0] if phases.ndim == 1 else np.stack(scores)
+        scores = [_nlf_scores(row[None, :] - geom, nlf_branch) for row in np.atleast_2d(dphi_m)]
+        return scores[0] if phases.ndim == 1 else np.stack(scores)
+    res = np.subtract(dphi_m[None, :], geom, out=geom)
+    re = None if spec.name in ("slf", "wslf") else np.cos(res)
+    im = None if spec.name in ("clf", "wclf") else np.sin(res)
+    return _terms(spec, re, im).sum(axis=1)
 
 
-def _pair_scores(
-    dphi_m: np.ndarray, geom: np.ndarray, spec: MethodSpec, nlf_branch: str
-) -> np.ndarray:
-    """Per-row sums for measured differences (P,) against geometric
-    differences (M, P), folded into [0, 2*pi) for nlf."""
-    res = dphi_m[None, :] - geom
-    if spec.name == "nlf":
-        if nlf_branch == BRANCH_NEGATIVE:
-            res = res + TWO_PI
-        elif nlf_branch == BRANCH_NEAREST:
-            res_lo = res + TWO_PI
-            res = np.where(np.abs(res) <= np.abs(res_lo), res, res_lo)
-        elif nlf_branch != BRANCH_NONNEGATIVE:
-            raise ValueError(f"unknown branch {nlf_branch!r}")
-        return -(res**2).sum(axis=1)
+def _nlf_scores(res: np.ndarray, nlf_branch: str) -> np.ndarray:
+    """-sum of squared residuals per row, with the geometric differences
+    folded into [0, 2*pi) and shifted by the branch."""
+    if nlf_branch == BRANCH_NEGATIVE:
+        res = res + TWO_PI
+    elif nlf_branch == BRANCH_NEAREST:
+        res_lo = res + TWO_PI
+        res = np.where(np.abs(res) <= np.abs(res_lo), res, res_lo)
+    elif nlf_branch != BRANCH_NONNEGATIVE:
+        raise ValueError(f"unknown branch {nlf_branch!r}")
+    return -(res**2).sum(axis=1)
+
+
+def _terms(spec: MethodSpec, re: np.ndarray | None, im: np.ndarray | None) -> np.ndarray:
+    """Per-pair terms of clf, wclf, slf, wslf or tagoram from re = cos r
+    and im = sin r; a method gets only the parts it reads, and im may be
+    overwritten."""
     if spec.name == "tagoram":
-        res = wrap_pm_pi(res)
-        weights = erfc(np.abs(res) / (spec.tagoram_sigma * math.sqrt(2.0)))
-        return (weights * np.cos(res)).sum(axis=1)
-    if spec.name in ("clf", "wclf"):
-        terms = np.cos(res)
-        if spec.name == "wclf":
-            terms = np.abs(terms) * terms
-    else:
-        sin2 = np.sin(res) ** 2
-        terms = -sin2
-        if spec.name == "wslf":
-            terms = np.exp(-sin2) * terms
-    return terms.sum(axis=1)
+        terms = np.arctan2(im, re)
+        np.abs(terms, out=terms)
+        terms /= spec.tagoram_sigma * math.sqrt(2.0)
+        erfc(terms, out=terms)
+        terms *= re
+        return terms
+    if spec.name == "clf":
+        return re
+    if spec.name == "wclf":
+        return np.abs(re) * re
+    sin2 = np.square(im)
+    if spec.name == "wslf":
+        weights = np.negative(sin2, out=im)
+        sin2 *= np.exp(weights, out=weights)
+    return np.negative(sin2, out=sin2)
 
 
 def _steering(dists: np.ndarray, wavelength: float) -> np.ndarray:
@@ -275,51 +300,6 @@ def _steering(dists: np.ndarray, wavelength: float) -> np.ndarray:
     np.cos(neg_kd, out=steering.real)
     np.sin(neg_kd, out=steering.imag)
     return steering
-
-
-def _steering_pairs(
-    dists: np.ndarray, idx_a: np.ndarray, idx_b: np.ndarray, wavelength: float
-) -> np.ndarray:
-    """A_a * conj(A_b) per candidate row and pair, in place where it can."""
-    a = _steering(dists, wavelength)
-    pairs, conj_b = a[:, idx_a], a[:, idx_b]
-    del a
-    pairs *= np.conjugate(conj_b, out=conj_b)
-    return pairs
-
-
-def _pair_phasor_scores(
-    phases: np.ndarray, dists: np.ndarray, spec: MethodSpec, wavelength: float
-) -> np.ndarray:
-    """objective_batch's scores for S streams' (S, N) phases, from the
-    pair phasors u = (A_a * conj(A_b)) * exp(j*(phi_a - phi_b)) = exp(j*r)
-    with the steering phasors A built once for all streams.  u is an
-    (S, M, P) C-order block whose rows numpy sums pairwise, so a stream's
-    scores do not depend on which or how many streams share the call."""
-    phases = np.asarray(phases, dtype=float)
-    dists = np.atleast_2d(np.asarray(dists, dtype=float))
-    idx_a, idx_b = pair_indices(spec.scheme, phases.shape[1])
-    dphi_m = phases[:, idx_a] - phases[:, idx_b]
-    pairs = _steering_pairs(dists, idx_a, idx_b, wavelength)
-    u = np.multiply(pairs[None, :, :], np.exp(1j * dphi_m)[:, None, :], order="C")
-    del pairs
-    # In-place steps keep at most one real block beside u.
-    if spec.name == "tagoram":
-        terms = np.abs(np.arctan2(u.imag, u.real))
-        terms /= spec.tagoram_sigma * math.sqrt(2.0)
-        erfc(terms, out=terms)
-        terms *= u.real
-        return terms.sum(axis=2)
-    if spec.name in ("clf", "wclf"):
-        terms = u.real
-        if spec.name == "wclf":
-            terms = np.abs(terms) * terms
-        return terms.sum(axis=2)
-    sin2 = np.square(u.imag)
-    if spec.name == "wslf":
-        weights = np.negative(sin2, out=u.real)
-        sin2 *= np.exp(weights, out=weights)
-    return -sin2.sum(axis=2)
 
 
 def sarfid_batch(phases: np.ndarray, dists: np.ndarray, wavelength: float) -> np.ndarray:

@@ -144,23 +144,17 @@ def wrap_pm_pi(angle):
     return wrapped
 
 
-def predict_phase_unwrapped(
-    ant: Position3D, tag: Position3D, carrier: CarrierConfig, phi0: float = 0.0
-) -> float:
-    """Round-trip phase 4*pi*d/lambda + phi0, before wrapping."""
-    return 4.0 * math.pi * distance(ant, tag) / carrier.wavelength + phi0
-
-
 def predict_phase(
     ant: Position3D, tag: Position3D, carrier: CarrierConfig, phi0: float = 0.0
 ) -> float:
-    """Noise-free wrapped phase a reader at ``ant`` would report for ``tag``.
+    """Noise-free wrapped phase a reader at ``ant`` would report for ``tag``:
+    the round-trip phase 4*pi*d/lambda + phi0, wrapped into [0, 2*pi).
 
     Sign convention is +4*pi*d/lambda; readers that report the conjugate
     convention are handled by a sign-flip option at ingestion time, not
     here.
     """
-    return wrap_2pi(predict_phase_unwrapped(ant, tag, carrier, phi0))
+    return wrap_2pi(4.0 * math.pi * distance(ant, tag) / carrier.wavelength + phi0)
 
 
 def squared_norm_rows(delta: np.ndarray) -> np.ndarray:

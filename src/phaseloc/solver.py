@@ -173,7 +173,9 @@ class GridEvaluator:
 
     Stacked streams share each block's distances, so the more streams a
     pass holds the less the geometry costs per stream; MethodSpec also
-    builds the steering phasors once per block for all of them.  But
+    builds the steering phasors once per block for all of them and feeds
+    each method's per-pair term from them, where one stream's term is fed
+    by its residuals (see likelihood).  But
     each pass holds its (S, M) raw scores and S holograms, and nlf scores
     stacked streams one by one, which gets slow once a block holds only
     a few cells.  streams_per_pass balances these: on the stock

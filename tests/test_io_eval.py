@@ -707,6 +707,7 @@ class TestCli:
         ["locate", "--method", "clf", "--region", "x=0,y=a:b,z=0:0.1"],
         ["locate", "--method", "clf", "--region", "x=0,y=0:0.1,z=0:0.1",
          "--resolution", "1e-320"],
+        ["bench", "--method", "nlf,clf", "--scheme", "reference:999", "--trials", "2"],
     ])
     def test_bad_flags_are_usage_errors(self, config_path, tmp_path, capsys, argv):
         log = tmp_path / "log.csv"
@@ -719,6 +720,7 @@ class TestCli:
         }[argv[0]]
         assert cli([*argv, *needs]) == 1
         assert "usage error" in capsys.readouterr().err
+        assert not (tmp_path / "bench").exists()  # no report was written
 
     def test_resolution_flag_overrides_config_region(self, config_path, tmp_path):
         log = tmp_path / "log.csv"

@@ -507,26 +507,33 @@ class TestGridEvaluator:
         with pytest.raises(ValueError, match="no streams"):
             ev.holograms([], CLF)
 
-    def test_scoring_stays_in_block_budget(self):
+    @pytest.mark.parametrize("stacked", [False, True], ids=["one", "stacked"])
+    @pytest.mark.parametrize("name", METHOD_NAMES)
+    def test_scoring_stays_in_block_budget(self, name, stacked):
         # 27 x 27 x 27 = 19,683 cells x 101 poses: a cached distance matrix
         # alone would take 16 MB, and wslf's temporaries six times that
         region = SearchRegion(x=(0.0, 0.26), y=(-0.13, 0.13), z=(0.0, 0.26), resolution=0.01)
         streams = [noise_free_samples(phi0=0.7 * k, spacing=0.01, y_half=0.5) for k in range(8)]
-        m, n, s = region.cell_count, len(streams[0]), len(streams)
+        m, n = region.cell_count, len(streams[0])
         assert (m, n) == (19_683, 101)
         tables = 8 * n * sum(region.shape)
-        # one wslf stream, then 8 stacked wslf, tagoram and sarfid streams
-        for name, count in (("wslf", 1), ("wslf", s), ("tagoram", s), ("sarfid", s)):
-            tracemalloc.start()
-            try:
-                GridEvaluator(region, streams[0].poses).holograms(streams[:count], MethodSpec(name))
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            # GridEvaluator's stated budget: 4 MiB of block arrays while
-            # S*N <= 32,768, plus the tables, the (S, M) raw scores and,
-            # per hologram, its shifted and normalized scores
-            assert peak < 4 * 2**20 + tables + (2 * count + 1) * 8 * m, (name, count)
+        # hologram scores one stream's (N,) phases from its residuals,
+        # holograms 8 streams' stacked (8, N) phases from steering phasors
+        count = len(streams) if stacked else 1
+        tracemalloc.start()
+        try:
+            ev = GridEvaluator(region, streams[0].poses)
+            if stacked:
+                ev.holograms(streams, MethodSpec(name))
+            else:
+                ev.hologram(streams[0], MethodSpec(name))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # GridEvaluator's stated budget: 4 MiB of block arrays while
+        # S*N <= 32,768, plus the tables, the (S, M) raw scores and,
+        # per hologram, its shifted and normalized scores
+        assert peak < 4 * 2**20 + tables + (2 * count + 1) * 8 * m, peak
 
     @pytest.mark.parametrize("method", [CLF, MethodSpec("sarfid")])
     def test_truncated_stream_rejected(self, method):
