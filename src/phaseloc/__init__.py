@@ -34,9 +34,7 @@ from .phase_model import (
 from .solver import (
     GridEvaluator,
     Hologram,
-    RefineResult,
     SearchRegion,
-    TagEstimate,
     argmax_estimate,
     evaluate_hologram,
     find_peak_regions,

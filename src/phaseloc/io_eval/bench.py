@@ -174,7 +174,7 @@ def run_bench(
     base_seed = scenario.rng_seed if base_seed is None else int(base_seed)
 
     t0 = time.perf_counter()
-    evaluator = GridEvaluator(region, scenario.trajectory.as_array())
+    evaluator = GridEvaluator(region, scenario.trajectory.poses)
     truth = {tag.tag_id: tag.position for tag in scenario.tags}
     # Every (trial, tag) stream shares the trajectory and the carrier, so a
     # method scores them in passes of up to streams_per_pass streams.  Trials

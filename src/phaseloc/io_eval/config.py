@@ -36,10 +36,11 @@ Flat, commented key=value text with dotted sections, e.g.::
     tag.1.z = 0.24
     tag.1.phi0 = random
 
-``#`` starts a comment anywhere on a line.  ``tag.<k>.phi0`` accepts a
-number in radians or the word ``random``, which draws a per-tag offset in
-[0, 2*pi) from a stream derived from the seed, so a fixed (file, seed)
-pair always builds the identical scenario.
+``#`` starts a comment anywhere on a line.  A key outside this set is an
+error, so a misspelling cannot fall back to a default unnoticed.
+``tag.<k>.phi0`` accepts a number in radians or the word ``random``,
+which draws a per-tag offset in [0, 2*pi) from a stream derived from the
+seed, so a fixed (file, seed) pair always builds the identical scenario.
 """
 
 from __future__ import annotations
@@ -61,6 +62,15 @@ from ..synthesis import (
 )
 
 _PHI0_STREAM = 0x_70C4_0FF5  # keeps phi0 draws out of the synthesis streams
+_KEYS = frozenset({
+    "seed", "carrier.frequency_hz",
+    *(f"trajectory.{k}" for k in ("x", "z", "y_start", "y_stop", "spacing")),
+    *(f"noise.{k}" for k in ("sigma_slope", "sigma_intercept", "constant_sigma")),
+    "jump.probability", "jump.guard_band",
+    *(f"interference.{k}" for k in ("bias_rad", "period", "offset")),
+    *(f"region.{a}{end}" for a in "xyz" for end in ("", "_min", "_max")), "region.resolution",
+})
+_TAG_FIELDS = frozenset({"id", "x", "y", "z", "phi0"})
 
 
 class ConfigError(ValueError):
@@ -83,6 +93,16 @@ def parse_keyvalues(text: str, source: str = "<config>") -> dict[str, str]:
             raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
         out[key] = value
     return out
+
+
+def _check_keys(kv: dict[str, str], source: str) -> None:
+    """Reject a key outside the fixed set and tag.<k>.{id,x,y,z,phi0}, so a
+    misspelled key is an error rather than a silently applied default."""
+    for key in kv:
+        parts = key.split(".")
+        tag_key = len(parts) == 3 and parts[0] == "tag" and parts[2] in _TAG_FIELDS
+        if key not in _KEYS and not tag_key:
+            raise ConfigError(f"{source}: unknown key {key!r}")
 
 
 def _get_float(kv: dict[str, str], key: str, default: float | None = None) -> float | None:
@@ -163,6 +183,7 @@ def load_scenario(
     """
     path = Path(path)
     kv = parse_keyvalues(path.read_text(encoding="utf-8"), source=str(path))
+    _check_keys(kv, str(path))
 
     seed = seed_override
     if seed is None:

@@ -6,8 +6,9 @@ per-tag offset phi0 (transceiver circuits + tag reflection) that is
 constant along a trajectory but unknown in advance.  Readers report the
 phase modulo 2*pi, wrapped into [0, 2*pi).
 
-One tag's reads travel as a SampleStream: a pose column, a phase column
-and the one carrier they were taken on, checked once at construction.
+Poses travel as one read-only (N, 3) array that pose_array checks for
+Trajectory, SampleStream and GridEvaluator alike; one tag's reads travel
+as a SampleStream: poses, a phase column and the carrier they share.
 
 Everything in this module is pure and thread-safe; the domain types are
 immutable after construction.
@@ -80,12 +81,23 @@ def _read_only(values) -> np.ndarray:
     return arr
 
 
+def pose_array(poses, min_poses: int = 0) -> np.ndarray:
+    """Antenna poses as a read-only, finite (N, 3) float array with
+    N >= min_poses.  A writable input is copied, so later writes to it
+    change nothing; a read-only one (a trajectory's pose array) is kept."""
+    arr = _read_only(poses)
+    if arr.ndim != 2 or arr.shape[1] != 3 or arr.shape[0] < min_poses:
+        raise ValueError(f"poses must be an (N, 3) array, N >= {min_poses}; got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError("poses must be finite")
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class SampleStream:
     """One tag's reads on one carrier as read-only columns: antenna poses
-    (N, 3) in meters and wrapped phases (N,) in [0, 2*pi), in trajectory
-    order.  A writable input array is copied, a read-only one (a scenario's
-    shared pose array) is kept.  len(), integer indexing and iteration give
+    (N, 3) in meters (see pose_array) and wrapped phases (N,) in [0, 2*pi),
+    in trajectory order.  len(), integer indexing and iteration give
     PhaseSample views of single reads."""
 
     poses: np.ndarray
@@ -93,11 +105,9 @@ class SampleStream:
     carrier: CarrierConfig
 
     def __post_init__(self) -> None:
-        poses, phases = _read_only(self.poses), _read_only(self.phases)
-        if poses.ndim != 2 or poses.shape[1] != 3 or phases.shape != poses.shape[:1]:
+        poses, phases = pose_array(self.poses), _read_only(self.phases)
+        if phases.shape != poses.shape[:1]:
             raise ValueError(f"need (N, 3) poses, (N,) phases; got {poses.shape}, {phases.shape}")
-        if not np.isfinite(poses).all():
-            raise ValueError("poses must be finite")
         if not ((phases >= 0.0) & (phases < TWO_PI)).all():
             raise ValueError("phases must lie in [0, 2*pi)")
         object.__setattr__(self, "poses", poses)

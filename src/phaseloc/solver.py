@@ -25,12 +25,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .phase_model import Position3D, SampleStream
+from .phase_model import Position3D, SampleStream, pose_array
 
 DEFAULT_CELL_CAP = 10_000_000
 BLOCK = 65_536  # cell-pose entries scored at a time: 512 KiB of float64 distances
 PASS_CELLS = 32  # fewest cells per block in a pass of streams_per_pass streams
 PASS_SCORES = 1 << 20  # most raw scores a pass of streams_per_pass streams holds: 8 MiB
+PEAK_THRESHOLD = 0.999  # find_peak_regions' cut; rack-plane ridge saddles sit near 0.99
 
 _AXES = ("x", "y", "z")
 
@@ -142,7 +143,6 @@ class TagEstimate:
 
     tag_id: str
     position: Position3D
-    method: object | None = None
     peak_ratio: float = math.inf
     err_x: float | None = None
     err_y: float | None = None
@@ -194,9 +194,7 @@ class GridEvaluator:
 
     def __init__(self, region: SearchRegion, poses_xyz: np.ndarray):
         self.region = region
-        self.poses = np.asarray(poses_xyz, dtype=float)
-        if self.poses.ndim != 2 or self.poses.shape[1] != 3:
-            raise ValueError("poses must be an (N, 3) array")
+        self.poses = pose_array(poses_xyz, 2)  # copied if writable: the tables must not go stale
         self._sq = [(region.axis_cells(a)[:, None] - self.poses[None, :, a]) ** 2 for a in range(3)]
 
     @property
@@ -247,8 +245,6 @@ class GridEvaluator:
         return [self._normalized(row, method) for row in raw]
 
     def _check(self, stream: SampleStream) -> None:
-        if len(stream) < 2:
-            raise ValueError(f"need at least 2 samples, got {len(stream)}")
         if not np.array_equal(stream.poses, self.poses):
             raise ValueError("sample poses differ from the evaluator's trajectory")
 
@@ -314,7 +310,6 @@ def argmax_estimate(
     return TagEstimate(
         tag_id=tag_id,
         position=position,
-        method=holo.method,
         peak_ratio=ratio,
         err_x=err_x,
         err_y=err_y,
@@ -323,28 +318,30 @@ def argmax_estimate(
     )
 
 
-def find_peak_regions(holo: Hologram, threshold: float = 0.999) -> list[tuple[int, float]]:
-    """Connected components of cells scoring >= threshold.
+def find_peak_regions(holo: Hologram) -> list[tuple[int, float]]:
+    """Connected components of cells scoring >= PEAK_THRESHOLD.
 
     Returns one (flat index of the component's best cell, best score) per
-    component, strongest first.  A mirror ambiguity shows up as a second
-    component at score ~1.  Rack-plane holograms are flat along Z, with
-    ridge saddles near 0.99, so the default threshold is deliberately
-    tight; loosen it only for sharply peaked methods.
+    component, strongest first; ties go to the lowest flat index, both
+    within a component and between components.  A mirror ambiguity shows
+    up as a second component at score ~1.  Rack-plane holograms are flat
+    along Z, with ridge saddles near 0.99, so the threshold is
+    deliberately tight.
     """
-    above = holo.scores >= threshold
-    labels, n_components = ndimage.label(above, structure=np.ones((3, 3, 3), dtype=int))
-    peaks = []
-    for lab in range(1, n_components + 1):
-        flat_members = np.flatnonzero(labels.ravel() == lab)
-        best = flat_members[np.argmax(holo.scores.ravel()[flat_members])]
-        peaks.append((int(best), float(holo.scores.ravel()[best])))
-    peaks.sort(key=lambda p: (-p[1], p[0]))
-    return peaks
+    scores = holo.scores.ravel()
+    labels, _ = ndimage.label(holo.scores >= PEAK_THRESHOLD, structure=np.ones((3, 3, 3), dtype=int))
+    cells = np.flatnonzero(labels)
+    labs = labels.ravel()[cells]
+    # one sort ranks each component's cells best first; its first cell wins
+    order = np.lexsort((cells, -scores[cells], labs))
+    best = cells[order][np.diff(labs[order], prepend=0) != 0]
+    best = best[np.lexsort((best, -scores[best]))]
+    return [(int(c), float(scores[c])) for c in best]
 
 
-def refine_local(holo: Hologram, stream: SampleStream, method=None) -> RefineResult:
-    """One level of local refinement around the coarse peak.
+def refine_local(holo: Hologram, stream: SampleStream) -> RefineResult:
+    """One level of local refinement around the coarse peak, re-scored
+    with the hologram's own method.
 
     Re-scores a 3x3-cell neighborhood of the peak at a tenth of the
     coarse resolution and returns the fine argmax, which by construction
@@ -352,9 +349,8 @@ def refine_local(holo: Hologram, stream: SampleStream, method=None) -> RefineRes
     not unique (e.g. a flat hologram) the coarse center comes back
     flagged unrefined.
     """
-    method = holo.method if method is None else method
-    if method is None:
-        raise ValueError("hologram carries no method; pass one explicitly")
+    if holo.method is None:
+        raise ValueError("hologram carries no method to refine with")
     flat = int(np.argmax(holo.scores))
     coarse = holo.region.position_at(flat)
     if int((holo.scores >= 1.0 - 1e-12).sum()) != 1:
@@ -367,5 +363,5 @@ def refine_local(holo: Hologram, stream: SampleStream, method=None) -> RefineRes
         *((c - h, c + h) for c, h in zip(center, half)),
         resolution=tuple(r / 10.0 for r in res),
     )
-    fine_holo = evaluate_hologram(stream, fine, method)
+    fine_holo = evaluate_hologram(stream, fine, holo.method)
     return RefineResult(position=fine.position_at(int(np.argmax(fine_holo.scores))), refined=True)

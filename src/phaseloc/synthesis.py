@@ -9,11 +9,10 @@ on their own; an explicit jump injector exaggerates that pathology on
 demand, and a deterministic interference schedule can bias a subset of
 reads to mimic unmodeled contamination.
 
-Each tag's reads come out as one SampleStream (a phase column over the
-trajectory's shared, read-only pose array).  Generation is
-deterministic: each tag derives an independent substream from
-(rng_seed, tag_id), so per-tag output never depends on how many other
-tags the scenario holds.
+Each tag's reads come out as one SampleStream whose poses are the
+trajectory's own read-only array.  Generation is deterministic: each tag
+derives an independent substream from (rng_seed, tag_id), so per-tag
+output never depends on how many other tags the scenario holds.
 """
 
 from __future__ import annotations
@@ -29,6 +28,7 @@ from .phase_model import (
     CarrierConfig,
     Position3D,
     SampleStream,
+    pose_array,
     squared_norm_rows,
     wrap_2pi,
 )
@@ -39,25 +39,19 @@ DEFAULT_JUMP_GUARD_BAND = 0.1 * math.pi  # rad around the 0/2*pi boundary
 MAX_TRACK_POSES = 100_000  # a linear track's pose cap, checked before any pose is built
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Ordered antenna sampling positions; pose k produces read k of every
-    tag's stream.
+    """Ordered antenna sampling positions as one read-only (N, 3) array
+    in meters, N >= 2 (see pose_array); pose k produces read k of every
+    tag's stream, and every stream shares this array."""
 
-    spacing records the nominal distance between consecutive poses (pure
-    metadata; the poses themselves are authoritative).
-    """
-
-    poses: tuple[Position3D, ...]
-    spacing: float
+    poses: np.ndarray
 
     def __post_init__(self) -> None:
-        if len(self.poses) < 2:
-            raise ValueError(f"trajectory needs at least 2 poses, got {len(self.poses)}")
-        object.__setattr__(self, "poses", tuple(self.poses))
+        object.__setattr__(self, "poses", pose_array(self.poses, 2))
 
     def as_array(self) -> np.ndarray:
-        return np.array([[p.x, p.y, p.z] for p in self.poses], dtype=float)
+        return self.poses
 
 
 def linear_track(
@@ -77,10 +71,7 @@ def linear_track(
         raise ValueError(f"track would hold more than the cap of {MAX_TRACK_POSES} poses")
     n = int(math.floor(steps)) + 1
     ys = y_start + spacing * np.arange(n)
-    return Trajectory(
-        poses=tuple(Position3D(x, float(y), z) for y in ys),
-        spacing=spacing,
-    )
+    return Trajectory(np.column_stack((np.full(n, x), ys, np.full(n, z))))
 
 
 @dataclass(frozen=True)
@@ -213,13 +204,12 @@ def synthesize(scenario: Scenario) -> dict[str, SampleStream]:
     For tag t and pose n the emitted phase is
     wrap(4*pi*d[n]/lambda + phi0_t + bias[n] + eps[n]) with
     eps[n] ~ N(0, sigma(d[n])^2), then the jump injector runs over the
-    wrapped stream.  Every stream shares one read-only pose array.  Fixed
-    seed means byte-identical output.
+    wrapped stream.  Every stream's poses are the trajectory's own
+    read-only pose array.  Fixed seed means byte-identical output.
     """
     if not scenario.tags:
         raise ValueError("scenario has no tags")
-    poses_xyz = scenario.trajectory.as_array()
-    poses_xyz.setflags(write=False)
+    poses_xyz = scenario.trajectory.poses
     n = poses_xyz.shape[0]
     wavelength = scenario.carrier.wavelength
     bias = (

@@ -237,7 +237,7 @@ def test_criterion_7_sigma_model_validation():
     phi0 = 0.7
     scenario = Scenario(
         tags=(TagTruth("T1", Position3D(0.0, 0.0, 0.0), phi0=phi0),),
-        trajectory=Trajectory(poses=poses, spacing=d * TWO_PI / n),
+        trajectory=Trajectory(poses=[(p.x, p.y, p.z) for p in poses]),
         carrier=CARRIER,
         noise=NoiseModel(),
         rng_seed=7,

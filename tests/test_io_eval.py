@@ -181,6 +181,8 @@ class TestConfig:
         ({"interference.bias_rad": "0.5", "interference.period": "10",
           "interference.offset": "1.5"}, "offset"),
         ({"trajectory.spacing": "1e-8"}, "cap"),
+        ({"jump.probabilty": "0.9"}, "'jump.probabilty'"),
+        ({"tag.2.ph0": "1.0"}, "'tag.2.ph0'"),
     ])
     def test_bad_values_are_config_errors(self, tmp_path, overrides, match):
         with pytest.raises(ConfigError, match=match):
@@ -772,6 +774,13 @@ class TestCli:
         code = cli(["locate", "--input", str(bad), "--method", "clf",
                     "--region", "x=0,y=0:0.1,z=0:0.1"])
         assert code == 2
+
+    def test_misspelled_config_key_is_data_error(self, tmp_path, capsys):
+        path = config_with(tmp_path / "bad.cfg", {"jump.probabilty": "0.9"})
+        log = tmp_path / "log.csv"
+        assert cli(["simulate", "--config", str(path), "--out", str(log)]) == 2
+        assert "unknown key 'jump.probabilty'" in capsys.readouterr().err
+        assert not log.exists()
 
     def test_help_exits_zero(self, capsys):
         assert cli(["--help"]) == 0

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy import ndimage
 
 import phaseloc.solver as solver_mod
 from phaseloc import (
@@ -242,19 +243,54 @@ class TestArgmaxEstimate:
         assert est.err_x == 0.0
 
 
+def peaks_per_component(holo):
+    """find_peak_regions as one rescan of the labels per component: the
+    best cell of each, ties to the lowest flat index, strongest first."""
+    labels, n = ndimage.label(holo.scores >= solver_mod.PEAK_THRESHOLD,
+                              structure=np.ones((3, 3, 3), dtype=int))
+    flat = holo.scores.ravel()
+    peaks = []
+    for lab in range(1, n + 1):
+        members = np.flatnonzero(labels.ravel() == lab)
+        best = members[np.argmax(flat[members])]
+        peaks.append((int(best), float(flat[best])))
+    return sorted(peaks, key=lambda p: (-p[1], p[0]))
+
+
 class TestFindPeakRegions:
+    def test_tied_plateau_keeps_lowest_flat_index(self):
+        scores = np.zeros((9, 9))
+        scores[2, 2:7] = 0.9995
+        scores[2, 4] = scores[3, 5] = scores[2, 6] = 1.0  # a tie inside one component
+        scores[7, 1] = scores[7, 2] = 1.0  # a second component, tied with the first
+        scores[5, 8] = 0.9992
+        holo = manual_hologram(scores)
+        peaks = find_peak_regions(holo)
+        assert peaks == peaks_per_component(holo)
+        assert peaks == [(2 * 9 + 4, 1.0), (7 * 9 + 1, 1.0), (5 * 9 + 8, 0.9992)]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_many_components_match_per_component_scan(self, seed):
+        rng = np.random.default_rng(seed)
+        region = SearchRegion(x=(0.0, 0.05), y=(0.0, 0.19), z=(0.0, 0.19), resolution=0.01)
+        scores = rng.choice([0.0, 0.9992, 0.9995, 1.0], p=[0.94, 0.02, 0.02, 0.02], size=region.shape)
+        holo = Hologram(region=region, scores=scores, raw_min=0.0, raw_max=1.0)
+        peaks = find_peak_regions(holo)
+        assert len(peaks) > 20
+        assert peaks == peaks_per_component(holo)
+
     def test_two_separated_plateaus(self):
         scores = np.zeros((7, 7))
         scores[1, 1] = scores[1, 2] = 1.0
         scores[5, 5] = 0.9995
-        peaks = find_peak_regions(manual_hologram(scores), threshold=0.999)
+        peaks = find_peak_regions(manual_hologram(scores))
         assert len(peaks) == 2
         assert peaks[0][1] == 1.0
 
     def test_connected_ridge_is_one_region(self):
         scores = np.zeros((5, 5))
         scores[2, :] = 1.0
-        peaks = find_peak_regions(manual_hologram(scores), threshold=0.999)
+        peaks = find_peak_regions(manual_hologram(scores))
         assert len(peaks) == 1
 
     def test_mirror_ambiguity_and_half_space_restriction(self):
@@ -262,14 +298,14 @@ class TestFindPeakRegions:
         samples = noise_free_samples(truth, y_half=0.5)
         full = SearchRegion(x=(0.0, 0.0), y=(-0.5, 0.5), z=(-0.6, 0.6), resolution=0.01)
         holo = evaluate_hologram(samples, full, CLF)
-        peaks = find_peak_regions(holo, threshold=0.999)
+        peaks = find_peak_regions(holo)
         assert len(peaks) == 2
         zs = sorted(full.position_at(flat).z for flat, _ in peaks)
         assert zs[0] == pytest.approx(-0.4, abs=0.011)
         assert zs[1] == pytest.approx(+0.4, abs=0.011)
 
         half = SearchRegion(x=(0.0, 0.0), y=(-0.5, 0.5), z=(0.0, 0.6), resolution=0.01)
-        peaks = find_peak_regions(evaluate_hologram(samples, half, CLF), threshold=0.999)
+        peaks = find_peak_regions(evaluate_hologram(samples, half, CLF))
         assert len(peaks) == 1
         assert half.position_at(peaks[0][0]).z == pytest.approx(0.4, abs=0.011)
 
@@ -309,7 +345,7 @@ class TestRefineLocal:
             return np.zeros(dists.shape[0])
 
         holo = evaluate_hologram(samples, region, flat)
-        res = refine_local(holo, samples, method=flat)
+        res = refine_local(holo, samples)
         assert not res.refined
         assert res.position == region.position_at(0)
 
@@ -494,6 +530,30 @@ class TestGridEvaluator:
         assert GridEvaluator(fine, poses).streams_per_pass == solver_mod.PASS_SCORES // 130_761 == 8
         # a single stream per pass once one stream's poses fill a block
         assert GridEvaluator(plane, np.zeros((70_000, 3))).streams_per_pass == 1
+
+    @pytest.mark.parametrize("poses, match", [
+        ([[1.4, 0.0, 0.0]], "N >= 2"),
+        ([[1.4, 0.0, 0.0], [1.4, math.nan, 0.0]], "finite"),
+        ([[1.4, 0.0], [1.4, 0.1]], "N, 3"),
+    ], ids=["single", "nan", "n-by-2"])
+    def test_rejects_bad_poses(self, poses, match):
+        region = SearchRegion(x=(0.0, 0.0), y=(-0.1, 0.1), z=(0.0, 0.2), resolution=0.05)
+        with pytest.raises(ValueError, match=match):
+            GridEvaluator(region, np.array(poses))
+
+    def test_caller_pose_writes_do_not_reach_evaluator(self):
+        # the tables are built at construction, so the evaluator must not
+        # share a writable array the caller can still move
+        stream = noise_free_samples()
+        region = SearchRegion(x=(0.0, 0.0), y=(-0.3, 0.3), z=(0.0, 0.5), resolution=0.02)
+        poses = stream.poses.copy()
+        ev = GridEvaluator(region, poses)
+        before = ev.hologram(stream, CLF).scores
+        poses[:, 0] = 0.7  # the caller moves its track afterwards
+        moved = SampleStream(poses, stream.phases, stream.carrier)
+        with pytest.raises(ValueError, match="poses"):
+            ev.hologram(moved, CLF)
+        assert np.array_equal(ev.hologram(stream, CLF).scores, before)
 
     def test_holograms_reject_unusable_streams(self):
         region = SearchRegion(x=(0.0, 0.0), y=(-0.1, 0.1), z=(0.0, 0.2), resolution=0.05)

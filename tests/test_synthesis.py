@@ -43,12 +43,36 @@ class TestTrajectory:
     def test_linear_track_poses(self):
         traj = linear_track(x=1.4, z=0.1, y_start=-0.2, y_stop=0.2, spacing=0.1)
         assert len(traj.poses) == 5
-        assert traj.poses[0] == Position3D(1.4, -0.2, 0.1)
-        assert traj.poses[-1].y == pytest.approx(0.2)
+        assert Position3D(*traj.poses[0]) == Position3D(1.4, -0.2, 0.1)
+        assert traj.poses[-1, 1] == pytest.approx(0.2)
+        # bitwise [x, y_start + spacing*k, z], the grid the poses always had
+        want = np.array([[1.4, -0.2 + 0.1 * k, 0.1] for k in range(5)])
+        assert traj.poses.tobytes() == want.tobytes()
+        assert traj.as_array() is traj.poses
+
+    @pytest.mark.parametrize("poses, match", [  # a single pose: test_needs_two_poses
+        ([[1.4, 0.0, 0.0], [1.4, math.nan, 0.0]], "finite"),
+        ([[1.4, 0.0], [1.4, 0.1]], "N, 3"),
+    ], ids=["nan", "n-by-2"])
+    def test_rejects_bad_poses(self, poses, match):
+        with pytest.raises(ValueError, match=match):
+            Trajectory(np.array(poses))
+
+    def test_poses_are_read_only_and_shared(self):
+        poses = np.array([[1.4, 0.0, 0.0], [1.4, 0.1, 0.0]])
+        traj = Trajectory(poses)
+        poses[0, 0] = 9.0  # a writable input is copied
+        assert traj.poses[0, 0] == 1.4
+        with pytest.raises(ValueError):
+            traj.poses[0, 0] = 0.0
+        sc = basic_scenario(tags=(TagTruth("A", Position3D(0, 0, 0.1)),
+                                  TagTruth("B", Position3D(0, 0.1, 0.2))))
+        streams = synthesize(sc)
+        assert all(s.poses is sc.trajectory.poses for s in streams.values())
 
     def test_needs_two_poses(self):
-        with pytest.raises(ValueError):
-            Trajectory(poses=(Position3D(0, 0, 0),), spacing=0.01)
+        with pytest.raises(ValueError, match="N >= 2"):
+            Trajectory(poses=np.zeros((1, 3)))
         with pytest.raises(ValueError):
             linear_track(x=0, z=0, y_start=0.0, y_stop=0.005, spacing=0.01)
 
@@ -99,7 +123,7 @@ class TestSynthesize:
             want = predict_phase(s.antenna_pose, sc.tags[0].position, CARRIER, sc.tags[0].phi0)
             assert abs(s.phase_wrapped - want) < 5e-16  # within an ulp of the wrap
         # read n sits at trajectory pose n
-        assert [s.antenna_pose for s in samples] == list(sc.trajectory.poses)
+        assert [s.antenna_pose for s in samples] == [Position3D(*p) for p in sc.trajectory.poses]
 
     def test_same_seed_identical_streams(self):
         sc = basic_scenario(noise=NoiseModel(), rng_seed=99)
@@ -111,14 +135,14 @@ class TestSynthesize:
     def test_sigma_hint_uses_distance_model(self):
         # first pose is exactly 1.0 m from the tag, so its noise is
         # sigma(1.0) = 0.0144 times the tag stream's first normal draw
-        traj = Trajectory(poses=(Position3D(1.4, 0, 0), Position3D(1.4, 0.1, 0)), spacing=0.1)
+        traj = Trajectory(poses=np.array([[1.4, 0, 0], [1.4, 0.1, 0]]))
         sc = basic_scenario(
             tags=(TagTruth("T1", Position3D(0.4, 0.0, 0.0)),),
             trajectory=traj,
             noise=NoiseModel(),
         )
         samples = synthesize(sc)["T1"]
-        noise_free = predict_phase(traj.poses[0], sc.tags[0].position, CARRIER)
+        noise_free = predict_phase(Position3D(1.4, 0, 0), sc.tags[0].position, CARRIER)
         eps = wrap_pm_pi(samples[0].phase_wrapped - noise_free)
         draw = _tag_rng(sc.rng_seed, "T1").standard_normal(2)[0]
         assert eps == pytest.approx(0.0144 * draw, rel=1e-9)
@@ -162,7 +186,7 @@ class TestSynthesize:
         poses = tuple(Position3D(d * math.cos(a), d * math.sin(a), 0.0) for a in angles)
         sc = basic_scenario(
             tags=(TagTruth("T1", Position3D(0, 0, 0), phi0=0.7),),
-            trajectory=Trajectory(poses=poses, spacing=d * TWO_PI / len(poses)),
+            trajectory=Trajectory(poses=[(p.x, p.y, p.z) for p in poses]),
             noise=NoiseModel(),
             rng_seed=5,
         )
