@@ -74,8 +74,14 @@ class PhaseSample:
 
 
 def _read_only(values) -> np.ndarray:
+    """values as a read-only float array nothing can write to: kept when
+    it and every array it views are read-only, copied otherwise (a
+    read-only view of a writable array still moves with its base)."""
     arr = np.asarray(values, dtype=float)
-    if arr.flags.writeable:
+    view = arr
+    while isinstance(view, np.ndarray) and not view.flags.writeable:
+        view = view.base
+    if view is not None:
         arr = arr.copy()
         arr.setflags(write=False)
     return arr
@@ -83,8 +89,9 @@ def _read_only(values) -> np.ndarray:
 
 def pose_array(poses, min_poses: int = 0) -> np.ndarray:
     """Antenna poses as a read-only, finite (N, 3) float array with
-    N >= min_poses.  A writable input is copied, so later writes to it
-    change nothing; a read-only one (a trajectory's pose array) is kept."""
+    N >= min_poses.  An input that can still be written, itself or
+    through an array it views, is copied, so later writes to it change
+    nothing; a read-only one (a trajectory's pose array) is kept."""
     arr = _read_only(poses)
     if arr.ndim != 2 or arr.shape[1] != 3 or arr.shape[0] < min_poses:
         raise ValueError(f"poses must be an (N, 3) array, N >= {min_poses}; got {arr.shape}")

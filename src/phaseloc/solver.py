@@ -14,12 +14,20 @@ one pass, sharing each distance block; a stream's scores there do not
 depend on which or how many streams share the pass.  Cells are scored
 independently, in fixed-size blocks of cells that bound memory, with
 per-cell sums taken in a fixed order, so results do not depend on the
-block size and are reproducible bit-for-bit.
+block size and are reproducible bit-for-bit.  The blocks are dealt
+round-robin to WORKERS shares, one per CPU this process may run on: the
+calling thread scores the first, a shared thread pool the rest (numpy
+releases the GIL), and each block is 1/WORKERS of the single-worker
+size, so all workers together keep to one 4 MiB block budget.  With one
+CPU no thread is started; scores are the same bit for bit at any
+worker count.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +42,40 @@ PASS_SCORES = 1 << 20  # most raw scores a pass of streams_per_pass streams hold
 PEAK_THRESHOLD = 0.999  # find_peak_regions' cut; rack-plane ridge saddles sit near 0.99
 
 _AXES = ("x", "y", "z")
+
+try:
+    WORKERS = len(os.sched_getaffinity(0))  # CPUs this process may run on
+except AttributeError:  # no affinity call on this platform
+    WORKERS = os.cpu_count() or 1
+
+
+def _new_pool() -> None:
+    # a forked child inherits the pool but not its threads, so work queued
+    # there would never run: the child gets a pool of its own
+    global _pool
+    _pool = ThreadPoolExecutor(max(1, WORKERS - 1), thread_name_prefix="phaseloc-score")
+
+
+_new_pool()  # its threads start on the first submit, never with one CPU
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_new_pool)
+
+
+def _score_shares(score, blocks: list) -> None:
+    """Run score(blocks[k::shares]) for each of up to WORKERS shares:
+    share 0 on the calling thread, the rest on the pool.  Waits for every
+    share, then re-raises the first error in share order."""
+    shares = min(WORKERS, len(blocks))
+    if shares < 2:
+        score(blocks)
+        return
+    futures = [_pool.submit(score, blocks[k::shares]) for k in range(1, shares)]
+    try:
+        score(blocks[::shares])
+    finally:
+        wait(futures)
+    for future in futures:
+        future.result()
 
 
 def _axis_count(lo: float, hi: float, res: float) -> int:
@@ -165,11 +207,14 @@ class GridEvaluator:
     A cell's squared distance to a pose is a sum of three per-axis terms,
     so the evaluator keeps one (cells on the axis x N) table per axis.
     raw_scores sums them in x, y, z order like squared_norm_rows and
-    scores the cells in C order, BLOCK // (S*N) cells at a time for S
-    stacked streams but never fewer than two cells (numpy sums a lone row
-    pairwise, a taller block's rows term by term).  Memory budget beyond
-    the tables and the (S, M) outputs: 8 float64 arrays of
-    max(BLOCK, 2*S*N) entries, 4 MiB while S*N <= 32,768.
+    scores the cells in C-order blocks of BLOCK // WORKERS // (S*N) cells
+    for S stacked streams but never fewer than two cells (numpy sums a
+    lone row pairwise, a taller block's rows term by term; a lone last
+    cell joins the previous block).  The blocks are dealt round-robin to
+    WORKERS shares scored at once, the first on the calling thread.
+    Memory budget beyond the tables and the (S, M) outputs, for all
+    workers together: 8 float64 arrays of max(BLOCK, 2*WORKERS*S*N)
+    entries, 4 MiB while WORKERS*S*N <= 32,768.
 
     Stacked streams share each block's distances, so the more streams a
     pass holds the less the geometry costs per stream; MethodSpec also
@@ -200,24 +245,29 @@ class GridEvaluator:
     @property
     def streams_per_pass(self) -> int:
         """The most streams one holograms pass should stack: blocks of at
-        least PASS_CELLS cells, at most PASS_SCORES raw scores."""
+        least PASS_CELLS cells (per worker), at most PASS_SCORES raw scores."""
         n, m = self.poses.shape[0], self.region.cell_count
-        return max(1, min(BLOCK // (PASS_CELLS * n), PASS_SCORES // m))
+        return max(1, min(BLOCK // WORKERS // (PASS_CELLS * n), PASS_SCORES // m))
 
     def raw_scores(self, phases: np.ndarray, method, wavelength: float) -> np.ndarray:
         """Raw scores of every cell: (M,) for (N,) phases, (S, M) for
         S streams' stacked (S, N) phases."""
         phases = np.asarray(phases, dtype=float)
         m = self.region.cell_count
-        rows = max(2, BLOCK // max(1, phases.size))
+        rows = max(2, BLOCK // WORKERS // max(1, phases.size))
+        edges = [*range(0, m, rows), m]
+        if len(edges) > 2 and edges[-1] - edges[-2] == 1:
+            del edges[-2]  # a lone last cell joins the previous block
         sq_x, sq_y, sq_z = self._sq
         out = np.empty(phases.shape[:-1] + (m,))
-        for lo in range(0, m, rows):
-            hi = min(lo + rows, m)
-            lo = min(lo, max(0, hi - 2))  # a lone last cell joins its neighbour
-            ix, iy, iz = np.unravel_index(np.arange(lo, hi), self.region.shape)
-            dists = np.sqrt(sq_x[ix] + sq_y[iy] + sq_z[iz])
-            out[..., lo:hi] = method(phases, dists, wavelength)
+
+        def score(blocks):
+            for lo, hi in blocks:
+                ix, iy, iz = np.unravel_index(np.arange(lo, hi), self.region.shape)
+                dists = np.sqrt(sq_x[ix] + sq_y[iy] + sq_z[iz])
+                out[..., lo:hi] = method(phases, dists, wavelength)
+
+        _score_shares(score, list(zip(edges[:-1], edges[1:])))
         return out
 
     def hologram(self, stream: SampleStream, method) -> Hologram:

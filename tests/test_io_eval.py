@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import phaseloc.solver as solver_mod
 from phaseloc import (
     METHOD_NAMES,
     CarrierConfig,
@@ -759,6 +760,20 @@ class TestCli:
                     "--config", str(config_path), *extra, *out])
         assert code == 2
         assert where in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_unscorable_tag_is_data_error_on_every_worker_count(
+        self, config_path, tmp_path, capsys, workers
+    ):
+        # reference:500 fails in every block of 4 cells, whichever share scores it
+        log = tmp_path / "log.csv"
+        cli(["simulate", "--config", str(config_path), "--seed", "7", "--out", str(log)])
+        capsys.readouterr()
+        with mock.patch.multiple(solver_mod, BLOCK=workers * 4 * 31, WORKERS=workers):
+            code = cli(["locate", "--input", str(log), "--method", "clf",
+                        "--config", str(config_path), "--scheme", "reference:500"])
+        assert code == 2
+        assert "tag T01: reference index 500" in capsys.readouterr().err
 
     def test_unknown_subcommand_usage_error(self, capsys):
         assert cli(["transmogrify"]) == 1

@@ -1,7 +1,14 @@
 """Grid regions, holograms, argmax estimates and refinement."""
 
 import math
+import os
+import select
+import signal
+import sys
+import threading
+import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -441,10 +448,12 @@ class TestGridEvaluator:
         cells = region.candidates()
         dists = np.sqrt(squared_norm_rows(cells[:, None, :] - poses[None, :, :]))
         lam = CARRIER.wavelength
-        with mock.patch.object(solver_mod, "BLOCK", block):
-            ev = GridEvaluator(region, poses)
-            for spec in BLOCK_SPECS:
-                assert np.array_equal(ev.raw_scores(phases, spec, lam), spec(phases, dists, lam)), spec
+        ev = GridEvaluator(region, poses)
+        for spec in BLOCK_SPECS:
+            whole = spec(phases, dists, lam)
+            for workers in (1, 2, 3):
+                with mock.patch.multiple(solver_mod, BLOCK=block, WORKERS=workers):
+                    assert np.array_equal(ev.raw_scores(phases, spec, lam), whole), (spec, workers)
 
     @settings(max_examples=100, deadline=None)
     @given(scene=block_scenes(streams=st.integers(2, 4)))
@@ -459,10 +468,12 @@ class TestGridEvaluator:
         cells = region.candidates()
         dists = np.sqrt(squared_norm_rows(cells[:, None, :] - poses[None, :, :]))
         lam = CARRIER.wavelength
-        with mock.patch.object(solver_mod, "BLOCK", block):
-            ev = GridEvaluator(region, poses)
-            for spec in BLOCK_SPECS:
-                assert np.array_equal(ev.raw_scores(phases, spec, lam), spec(phases, dists, lam)), spec
+        ev = GridEvaluator(region, poses)
+        for spec in BLOCK_SPECS:
+            whole = spec(phases, dists, lam)
+            for workers in (1, 2, 3):
+                with mock.patch.multiple(solver_mod, BLOCK=block, WORKERS=workers):
+                    assert np.array_equal(ev.raw_scores(phases, spec, lam), whole), (spec, workers)
 
     @settings(max_examples=150, deadline=None)
     @given(scene=stacked_scenes())
@@ -522,14 +533,19 @@ class TestGridEvaluator:
         poses = noise_free_samples().poses  # 31 poses
         plane = SearchRegion(x=(0.0, 0.0), y=(-0.3, 0.3), z=(0.0, 0.5), resolution=0.02)
         # 806 cells: blocks of PASS_CELLS cells bound the pass
-        s = GridEvaluator(plane, poses).streams_per_pass
-        assert s == solver_mod.BLOCK // (solver_mod.PASS_CELLS * 31) == 66
-        assert solver_mod.BLOCK // (s * 31) >= solver_mod.PASS_CELLS
-        # 501 x 261 = 130,761 cells: the pass's raw scores bound it
-        fine = SearchRegion(x=(0.0, 0.0), y=(-0.5, 0.5), z=(0.0, 0.52), resolution=0.002)
-        assert GridEvaluator(fine, poses).streams_per_pass == solver_mod.PASS_SCORES // 130_761 == 8
-        # a single stream per pass once one stream's poses fill a block
-        assert GridEvaluator(plane, np.zeros((70_000, 3))).streams_per_pass == 1
+        with mock.patch.object(solver_mod, "WORKERS", 1):
+            s = GridEvaluator(plane, poses).streams_per_pass
+            assert s == solver_mod.BLOCK // (solver_mod.PASS_CELLS * 31) == 66
+            assert solver_mod.BLOCK // (s * 31) >= solver_mod.PASS_CELLS
+            # 501 x 261 = 130,761 cells: the pass's raw scores bound it
+            fine = SearchRegion(x=(0.0, 0.0), y=(-0.5, 0.5), z=(0.0, 0.52), resolution=0.002)
+            assert GridEvaluator(fine, poses).streams_per_pass == solver_mod.PASS_SCORES // 130_761 == 8
+            # a single stream per pass once one stream's poses fill a block
+            assert GridEvaluator(plane, np.zeros((70_000, 3))).streams_per_pass == 1
+        # each worker's block still holds PASS_CELLS cells
+        with mock.patch.object(solver_mod, "WORKERS", 2):
+            s = GridEvaluator(plane, poses).streams_per_pass
+            assert s == 33 and solver_mod.BLOCK // 2 // (s * 31) >= solver_mod.PASS_CELLS
 
     @pytest.mark.parametrize("poses, match", [
         ([[1.4, 0.0, 0.0]], "N >= 2"),
@@ -554,6 +570,112 @@ class TestGridEvaluator:
         with pytest.raises(ValueError, match="poses"):
             ev.hologram(moved, CLF)
         assert np.array_equal(ev.hologram(stream, CLF).scores, before)
+
+    def test_read_only_view_of_writable_poses_is_copied(self):
+        # a read-only view still moves with its writable base
+        region = SearchRegion(x=(0.0, 0.0), y=(-0.3, 0.3), z=(0.0, 0.5), resolution=0.02)
+        base = linear_track(x=1.4, z=0.0, y_start=-0.3, y_stop=0.3, spacing=0.02).poses.copy()
+        view = base[:]
+        view.setflags(write=False)
+        ev = GridEvaluator(region, view)
+        base[:, 0] = 0.7
+        assert np.all(ev.poses[:, 0] == 1.4)
+        assert ev._sq[0][0, 0] == (0.0 - 1.4) ** 2
+        # a trajectory's own array, and read-only views of it, stay shared
+        track = linear_track(x=1.4, z=0.0, y_start=-0.3, y_stop=0.3, spacing=0.02)
+        assert GridEvaluator(region, track.poses).poses is track.poses
+        part = track.poses[::2]
+        assert GridEvaluator(region, part).poses is part
+
+    @pytest.mark.parametrize("raising_share", [0, 1])
+    def test_share_error_raised_after_every_share_finished(self, raising_share):
+        # 7 blocks of 2 cells dealt to 2 shares: share 0 scores on the
+        # calling thread, share 1 on the pool
+        stream = noise_free_samples()
+        region = SearchRegion(x=(0.0, 0.0), y=(0.0, 0.0), z=(0.0, 0.26), resolution=0.02)
+        finished = []
+
+        def method(phases, dists, wavelength):
+            share = 0 if threading.current_thread() is threading.main_thread() else 1
+            if share != raising_share:
+                time.sleep(0.05)  # the other share is still scoring when the error comes
+            finished.append(share)
+            if share == raising_share:
+                raise ValueError(f"share {share} cannot score")
+            return np.zeros(dists.shape[0])
+
+        with mock.patch.multiple(solver_mod, BLOCK=2 * 2 * 31, WORKERS=2):
+            ev = GridEvaluator(region, stream.poses)
+            with pytest.raises(ValueError, match=f"share {raising_share}"):
+                ev.hologram(stream, method)
+        # the share without an error scored all its blocks before the call returned
+        assert finished.count(1 - raising_share) == (4 if raising_share else 3)
+
+    def test_more_workers_than_cpus_score_the_same(self):
+        # 5 shares on 4 pool threads and the caller, switching threads often
+        region = SearchRegion(x=(0.0, 0.04), y=(-0.3, 0.3), z=(0.0, 0.5), resolution=0.02)
+        phases = np.stack([noise_free_samples(phi0=phi0).phases for phi0 in (0.3, 1.9, 4.0)])
+        ev = GridEvaluator(region, noise_free_samples().poses)
+        lam = CARRIER.wavelength
+        with mock.patch.multiple(solver_mod, BLOCK=4096, WORKERS=1):
+            want = [(ev.raw_scores(phases[0], spec, lam), ev.raw_scores(phases, spec, lam))
+                    for spec in BLOCK_SPECS]
+        interval = sys.getswitchinterval()
+        with ThreadPoolExecutor(4) as pool, \
+                mock.patch.multiple(solver_mod, BLOCK=4096, WORKERS=5, _pool=pool):
+            sys.setswitchinterval(1e-6)
+            try:
+                for spec, (one, stacked) in zip(BLOCK_SPECS, want):
+                    assert np.array_equal(ev.raw_scores(phases[0], spec, lam), one), spec
+                    assert np.array_equal(ev.raw_scores(phases, spec, lam), stacked), spec
+            finally:
+                sys.setswitchinterval(interval)
+
+    def test_one_cpu_starts_no_thread(self):
+        stream = noise_free_samples()
+        region = SearchRegion(x=(0.0, 0.0), y=(-0.3, 0.3), z=(0.0, 0.5), resolution=0.02)
+        pool = mock.Mock(spec=solver_mod._pool)
+        pool.submit.side_effect = AssertionError("a pool thread was asked to score")
+        with mock.patch.multiple(solver_mod, BLOCK=64, WORKERS=1, _pool=pool):
+            threads = threading.active_count()
+            ev = GridEvaluator(region, stream.poses)
+            for spec in (CLF, MethodSpec("sarfid")):
+                ev.hologram(stream, spec)
+                ev.holograms([stream, stream], spec)
+        assert threading.active_count() == threads
+
+    # Python 3.12+ warns at any fork of a multi-threaded process, which is
+    # the situation this test sets up on purpose
+    @pytest.mark.filterwarnings("ignore:This process .*is multi-threaded:DeprecationWarning")
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_scores_without_hanging(self):
+        stream = noise_free_samples()
+        region = SearchRegion(x=(0.0, 0.0), y=(-0.3, 0.3), z=(0.0, 0.5), resolution=0.02)
+        with mock.patch.multiple(solver_mod, BLOCK=2048, WORKERS=2):
+            ev = GridEvaluator(region, stream.poses)
+            parent = ev.raw_scores(stream.phases, CLF, CARRIER.wavelength)  # starts a pool thread
+            read_end, write_end = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the child: score again, send the scores, never return
+                code = 1
+                try:
+                    os.close(read_end)
+                    child = ev.raw_scores(stream.phases, CLF, CARRIER.wavelength)
+                    with os.fdopen(write_end, "wb") as out:
+                        out.write(child.tobytes())
+                    code = 0
+                finally:
+                    os._exit(code)
+        os.close(write_end)
+        with os.fdopen(read_end, "rb") as pipe:
+            ready, _, _ = select.select([pipe], [], [], 30.0)
+            data = pipe.read() if ready else None
+        if data is None:
+            os.kill(pid, signal.SIGKILL)
+        _, status = os.waitpid(pid, 0)
+        assert data is not None, "the forked child hung scoring"
+        assert os.waitstatus_to_exitcode(status) == 0
+        assert data == parent.tobytes()
 
     def test_holograms_reject_unusable_streams(self):
         region = SearchRegion(x=(0.0, 0.0), y=(-0.1, 0.1), z=(0.0, 0.2), resolution=0.05)
