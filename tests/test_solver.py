@@ -731,6 +731,146 @@ class TestGridEvaluator:
             refine_local(holo, noise_free_samples())
 
 
+def track_specs(ref):
+    """The methods the track path scores: clf and slf under misaligned and
+    reference:ref, and sarfid."""
+    schemes = (DifferentialScheme.misaligned(), DifferentialScheme.reference(ref))
+    return [MethodSpec(name, scheme) for name in ("clf", "slf") for scheme in schemes] + [
+        MethodSpec("sarfid")
+    ]
+
+
+@st.composite
+def track_scenes(draw):
+    """N in 8-40 poses stepped evenly along x, y or z, ascending or
+    descending; a region of 8-14 cells on that axis, stepping q pose steps
+    or 1/q of one (q in 1-3), and 1-3 cells on each other axis; phases of
+    shape (N,) or (S, N) for S in 1-4; and a reference index."""
+    axis, n, q = draw(st.integers(0, 2)), draw(st.integers(8, 40)), draw(st.integers(1, 3))
+    step = draw(st.floats(0.005, 0.05))
+    along = q * step if draw(st.booleans()) else step / q
+    poses = np.array([[draw(st.floats(-2.0, 2.0)) for _ in range(3)]] * n)
+    poses[:, axis] = draw(st.floats(-1.0, 1.0)) + step * np.arange(n)
+    if draw(st.booleans()):
+        poses = poses[::-1].copy()
+    bounds, res = [], []
+    for ax in range(3):
+        lo = draw(st.floats(-1.0, 1.0))
+        if ax == axis:
+            count, r = draw(st.integers(8, 14)), along
+        else:
+            count, r = draw(st.integers(1, 3)), draw(st.floats(0.005, 0.2))
+        bounds.append((lo, lo + (count - 1) * r))
+        res.append(r)
+    s = draw(st.integers(0, 4))
+    phases = draw(arrays(float, (s, n) if s else n, elements=PHASES))
+    return SearchRegion(*bounds, resolution=tuple(res)), poses, phases, draw(st.integers(0, n - 1))
+
+
+def whole_matrix(region, poses):
+    cells = region.candidates()
+    return np.sqrt(squared_norm_rows(cells[:, None, :] - poses[None, :, :]))
+
+
+# 51 poses 4 mm apart under 2 cm cells, as rack-log's scene: r = 5*s
+RACK_TRACK = linear_track(x=1.4, z=0.0, y_start=-0.1, y_stop=0.1, spacing=0.004).as_array()
+RACK_PLANE = SearchRegion(x=(0.0, 0.0), y=(-0.1, 0.1), z=(0.0, 0.1), resolution=0.02)
+# 41 poses 1 cm apart under a refine_local grid of 1 mm cells: s = 10*r
+REFINE_TRACK = linear_track(x=1.4, z=0.0, y_start=-0.2, y_stop=0.2, spacing=0.01).as_array()
+REFINE_GRID = SearchRegion(x=(0.0, 0.0), y=(0.105, 0.135), z=(0.225, 0.255), resolution=0.001)
+UNEVEN_TRACK = REFINE_TRACK.copy()
+UNEVEN_TRACK[12, 1] += 1e-11  # 4e-10 rad of one pose's phase: past the 1e-12 gate
+
+
+class TestTrackPath:
+    @settings(max_examples=150, deadline=None)
+    @given(scene=track_scenes())
+    @example(scene=(RACK_PLANE, RACK_TRACK, np.linspace(0.0, 6.0, 51) % (2 * math.pi), 7))
+    @example(scene=(REFINE_GRID, REFINE_TRACK, np.tile(np.linspace(0.0, 6.2, 41), (3, 1)), 40))
+    def test_track_path_matches_block_path(self, scene):
+        region, poses, phases, ref = scene
+        lam = CARRIER.wavelength
+        ev = GridEvaluator(region, poses)
+        assert ev._track is not None
+        dists = whole_matrix(region, poses)
+        for spec in track_specs(ref):
+            want = spec(phases, dists, lam)
+            got = ev.raw_scores(phases, spec, lam)
+            tol = 1e-12 * score_scale(spec, len(poses))
+            assert got.shape == want.shape and np.max(np.abs(got - want)) <= tol, spec
+
+    @pytest.mark.parametrize("poses, region", [
+        (UNEVEN_TRACK, RACK_PLANE),
+        (REFINE_TRACK + np.arange(41)[:, None] * [1e-3, 0.0, 0.0], RACK_PLANE),
+        (REFINE_TRACK, SearchRegion(x=(0.0, 0.0), y=(-0.1, 0.1), z=(0.0, 0.1), resolution=0.025)),
+        (np.repeat(REFINE_TRACK[:1], 9, axis=0), RACK_PLANE),
+        (REFINE_TRACK, SearchRegion(x=(0.0, 0.1), y=(0.05, 0.05), z=(0.0, 0.1), resolution=0.02)),
+        (REFINE_TRACK[:2], RACK_PLANE),
+    ], ids=["uneven", "tilted", "non-integer-ratio", "coincident", "one-cell-lines", "two-poses"])
+    def test_off_track_geometry_keeps_block_path(self, poses, region):
+        lam = CARRIER.wavelength
+        ev = GridEvaluator(region, poses)
+        assert ev._track is None
+        phases = np.random.default_rng(5).uniform(0.0, 2.0 * math.pi, (2, len(poses)))
+        dists = whole_matrix(region, poses)
+        for spec in track_specs(1):
+            assert np.array_equal(ev.raw_scores(phases, spec, lam), spec(phases, dists, lam)), spec
+
+    def test_plain_callable_keeps_block_path(self):
+        ev = GridEvaluator(RACK_PLANE, RACK_TRACK)
+        assert ev._track is not None
+        phases = np.random.default_rng(6).uniform(0.0, 2.0 * math.pi, (2, len(RACK_TRACK)))
+        lam = CARRIER.wavelength
+        for spec in track_specs(0):
+            def plain(phases, dists, wavelength, spec=spec):
+                return spec(phases, dists, wavelength)
+
+            want = spec(phases, whole_matrix(RACK_PLANE, RACK_TRACK), lam)
+            assert np.array_equal(ev.raw_scores(phases, plain, lam), want), spec
+
+    def test_stream_scores_do_not_depend_on_the_pass(self):
+        # a stream's row, alone and inside stacks of 2 and 10, bit for bit
+        ev = GridEvaluator(RACK_PLANE, RACK_TRACK)
+        assert ev._track is not None
+        phases = np.random.default_rng(7).uniform(0.0, 2.0 * math.pi, (10, len(RACK_TRACK)))
+        lam = CARRIER.wavelength
+        for spec in track_specs(20):
+            alone = ev.raw_scores(phases[1], spec, lam)
+            for size in (2, 10):
+                assert np.array_equal(ev.raw_scores(phases[:size], spec, lam)[1], alone), (spec, size)
+            last = ev.raw_scores(phases, spec, lam)[9]
+            assert np.array_equal(ev.raw_scores(phases[9:], spec, lam)[0], last), spec
+
+    @pytest.mark.parametrize("spec", track_specs(5), ids=str)
+    def test_track_path_stays_in_block_budget(self, spec):
+        # 61 x 27 x 61 cells: 3721 lines of 27 cells under 101 poses, each
+        # convolved at 128 entries; unchunked, the lines' kernel spectra
+        # alone would take 7.3 MiB
+        region = SearchRegion(x=(0.0, 0.6), y=(-0.13, 0.13), z=(0.0, 0.6), resolution=0.01)
+        poses = linear_track(x=1.4, z=0.0, y_start=-0.5, y_stop=0.5, spacing=0.01).as_array()
+        ev = GridEvaluator(region, poses)
+        assert ev._track is not None
+        phases = np.random.default_rng(8).uniform(0.0, 2.0 * math.pi, (2, 101))
+        tracemalloc.start()
+        try:
+            ev.raw_scores(phases, spec, CARRIER.wavelength)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the stated budget, 4 MiB of chunk arrays, plus the (2, M) raw scores
+        assert peak < 4 * 2**20 + 2 * 8 * region.cell_count, peak
+
+    @pytest.mark.parametrize("spec, match", [
+        (MethodSpec("clf", DifferentialScheme.reference(51)), "reference index 51 out of range"),
+        (MethodSpec("slf", DifferentialScheme.reference(-1)), "reference index -1 out of range"),
+    ])
+    def test_bad_reference_index_rejected_as_on_block_path(self, spec, match):
+        ev = GridEvaluator(RACK_PLANE, RACK_TRACK)
+        assert ev._track is not None
+        with pytest.raises(ValueError, match=match):
+            ev.raw_scores(np.zeros(len(RACK_TRACK)), spec, CARRIER.wavelength)
+
+
 @pytest.mark.parametrize("name", METHOD_NAMES)
 def test_method_spec_is_its_own_scorer(name):
     poses = noise_free_samples().poses
