@@ -33,12 +33,11 @@ def export_hologram(holo: Hologram, path: str | Path) -> None:
     active = [axis for axis in range(3) if region.shape[axis] > 1]
     lines.append(",".join([_AXES[a] for a in active] + ["score"]))
 
+    # Python floats from tolist() repr as float(numpy scalar) would, without
+    # a numpy scalar per field
     cells = region.candidates()
-    scores = holo.scores.ravel()
-    for row, score in zip(cells, scores):
-        fields = [repr(float(row[a])) for a in active]
-        fields.append(repr(float(score)))
-        lines.append(",".join(fields))
+    columns = [cells[:, a].tolist() for a in active] + [holo.scores.ravel().tolist()]
+    lines.extend(map(",".join, zip(*(map(repr, column) for column in columns))))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -44,7 +44,10 @@ the shape of the phases (a third, the track path's convolution, follows):
   imaginary parts of the pair phasors u = A_a * conj(A_b) * exp(j*dphi)
   = exp(j*r), with the steering phasors A = exp(-j*4*pi*d/lambda) built
   once per call for all streams, so no stream pays a cos or sin of its
-  own.
+  own.  _pair_sums forms u from the shared A_a * conj(A_b) (for nlf the
+  residual from the shared folded geometry) and sums the terms; the
+  track path feeds it too, for one stream or S, from windows of a line's
+  steering sequence.
 
 The two agree to rounding, not bit for bit.  Both stay because A costs
 two transcendentals per entry where one stream's residual pays one, and
@@ -62,7 +65,9 @@ slf under reference:r 1/2*Re[conj(w_r)^2 * sum_n w_n^2] - 1/2 - P/2,
 since -sin^2 x = (cos 2x - 1)/2 over P = N-1 pairs; under misaligned the
 pair phasors exp(j*dphi_n)*A_n*conj(A_{n-1}) (squared for slf) take the
 place of w_n.  It agrees with the other two to about 1e-12 of the score
-scale.  nlf, wclf, wslf and tagoram are not linear in w.
+scale.  nlf, wclf, wslf and tagoram are not linear in w; on the track
+they take the phasor source, with A read from the line's sequence
+instead of computed per cell and pose.
 
 With one stream and two or more candidate rows, objective_batch sums
 each row's pair terms in sample order, term by term; a lone row is
@@ -247,20 +252,18 @@ def objective_batch(
     idx_a, idx_b = pair_indices(spec.scheme, phases.shape[-1])
     dphi_m = phases[..., idx_a] - phases[..., idx_b]
     if phases.ndim == 2 and spec.name != "nlf":
-        # u = A_a * conj(A_b) * exp(j*dphi) = exp(j*r), an (S, M, P) C-order
-        # block; the in-place steps keep at most one real block beside it
+        # the pair phasors A_a * conj(A_b), an (M, P) block; the in-place
+        # steps keep at most one real block beside it
         steering = _steering(dists, wavelength)
         pairs, conj_b = steering[:, idx_a], steering[:, idx_b]
         del steering
         pairs *= np.conjugate(conj_b, out=conj_b)
         del conj_b
-        u = np.multiply(pairs[None, :, :], np.exp(1j * dphi_m)[:, None, :], order="C")
-        del pairs
-        return _terms(spec, u.real, u.imag).sum(axis=2)
+        return _pair_sums(spec, pairs, np.exp(1j * dphi_m)[:, None, :])
     geom = 4.0 * math.pi * (dists[:, idx_a] - dists[:, idx_b]) / wavelength
     if spec.name == "nlf":
         geom = wrap_2pi(geom)
-        scores = [_nlf_scores(row[None, :] - geom, nlf_branch) for row in np.atleast_2d(dphi_m)]
+        scores = [_pair_sums(spec, geom, row, nlf_branch=nlf_branch) for row in np.atleast_2d(dphi_m)]
         return scores[0] if phases.ndim == 1 else np.stack(scores)
     res = np.subtract(dphi_m[None, :], geom, out=geom)
     re = None if spec.name in ("slf", "wslf") else np.cos(res)
@@ -268,25 +271,73 @@ def objective_batch(
     return _terms(spec, re, im).sum(axis=1)
 
 
-def _nlf_scores(res: np.ndarray, nlf_branch: str) -> np.ndarray:
-    """-sum of squared residuals per row, with the geometric differences
-    folded into [0, 2*pi) and shifted by the branch."""
+def _pair_sums(
+    spec: MethodSpec,
+    pairs: np.ndarray,
+    measured: np.ndarray,
+    scratch: np.ndarray | None = None,
+    nlf_branch: str = BRANCH_NEAREST,
+) -> np.ndarray:
+    """Sums over the last axis of a differential method's pair terms, from
+    the geometry every stream shares and the streams' own side of each
+    pair, broadcast against it.
+
+    For nlf, pairs holds the folded geometric differences
+    wrap(4*pi*(d_a - d_b)/lambda), measured the measured differences
+    dphi, and the residual is dphi - pairs.  For the other methods pairs
+    holds the pair phasors A_a * conj(A_b), measured exp(j*dphi), and
+    u = pairs * exp(j*dphi) = exp(j*r) gives cos r and sin r as its real
+    and imaginary parts.  Every array of the broadcast shape is written
+    into scratch, a float64 buffer of at least three times its size (two
+    for nlf), or into one such buffer allocated here.  pairs may be the
+    start of scratch itself, which then takes u (or nlf's residuals) in
+    place.
+    """
+    shape = np.broadcast_shapes(pairs.shape, measured.shape)
+    size = math.prod(shape)
+    if spec.name == "nlf":
+        if scratch is None:  # res keeps the memory order of pairs, so its sums' order too
+            res = np.subtract(measured, pairs)
+            return _nlf_scores(res, nlf_branch, np.empty_like(res))
+        res = np.subtract(measured, pairs, out=scratch[:size].reshape(shape))
+        return _nlf_scores(res, nlf_branch, scratch[size : 2 * size].reshape(shape))
+    buf = np.empty(3 * size) if scratch is None else scratch[: 3 * size]
+    u = np.multiply(pairs, measured, out=buf[: 2 * size].view(complex).reshape(shape))
+    # wslf's weights overwrite u once its sin r has been read
+    out = (buf[2 * size :].reshape(shape), buf[:size].reshape(shape))
+    return _terms(spec, u.real, u.imag, out).sum(axis=-1)
+
+
+def _nlf_scores(res: np.ndarray, nlf_branch: str, lo: np.ndarray) -> np.ndarray:
+    """-sum over the last axis of squared residuals, with the geometric
+    differences folded into [0, 2*pi) and shifted by the branch; res is
+    overwritten, and lo, of res's shape, holds the shifted residuals.
+    "nearest" keeps the smaller of res^2 and (res + 2*pi)^2: squaring
+    rounds monotonically, so that is the square of the smaller magnitude."""
     if nlf_branch == BRANCH_NEGATIVE:
-        res = res + TWO_PI
+        res += TWO_PI
     elif nlf_branch == BRANCH_NEAREST:
-        res_lo = res + TWO_PI
-        res = np.where(np.abs(res) <= np.abs(res_lo), res, res_lo)
+        np.square(np.add(res, TWO_PI, out=lo), out=lo)
+        return -np.minimum(np.square(res, out=res), lo, out=res).sum(axis=-1)
     elif nlf_branch != BRANCH_NONNEGATIVE:
         raise ValueError(f"unknown branch {nlf_branch!r}")
-    return -(res**2).sum(axis=1)
+    return -np.square(res, out=res).sum(axis=-1)
 
 
-def _terms(spec: MethodSpec, re: np.ndarray | None, im: np.ndarray | None) -> np.ndarray:
+def _terms(
+    spec: MethodSpec,
+    re: np.ndarray | None,
+    im: np.ndarray | None,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
     """Per-pair terms of clf, wclf, slf, wslf or tagoram from re = cos r
     and im = sin r; a method gets only the parts it reads, and im may be
-    overwritten."""
+    overwritten.  out, if given, is a pair of float64 arrays of their shape
+    that receive the terms (clf's are re itself) and wslf's weights, which
+    are written only after im has been read."""
+    terms, spare = (None, None) if out is None else out
     if spec.name == "tagoram":
-        terms = np.arctan2(im, re)
+        terms = np.arctan2(im, re, out=terms)
         np.abs(terms, out=terms)
         terms /= spec.tagoram_sigma * math.sqrt(2.0)
         erfc(terms, out=terms)
@@ -295,12 +346,12 @@ def _terms(spec: MethodSpec, re: np.ndarray | None, im: np.ndarray | None) -> np
     if spec.name == "clf":
         return re
     if spec.name == "wclf":
-        terms = np.abs(re)
+        terms = np.abs(re, out=terms)
         terms *= re
         return terms
-    sin2 = np.square(im)
+    sin2 = np.square(im, out=terms)
     if spec.name == "wslf":
-        weights = np.negative(sin2, out=im)
+        weights = np.negative(sin2, out=im if spare is None else spare)
         sin2 *= np.exp(weights, out=weights)
     return np.negative(sin2, out=sin2)
 
@@ -375,14 +426,18 @@ def linear_form(spec: MethodSpec, phases: np.ndarray) -> LinearForm | None:
     return LinearForm(spec.name, inputs, power, True, None)
 
 
-def _steering(dists: np.ndarray, wavelength: float) -> np.ndarray:
+def _steering(dists: np.ndarray, wavelength: float, out: np.ndarray | None = None) -> np.ndarray:
     """exp(-j*4*pi*d/lambda) per entry of dists; cos and sin into one
-    complex array cost less than np.exp of an imaginary array."""
-    neg_kd = (-4.0 * math.pi / wavelength) * np.asarray(dists, dtype=float)
-    steering = np.empty(neg_kd.shape, dtype=complex)
-    np.cos(neg_kd, out=steering.real)
-    np.sin(neg_kd, out=steering.imag)
-    return steering
+    complex array cost less than np.exp of an imaginary array.  With out,
+    a complex array of dists' shape, float64 dists is overwritten."""
+    if out is None:
+        neg_kd = (-4.0 * math.pi / wavelength) * np.asarray(dists, dtype=float)
+        out = np.empty(neg_kd.shape, dtype=complex)
+    else:
+        neg_kd = np.multiply(-4.0 * math.pi / wavelength, dists, out=dists)
+    np.cos(neg_kd, out=out.real)
+    np.sin(neg_kd, out=out.imag)
+    return out
 
 
 def sarfid_batch(phases: np.ndarray, dists: np.ndarray, wavelength: float) -> np.ndarray:

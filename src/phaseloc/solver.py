@@ -24,14 +24,17 @@ worker count.
 
 On a straight, evenly stepped track whose cell step along the track is a
 whole multiple of the pose step or a whole fraction of it, all cells of
-a line along the track read one shared steering sequence.  clf, slf and
+a line along the track read one shared steering sequence, and
+GridEvaluator scores every MethodSpec from it instead (the track path),
+in chunks under the same budget, dealt to the same shares.  clf, slf and
 sarfid are linear in the steering phasors (likelihood.LinearForm), so
-GridEvaluator scores them there as one FFT convolution per line and
-stream instead (the track path), in chunks of lines under the same
-budget, dealt to the same shares.  Its scores match the block path's to
-about 1e-12 of the score scale, not bit for bit; a stream's scores still
-do not depend on the pass or the worker count.  Every other method,
-geometry or callable takes the block path.
+each is one FFT convolution per line and stream; nlf, wclf, wslf and
+tagoram read each cell's pairs as a sliding window of the line's
+sequence, with no sqrt, cos or sin per cell and pose.  Track-path scores
+match the block path's to about 1e-12 of the score scale, not bit for
+bit; a stream's scores still do not depend on the pass or the worker
+count.  Other geometries and callables that are not a MethodSpec take
+the block path.
 """
 
 from __future__ import annotations
@@ -43,10 +46,11 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import ndimage
 
-from .likelihood import MethodSpec, linear_form
-from .phase_model import Position3D, SampleStream, pose_array
+from .likelihood import MethodSpec, _pair_sums, _steering, linear_form, pair_indices
+from .phase_model import TWO_PI, Position3D, SampleStream, pose_array
 
 DEFAULT_CELL_CAP = 10_000_000
 BLOCK = 65_536  # cell-pose entries scored at a time: 512 KiB of float64 distances
@@ -90,6 +94,14 @@ def _score_shares(score, blocks: list) -> None:
         wait(futures)
     for future in futures:
         future.result()
+
+
+def _wrap(angles: np.ndarray) -> np.ndarray:
+    """angles folded into [0, 2*pi) in place and without temporaries, as
+    phase_model.wrap_2pi does to within an ulp of 4*pi."""
+    np.fmod(angles, TWO_PI, out=angles)
+    angles += TWO_PI
+    return np.fmod(angles, TWO_PI, out=angles)
 
 
 def _axis_count(lo: float, hi: float, res: float) -> int:
@@ -298,28 +310,49 @@ class GridEvaluator:
     by its residuals (see likelihood).  But
     each pass holds its (S, M) raw scores and S holograms, and nlf scores
     stacked streams one by one, which gets slow once a block holds only
-    a few cells.  streams_per_pass balances these: on the stock
-    7171-cell plane with 101 poses (2-core VM) the seven methods took
-    204-237 ms per stream alone, 92 ms per stream 8 at a time (81 cells
-    per block), 70-72 ms 20 at a time (32 cells, a PASS_CELLS pass) and
-    70-75 ms 40 at a time (16 cells), while nlf alone rose from 7 ms to
-    10 and 12-13 ms.
+    a few cells.  streams_per_pass balances these on the blocks: on the
+    stock 7171-cell plane with 101 poses (2-core VM, before that plane
+    took the track path) the seven methods took 204-237 ms per stream
+    alone, 92 ms per stream 8 at a time (81 cells per block), 70-72 ms 20
+    at a time (32 cells, a PASS_CELLS pass) and 70-75 ms 40 at a time (16
+    cells), while nlf alone rose from 7 ms to 10 and 12-13 ms.
 
     The track path: when the poses step evenly along one axis (the other
     two coordinates equal for every pose) and the grid's step on that
     axis is a whole multiple or a whole fraction of the pose step (see
-    _find_track), a MethodSpec for clf, slf or sarfid under any scheme
-    skips the blocks.  Each line of cells along the track then reads one
-    steering sequence, so each stream's per-cell sums are one FFT
-    convolution per line (lengths from scipy.fft.next_fast_len, so from
-    shapes only).  Lines are scored in chunks of BLOCK // WORKERS // L
-    lines, L the FFT length, dealt to the shares like blocks; a chunk
-    holds at most 8 float64 arrays of max(BLOCK // WORKERS, L) entries,
-    so the budget above holds.  Streams are convolved one at a time, so a
-    stream's scores do not depend on the pass; they match the block
-    path's to about 1e-12 of the score scale.  On the stock plane a pass
-    of 10 streams took 3-11 ms for each of clf, slf and sarfid, against
-    51-72 ms on the blocks (2-core VM).
+    _find_track), every MethodSpec under any scheme skips the blocks, and
+    each line of cells along the track reads one steering sequence.
+    Their scores match the block path's to about 1e-12 of the score scale.
+
+    * clf, slf and sarfid: each stream's per-cell sums are one FFT
+      convolution per line (lengths from scipy.fft.next_fast_len, so from
+      shapes only), in chunks of BLOCK // WORKERS // L lines, L the FFT
+      length; a chunk holds at most 8 float64 arrays of
+      max(BLOCK // WORKERS, L) entries.  Streams are convolved one at a
+      time.  On the stock plane a pass of 10 streams took 3-11 ms for
+      each of clf, slf and sarfid, against 51-72 ms on the blocks.
+    * nlf, wclf, wslf and tagoram (_track_pairs): per chunk, each line's
+      steering sequence (nlf: 4*pi*d/lambda; misaligned: the lagged pair
+      sequence) is built once, and a cell's N (or N-1) entries are a
+      zero-copy sliding window of it.  Under reference:r the chunk's pair
+      phasors window * conj(K_r) (nlf: the folded window - kd_r) are
+      formed once for all streams, then likelihood._pair_sums gives each
+      stream's sums, so one stream's scores equal its scores in any pass
+      bit for bit.  A share allocates its scratch once per raw_scores
+      call and writes into it: per cell and pair, u and the terms (3
+      float64 entries; 5 with several streams, which also share the pair
+      phasors), and per sequence entry its distance, steering and lagged
+      phasor (at most 5), all within 6 of its 8 arrays of
+      BLOCK // WORKERS entries; the other 2 leave room for the buffers
+      numpy allocates for each operation on a window or a broadcast
+      operand (up to 3 x 8192 entries).  Chunks are as many whole lines
+      as that holds, so a grid within one share's budget is scored on the
+      calling thread alone, or segments of at least two cells when one
+      line exceeds it.  On the stock plane an 8-stream pass took 26-40 ms
+      for nlf, wclf and wslf and 99-139 ms for tagoram, against 67-195 ms
+      on the blocks, and a one-stream wslf hologram 5-7 ms against 17-18;
+      the 509,141-cell volume's wslf hologram took 330-440 ms against
+      940-1080 (2-core VM).
 
     A method is any callable taking (phases, dists, wavelength) and
     returning one score per row of dists; MethodSpec objects are such
@@ -335,8 +368,8 @@ class GridEvaluator:
 
     @cached_property
     def _track(self) -> _Track | None:
-        """The track path's geometry, found when clf, slf or sarfid is
-        first scored, so evaluators only other methods use never pay."""
+        """The track path's geometry, found when a MethodSpec is first
+        scored, so evaluators that only plain callables use never pay."""
         return _find_track(self.region, self.poses, self._sq)
 
     @property
@@ -353,9 +386,12 @@ class GridEvaluator:
         m = self.region.cell_count
         out = np.empty(phases.shape[:-1] + (m,))
         if isinstance(method, MethodSpec) and phases.shape[-1] == len(self.poses):
-            form = linear_form(method, phases)
-            if form is not None and self._track is not None:
-                self._track_scores(form, out.reshape(-1, m), wavelength)
+            if self._track is not None:
+                form = linear_form(method, phases)
+                if form is None:
+                    self._track_pairs(method, phases, out.reshape(-1, m), wavelength)
+                else:
+                    self._track_scores(form, out.reshape(-1, m), wavelength)
                 return out
         rows = max(2, BLOCK // WORKERS // max(1, phases.size))
         edges = [*range(0, m, rows), m]
@@ -413,6 +449,102 @@ class GridEvaluator:
                 score_lines(lo, hi)
 
         _score_shares(score, [(lo, min(lo + rows, lines)) for lo in range(0, lines, rows)])
+
+    def _track_pairs(
+        self, spec: MethodSpec, phases: np.ndarray, out: np.ndarray, wavelength: float
+    ) -> None:
+        """Write spec's (S, M) scores into out from one sequence per line of
+        cells, whose sliding windows hold every cell's pair geometry, in
+        chunks of cells dealt to the shares."""
+        track, n = self._track, len(self.poses)
+        idx_a, idx_b = pair_indices(spec.scheme, n)  # raises as the blocks do
+        phases = np.atleast_2d(phases)
+        dphi = phases[:, idx_a] - phases[:, idx_b]
+        ref = None if spec.scheme.kind == "misaligned" else spec.scheme.reference_index
+        nlf = spec.name == "nlf"
+        a, b, p = track.a, track.b, n - 1
+        shape = self.region.shape
+        ny, nv = shape[track.axis], shape[max(ax for ax in range(3) if ax != track.axis)]
+        lines = len(track.cross)
+        sides = dphi if nlf else np.exp(1j * dphi)  # each stream's side of its pairs
+        width = 1 if nlf else 2  # float64 entries per pair or sequence value
+        # float64 entries a chunk takes, kept within 6 of a share's 8 arrays
+        # (2 are left for numpy's iteration buffers and small temporaries):
+        # per cell and pair, u and the terms (nlf: residuals and lo), and
+        # for several streams their shared pairs; per sequence entry its
+        # distance, steering and lagged phasor
+        per_pair = width + 1 + width * (len(dphi) > 1)
+        per_entry = 1 + (not nlf) * width + (ref is None) * width
+        fixed = (b * (n - 1) + 1 - a) * per_entry
+        per_cell = p * per_pair + a * per_entry
+        cap = 6 * (BLOCK // WORKERS)
+        rows = cap // (ny * per_cell + fixed)
+        if rows >= 1:  # whole lines; a grid within one share's budget takes one
+            chunks = [(lo, min(lo + rows, lines), 0, ny) for lo in range(0, lines, rows)]
+        else:  # segments of one line; a lone last cell joins the previous one
+            cells = max(2, (cap - fixed) // per_cell)
+            edges = [*range(0, ny, cells), ny]
+            if edges[-1] - edges[-2] == 1:
+                del edges[-2]
+            segments = list(zip(edges[:-1], edges[1:]))
+            chunks = [(line, line + 1, c0, c1) for line in range(lines) for c0, c1 in segments]
+        most = max((hi - lo) * (c1 - c0) for lo, hi, c0, c1 in chunks) * p  # pair entries
+        span = a * (max(c1 - c0 for _, _, c0, c1 in chunks) - 1) + b * (n - 1) + 1  # per line
+        grid = np.moveaxis(out.reshape(-1, *shape), 1 + track.axis, -1)
+
+        def score(chunks):
+            rows = max(hi - lo for lo, hi, _, _ in chunks)
+            dists = np.empty((rows, span))  # and nlf's phases 4*pi*d/lambda
+            seq = dists if nlf else np.empty((rows, span), dtype=complex)
+            lagged = None if ref is not None else np.empty((rows, span - b), dtype=seq.dtype)
+            scratch = np.empty((width + 1) * most)
+            # one stream's pairs are the start of its scratch, turned into u in place
+            geometry = scratch if len(dphi) == 1 else np.empty(width * most)
+            geometry = geometry[: width * most].view(seq.dtype)
+            windows = {}  # per cell count: entry (line, j, n) is pose n's of reversed cell j
+
+            for lo, hi, c0, c1 in chunks:
+                h, count = hi - lo, c1 - c0
+                used = a * (count - 1) + b * (n - 1) + 1  # sequence entries the cells read
+                if count not in windows:
+                    line = seq[:, :used] if lagged is None else lagged[:, : used - b]
+                    view = sliding_window_view(line, line.shape[-1] - a * (count - 1), axis=-1)
+                    windows[count] = view[:, ::a, ::b]
+                # the cells' entries in reverse, so pose n of reversed cell j
+                # reads entry a*j + b*n
+                d = dists[:h, :used]
+                offsets = track.sq_offsets[a * c0 : a * c0 + used][::-1]
+                np.add(track.cross[lo:hi, None], offsets, out=d)
+                np.sqrt(d, out=d)
+                if nlf:
+                    d *= 4.0 * math.pi / wavelength
+                else:
+                    _steering(d, wavelength, out=seq[:h, :used])
+                if lagged is not None:  # pose n - 1 sits b entries before pose n
+                    lag = lagged[:h, : used - b]
+                    if nlf:
+                        _wrap(np.subtract(d[:, b:], d[:, :-b], out=lag))
+                    else:
+                        np.conjugate(seq[:h, : used - b], out=lag)
+                        lag *= seq[:h, b:used]
+                window = windows[count][:h]
+                if ref is None:
+                    pairs = window
+                else:  # nlf: folded kd_n - kd_r; the rest: A_n * conj(A_r)
+                    pairs = geometry[: h * count * p].reshape(h, count, p)
+                    at_ref = window[..., ref, None] if nlf else np.conjugate(window[..., ref, None])
+                    combine = np.subtract if nlf else np.multiply
+                    combine(window[..., :ref], at_ref, out=pairs[..., :ref])
+                    combine(window[..., ref + 1 :], at_ref, out=pairs[..., ref:])
+                    if nlf:
+                        _wrap(pairs)
+                iu, iv = np.divmod(np.arange(lo, hi), nv)
+                cols = slice(ny - c1, ny - c0) if track.flip else slice(c0, c1)
+                for s, side in enumerate(sides):
+                    sums = _pair_sums(spec, pairs, side, scratch)
+                    grid[s, iu, iv, cols] = sums if track.flip else sums[:, ::-1]
+
+        _score_shares(score, chunks)
 
     def hologram(self, stream: SampleStream, method) -> Hologram:
         """One stream's hologram, scored from its (N,) phases."""

@@ -413,6 +413,27 @@ class TestHologramExport:
         assert back.region.shape == holo.region.shape
         assert back.region.bounds == holo.region.bounds
 
+    @pytest.mark.parametrize("region", [
+        SearchRegion(x=(0.0, 0.0), y=(-0.5, 0.5), z=(0.0, 0.7), resolution=0.02),
+        SearchRegion(x=(0.0, 0.03), y=(-0.02, 0.02), z=(0.1, 0.13), resolution=0.01),
+        SearchRegion(x=(0.0, 0.0), y=(0.1, 0.1), z=(0.2, 0.2)),
+    ], ids=["plane", "volume", "one-cell"])
+    def test_export_matches_row_by_row_formatting(self, tmp_path, region):
+        holo = self.holo(region)
+        path = tmp_path / "holo.csv"
+        export_hologram(holo, path)
+        # the reference: every field formatted on its own, row by row
+        active = [axis for axis in range(3) if region.shape[axis] > 1]
+        rows = [
+            ",".join([repr(float(cell[a])) for a in active] + [repr(float(score))])
+            for cell, score in zip(region.candidates(), holo.scores.ravel())
+        ]
+        text = path.read_text(encoding="utf-8")
+        header = [line for line in text.splitlines() if line.startswith("#")]
+        names = ",".join(["xyz"[a] for a in active] + ["score"])
+        want = "\n".join(header + [names] + rows) + "\n"
+        assert path.read_bytes() == want.encode("utf-8")
+
     def test_export_byte_deterministic(self, tmp_path):
         region = SearchRegion(x=(0.0, 0.0), y=(-0.2, 0.2), z=(0.0, 0.3), resolution=0.05)
         holo = self.holo(region)

@@ -4,6 +4,7 @@ import math
 import os
 import select
 import signal
+import subprocess
 import sys
 import threading
 import time
@@ -42,6 +43,7 @@ from phaseloc import (
     synthesize,
 )
 from phaseloc.io_eval import resolve_method
+from phaseloc.likelihood import pair_indices
 from phaseloc.phase_model import squared_norm_rows
 
 CARRIER = CarrierConfig(866.9e6)
@@ -732,12 +734,34 @@ class TestGridEvaluator:
 
 
 def track_specs(ref):
-    """The methods the track path scores: clf and slf under misaligned and
-    reference:ref, and sarfid."""
+    """The methods the track path scores: the five likelihoods under
+    misaligned and reference:ref, sarfid and tagoram."""
     schemes = (DifferentialScheme.misaligned(), DifferentialScheme.reference(ref))
-    return [MethodSpec(name, scheme) for name in ("clf", "slf") for scheme in schemes] + [
-        MethodSpec("sarfid")
+    likelihoods = ("nlf", "clf", "slf", "wclf", "wslf")
+    return [MethodSpec(name, scheme) for name in likelihoods for scheme in schemes] + [
+        MethodSpec("sarfid"), MethodSpec("tagoram")
     ]
+
+
+def off_fold(spec, dists, wavelength):
+    """Cells whose score does not hinge on rounding.  nlf folds each
+    geometric difference 4*pi*(d_a - d_b)/lambda into [0, 2*pi), so where
+    one lies within rounding of a multiple of 2*pi (a cell midway between
+    two poses, say) a last-bit change moves a term by up to pi^2; such
+    cells are left out for nlf, kept for every other method."""
+    if spec.name != "nlf":
+        return np.ones(len(dists), dtype=bool)
+    idx_a, idx_b = pair_indices(spec.scheme, dists.shape[1])
+    geom = 4.0 * math.pi * (dists[:, idx_a] - dists[:, idx_b]) / wavelength
+    return (np.abs(geom - 2.0 * math.pi * np.round(geom / (2.0 * math.pi))) > 1e-9).all(axis=1)
+
+
+def assert_track_matches(got, want, spec, dists, n):
+    """got within 1e-12 of the score scale of want, off nlf's folds."""
+    keep = off_fold(spec, dists, CARRIER.wavelength)
+    tol = 1e-12 * score_scale(spec, n)
+    assert got.shape == want.shape, spec
+    assert np.max(np.abs(got - want)[..., keep], initial=0.0) <= tol, spec
 
 
 @st.composite
@@ -795,9 +819,43 @@ class TestTrackPath:
         dists = whole_matrix(region, poses)
         for spec in track_specs(ref):
             want = spec(phases, dists, lam)
-            got = ev.raw_scores(phases, spec, lam)
-            tol = 1e-12 * score_scale(spec, len(poses))
-            assert got.shape == want.shape and np.max(np.abs(got - want)) <= tol, spec
+            assert_track_matches(ev.raw_scores(phases, spec, lam), want, spec, dists, len(poses))
+
+    @settings(max_examples=60, deadline=None)
+    @given(scene=track_scenes(), block=st.one_of(st.just(solver_mod.BLOCK), st.integers(1, 2000)))
+    # 14 cells a line under 40 poses in shares of 2 cells: segments of one line
+    @example(scene=(
+        SearchRegion(x=(0.0, 0.0), y=(0.0, 0.13), z=(0.5, 0.52), resolution=(0.01, 0.01, 0.02)),
+        np.column_stack([np.full(40, 1.4), 0.3 - 0.01 * np.arange(40), np.zeros(40)]),
+        np.linspace(0.0, 6.0, 40), 39,
+    ), block=1)
+    def test_track_path_at_any_share_budget(self, scene, block):
+        # BLOCK down to 1 makes a line longer than a share's budget, so
+        # lines are split into segments of cells
+        region, poses, phases, ref = scene
+        lam = CARRIER.wavelength
+        ev = GridEvaluator(region, poses)
+        assert ev._track is not None
+        dists = whole_matrix(region, poses)
+        streams = [SampleStream(poses, row, CARRIER) for row in np.atleast_2d(phases)]
+        streams.append(SampleStream(poses, (3.0 * streams[0].phases) % (2.0 * math.pi), CARRIER))
+        for spec in track_specs(ref):
+
+            def plain(phases, dists, wavelength, spec=spec):
+                return spec(phases, dists, wavelength)
+
+            scores = []
+            for workers in (1, 2, 3):
+                with mock.patch.multiple(solver_mod, BLOCK=block, WORKERS=workers):
+                    blocks = ev.raw_scores(phases, plain, lam)
+                    scores.append(ev.raw_scores(phases, spec, lam))
+                    assert_track_matches(scores[-1], blocks, spec, dists, len(poses))
+                    stacked = ev.holograms(streams, spec)
+                    for k, stream in enumerate(streams):
+                        alone = ev.hologram(stream, spec)
+                        assert alone.scores.tobytes() == stacked[k].scores.tobytes(), (spec, workers, k)
+            # nor on the worker count
+            assert all(np.array_equal(scores[0], other) for other in scores[1:]), spec
 
     @pytest.mark.parametrize("poses, region", [
         (UNEVEN_TRACK, RACK_PLANE),
@@ -840,6 +898,52 @@ class TestTrackPath:
                 assert np.array_equal(ev.raw_scores(phases[:size], spec, lam)[1], alone), (spec, size)
             last = ev.raw_scores(phases, spec, lam)[9]
             assert np.array_equal(ev.raw_scores(phases[9:], spec, lam)[0], last), spec
+
+    def test_track_scoring_takes_few_page_faults(self):
+        # Scratch is allocated once per share and call and written in place,
+        # so repeated scoring reuses pages.  On the stock plane the block
+        # path took 2,000-3,300 minor faults per one-stream wslf hologram
+        # and 555-17,550 per 8-stream wclf pass (2-core VM, also under
+        # taskset -c 0); the track path takes 0-90.  Bound: 256.
+        resource = pytest.importorskip("resource")
+        region = SearchRegion(x=(0.0, 0.0), y=(-0.5, 0.5), z=(0.0, 0.7), resolution=0.01)
+        poses = linear_track(x=1.4, z=0.0, y_start=-0.5, y_stop=0.5, spacing=0.01).as_array()
+        ev = GridEvaluator(region, poses)
+        assert ev._track is not None
+        rng = np.random.default_rng(9)
+        streams = [SampleStream(poses, rng.uniform(0.0, 2.0 * math.pi, 101), CARRIER) for _ in range(8)]
+
+        def faults(score, reps):
+            score()  # warm-up
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            for _ in range(reps):
+                score()
+            return (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / reps
+
+        one = faults(lambda: ev.hologram(streams[0], MethodSpec("wslf")), 10)
+        eight = faults(lambda: ev.holograms(streams, MethodSpec("wclf")), 5)
+        assert one <= 256 and eight <= 256, (one, eight)
+
+    def test_pair_methods_do_not_import_scipy_fft(self):
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from phaseloc import CarrierConfig, GridEvaluator, MethodSpec, SampleStream, "
+            "SearchRegion, linear_track\n"
+            "poses = linear_track(x=1.4, z=0.0, y_start=-0.1, y_stop=0.1, spacing=0.004).poses\n"
+            "region = SearchRegion(x=(0.0, 0.0), y=(-0.1, 0.1), z=(0.0, 0.1), resolution=0.02)\n"
+            "ev = GridEvaluator(region, poses)\n"
+            "stream = SampleStream(poses, np.linspace(0.0, 6.0, 51), CarrierConfig(866.9e6))\n"
+            "for name in ('nlf', 'wclf', 'wslf', 'tagoram'):\n"
+            "    ev.hologram(stream, MethodSpec(name))\n"
+            "assert ev._track is not None\n"
+            "print('scipy.fft' in sys.modules)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                              timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
 
     @pytest.mark.parametrize("spec", track_specs(5), ids=str)
     def test_track_path_stays_in_block_budget(self, spec):
