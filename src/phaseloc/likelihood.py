@@ -35,7 +35,7 @@ geometry by many sigma contribute almost nothing.
 
 All functions are pure.  Each method's per-pair term is written once, as
 a function of cos r and sin r, and fed by one of two sources picked by
-the shape of the phases (a third, the track path's convolution, follows):
+the shape of the phases:
 
 * one stream's (N,) phases give cos r and sin r of the residual itself,
   only the ones the method reads: one transcendental per pair for clf,
@@ -45,9 +45,7 @@ the shape of the phases (a third, the track path's convolution, follows):
   = exp(j*r), with the steering phasors A = exp(-j*4*pi*d/lambda) built
   once per call for all streams, so no stream pays a cos or sin of its
   own.  _pair_sums forms u from the shared A_a * conj(A_b) (for nlf the
-  residual from the shared folded geometry) and sums the terms; the
-  track path feeds it too, for one stream or S, from windows of a line's
-  steering sequence.
+  residual from the shared folded geometry) and sums the terms.
 
 The two agree to rounding, not bit for bit.  Both stay because A costs
 two transcendentals per entry where one stream's residual pays one, and
@@ -56,18 +54,19 @@ folded residual itself: its stacked form shares the folded geometry and
 scores each stream exactly as alone.  sarfid sums z_n = exp(j*phi_n) *
 A_n directly, in one form for one or S streams.
 
-A third source skips the per-pair terms: on an evenly stepped track
-(GridEvaluator's track path) a line of cells shares one steering
-sequence, and clf, slf and sarfid are linear in w_n = exp(j*phi_n)*A_n.
-linear_form gives each one's sequence to convolve and its finish:
-sarfid |sum_n w_n|/N; clf under reference:r Re[conj(w_r) * sum_n w_n] - 1;
-slf under reference:r 1/2*Re[conj(w_r)^2 * sum_n w_n^2] - 1/2 - P/2,
-since -sin^2 x = (cos 2x - 1)/2 over P = N-1 pairs; under misaligned the
-pair phasors exp(j*dphi_n)*A_n*conj(A_{n-1}) (squared for slf) take the
-place of w_n.  It agrees with the other two to about 1e-12 of the score
-scale.  nlf, wclf, wslf and tagoram are not linear in w; on the track
-they take the phasor source, with A read from the line's sequence
-instead of computed per cell and pose.
+On an evenly stepped track, GridEvaluator builds each line of cells'
+steering sequence once (under misaligned, the pair sequence
+A_n*conj(A_{n-1})) and reduces it in one of two ways.  nlf, wclf, wslf
+and tagoram take the phasor source, through _pair_sums, with A read from
+windows of the sequence instead of computed per cell and pose.  clf, slf
+and sarfid are linear in w_n = exp(j*phi_n)*A_n, so the sequence is
+convolved with each stream's inputs; linear_form gives those inputs and
+the finish: sarfid |sum_n w_n|/N; clf under reference:r
+Re[conj(w_r) * sum_n w_n] - 1; slf under reference:r
+1/2*Re[conj(w_r)^2 * sum_n w_n^2] - 1/2 - P/2, since -sin^2 x =
+(cos 2x - 1)/2 over P = N-1 pairs; under misaligned the pair phasors
+exp(j*dphi_n)*A_n*conj(A_{n-1}) (squared for slf) take the place of w_n.
+It agrees with the other two sources to about 1e-12 of the score scale.
 
 With one stream and two or more candidate rows, objective_batch sums
 each row's pair terms in sample order, term by term; a lone row is
@@ -359,34 +358,19 @@ def _terms(
 @dataclass(frozen=True)
 class LinearForm:
     """A method whose score is linear in the phasors w_n = exp(j*phi_n)*A_n:
-    per cell, one sum y = sum_n inputs[..., n] * K_n, then finish(y).
+    per cell, one sum y = sum_k inputs[..., k] * K_k, then finish(y).
 
     K_n is the steering phasor A_n = exp(-j*4*pi*d_n/lambda) of the cell
-    to pose n raised to ``power``; with ``lag`` it is the pair phasor
-    A_n*conj(A_{n-1}) raised to ``power``, and inputs[..., 0] is 0.  With
-    an ``anchor`` r the finish also reads K_r, the cell's kernel at the
-    reference pose.
+    to pose n raised to ``power``, and inputs holds one per pose; without
+    an ``anchor`` (misaligned) K_k is the pair phasor A_{k+1}*conj(A_k)
+    raised to ``power``, and inputs holds one per pair.  With an anchor r
+    the finish also reads K_r, the cell's kernel at the reference pose.
     """
 
     name: str
-    inputs: np.ndarray  # (S, N) complex, one row per stream
+    inputs: np.ndarray  # (S, N) or, per pair, (S, N-1) complex, one row per stream
     power: int
-    lag: bool
     anchor: int | None
-
-    def kernel(self, dists: np.ndarray, wavelength: float, shift: int) -> np.ndarray:
-        """K along lines of cells from the distances d[..., t] of a shared
-        steering sequence A[t] = exp(-j*4*pi*d[t]/lambda), in which pose
-        n-1 sits ``shift`` entries after pose n: A**power, or with lag
-        (A[t]*conj(A[t+shift]))**power over all but the last shift entries."""
-        k = _steering(dists, wavelength)
-        if self.lag:
-            pair = np.conjugate(k[..., shift:])
-            pair *= k[..., :-shift]
-            k = pair
-        if self.power == 2:
-            np.square(k, out=k)
-        return k
 
     def finish(self, sums: np.ndarray, anchor_kernel: np.ndarray | None, stream: int) -> np.ndarray:
         """Scores of stream ``stream`` from its sums y and, with an anchor,
@@ -394,36 +378,36 @@ class LinearForm:
         n = self.inputs.shape[-1]
         if self.name == "sarfid":  # |sum_n w_n| / N
             return np.abs(sums) / n
-        if self.anchor is None:  # sum over pairs of Re u (or Re u^2)
+        if self.anchor is None:  # sum over the n pairs of Re u (or Re u^2)
             re = sums.real.copy()
-        else:  # Re[conj(w_r) * sum_n w_n] - |w_r|^2, or the same of w^2
+        else:  # Re[conj(w_r) * sum_n w_n] - |w_r|^2, or the same of w^2, over n-1 pairs
             re = np.multiply(anchor_kernel, self.inputs[stream, self.anchor])
             re = np.multiply(np.conjugate(re, out=re), sums, out=re).real - 1.0
+            n -= 1
         if self.name == "clf":
             return re
-        re *= 0.5  # -sin^2 r = (cos 2r - 1)/2 over the N-1 pairs
-        re -= 0.5 * (n - 1)
+        re *= 0.5  # -sin^2 r = (cos 2r - 1)/2 over the n pairs
+        re -= 0.5 * n
         return re
 
 
 def linear_form(spec: MethodSpec, phases: np.ndarray) -> LinearForm | None:
     """clf's, slf's or sarfid's LinearForm for (N,) or (S, N) phases (as
-    (1, N) or (S, N) inputs); None for the other methods.  Raises as
+    (1, ...) or (S, ...) inputs); None for the other methods.  Raises as
     pair_indices does for fewer than two reads or a reference index out
     of range."""
     if spec.name not in ("clf", "slf", "sarfid"):
         return None
     phases = np.atleast_2d(np.asarray(phases, dtype=float))
     if spec.name == "sarfid":
-        return LinearForm(spec.name, np.exp(1j * phases), 1, False, None)
+        return LinearForm(spec.name, np.exp(1j * phases), 1, None)
     idx_a, idx_b = pair_indices(spec.scheme, phases.shape[-1])  # raises as the blocks do
     power = 1 if spec.name == "clf" else 2
     if spec.scheme.kind == "reference":
         inputs = np.exp(1j * power * phases)
-        return LinearForm(spec.name, inputs, power, False, spec.scheme.reference_index)
-    inputs = np.zeros(phases.shape, dtype=complex)
-    inputs[:, 1:] = np.exp(1j * power * (phases[:, idx_a] - phases[:, idx_b]))
-    return LinearForm(spec.name, inputs, power, True, None)
+        return LinearForm(spec.name, inputs, power, spec.scheme.reference_index)
+    inputs = np.exp(1j * power * (phases[:, idx_a] - phases[:, idx_b]))
+    return LinearForm(spec.name, inputs, power, None)
 
 
 def _steering(dists: np.ndarray, wavelength: float, out: np.ndarray | None = None) -> np.ndarray:

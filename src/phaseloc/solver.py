@@ -26,15 +26,16 @@ On a straight, evenly stepped track whose cell step along the track is a
 whole multiple of the pose step or a whole fraction of it, all cells of
 a line along the track read one shared steering sequence, and
 GridEvaluator scores every MethodSpec from it instead (the track path),
-in chunks under the same budget, dealt to the same shares.  clf, slf and
-sarfid are linear in the steering phasors (likelihood.LinearForm), so
-each is one FFT convolution per line and stream; nlf, wclf, wslf and
-tagoram read each cell's pairs as a sliding window of the line's
-sequence, with no sqrt, cos or sin per cell and pose.  Track-path scores
-match the block path's to about 1e-12 of the score scale, not bit for
-bit; a stream's scores still do not depend on the pass or the worker
-count.  Other geometries and callables that are not a MethodSpec take
-the block path.
+in chunks under the same budget, dealt to the same shares.  Each chunk
+builds its lines' sequences once, and only the reduction differs: clf,
+slf and sarfid are linear in the steering phasors (likelihood.LinearForm),
+so each convolves a line with every stream's inputs by FFT; nlf, wclf,
+wslf and tagoram read each cell's pairs as a sliding window of it.  No
+cell and pose pays a sqrt, cos or sin.  Track-path scores match the
+block path's to about 1e-12 of the score scale, not bit for bit; a
+stream's scores still do not depend on the pass or the worker count.
+Other geometries and callables that are not a MethodSpec take the block
+path.
 """
 
 from __future__ import annotations
@@ -141,8 +142,8 @@ class SearchRegion:
                 raise ValueError(f"{name} bounds must be finite")
             if lo > hi:
                 raise ValueError(f"degenerate region: {name} min {lo!r} > max {hi!r}")
-            if not r > 0:
-                raise ValueError(f"{name} resolution must be positive, got {r!r}")
+            if not (r > 0 and math.isfinite(r)):
+                raise ValueError(f"{name} resolution must be finite and positive, got {r!r}")
         if self.cell_count > DEFAULT_CELL_CAP:
             raise ValueError(f"region holds more than the cap of {DEFAULT_CELL_CAP} cells")
 
@@ -223,18 +224,18 @@ class _Track:
     """Poses evenly stepped along one axis, in a grid whose cell step on
     that axis is a multiple of the pose step or a fraction 1/b of it.
 
-    With sequence step delta, cell j of a line along the axis sits
-    (a*j - b*n)*delta from pose n beyond its along-track offset to pose 0,
-    so every line reads one steering sequence, indexed t = a*j - b*n.
-    When the poses descend, the axis is mirrored and each line runs from
-    its last cell.
+    With sequence step delta, the along-track offsets of a line's cells to
+    the poses are one sequence: cell j, counted from the line's far end,
+    sits (a*j + b*n)*delta from pose n beyond the offset of that end to
+    pose 0, so every line reads one steering sequence at entry a*j + b*n.
+    The far end is the last cell, or the first when the poses descend.
     """
 
     axis: int
     a: int
     b: int
     flip: bool
-    sq_offsets: np.ndarray  # squared along-track offset for t = -b*(N-1) .. a*(cells-1) + b
+    sq_offsets: np.ndarray  # entry a*j + b*n: squared along-track offset of cell j to pose n
     cross: np.ndarray  # squared cross-track distance of each line, lines in C order
 
 
@@ -273,7 +274,7 @@ def _find_track(region: SearchRegion, poses: np.ndarray, sq: list) -> _Track | N
     scale = max(np.abs(p).max(), np.abs(cells).max())
     if not stray <= TRACK_ULPS * np.finfo(float).eps * scale:
         return None
-    offsets = (cells[0] - p[0]) + step * np.arange(-b * (n - 1), a * (ny - 1) + b + 1)
+    offsets = (cells[0] - p[0]) + step * np.arange(a * (ny - 1), -b * (n - 1) - 1, -1)
     u, v = (ax for ax in range(3) if ax != axis)
     cross = sq[u][:, 0, None] + sq[v][None, :, 0]
     return _Track(axis, a, b, flip, np.square(offsets), cross.ravel())
@@ -307,52 +308,47 @@ class GridEvaluator:
     pass holds the less the geometry costs per stream; MethodSpec also
     builds the steering phasors once per block for all of them and feeds
     each method's per-pair term from them, where one stream's term is fed
-    by its residuals (see likelihood).  But
-    each pass holds its (S, M) raw scores and S holograms, and nlf scores
-    stacked streams one by one, which gets slow once a block holds only
-    a few cells.  streams_per_pass balances these on the blocks: on the
-    stock 7171-cell plane with 101 poses (2-core VM, before that plane
-    took the track path) the seven methods took 204-237 ms per stream
-    alone, 92 ms per stream 8 at a time (81 cells per block), 70-72 ms 20
-    at a time (32 cells, a PASS_CELLS pass) and 70-75 ms 40 at a time (16
-    cells), while nlf alone rose from 7 ms to 10 and 12-13 ms.
+    by its residuals (see likelihood).  But each pass holds its (S, M) raw
+    scores and S holograms, and nlf scores stacked streams one by one,
+    which gets slow once a block holds only a few cells; streams_per_pass
+    balances these on the blocks.
 
     The track path: when the poses step evenly along one axis (the other
     two coordinates equal for every pose) and the grid's step on that
     axis is a whole multiple or a whole fraction of the pose step (see
-    _find_track), every MethodSpec under any scheme skips the blocks, and
-    each line of cells along the track reads one steering sequence.
-    Their scores match the block path's to about 1e-12 of the score scale.
+    _find_track), every MethodSpec under any scheme skips the blocks.
+    Per chunk, each line of cells along the track gets one sequence: its
+    distances, then its steering phasors (nlf: 4*pi*d/lambda), then under
+    misaligned the lagged pair sequence.  A cell's N (or N-1) entries are
+    a zero-copy sliding window of it.  The reduction differs by method:
 
-    * clf, slf and sarfid: each stream's per-cell sums are one FFT
-      convolution per line (lengths from scipy.fft.next_fast_len, so from
-      shapes only), in chunks of BLOCK // WORKERS // L lines, L the FFT
-      length; a chunk holds at most 8 float64 arrays of
-      max(BLOCK // WORKERS, L) entries.  Streams are convolved one at a
-      time.  On the stock plane a pass of 10 streams took 3-11 ms for
-      each of clf, slf and sarfid, against 51-72 ms on the blocks.
-    * nlf, wclf, wslf and tagoram (_track_pairs): per chunk, each line's
-      steering sequence (nlf: 4*pi*d/lambda; misaligned: the lagged pair
-      sequence) is built once, and a cell's N (or N-1) entries are a
-      zero-copy sliding window of it.  Under reference:r the chunk's pair
+    * clf, slf and sarfid square the sequence in place when their power
+      is 2, read K_r as the window's anchor entry, and convolve each line
+      by FFT with each stream's upsampled inputs, one stream at a time.
+    * nlf, wclf, wslf and tagoram: under reference:r the chunk's pair
       phasors window * conj(K_r) (nlf: the folded window - kd_r) are
       formed once for all streams, then likelihood._pair_sums gives each
       stream's sums, so one stream's scores equal its scores in any pass
-      bit for bit.  A share allocates its scratch once per raw_scores
-      call and writes into it: per cell and pair, u and the terms (3
-      float64 entries; 5 with several streams, which also share the pair
-      phasors), and per sequence entry its distance, steering and lagged
-      phasor (at most 5), all within 6 of its 8 arrays of
-      BLOCK // WORKERS entries; the other 2 leave room for the buffers
-      numpy allocates for each operation on a window or a broadcast
-      operand (up to 3 x 8192 entries).  Chunks are as many whole lines
-      as that holds, so a grid within one share's budget is scored on the
-      calling thread alone, or segments of at least two cells when one
-      line exceeds it.  On the stock plane an 8-stream pass took 26-40 ms
-      for nlf, wclf and wslf and 99-139 ms for tagoram, against 67-195 ms
-      on the blocks, and a one-stream wslf hologram 5-7 ms against 17-18;
-      the 509,141-cell volume's wslf hologram took 330-440 ms against
-      940-1080 (2-core VM).
+      bit for bit.
+
+    A share allocates its sequence arrays, and the pair methods' scratch,
+    once per raw_scores call and writes into them.  A chunk stays within
+    6 of the share's 8 arrays of BLOCK // WORKERS float64 entries; the
+    other 2 leave room for the buffers numpy allocates for each operation
+    on a window or a broadcast operand (up to 3 x 8192 entries).  It takes
+    per sequence entry its distance, steering and lagged phasor (at most
+    5 entries), and either per cell and pair u and the terms (3; 5 with
+    several streams, which also share the pair phasors), or per line of
+    FFT length L its spectrum and a stream's product (4*L) and per cell
+    the finish's temporaries (3).  Chunks are as many whole lines as that
+    holds, so a grid within one share's budget is scored on the calling
+    thread alone.  A pair method whose line exceeds the budget takes
+    segments of at least two cells; a linear method takes a whole line
+    regardless, so its FFT length (scipy.fft.next_fast_len) depends on
+    shapes only, and its scores' last bits not on the budget or WORKERS.
+    On the stock plane an 8-stream pass took 26-40 ms for nlf, wclf and
+    wslf, 99-139 ms for tagoram and 3-5 ms for clf, slf and sarfid
+    (2-core VM).
 
     A method is any callable taking (phases, dists, wavelength) and
     returning one score per row of dists; MethodSpec objects are such
@@ -387,11 +383,7 @@ class GridEvaluator:
         out = np.empty(phases.shape[:-1] + (m,))
         if isinstance(method, MethodSpec) and phases.shape[-1] == len(self.poses):
             if self._track is not None:
-                form = linear_form(method, phases)
-                if form is None:
-                    self._track_pairs(method, phases, out.reshape(-1, m), wavelength)
-                else:
-                    self._track_scores(form, out.reshape(-1, m), wavelength)
+                self._track_scores(method, phases, out.reshape(-1, m), wavelength)
                 return out
         rows = max(2, BLOCK // WORKERS // max(1, phases.size))
         edges = [*range(0, m, rows), m]
@@ -408,77 +400,47 @@ class GridEvaluator:
         _score_shares(score, list(zip(edges[:-1], edges[1:])))
         return out
 
-    def _track_scores(self, form, out: np.ndarray, wavelength: float) -> None:
-        """Write form's (S, M) scores into out, one FFT convolution per
-        line of cells and stream, in chunks of lines dealt to the shares."""
-        # imported here: ~30 ms and 1 MiB that evaluators on the blocks never need
-        from scipy.fft import fft, ifft, next_fast_len
-
-        track, n = self._track, len(self.poses)
-        shape = self.region.shape
-        ny, nv = shape[track.axis], shape[max(ax for ax in range(3) if ax != track.axis)]
-        pad = track.b * (n - 1)  # the sum of line cell j sits at pad + a*j
-        seq = track.a * (ny - 1) + pad + 1  # kernel entries per line
-        size = next_fast_len(seq)  # no wrap-around reaches pad..seq-1
-        upsampled = np.zeros((len(form.inputs), pad + 1), dtype=complex)
-        upsampled[:, :: track.b] = form.inputs
-        spectra = [fft(row, size) for row in upsampled]  # one FFT per stream, as alone
-        sums = slice(pad, seq, track.a)
-        if form.anchor is not None:  # K_r of line cell j sits at pad - b*r + a*j
-            first = pad - track.b * form.anchor
-            anchors = slice(first, first + seq - pad, track.a)
-        cells = slice(None, None, -1 if track.flip else 1)
-        lines = len(track.cross)
-        rows = max(1, min(BLOCK // WORKERS // size, -(-lines // WORKERS)))
-        grid = np.moveaxis(out.reshape(-1, *shape), 1 + track.axis, -1)
-
-        def score_lines(lo, hi):  # its arrays are freed before the next chunk's
-            dists = np.sqrt(track.cross[lo:hi, None] + track.sq_offsets[: seq + form.lag * track.b])
-            kernel = form.kernel(dists, wavelength, track.b)
-            del dists
-            at_anchor = None if form.anchor is None else kernel[:, anchors].copy()
-            kernel = fft(kernel, size, axis=-1)
-            conv = np.empty_like(kernel)  # every stream's product, inverted in place
-            iu, iv = np.divmod(np.arange(lo, hi), nv)
-            for s, spectrum in enumerate(spectra):
-                conv = ifft(np.multiply(kernel, spectrum, out=conv), axis=-1, overwrite_x=True)
-                grid[s, iu, iv] = form.finish(conv[:, sums], at_anchor, s)[:, cells]
-
-        def score(chunks):
-            for lo, hi in chunks:
-                score_lines(lo, hi)
-
-        _score_shares(score, [(lo, min(lo + rows, lines)) for lo in range(0, lines, rows)])
-
-    def _track_pairs(
+    def _track_scores(
         self, spec: MethodSpec, phases: np.ndarray, out: np.ndarray, wavelength: float
     ) -> None:
         """Write spec's (S, M) scores into out from one sequence per line of
-        cells, whose sliding windows hold every cell's pair geometry, in
-        chunks of cells dealt to the shares."""
+        cells, in chunks dealt to the shares: clf, slf and sarfid convolve
+        each line with every stream's inputs, the other methods sum every
+        cell's pair terms over a sliding window of it."""
         track, n = self._track, len(self.poses)
         idx_a, idx_b = pair_indices(spec.scheme, n)  # raises as the blocks do
         phases = np.atleast_2d(phases)
-        dphi = phases[:, idx_a] - phases[:, idx_b]
+        form = linear_form(spec, phases)
         ref = None if spec.scheme.kind == "misaligned" else spec.scheme.reference_index
         nlf = spec.name == "nlf"
         a, b, p = track.a, track.b, n - 1
+        lag = b if ref is None else 0  # pose n - 1 sits b entries before pose n
         shape = self.region.shape
         ny, nv = shape[track.axis], shape[max(ax for ax in range(3) if ax != track.axis)]
         lines = len(track.cross)
-        sides = dphi if nlf else np.exp(1j * dphi)  # each stream's side of its pairs
         width = 1 if nlf else 2  # float64 entries per pair or sequence value
-        # float64 entries a chunk takes, kept within 6 of a share's 8 arrays
-        # (2 are left for numpy's iteration buffers and small temporaries):
-        # per cell and pair, u and the terms (nlf: residuals and lo), and
-        # for several streams their shared pairs; per sequence entry its
-        # distance, steering and lagged phasor
-        per_pair = width + 1 + width * (len(dphi) > 1)
-        per_entry = 1 + (not nlf) * width + (ref is None) * width
+        # float64 entries a chunk takes, within 6 of a share's 8 arrays (see
+        # GridEvaluator); nlf's pairs take residuals and lo instead of u
+        per_entry = 1 + (not nlf) * width + (lag > 0) * width
         fixed = (b * (n - 1) + 1 - a) * per_entry
-        per_cell = p * per_pair + a * per_entry
         cap = 6 * (BLOCK // WORKERS)
-        rows = cap // (ny * per_cell + fixed)
+        if form is None:
+            dphi = phases[:, idx_a] - phases[:, idx_b]
+            sides = dphi if nlf else np.exp(1j * dphi)  # each stream's side of its pairs
+            per_cell = p * (width + 1 + width * (len(dphi) > 1)) + a * per_entry
+            rows = cap // (ny * per_cell + fixed)
+        else:  # imported here: ~30 ms and 1 MiB that the other methods never need
+            from scipy.fft import fft, ifft, next_fast_len
+
+            taps = form.inputs.shape[-1]
+            length = a * (ny - 1) + b * (n - 1) + 1 - lag  # entries a whole line convolves
+            size = next_fast_len(length)  # no wrap-around reaches the sums
+            upsampled = np.zeros((len(form.inputs), b * (taps - 1) + 1), dtype=complex)
+            upsampled[:, ::b] = form.inputs[:, ::-1]  # so cell j's sum sits at b*(taps-1) + a*j
+            spectra = [fft(row, size) for row in upsampled]  # one FFT per stream, as alone
+            at_cells = slice(b * (taps - 1), length, a)
+            # whole lines even beyond the budget, so FFT lengths depend on shapes only
+            rows = max(1, cap // (ny * (a * per_entry + 3) + fixed + 4 * size))
         if rows >= 1:  # whole lines; a grid within one share's budget takes one
             chunks = [(lo, min(lo + rows, lines), 0, ny) for lo in range(0, lines, rows)]
         else:  # segments of one line; a lone last cell joins the previous one
@@ -496,52 +458,64 @@ class GridEvaluator:
             rows = max(hi - lo for lo, hi, _, _ in chunks)
             dists = np.empty((rows, span))  # and nlf's phases 4*pi*d/lambda
             seq = dists if nlf else np.empty((rows, span), dtype=complex)
-            lagged = None if ref is not None else np.empty((rows, span - b), dtype=seq.dtype)
-            scratch = np.empty((width + 1) * most)
-            # one stream's pairs are the start of its scratch, turned into u in place
-            geometry = scratch if len(dphi) == 1 else np.empty(width * most)
-            geometry = geometry[: width * most].view(seq.dtype)
-            windows = {}  # per cell count: entry (line, j, n) is pose n's of reversed cell j
+            lagged = np.empty((rows, span - lag), dtype=seq.dtype) if lag else None
+            read = seq if lagged is None else lagged  # the sequence the cells read
+            if form is None:
+                scratch = np.empty((width + 1) * most)
+                # one stream's pairs are the start of its scratch, turned into u in place
+                geometry = scratch if len(dphi) == 1 else np.empty(width * most)
+                geometry = geometry[: width * most].view(seq.dtype)
+            windows = {}  # per cell count: entry (line, j, n) is pose n's of cell j
 
-            for lo, hi, c0, c1 in chunks:
-                h, count = hi - lo, c1 - c0
-                used = a * (count - 1) + b * (n - 1) + 1  # sequence entries the cells read
-                if count not in windows:
-                    line = seq[:, :used] if lagged is None else lagged[:, : used - b]
-                    view = sliding_window_view(line, line.shape[-1] - a * (count - 1), axis=-1)
-                    windows[count] = view[:, ::a, ::b]
-                # the cells' entries in reverse, so pose n of reversed cell j
-                # reads entry a*j + b*n
-                d = dists[:h, :used]
-                offsets = track.sq_offsets[a * c0 : a * c0 + used][::-1]
-                np.add(track.cross[lo:hi, None], offsets, out=d)
-                np.sqrt(d, out=d)
-                if nlf:
-                    d *= 4.0 * math.pi / wavelength
-                else:
-                    _steering(d, wavelength, out=seq[:h, :used])
-                if lagged is not None:  # pose n - 1 sits b entries before pose n
-                    lag = lagged[:h, : used - b]
-                    if nlf:
-                        _wrap(np.subtract(d[:, b:], d[:, :-b], out=lag))
-                    else:
-                        np.conjugate(seq[:h, : used - b], out=lag)
-                        lag *= seq[:h, b:used]
-                window = windows[count][:h]
+            def pair_sums(window):
                 if ref is None:
                     pairs = window
                 else:  # nlf: folded kd_n - kd_r; the rest: A_n * conj(A_r)
-                    pairs = geometry[: h * count * p].reshape(h, count, p)
+                    pairs = geometry[: window[..., 0].size * p].reshape(window.shape[:2] + (p,))
                     at_ref = window[..., ref, None] if nlf else np.conjugate(window[..., ref, None])
                     combine = np.subtract if nlf else np.multiply
                     combine(window[..., :ref], at_ref, out=pairs[..., :ref])
                     combine(window[..., ref + 1 :], at_ref, out=pairs[..., ref:])
                     if nlf:
                         _wrap(pairs)
+                for side in sides:
+                    yield _pair_sums(spec, pairs, side, scratch)
+
+            def convolved(window, line):
+                if form.power == 2:
+                    np.square(line, out=line)
+                at_anchor = None if form.anchor is None else window[..., form.anchor]
+                spectrum = fft(line, size, axis=-1)
+                conv = np.empty_like(spectrum)  # every stream's product, inverted in place
+                for s, stream in enumerate(spectra):
+                    conv = ifft(np.multiply(spectrum, stream, out=conv), axis=-1, overwrite_x=True)
+                    yield form.finish(conv[:, at_cells], at_anchor, s)
+
+            for lo, hi, c0, c1 in chunks:
+                h, count = hi - lo, c1 - c0
+                used = a * (count - 1) + b * (n - 1) + 1  # sequence entries the cells read
+                line = read[:h, : used - lag]
+                if count not in windows:
+                    full = read[:, : used - lag]
+                    view = sliding_window_view(full, full.shape[-1] - a * (count - 1), axis=-1)
+                    windows[count] = view[:, ::a, ::b]
+                d = dists[:h, :used]
+                np.add(track.cross[lo:hi, None], track.sq_offsets[a * c0 : a * c0 + used], out=d)
+                np.sqrt(d, out=d)
+                if nlf:
+                    d *= 4.0 * math.pi / wavelength
+                else:
+                    _steering(d, wavelength, out=seq[:h, :used])
+                if lag and nlf:
+                    _wrap(np.subtract(d[:, lag:], d[:, :-lag], out=line))
+                elif lag:
+                    np.conjugate(seq[:h, : used - lag], out=line)
+                    line *= seq[:h, lag:used]
+                window = windows[count][:h]
                 iu, iv = np.divmod(np.arange(lo, hi), nv)
-                cols = slice(ny - c1, ny - c0) if track.flip else slice(c0, c1)
-                for s, side in enumerate(sides):
-                    sums = _pair_sums(spec, pairs, side, scratch)
+                cols = slice(c0, c1) if track.flip else slice(ny - c1, ny - c0)
+                results = pair_sums(window) if form is None else convolved(window, line)
+                for s, sums in enumerate(results):
                     grid[s, iu, iv, cols] = sums if track.flip else sums[:, ::-1]
 
         _score_shares(score, chunks)

@@ -732,6 +732,8 @@ class TestCli:
         ["locate", "--method", "clf", "--region", "x=0,y=0:0.1,z=0:0.1",
          "--resolution", "1e-320"],
         ["bench", "--method", "nlf,clf", "--scheme", "reference:999", "--trials", "2"],
+        ["locate", "--method", "clf", "--resolution", "inf"],
+        ["bench", "--method", "clf", "--trials", "1", "--resolution", "inf"],
     ])
     def test_bad_flags_are_usage_errors(self, config_path, tmp_path, capsys, argv):
         log = tmp_path / "log.csv"

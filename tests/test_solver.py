@@ -112,6 +112,12 @@ class TestSearchRegion:
         with pytest.raises(ValueError):
             SearchRegion(x=(0, 0), y=(0, 1), z=(0, 1), resolution=0.0)
 
+    @pytest.mark.parametrize("res", [math.inf, -math.inf, math.nan, (0.01, math.inf, 0.01)])
+    def test_non_finite_resolution_rejected(self, res):
+        # lo + inf*0 would make the cell centers NaN
+        with pytest.raises(ValueError, match="finite and positive"):
+            SearchRegion(x=(0, 0), y=(0, 1), z=(0, 1), resolution=res)
+
     def test_candidates_c_order(self):
         r = SearchRegion(x=(0.0, 0.0), y=(0.0, 0.01), z=(0.0, 0.01), resolution=0.01)
         cands = r.candidates()
@@ -829,9 +835,17 @@ class TestTrackPath:
         np.column_stack([np.full(40, 1.4), 0.3 - 0.01 * np.arange(40), np.zeros(40)]),
         np.linspace(0.0, 6.0, 40), 39,
     ), block=1)
+    # cells on 8 poses, a line of 8 cells: cut into segments under a small
+    # budget, clf's FFT lengths, and so its last bits, moved with WORKERS
+    @example(scene=(
+        SearchRegion(x=(0.0, 0.21875), y=(0.0, 0.0), z=(0.0, 0.0), resolution=(0.03125, 0.005, 0.005)),
+        np.column_stack([0.03125 * np.arange(8), np.zeros(8), np.zeros(8)]),
+        np.zeros(8), 0,
+    ), block=19)
     def test_track_path_at_any_share_budget(self, scene, block):
-        # BLOCK down to 1 makes a line longer than a share's budget, so
-        # lines are split into segments of cells
+        # BLOCK down to 1 makes a line longer than a share's budget, so the
+        # pair methods' lines are split into segments of cells; clf, slf and
+        # sarfid keep whole lines
         region, poses, phases, ref = scene
         lam = CARRIER.wavelength
         ev = GridEvaluator(region, poses)
