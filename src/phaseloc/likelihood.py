@@ -33,47 +33,37 @@ scores reference-subtracted cosine residuals weighted by a two-sided
 Gaussian tail probability, so reads that disagree with the candidate
 geometry by many sigma contribute almost nothing.
 
-All functions are pure.  Each method's per-pair term is written once, as
-a function of cos r and sin r, and fed by one of two sources picked by
-the shape of the phases:
-
-* one stream's (N,) phases give cos r and sin r of the residual itself,
-  only the ones the method reads: one transcendental per pair for clf,
-  wclf and slf, sin and exp for wslf;
-* S streams' (S, N) phases over one trajectory give them as the real and
-  imaginary parts of the pair phasors u = A_a * conj(A_b) * exp(j*dphi)
-  = exp(j*r), with the steering phasors A = exp(-j*4*pi*d/lambda) built
-  once per call for all streams, so no stream pays a cos or sin of its
-  own.  _pair_sums forms u from the shared A_a * conj(A_b) (for nlf the
-  residual from the shared folded geometry) and sums the terms.
-
-The two agree to rounding, not bit for bit.  Both stay because A costs
-two transcendentals per entry where one stream's residual pays one, and
-pays off only once it is shared by several streams.  nlf needs the
-folded residual itself: its stacked form shares the folded geometry and
-scores each stream exactly as alone.  sarfid sums z_n = exp(j*phi_n) *
-A_n directly, in one form for one or S streams.
+All functions are pure.  Every differential method but nlf reads a pair
+only through cos r and sin r, the real and imaginary parts of the pair
+phasor u = A_a * conj(A_b) * exp(j*dphi) = exp(j*r), with the steering
+phasors A = exp(-j*4*pi*d/lambda); nlf reads the residual dphi -
+wrap(4*pi*(d_a - d_b)/lambda) itself.  _pair_sums writes each method's
+per-pair term once, from the geometry every stream shares (A_a *
+conj(A_b), or nlf's folded differences) and each stream's own side of
+its pairs (exp(j*dphi), or dphi), and sums it.  One stream's (N,) phases
+are a stack of one: its sums are its row of any (S, N) stack's, bit for
+bit.  sarfid sums z_n = exp(j*phi_n) * A_n directly, in one form for one
+or S streams.
 
 On an evenly stepped track, GridEvaluator builds each line of cells'
 steering sequence once (under misaligned, the pair sequence
 A_n*conj(A_{n-1})) and reduces it in one of two ways.  nlf, wclf, wslf
-and tagoram take the phasor source, through _pair_sums, with A read from
-windows of the sequence instead of computed per cell and pose.  clf, slf
-and sarfid are linear in w_n = exp(j*phi_n)*A_n, so the sequence is
-convolved with each stream's inputs; linear_form gives those inputs and
-the finish: sarfid |sum_n w_n|/N; clf under reference:r
-Re[conj(w_r) * sum_n w_n] - 1; slf under reference:r
-1/2*Re[conj(w_r)^2 * sum_n w_n^2] - 1/2 - P/2, since -sin^2 x =
-(cos 2x - 1)/2 over P = N-1 pairs; under misaligned the pair phasors
-exp(j*dphi_n)*A_n*conj(A_{n-1}) (squared for slf) take the place of w_n.
-It agrees with the other two sources to about 1e-12 of the score scale.
+and tagoram go through _pair_sums, with A read from windows of the
+sequence instead of computed per cell and pose.  clf, slf and sarfid are
+linear in w_n = exp(j*phi_n)*A_n, so the sequence is convolved with each
+stream's inputs; linear_form gives those inputs and the finish: sarfid
+|sum_n w_n|/N; clf under reference:r Re[conj(w_r) * sum_n w_n] - 1; slf
+under reference:r 1/2*Re[conj(w_r)^2 * sum_n w_n^2] - 1/2 - P/2, since
+-sin^2 x = (cos 2x - 1)/2 over P = N-1 pairs; under misaligned the pair
+phasors exp(j*dphi_n)*A_n*conj(A_{n-1}) (squared for slf) take the place
+of w_n.  It agrees with the cell blocks to about 1e-12 of the score scale.
 
-With one stream and two or more candidate rows, objective_batch sums
-each row's pair terms in sample order, term by term; a lone row is
-summed pairwise by numpy and can differ in the last bit, so
-GridEvaluator never scores fewer than two rows at a time.  The stacked
-(S, M, P) phasor block is C-order and its rows are summed pairwise, so a
-stream's scores do not depend on which or how many streams share a call.
+The pair terms of a C-order (..., M, P) block are summed pairwise per
+row, whatever M and however many streams share it.  A block of one
+candidate row is the exception GridEvaluator avoids: numpy 2.4 multiplies
+a one-element complex array in place without fused multiply-adds, so a
+one-cell, one-pair block can differ from the same cell in a taller block
+in the last bit.
 """
 
 from __future__ import annotations
@@ -146,8 +136,13 @@ class MethodSpec:
             )
         if self.name in ("sarfid", "tagoram") and self.scheme != DifferentialScheme.reference(0):
             raise ValueError(f"{self.name} takes no differential scheme; only reference:0 is accepted")
-        if not (self.tagoram_sigma > 0.0):
-            raise ValueError(f"tagoram_sigma must be > 0, got {self.tagoram_sigma!r}")
+        # an infinite sigma makes every weight 1; one so small that the bound
+        # pi/(sigma*sqrt(2)) of |r|/(sigma*sqrt(2)) overflows breaks them too
+        sigma = self.tagoram_sigma
+        if not (0.0 < sigma < math.inf and math.pi / (sigma * math.sqrt(2.0)) < math.inf):
+            raise ValueError(
+                f"tagoram_sigma must be finite and > 0 with finite pi/(sigma*sqrt(2)), got {sigma!r}"
+            )
 
     def __call__(self, phases: np.ndarray, dists: np.ndarray, wavelength: float) -> np.ndarray:
         """Scores per candidate row of ``dists``: (M,) for one stream's
@@ -233,24 +228,24 @@ def objective_batch(
     phases is the (N,) wrapped measurement vector, or (S, N) for S
     streams over the same poses; dists is (M, N) with row m holding
     candidate m's distances to the N poses.  Returns (M,) sums over the
-    scheme's pairs, or (S, M).  Every method but nlf scores its pair terms
-    (_terms) from cos r and sin r: for (N,) phases those of the residual,
-    for (S, N) phases the real and imaginary parts of the pair phasors u,
-    whose steering phasors are built once for all streams.  Stacked rows
-    match the (N,) call on phases[s] to about 1e-12 of the score scale;
-    nlf shares the folded geometric differences and scores each stream
-    exactly as alone, so its stacked rows match bit for bit.  tagoram
-    weights cos r by 2*(1 - Phi(|r|/sigma)) = erfc(|r|/(sigma*sqrt(2)))
-    with r = atan2(sin r, cos r) in [-pi, pi], since a tail probability
-    of an unwrapped circular residual would be meaningless.
+    scheme's pairs, or (S, M).  The pair geometry is built once for all
+    streams, nlf's folded differences 4*pi*(d_a - d_b)/lambda or the
+    others' pair phasors A_a * conj(A_b), and _pair_sums sums every
+    stream's terms against it, so a stream's row equals its (N,) call bit
+    for bit.  tagoram weights cos r by 2*(1 - Phi(|r|/sigma)) =
+    erfc(|r|/(sigma*sqrt(2))) with r = atan2(sin r, cos r) in [-pi, pi],
+    since a tail probability of an unwrapped circular residual would be
+    meaningless.
     """
     if spec.name == "sarfid":
         raise ValueError("sarfid is not a differential method; use sarfid_batch")
     phases = np.asarray(phases, dtype=float)
     dists = np.atleast_2d(np.asarray(dists, dtype=float))
     idx_a, idx_b = pair_indices(spec.scheme, phases.shape[-1])
-    dphi_m = phases[..., idx_a] - phases[..., idx_b]
-    if phases.ndim == 2 and spec.name != "nlf":
+    measured = phases[..., idx_a] - phases[..., idx_b]
+    if spec.name == "nlf":
+        pairs = wrap_2pi(4.0 * math.pi * (dists[:, idx_a] - dists[:, idx_b]) / wavelength)
+    else:
         # the pair phasors A_a * conj(A_b), an (M, P) block; the in-place
         # steps keep at most one real block beside it
         steering = _steering(dists, wavelength)
@@ -258,16 +253,10 @@ def objective_batch(
         del steering
         pairs *= np.conjugate(conj_b, out=conj_b)
         del conj_b
-        return _pair_sums(spec, pairs, np.exp(1j * dphi_m)[:, None, :])
-    geom = 4.0 * math.pi * (dists[:, idx_a] - dists[:, idx_b]) / wavelength
-    if spec.name == "nlf":
-        geom = wrap_2pi(geom)
-        scores = [_pair_sums(spec, geom, row, nlf_branch=nlf_branch) for row in np.atleast_2d(dphi_m)]
-        return scores[0] if phases.ndim == 1 else np.stack(scores)
-    res = np.subtract(dphi_m[None, :], geom, out=geom)
-    re = None if spec.name in ("slf", "wslf") else np.cos(res)
-    im = None if spec.name in ("clf", "wclf") else np.sin(res)
-    return _terms(spec, re, im).sum(axis=1)
+        measured = np.exp(1j * measured)
+    if phases.ndim == 2:
+        measured = measured[:, None, :]
+    return _pair_sums(spec, pairs, measured, nlf_branch=nlf_branch)
 
 
 def _pair_sums(
@@ -279,32 +268,47 @@ def _pair_sums(
 ) -> np.ndarray:
     """Sums over the last axis of a differential method's pair terms, from
     the geometry every stream shares and the streams' own side of each
-    pair, broadcast against it.
+    pair, broadcast against it; each method's term is written here once.
 
     For nlf, pairs holds the folded geometric differences
     wrap(4*pi*(d_a - d_b)/lambda), measured the measured differences
     dphi, and the residual is dphi - pairs.  For the other methods pairs
     holds the pair phasors A_a * conj(A_b), measured exp(j*dphi), and
     u = pairs * exp(j*dphi) = exp(j*r) gives cos r and sin r as its real
-    and imaginary parts.  Every array of the broadcast shape is written
-    into scratch, a float64 buffer of at least three times its size (two
-    for nlf), or into one such buffer allocated here.  pairs may be the
-    start of scratch itself, which then takes u (or nlf's residuals) in
-    place.
+    and imaginary parts.  Every array of the broadcast shape is written,
+    in C order, into scratch, a float64 buffer of at least three times its
+    size (two for nlf), or into one such buffer allocated here.  pairs may
+    be the start of scratch itself, which then takes u (or nlf's
+    residuals) in place.
     """
     shape = np.broadcast_shapes(pairs.shape, measured.shape)
     size = math.prod(shape)
+    if scratch is None:
+        scratch = np.empty((2 if spec.name == "nlf" else 3) * size)
     if spec.name == "nlf":
-        if scratch is None:  # res keeps the memory order of pairs, so its sums' order too
-            res = np.subtract(measured, pairs)
-            return _nlf_scores(res, nlf_branch, np.empty_like(res))
         res = np.subtract(measured, pairs, out=scratch[:size].reshape(shape))
         return _nlf_scores(res, nlf_branch, scratch[size : 2 * size].reshape(shape))
-    buf = np.empty(3 * size) if scratch is None else scratch[: 3 * size]
-    u = np.multiply(pairs, measured, out=buf[: 2 * size].view(complex).reshape(shape))
-    # wslf's weights overwrite u once its sin r has been read
-    out = (buf[2 * size :].reshape(shape), buf[:size].reshape(shape))
-    return _terms(spec, u.real, u.imag, out).sum(axis=-1)
+    u = np.multiply(pairs, measured, out=scratch[: 2 * size].view(complex).reshape(shape))
+    re, im = u.real, u.imag
+    if spec.name == "clf":
+        return re.sum(axis=-1)
+    terms = scratch[2 * size : 3 * size].reshape(shape)
+    if spec.name == "tagoram":
+        np.arctan2(im, re, out=terms)
+        np.abs(terms, out=terms)
+        terms /= spec.tagoram_sigma * math.sqrt(2.0)
+        erfc(terms, out=terms)
+        terms *= re
+    elif spec.name == "wclf":
+        np.abs(re, out=terms)
+        terms *= re
+    else:
+        np.square(im, out=terms)
+        if spec.name == "wslf":  # the weights overwrite u once its sin r has been read
+            weights = np.negative(terms, out=scratch[:size].reshape(shape))
+            terms *= np.exp(weights, out=weights)
+        np.negative(terms, out=terms)
+    return terms.sum(axis=-1)
 
 
 def _nlf_scores(res: np.ndarray, nlf_branch: str, lo: np.ndarray) -> np.ndarray:
@@ -321,38 +325,6 @@ def _nlf_scores(res: np.ndarray, nlf_branch: str, lo: np.ndarray) -> np.ndarray:
     elif nlf_branch != BRANCH_NONNEGATIVE:
         raise ValueError(f"unknown branch {nlf_branch!r}")
     return -np.square(res, out=res).sum(axis=-1)
-
-
-def _terms(
-    spec: MethodSpec,
-    re: np.ndarray | None,
-    im: np.ndarray | None,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """Per-pair terms of clf, wclf, slf, wslf or tagoram from re = cos r
-    and im = sin r; a method gets only the parts it reads, and im may be
-    overwritten.  out, if given, is a pair of float64 arrays of their shape
-    that receive the terms (clf's are re itself) and wslf's weights, which
-    are written only after im has been read."""
-    terms, spare = (None, None) if out is None else out
-    if spec.name == "tagoram":
-        terms = np.arctan2(im, re, out=terms)
-        np.abs(terms, out=terms)
-        terms /= spec.tagoram_sigma * math.sqrt(2.0)
-        erfc(terms, out=terms)
-        terms *= re
-        return terms
-    if spec.name == "clf":
-        return re
-    if spec.name == "wclf":
-        terms = np.abs(re, out=terms)
-        terms *= re
-        return terms
-    sin2 = np.square(im, out=terms)
-    if spec.name == "wslf":
-        weights = np.negative(sin2, out=im if spare is None else spare)
-        sin2 *= np.exp(weights, out=weights)
-    return np.negative(sin2, out=sin2)
 
 
 @dataclass(frozen=True)

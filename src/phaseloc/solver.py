@@ -296,22 +296,22 @@ class GridEvaluator:
     so the evaluator keeps one (cells on the axis x N) table per axis.
     raw_scores sums them in x, y, z order like squared_norm_rows and
     scores the cells in C-order blocks of BLOCK // WORKERS // (S*N) cells
-    for S stacked streams but never fewer than two cells (numpy sums a
-    lone row pairwise, a taller block's rows term by term; a lone last
-    cell joins the previous block).  The blocks are dealt round-robin to
-    WORKERS shares scored at once, the first on the calling thread.
+    for S stacked streams but never fewer than two cells (numpy multiplies
+    a one-element complex array in place without fused multiply-adds, so
+    a one-cell, one-pair block would round unlike a taller one; a lone
+    last cell joins the previous block).  The blocks are dealt round-robin
+    to WORKERS shares scored at once, the first on the calling thread.
     Memory budget beyond the tables and the (S, M) outputs, for all
     workers together: 8 float64 arrays of max(BLOCK, 2*WORKERS*S*N)
     entries, 4 MiB while WORKERS*S*N <= 32,768.
 
-    Stacked streams share each block's distances, so the more streams a
-    pass holds the less the geometry costs per stream; MethodSpec also
-    builds the steering phasors once per block for all of them and feeds
-    each method's per-pair term from them, where one stream's term is fed
-    by its residuals (see likelihood).  But each pass holds its (S, M) raw
-    scores and S holograms, and nlf scores stacked streams one by one,
-    which gets slow once a block holds only a few cells; streams_per_pass
-    balances these on the blocks.
+    Stacked streams share each block's distances, and MethodSpec builds
+    the pair geometry (pair phasors, or nlf's folded differences) once per
+    block for all of them, so the more streams a pass holds the less the
+    geometry costs per stream.  But each pass holds its (S, M) raw scores
+    and S holograms, and the more streams a block stacks the fewer cells
+    it holds, until numpy's per-call overhead outweighs the work;
+    streams_per_pass balances these on the blocks.
 
     The track path: when the poses step evenly along one axis (the other
     two coordinates equal for every pose) and the grid's step on that

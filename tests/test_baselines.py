@@ -61,7 +61,7 @@ class TestBaselineSpec:
             MethodSpec("music")
 
     def test_bad_sigma(self):
-        for sigma in (0.0, -0.1, math.nan):
+        for sigma in (0.0, -0.1, math.nan, math.inf, 1e-320):
             with pytest.raises(ValueError):
                 MethodSpec("tagoram", tagoram_sigma=sigma)
 

@@ -710,6 +710,8 @@ class TestCli:
     @pytest.mark.parametrize("extra", [
         ["--method", "tagoram", "--tagoram-sigma", "0"],
         ["--method", "tagoram", "--tagoram-sigma", "-1"],
+        ["--method", "tagoram", "--tagoram-sigma", "inf"],
+        ["--method", "tagoram", "--tagoram-sigma", "1e-320"],
         ["--method", "clf", "--tagoram-sigma", "0.05"],
         ["--method", "tagoram", "--scheme", "misaligned"],
     ])
