@@ -4,24 +4,30 @@ Subcommands: simulate (scenario -> phase log), locate (phase log ->
 printed estimates), hologram (phase log -> grid export files), bench
 (scenario -> Monte-Carlo report files).
 
-Exit codes: 0 success, 1 usage error (bad flags or flag values), 2 data
-error (unreadable or malformed config or log values, or a tag that
-cannot be scored), 3 internal invariant violation.
+Exit codes: 0 success, also when the reader of stdout closes it early
+(locate then stops silently; the other commands drop their messages and
+still write their files), 1 usage error (bad flags or flag values),
+2 data error (unreadable or malformed config or log values, a tag that
+cannot be scored, or a missing output directory), 3 internal invariant
+violation.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from ..likelihood import DEFAULT_TAGORAM_SIGMA, METHOD_NAMES
-from ..solver import SearchRegion, argmax_estimate, evaluate_hologram
+from ..solver import GridEvaluator, SearchRegion, argmax_estimate
 from ..synthesis import synthesize
 from .bench import parse_scheme, resolve_method, run_bench, write_bench_report
 from .config import ConfigError, build_region, load_scenario
-from .holograms import export_hologram
+from .holograms import _hologram_writer
 from .logs import LogFormatError, export_phase_log, ingest_log
 
 
@@ -85,19 +91,43 @@ def _resolve_method_args(args):
         raise UsageError(str(exc)) from exc
 
 
+def _drop_stdout() -> None:
+    """Point stdout at os.devnull once its reader has closed it, so that
+    later writes and the interpreter's flush at exit neither fail nor
+    print an "Exception ignored" message."""
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
+def _say(text: str, end: str = "\n") -> None:
+    """print for commands whose product is their files: a closed stdout
+    drops the message, not the command."""
+    try:
+        print(text, end=end)
+    except BrokenPipeError:
+        _drop_stdout()
+
+
 def _cmd_simulate(args) -> int:
     scenario, _ = load_scenario(args.config, seed_override=args.seed)
     streams = synthesize(scenario)
     export_phase_log(streams, args.out, unit=args.phase_unit or "radians")
     total = sum(len(v) for v in streams.values())
-    print(f"wrote {total} samples for {len(streams)} tags to {args.out}")
+    _say(f"wrote {total} samples for {len(streams)} tags to {args.out}")
     return 0
 
 
 def _tag_holograms(args):
-    """locate's and hologram's shared front half: truth by tag id, the tag
-    ids and a lazy (tag_id, hologram) iterator, so only one hologram is
-    alive at a time.  A tag that cannot be scored is a data error."""
+    """locate's and hologram's shared front half: truth by tag id, the
+    search region, the tag ids and a lazy (tag_id, hologram) iterator in
+    log order.
+
+    Consecutive tags whose poses and wavelength match share one
+    GridEvaluator.holograms pass of up to streams_per_pass tags, which
+    gives each tag its one-stream hologram bit for bit; only one pass's
+    holograms are alive at a time.  A pass that cannot be scored is a
+    data error named after its first tag: what makes scoring fail (the
+    poses, their count under the scheme, the wavelength) is shared by
+    every tag in the pass."""
     truth, config_region = {}, None
     if args.config:
         scenario, config_region = load_scenario(args.config)
@@ -112,24 +142,40 @@ def _tag_holograms(args):
     )
 
     def holograms():
-        for tag_id, samples in streams.items():
+        tags, evaluator, k = list(streams.items()), None, 0
+        while k < len(tags):
+            batch = tags[k : k + 1]
+            first = batch[0][1]
             try:
-                yield tag_id, evaluate_hologram(samples, region, spec)
+                if evaluator is None or not np.array_equal(evaluator.poses, first.poses):
+                    evaluator = GridEvaluator(region, first.poses)
+                for tag_id, stream in tags[k + 1 : k + evaluator.streams_per_pass]:
+                    if stream.carrier.wavelength != first.carrier.wavelength:
+                        break
+                    if not np.array_equal(stream.poses, first.poses):
+                        break
+                    batch.append((tag_id, stream))
+                holos = evaluator.holograms([stream for _, stream in batch], spec)
             except ValueError as exc:
-                raise LogFormatError(f"tag {tag_id}: {exc}") from exc
+                raise LogFormatError(f"tag {batch[0][0]}: {exc}") from exc
+            k += len(batch)
+            yield from zip([tag_id for tag_id, _ in batch], holos)
 
-    return truth, list(streams), holograms()
+    return truth, region, list(streams), holograms()
 
 
 def _cmd_locate(args) -> int:
-    truth, _, holograms = _tag_holograms(args)
+    truth, _, _, holograms = _tag_holograms(args)
     writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow("tag_id,est_x,est_y,est_z,err_y,err_z,err_combined,peak_ratio".split(","))
-    for tag_id, holo in holograms:
-        est = argmax_estimate(holo, truth=truth.get(tag_id), tag_id=tag_id)
-        p = est.position
-        values = (p.x, p.y, p.z, est.err_y, est.err_z, est.err_combined_yz, est.peak_ratio)
-        writer.writerow([tag_id, *("" if v is None else repr(v) for v in values)])
+    try:
+        writer.writerow("tag_id,est_x,est_y,est_z,err_y,err_z,err_combined,peak_ratio".split(","))
+        for tag_id, holo in holograms:
+            est = argmax_estimate(holo, truth=truth.get(tag_id), tag_id=tag_id)
+            p = est.position
+            values = (p.x, p.y, p.z, est.err_y, est.err_z, est.err_combined_yz, est.peak_ratio)
+            writer.writerow([tag_id, *("" if v is None else repr(v) for v in values)])
+    except BrokenPipeError:  # stdout's reader left, and the rows are the product: stop
+        _drop_stdout()
     return 0
 
 
@@ -150,11 +196,15 @@ def _hologram_paths(out: Path, tag_ids: list[str]) -> dict[str, Path]:
 
 
 def _cmd_hologram(args) -> int:
-    _, tag_ids, holograms = _tag_holograms(args)
-    paths = _hologram_paths(Path(args.out), tag_ids)
+    _, region, tag_ids, holograms = _tag_holograms(args)
+    out = Path(args.out)
+    paths = _hologram_paths(out, tag_ids)
+    if not out.parent.is_dir():  # before any tag is scored
+        raise FileNotFoundError(f"output directory {out.parent} does not exist")
+    export = _hologram_writer(region)
     for tag_id, holo in holograms:
-        export_hologram(holo, paths[tag_id])
-        print(f"wrote hologram for {tag_id} to {paths[tag_id]}")
+        export(holo, paths[tag_id])
+        _say(f"wrote hologram for {tag_id} to {paths[tag_id]}")
     return 0
 
 
@@ -167,9 +217,9 @@ def _cmd_bench(args) -> int:
         raise UsageError(f"--scheme reference:{index} is out of range for {poses} poses")
     report = run_bench(scenario, region, methods, trials=args.trials, base_seed=args.seed)
     paths = write_bench_report(report, args.out)
-    print(report.to_text(), end="")
-    print(f"runtime: {report.runtime_s:.2f}s")
-    print(f"wrote {paths['text']}, {paths['summary']}, {paths['errors']}")
+    _say(report.to_text(), end="")
+    _say(f"runtime: {report.runtime_s:.2f}s")
+    _say(f"wrote {paths['text']}, {paths['summary']}, {paths['errors']}")
     return 0
 
 
@@ -239,7 +289,12 @@ def cli(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(cli())
+    code = cli()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:  # rows still buffered when stdout's reader left
+        _drop_stdout()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

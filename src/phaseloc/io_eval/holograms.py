@@ -20,25 +20,36 @@ _AXES = ("x", "y", "z")
 
 
 def export_hologram(holo: Hologram, path: str | Path) -> None:
-    region = holo.region
-    lines = ["# phaseloc hologram"]
+    _hologram_writer(holo.region)(holo, path)
+
+
+def _hologram_writer(region: SearchRegion):
+    """export_hologram for holograms over ``region``, with the region's
+    header lines and every row's coordinate fields formatted once, so
+    that writing many holograms of one region formats only their scores."""
+    head = ["# phaseloc hologram"]
     for axis, name in enumerate(_AXES):
         lo, hi = map(float, region.bounds[axis])
-        lines.append(
+        head.append(
             f"# {name}_min={lo!r} {name}_max={hi!r} "
             f"{name}_res={region.resolution[axis]!r} {name}_cells={region.shape[axis]}"
         )
-    lines.append(f"# raw_min={float(holo.raw_min)!r} raw_max={float(holo.raw_max)!r}")
-
     active = [axis for axis in range(3) if region.shape[axis] > 1]
-    lines.append(",".join([_AXES[a] for a in active] + ["score"]))
+    names = ",".join([_AXES[a] for a in active] + ["score"])
 
     # Python floats from tolist() repr as float(numpy scalar) would, without
     # a numpy scalar per field
     cells = region.candidates()
-    columns = [cells[:, a].tolist() for a in active] + [holo.scores.ravel().tolist()]
-    lines.extend(map(",".join, zip(*(map(repr, column) for column in columns))))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    prefixes = [""] * region.cell_count
+    for a in active:
+        prefixes = [f"{prefix}{value!r}," for prefix, value in zip(prefixes, cells[:, a].tolist())]
+
+    def write(holo: Hologram, path: str | Path) -> None:
+        raw = f"# raw_min={float(holo.raw_min)!r} raw_max={float(holo.raw_max)!r}"
+        rows = map(str.__add__, prefixes, map(repr, holo.scores.ravel().tolist()))
+        Path(path).write_text("\n".join([*head, raw, names, *rows]) + "\n", encoding="utf-8")
+
+    return write
 
 
 def _parse_header_pairs(lines: list[str]) -> dict[str, str]:

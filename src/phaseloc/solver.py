@@ -311,7 +311,12 @@ class GridEvaluator:
     geometry costs per stream.  But each pass holds its (S, M) raw scores
     and S holograms, and the more streams a block stacks the fewer cells
     it holds, until numpy's per-call overhead outweighs the work;
-    streams_per_pass balances these on the blocks.
+    streams_per_pass balances these on the blocks.  On the track path a
+    chunk's scratch does not grow with the streams, but each stream keeps
+    its (S, M) raw scores and, per chunk, its N phases, N-1 differences and
+    FFT spectra longer than N; so there a pass holds at most PASS_SCORES
+    raw scores and at most PASS_SCORES stacked phases.  run_bench and the CLI's locate
+    and hologram stack their streams in passes of up to streams_per_pass.
 
     The track path: when the poses step evenly along one axis (the other
     two coordinates equal for every pose) and the grid's step on that
@@ -370,9 +375,14 @@ class GridEvaluator:
 
     @property
     def streams_per_pass(self) -> int:
-        """The most streams one holograms pass should stack: blocks of at
-        least PASS_CELLS cells (per worker), at most PASS_SCORES raw scores."""
+        """The most streams one holograms pass of a MethodSpec should stack:
+        at most PASS_SCORES raw scores, and on a track at most PASS_SCORES
+        stacked phases, off one blocks of at least PASS_CELLS cells (per
+        worker).  A track chunk's scratch does not grow with the streams,
+        only what is kept per stream does."""
         n, m = self.poses.shape[0], self.region.cell_count
+        if self._track is not None:
+            return max(1, PASS_SCORES // max(m, n))
         return max(1, min(BLOCK // WORKERS // (PASS_CELLS * n), PASS_SCORES // m))
 
     def raw_scores(self, phases: np.ndarray, method, wavelength: float) -> np.ndarray:

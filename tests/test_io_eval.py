@@ -1,11 +1,15 @@
 """Config parsing, log round trips, hologram export, bench harness, CLI."""
 
+import contextlib
 import csv
 import io
 import math
+import os
 import re
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -14,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import phaseloc
 import phaseloc.solver as solver_mod
 from phaseloc import (
     METHOD_NAMES,
@@ -28,6 +33,7 @@ from phaseloc import (
     Scenario,
     SearchRegion,
     TagTruth,
+    argmax_estimate,
     evaluate_hologram,
     linear_track,
     synthesize,
@@ -799,6 +805,134 @@ class TestCli:
                         "--config", str(config_path), "--scheme", "reference:500"])
         assert code == 2
         assert "tag T01: reference index 500" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("per_pass", [1, 2, 4, None], ids=["1", "2", "4", "real"])
+    def test_stacked_passes_change_no_output(self, tmp_path, capsys, per_pass):
+        # consecutive tags share a pass while their poses and carrier match:
+        # "short" lost a read, "far" is on another carrier and "one", a tag
+        # with one read, cannot be scored; each command must print and write
+        # what scoring every tag alone with evaluate_hologram gives
+        a, b = synthesize(scenario_for_logs()).values()
+        flipped = SampleStream(a.poses, b.phases[::-1], a.carrier)
+        tags = {
+            "A": a, "B": b, "G": flipped,
+            "short": SampleStream(a.poses[1:], a.phases[1:], a.carrier),
+            "C": SampleStream(b.poses, a.phases, b.carrier),
+            "far": SampleStream(a.poses, b.phases, CarrierConfig(867.5e6)),
+            "D": SampleStream(a.poses, a.phases[::-1], a.carrier),
+            "one": SampleStream(a.poses[:1], a.phases[:1], a.carrier),
+            "E": b, "F": a, "H": flipped, "I": b, "J": a,
+        }
+        spec = MethodSpec("wclf")
+
+        def passes(runs):  # the pass sizes runs of matching tags split into
+            size = per_pass or 1000
+            return [min(size, run - lo) for run in runs for lo in range(0, run, size)]
+
+        for resolution in (0.05, 0.03):  # on a track, then off one (0.03 is no step ratio)
+            region = SearchRegion(x=(0.0, 0.0), y=(-0.2, 0.2), z=(0.0, 0.4), resolution=resolution)
+            flags = ["--method", "wclf", "--region", "x=0,y=-0.2:0.2,z=0:0.4",
+                     "--resolution", str(resolution)]
+            for bad, runs in ((True, [3, 1, 1, 1, 1]), (False, [3, 1, 1, 1, 6])):
+                logged = {k: v for k, v in tags.items() if bad or k != "one"}
+                run_dir = tmp_path / f"{resolution}-{bad}"
+                (run_dir / "want").mkdir(parents=True)
+                (run_dir / "got").mkdir()
+                log = run_dir / "log.csv"
+                export_phase_log(logged, log)
+
+                # the reference: every tag scored alone, in log order
+                located = io.StringIO()
+                rows = csv.writer(located, lineterminator="\n")
+                rows.writerow("tag_id,est_x,est_y,est_z,err_y,err_z,err_combined,peak_ratio".split(","))
+                wrote, err = [], ""
+                for tag_id, stream in logged.items():
+                    try:
+                        holo = evaluate_hologram(stream, region, spec)
+                    except ValueError as exc:
+                        err = f"data error: tag {tag_id}: {exc}\n"
+                        break
+                    est = argmax_estimate(holo, tag_id=tag_id)
+                    p = est.position
+                    rows.writerow([tag_id, repr(p.x), repr(p.y), repr(p.z), "", "", "",
+                                   repr(est.peak_ratio)])
+                    export_hologram(holo, run_dir / "want" / f"holo.{tag_id}.csv")
+                    wrote.append(f"wrote hologram for {tag_id} to {run_dir / 'got' / f'holo.{tag_id}.csv'}\n")
+                assert bool(err) == bad
+
+                fixed = (mock.patch.object(GridEvaluator, "streams_per_pass", per_pass)
+                         if per_pass else contextlib.nullcontext())
+                spy = mock.patch.object(GridEvaluator, "holograms", autospec=True,
+                                        side_effect=GridEvaluator.holograms)
+                with fixed, spy as scored:
+                    code = cli(["locate", "--input", str(log), *flags])
+                    assert capsys.readouterr() == (located.getvalue(), err)
+                    assert code == (2 if bad else 0)
+                    sizes = [len(call.args[1]) for call in scored.call_args_list]
+                    assert sizes == passes(runs)
+                    code = cli(["hologram", "--input", str(log), *flags,
+                                "--out", str(run_dir / "got" / "holo.csv")])
+                    assert capsys.readouterr() == ("".join(wrote), err)
+                    assert code == (2 if bad else 0)
+                files = sorted(f.name for f in (run_dir / "want").iterdir())
+                assert sorted(f.name for f in (run_dir / "got").iterdir()) == files
+                for name in files:
+                    got = (run_dir / "got" / name).read_bytes()
+                    assert got == (run_dir / "want" / name).read_bytes(), name
+
+    def test_missing_output_directory_fails_before_scoring(self, config_path, tmp_path, capsys):
+        log = tmp_path / "log.csv"
+        cli(["simulate", "--config", str(config_path), "--seed", "7", "--out", str(log)])
+        capsys.readouterr()
+        missing = tmp_path / "missing"
+        with mock.patch.object(GridEvaluator, "raw_scores", side_effect=RuntimeError("scored")):
+            code = cli(["hologram", "--input", str(log), "--method", "clf",
+                        "--config", str(config_path), "--out", str(missing / "holo.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == f"data error: output directory {missing} does not exist\n"
+        assert not missing.exists()
+
+    @pytest.mark.parametrize("command, tags, rows_read", [
+        ("locate", 1000, 1), ("locate", 1, 0), ("hologram", 1000, 1),
+    ], ids=["locate-writing", "locate-at-exit", "hologram"])
+    def test_closed_stdout_stops_silently(self, tmp_path, command, tags, rows_read):
+        # 1000 tags with 200-character ids print far more than a pipe holds,
+        # so lines are still being written when the reader leaves after one;
+        # one tag's rows wait in stdout's buffer until the flush at exit (the
+        # child's stdout is block-buffered, as for any pipe without -u).
+        # locate's rows are its product, so it stops; hologram's files are,
+        # so it drops its messages and writes every file
+        log = tmp_path / "log.csv"
+        tag_ids = [f"{'T' * 200}{k:04d}" for k in range(tags)]
+        rows = [f"{tag_id},1.4,{y},0.0,866.9e6,1.0,radians" for tag_id in tag_ids for y in (0.0, 0.1)]
+        log.write_text("\n".join(["tag_id,ant_x,ant_y,ant_z,freq_hz,phase,phase_unit", *rows]))
+        out = tmp_path / "holo" / "h.csv"
+        out.parent.mkdir()
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        paths = [str(Path(phaseloc.__file__).parents[1]), env.get("PYTHONPATH", "")]
+        proc = subprocess.Popen(
+            [sys.executable, "-c", "from phaseloc.io_eval.cli import main; main()",
+             command, "--input", str(log), "--method", "clf",
+             "--region", "x=0,y=0:0.1,z=0:0.1", "--resolution", "0.05",
+             *(["--out", str(out)] if command == "hologram" else [])],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**env, "PYTHONPATH": os.pathsep.join(filter(None, paths))},
+        )
+        try:
+            for _ in range(rows_read):
+                assert proc.stdout.readline().startswith(b"tag_id," if command == "locate" else b"wrote ")
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=120)
+        finally:
+            proc.kill()
+        assert err == b""
+        assert proc.returncode == 0
+        if command == "hologram":
+            files = sorted(f.name for f in out.parent.iterdir())
+            assert files == sorted(f"h.{tag_id}.csv" for tag_id in tag_ids)
+            for name in files:
+                # 4 header lines, the raw extremes, the column names, 9 cells
+                assert (out.parent / name).read_text().count("\n") == 4 + 1 + 1 + 9
 
     def test_unknown_subcommand_usage_error(self, capsys):
         assert cli(["transmogrify"]) == 1

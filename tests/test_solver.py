@@ -539,8 +539,10 @@ class TestGridEvaluator:
                 assert np.array_equal(alone.scores, stacked[k].scores), spec
 
     def test_streams_per_pass_bounds_blocks_and_raw_scores(self):
-        poses = noise_free_samples().poses  # 31 poses
+        poses = noise_free_samples().poses.copy()  # 31 poses
+        poses[15, 0] += 0.001  # one pose nudged across the track: the block path
         plane = SearchRegion(x=(0.0, 0.0), y=(-0.3, 0.3), z=(0.0, 0.5), resolution=0.02)
+        assert GridEvaluator(plane, poses)._track is None
         # 806 cells: blocks of PASS_CELLS cells bound the pass
         with mock.patch.object(solver_mod, "WORKERS", 1):
             s = GridEvaluator(plane, poses).streams_per_pass
@@ -555,6 +557,27 @@ class TestGridEvaluator:
         with mock.patch.object(solver_mod, "WORKERS", 2):
             s = GridEvaluator(plane, poses).streams_per_pass
             assert s == 33 and solver_mod.BLOCK // 2 // (s * 31) >= solver_mod.PASS_CELLS
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_streams_per_pass_on_a_track_bounds_raw_scores(self, workers):
+        # a track chunk's scratch does not grow with the streams: a pass
+        # holds at most PASS_SCORES raw scores and PASS_SCORES stacked
+        # phases, whatever the workers
+        poses = noise_free_samples().poses  # 31 poses
+        long_poses = noise_free_samples(y_half=30.0).poses  # 3001 poses
+        with mock.patch.object(solver_mod, "WORKERS", workers):
+            for region, track, cells, s in [
+                (SearchRegion(x=(0.0, 0.0), y=(-0.3, 0.3), z=(0.0, 0.5), resolution=0.02), poses, 806, 1300),
+                (SearchRegion(x=(0.0, 0.0), y=(-0.5, 0.5), z=(0.0, 0.52), resolution=0.002), poses, 130_761, 8),
+                (SearchRegion(x=(0.0, 0.0), y=(-0.5, 0.5), z=(0.0, 1.1), resolution=0.001), poses, 1_102_101, 1),
+                # more poses than cells: the stacked phases bound the pass
+                (SearchRegion(x=(0.0, 0.0), y=(-0.02, 0.02), z=(0.0, 0.02), resolution=0.02), long_poses, 6, 349),
+            ]:
+                ev = GridEvaluator(region, track)
+                assert ev._track is not None and region.cell_count == cells
+                assert ev.streams_per_pass == s
+                assert s * max(cells, len(track)) <= solver_mod.PASS_SCORES or s == 1
+        assert solver_mod.PASS_SCORES // 6 == 174_762
 
     @pytest.mark.parametrize("poses, match", [
         ([[1.4, 0.0, 0.0]], "N >= 2"),
