@@ -127,7 +127,8 @@ def _tag_holograms(args):
     holograms are alive at a time.  A pass that cannot be scored is a
     data error named after its first tag: what makes scoring fail (the
     poses, their count under the scheme, the wavelength) is shared by
-    every tag in the pass."""
+    every tag in the pass.  A log without reads is a data error naming
+    the file."""
     truth, config_region = {}, None
     if args.config:
         scenario, config_region = load_scenario(args.config)
@@ -140,6 +141,8 @@ def _tag_holograms(args):
     streams = ingest_log(
         args.input, sign_flip=args.sign_flip, unit=args.phase_unit, auto_wrap=args.auto_wrap
     )
+    if not streams:
+        raise LogFormatError(f"{args.input}: the log holds no reads")
 
     def holograms():
         tags, evaluator, k = list(streams.items()), None, 0

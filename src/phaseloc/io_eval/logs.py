@@ -8,14 +8,27 @@ phase_unit is ``radians`` or ``ticks`` (one tick = 2*pi/4096, the usual
 reader quantization); extra columns such as a trailing ``timestamp`` are
 accepted and ignored.  Floats are written with repr so a synthesize ->
 export -> ingest round trip reproduces phases and poses bit-for-bit.
-Rows are parsed into per-tag columns and each tag becomes one
-SampleStream at end of file; any bad value, or a tag whose freq_hz
-changes, raises LogFormatError naming its line.
+Each tag becomes one SampleStream, reads in file order; any bad value,
+or a tag whose freq_hz changes, raises LogFormatError naming the
+physical line its row starts on.
+
+Two readers give one result.  ingest_log reads the file once and parses
+the header with csv.  A body with no ``"``, no NUL and no line longer
+than ``csv.field_size_limit()`` is parsed in one ``np.loadtxt`` call into
+columns, and each row check runs as one mask over them.  Everything else
+goes to the row loop, ``_ingest_rows``, which parses row by row with csv
+and ``float()``: any other body, a body numpy's reader refuses (a missing
+or extra field, a whitespace-only line, a number only ``float()`` reads
+such as ``1_0``, a lone ``\r`` line end), and a body in which a mask flags
+a row.  So the row loop decides every error and every log the column
+reader does not take, and the column reader returns the row loop's
+streams bit for bit.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import math
 from pathlib import Path
 
@@ -27,6 +40,7 @@ LOG_FIELDS = ("tag_id", "ant_x", "ant_y", "ant_z", "freq_hz", "phase", "phase_un
 TICKS_PER_TURN = 4096
 TICK_RADIANS = TWO_PI / TICKS_PER_TURN
 _UNITS = ("radians", "ticks")
+_NUMBERS = ("ant_x", "ant_y", "ant_z", "freq_hz", "phase")
 
 
 class LogFormatError(ValueError):
@@ -73,12 +87,32 @@ def _parse_float(value: str, column: str, lineno: int) -> float:
     return out
 
 
-def _rows(reader):
-    """A csv reader's rows; a csv.Error becomes a LogFormatError naming the line."""
+def _records(reader):
+    """(line, row) per csv record, line being the physical line the record
+    starts on; a csv.Error becomes a LogFormatError naming that line."""
+    line = 1
     try:
-        yield from reader
+        for row in reader:
+            yield line, row
+            line = reader.line_num + 1
     except csv.Error as exc:  # a NUL on Python 3.10, a field over the size limit
-        raise LogFormatError(f"line {reader.line_num}: {exc}") from exc
+        raise LogFormatError(f"line {line}: {exc}") from exc
+
+
+def _header(records, unit: str | None) -> tuple[list[str], dict[str, int]]:
+    """The header's stripped names and each name's first column."""
+    _, header = next(records, (None, None))
+    if header is None:
+        raise LogFormatError("empty file: missing header")
+    header = [h.strip() for h in header]
+    has_unit_column = "phase_unit" in header
+    required = [f for f in LOG_FIELDS if f != "phase_unit" or has_unit_column]
+    missing = [f for f in required if f not in header]
+    if missing:
+        raise LogFormatError(f"header is missing columns: {', '.join(missing)}")
+    if not has_unit_column and unit is None:
+        raise LogFormatError("no phase_unit column; pass an explicit unit")
+    return header, {name: header.index(name) for name in header}
 
 
 def ingest_log(
@@ -95,25 +129,95 @@ def ingest_log(
     sign_flip then maps phase -> wrap(-phase) for readers reporting the
     conjugate convention.  A tag's reads must share one freq_hz.  Rows are
     checked in file order, so the first bad row is the one reported.
+
+    The log is read by columns when it can be (see the module docstring);
+    every other log, and every error, is the row loop's.
     """
+    streams = _read_columns(path, sign_flip, unit, auto_wrap)
+    return _ingest_rows(path, sign_flip, unit, auto_wrap) if streams is None else streams
+
+
+def _read_columns(path, sign_flip, unit, auto_wrap) -> dict[str, SampleStream] | None:
+    """ingest_log by np.loadtxt and masks: its streams, or None for a log
+    the row loop must read."""
+    try:
+        with Path(path).open(newline="", encoding="utf-8") as fh:
+            header, col = _header(_records(csv.reader(fh)), unit)
+            body = fh.read()
+    except UnicodeDecodeError:  # the row loop fails where its reads reach the bad byte
+        return None
+    # a line's bytes (plus its newline) bound its characters, so its fields' lengths
+    raw = np.frombuffer(body.encode(), np.uint8)
+    longest = np.diff(np.flatnonzero(raw == ord("\n")), prepend=-1, append=raw.size).max()
+    if '"' in body or "\0" in body or not body.strip() or longest > csv.field_size_limit():
+        return None
+    numeric = [col[name] for name in _NUMBERS]
+    dtype = [(f"f{i}", float if i in numeric else object) for i in range(len(header))]
+    try:  # one text buffer, not a list of line strings, which would stay in the heap
+        table = np.loadtxt(
+            io.StringIO(body), dtype=dtype, delimiter=",", comments=None, quotechar=None, ndmin=1
+        )
+    except ValueError:  # a missing or extra field, a spelling only float() reads, a lone \r
+        return None
+    return _columns(table, col, sign_flip, unit, auto_wrap)
+
+
+def _columns(table, col, sign_flip, unit, auto_wrap) -> dict[str, SampleStream] | None:
+    """The row loop's checks and conversions as masks over loadtxt's
+    columns: its streams, or None where some row would fail a check."""
+    x, y, z, freq, phase = (table[f"f{col[name]}"] for name in _NUMBERS)
+    if not all(np.isfinite(v).all() for v in (x, y, z, freq, phase)):
+        return None
+    if unit:
+        if unit not in _UNITS:
+            return None
+        ticks = unit == "ticks"
+    else:
+        names = table[f"f{col['phase_unit']}"]
+        ticks = np.zeros(len(table), bool)
+        for spelling in set(names):
+            if spelling.strip() not in _UNITS:
+                return None
+            if spelling.strip() == "ticks":
+                ticks |= names == spelling
+    phase = np.where(ticks, phase * TICK_RADIANS, phase)
+    inside = (0.0 <= phase) & (phase < TWO_PI)
+    if not inside.all():
+        if not auto_wrap:
+            return None
+        phase = np.where(inside, phase, wrap_2pi(phase))
+    if sign_flip:
+        phase = wrap_2pi(-phase)
+    # tags in order of first appearance, each tag's rows in file order
+    ids = table[f"f{col['tag_id']}"].tolist()
+    tags: dict[str, int] = {}
+    code = {raw: tags.setdefault(raw.strip(), len(tags)) for raw in dict.fromkeys(ids)}
+    codes = np.fromiter(map(code.__getitem__, ids), dtype=np.intp, count=len(ids))
+    order = np.argsort(codes, kind="stable")
+    counts = np.bincount(codes)
+    starts = np.cumsum(counts) - counts
+    carriers = freq[order[starts]]  # each tag's first freq_hz
+    if not ((carriers > 0.0).all() and (freq == carriers[codes]).all()):
+        return None
+    poses = np.column_stack((x, y, z))
+    return {
+        tag_id: SampleStream(poses[rows], phase[rows], CarrierConfig(float(carrier)))
+        for tag_id, rows, carrier in zip(tags, np.split(order, starts[1:]), carriers)
+    }
+
+
+def _ingest_rows(
+    path: str | Path, sign_flip: bool, unit: str | None, auto_wrap: bool
+) -> dict[str, SampleStream]:
+    """ingest_log row by row with csv and float(): the reference the column
+    reader matches, and the one reader that names a bad row."""
     with Path(path).open(newline="", encoding="utf-8") as fh:
-        reader = _rows(csv.reader(fh))
-        header = next(reader, None)
-        if header is None:
-            raise LogFormatError("empty file: missing header")
-        header = [h.strip() for h in header]
-        has_unit_column = "phase_unit" in header
-        required = [f for f in LOG_FIELDS if f != "phase_unit" or has_unit_column]
-        missing = [f for f in required if f not in header]
-        if missing:
-            raise LogFormatError(f"header is missing columns: {', '.join(missing)}")
-        if not has_unit_column and unit is None:
-            raise LogFormatError("no phase_unit column; pass an explicit unit")
-        col = {name: header.index(name) for name in header}
+        records = _records(csv.reader(fh))
+        header, col = _header(records, unit)
 
         # tag id -> its carrier and its (x, y, z, phase) rows
         reads: dict[str, tuple[CarrierConfig, list]] = {}
-        for lineno, row in enumerate(reader, start=2):
+        for lineno, row in records:
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             if len(row) < len(header):
@@ -123,8 +227,7 @@ def ingest_log(
                 raise LogFormatError(f"line {lineno}: unknown phase unit {row_unit!r}")
             tag_id = row[col["tag_id"]].strip()
             x, y, z, freq_hz, phase = (
-                _parse_float(row[col[name]], name, lineno)
-                for name in ("ant_x", "ant_y", "ant_z", "freq_hz", "phase")
+                _parse_float(row[col[name]], name, lineno) for name in _NUMBERS
             )
             if row_unit == "ticks":
                 phase *= TICK_RADIANS

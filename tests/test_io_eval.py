@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import phaseloc
+import phaseloc.io_eval.logs as logs_mod
 import phaseloc.solver as solver_mod
 from phaseloc import (
     METHOD_NAMES,
@@ -327,6 +328,32 @@ class TestPhaseLogs:
         samples = ingest_log(path, sign_flip=True)["T"]
         assert samples[0].phase_wrapped == pytest.approx(TWO_PI - 1.0)
 
+    def test_error_names_physical_line_after_multiline_id(self, tmp_path):
+        # the quoted id "a\nb" spans two lines, so the bad row starts on line 6, record 4
+        stream = SampleStream(np.array([[1.4, 0.0, 0.0], [1.4, 0.1, 0.0]]), np.array([1.0, 2.0]),
+                              CarrierConfig(866.9e6))
+        path = tmp_path / "log.csv"
+        export_phase_log({"a\nb": stream}, path)
+        with path.open("a", encoding="utf-8") as fh:
+            fh.write("T,1.4,0.2,0.0,866.9e6,oops,radians\n")
+        assert path.read_text(encoding="utf-8").splitlines()[5].startswith("T,")
+        with pytest.raises(LogFormatError, match=r"^line 6: phase is not a number: 'oops'$"):
+            ingest_log(path)
+
+    @pytest.mark.parametrize("unit, options", [
+        ("radians", {}),
+        ("ticks", {"sign_flip": True}),
+        ("radians", {"unit": "radians", "auto_wrap": True}),
+    ])
+    def test_valid_unquoted_log_takes_column_path(self, tmp_path, unit, options):
+        options = {"sign_flip": False, "unit": None, "auto_wrap": False, **options}
+        path = tmp_path / "log.csv"
+        export_phase_log(synthesize(scenario_for_logs()), path, unit=unit)
+        want = logs_mod._ingest_rows(path, **options)
+        with mock.patch.object(logs_mod, "_ingest_rows", side_effect=AssertionError("row loop")):
+            got = ingest_log(path, **options)
+        assert _log_outcome(got) == _log_outcome(want)
+
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -361,6 +388,83 @@ def test_phase_log_round_trip_property(tmp_path_factory, streams):
         assert back[tag_id].poses.tobytes() == stream.poses.tobytes()
         assert back[tag_id].phases.tobytes() == stream.phases.tobytes()
         assert back[tag_id].carrier == stream.carrier
+
+
+def _log_outcome(streams):
+    """A reader's result, bit for bit: ids in order, poses, phases, carriers."""
+    return [(tag_id, s.poses.tobytes(), s.phases.tobytes(), repr(s.carrier.frequency))
+            for tag_id, s in streams.items()]
+
+
+def _read_outcome(read, path, **options):
+    try:
+        return _log_outcome(read(path, **options))
+    except LogFormatError as exc:
+        return f"LogFormatError: {exc}"
+
+
+# ids and numbers the column reader takes, and others only the row loop reads
+LOG_IDS = st.sampled_from(["T1", "T2", " T1", "T\x0c#"])
+ODD_IDS = st.text(st.sampled_from(list('Tb1 ,"\n\r\x0c#\0\t')), min_size=1, max_size=4)
+LOG_NUMBERS = st.one_of(FINITE.map(repr), st.sampled_from(["+1", " 1.5 ", "-0.0", "2e-3"]))
+ODD_NUMBERS = st.sampled_from(
+    ["1_0", "\u0661", "nan", "inf", "-inf", "1e400", "", "0x1p3", "0", "-1.0", "7.0", "4096"]
+)
+
+
+def rare(common, odd):
+    """Draws from common, and from odd one time in twenty."""
+    return st.sampled_from([common] * 19 + [odd]).flatmap(lambda strategy: strategy)
+
+
+@st.composite
+def phase_logs(draw):
+    """(text, ingest options) of a phase log: shuffled and extra columns, a
+    missing phase_unit, ticks, auto_wrap, sign_flip; rarely an odd id or
+    number spelling, a short or long row, a quoted row, a blank line or
+    another line end."""
+
+    def pick(common, odd):
+        return draw(rare(common, odd))
+
+    columns = draw(st.permutations([*logs_mod.LOG_FIELDS, *draw(st.sampled_from(
+        [(), ("timestamp",), ("timestamp", "ant_x")]))]))
+    options = {"sign_flip": draw(st.booleans()), "auto_wrap": draw(st.booleans()), "unit": None}
+    if draw(st.booleans()):
+        columns.remove("phase_unit")
+        options["unit"] = draw(st.sampled_from(["radians", "ticks"]))
+    ids = draw(st.lists(rare(LOG_IDS, ODD_IDS), min_size=1, max_size=3))
+    carriers = {tag_id: pick(st.sampled_from(["866.9e6", "9.2e8"]), ODD_NUMBERS) for tag_id in ids}
+    lines = [",".join(columns)]
+    for _ in range(draw(st.integers(0, 6))):
+        tag_id = draw(st.sampled_from(ids))
+        row = {"tag_id": tag_id, "freq_hz": pick(st.just(carriers[tag_id]), LOG_NUMBERS),
+               "timestamp": "12", "ant_x": pick(LOG_NUMBERS, ODD_NUMBERS),
+               "ant_y": pick(LOG_NUMBERS, ODD_NUMBERS), "ant_z": pick(LOG_NUMBERS, ODD_NUMBERS),
+               "phase_unit": pick(st.sampled_from(["radians", "ticks", " ticks "]),
+                                  st.just("degrees"))}
+        row["phase"] = pick(
+            st.one_of(st.floats(0.0, TWO_PI, exclude_max=True).map(repr),
+                      st.integers(0, 6).map(str), st.floats(-20.0, 20.0).map(repr)),
+            st.one_of(ODD_NUMBERS, st.just("4095")))
+        fields = [row[name] for name in columns]
+        fields = pick(st.just(fields), st.sampled_from([fields[:-1], [*fields, "x"]]))
+        out = io.StringIO()
+        csv.writer(out, lineterminator="").writerow(fields)
+        lines.append(pick(st.just(",".join(fields)), st.just(out.getvalue())))
+        lines.extend(pick(st.just([]), st.sampled_from([[""], ["  "], ["\x0c"], ["\t,"]])))
+    ends = [pick(st.just("\n"), st.sampled_from(["\r\n", "\r"])) for _ in lines]
+    return "".join(line + end for line, end in zip(lines, ends)), options
+
+
+@settings(max_examples=300, deadline=None)
+@given(log=phase_logs())
+def test_column_reader_matches_row_loop_property(tmp_path_factory, log):
+    text, options = log
+    path = tmp_path_factory.mktemp("log") / "log.csv"
+    path.write_bytes(text.encode("utf-8"))
+    want = _read_outcome(logs_mod._ingest_rows, path, **options)
+    assert _read_outcome(ingest_log, path, **options) == want
 
 
 @settings(max_examples=100, deadline=None)
@@ -941,6 +1045,20 @@ class TestCli:
         code = cli(["locate", "--input", str(tmp_path / "nope.csv"), "--method", "clf",
                     "--region", "x=0,y=0:0.1,z=0:0.1"])
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["locate", "hologram"])
+    def test_log_without_reads_is_data_error(self, config_path, tmp_path, capsys, command):
+        log = tmp_path / "log.csv"
+        log.write_text("tag_id,ant_x,ant_y,ant_z,freq_hz,phase,phase_unit\n")
+        assert ingest_log(log) == {}
+        out = ["--out", str(tmp_path / "holo.csv")] if command == "hologram" else []
+        code = cli([command, "--input", str(log), "--method", "clf",
+                    "--config", str(config_path), *out])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert f"data error: {log}: " in captured.err
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["log.csv", "scenario.cfg"]
 
     def test_malformed_log_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
