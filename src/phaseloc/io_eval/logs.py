@@ -10,7 +10,8 @@ accepted and ignored.  Floats are written with repr so a synthesize ->
 export -> ingest round trip reproduces phases and poses bit-for-bit.
 Each tag becomes one SampleStream, reads in file order; any bad value,
 or a tag whose freq_hz changes, raises LogFormatError naming the
-physical line its row starts on.
+physical line its row starts on, and bytes that are not UTF-8 raise one
+naming the file.
 
 Two readers give one result.  ingest_log reads the file once and parses
 the header with csv.  A body with no ``"``, no NUL and no line longer
@@ -87,9 +88,11 @@ def _parse_float(value: str, column: str, lineno: int) -> float:
     return out
 
 
-def _records(reader):
+def _records(reader, path):
     """(line, row) per csv record, line being the physical line the record
-    starts on; a csv.Error becomes a LogFormatError naming that line."""
+    starts on; a csv.Error becomes a LogFormatError naming that line, and
+    bytes that are not UTF-8 one naming the file (the file is decoded in
+    blocks, so the line being read may come before theirs)."""
     line = 1
     try:
         for row in reader:
@@ -97,6 +100,9 @@ def _records(reader):
             line = reader.line_num + 1
     except csv.Error as exc:  # a NUL on Python 3.10, a field over the size limit
         raise LogFormatError(f"line {line}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        bad = exc.object[exc.start : exc.end]
+        raise LogFormatError(f"{path}: not valid UTF-8: {exc.reason} {bad!r}") from exc
 
 
 def _header(records, unit: str | None) -> tuple[list[str], dict[str, int]]:
@@ -110,7 +116,7 @@ def _header(records, unit: str | None) -> tuple[list[str], dict[str, int]]:
     missing = [f for f in required if f not in header]
     if missing:
         raise LogFormatError(f"header is missing columns: {', '.join(missing)}")
-    if not has_unit_column and unit is None:
+    if not has_unit_column and not unit:  # the rows read "" as "use the column" too
         raise LogFormatError("no phase_unit column; pass an explicit unit")
     return header, {name: header.index(name) for name in header}
 
@@ -142,9 +148,9 @@ def _read_columns(path, sign_flip, unit, auto_wrap) -> dict[str, SampleStream] |
     the row loop must read."""
     try:
         with Path(path).open(newline="", encoding="utf-8") as fh:
-            header, col = _header(_records(csv.reader(fh)), unit)
+            header, col = _header(_records(csv.reader(fh), path), unit)
             body = fh.read()
-    except UnicodeDecodeError:  # the row loop fails where its reads reach the bad byte
+    except UnicodeDecodeError:  # in the body: the row loop reports it, or a row before it
         return None
     # a line's bytes (plus its newline) bound its characters, so its fields' lengths
     raw = np.frombuffer(body.encode(), np.uint8)
@@ -212,7 +218,7 @@ def _ingest_rows(
     """ingest_log row by row with csv and float(): the reference the column
     reader matches, and the one reader that names a bad row."""
     with Path(path).open(newline="", encoding="utf-8") as fh:
-        records = _records(csv.reader(fh))
+        records = _records(csv.reader(fh), path)
         header, col = _header(records, unit)
 
         # tag id -> its carrier and its (x, y, z, phase) rows

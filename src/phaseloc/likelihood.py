@@ -58,6 +58,12 @@ under reference:r 1/2*Re[conj(w_r)^2 * sum_n w_n^2] - 1/2 - P/2, since
 phasors exp(j*dphi_n)*A_n*conj(A_{n-1}) (squared for slf) take the place
 of w_n.  It agrees with the cell blocks to about 1e-12 of the score scale.
 
+tagoram's weight erfc(|r|/(sigma*sqrt(2))) rounds to exactly 0 from
+|r| = ERFC_ZERO*sigma*sqrt(2) on (0.647 rad at the default sigma, where
+about 70% of a stock hologram's pairs lie), so _pair_sums computes it
+only for the pairs inside that reach, compacted, and writes 0 * cos r
+for the rest: the same terms as weighting every pair, bit for bit.
+
 The pair terms of a C-order (..., M, P) block are summed pairwise per
 row, whatever M and however many streams share it.  A block of one
 candidate row is the exception GridEvaluator avoids: numpy 2.4 multiplies
@@ -86,6 +92,9 @@ BRANCH_NEAREST = "nearest"
 
 # Constant-sigma noise model evaluated at the default 1.4 m standoff.
 DEFAULT_TAGORAM_SIGMA = DEFAULT_SIGMA_SLOPE * 1.4 + DEFAULT_SIGMA_INTERCEPT
+# The true erfc falls below half the smallest subnormal, so any correctly
+# rounded erfc returns 0, from x = 27.22601711...; scipy's already from 26.64.
+ERFC_ZERO = 27.23
 
 
 class SamplingConditionError(ValueError):
@@ -277,9 +286,10 @@ def _pair_sums(
     u = pairs * exp(j*dphi) = exp(j*r) gives cos r and sin r as its real
     and imaginary parts.  Every array of the broadcast shape is written,
     in C order, into scratch, a float64 buffer of at least three times its
-    size (two for nlf), or into one such buffer allocated here.  pairs may
-    be the start of scratch itself, which then takes u (or nlf's
-    residuals) in place.
+    size (two for nlf), or into one such buffer allocated here; tagoram's
+    compaction allocates at most one more float64 per pair beside it.
+    pairs may be the start of scratch itself, which then takes u (or
+    nlf's residuals) in place.
     """
     shape = np.broadcast_shapes(pairs.shape, measured.shape)
     size = math.prod(shape)
@@ -294,21 +304,58 @@ def _pair_sums(
         return re.sum(axis=-1)
     terms = scratch[2 * size : 3 * size].reshape(shape)
     if spec.name == "tagoram":
-        np.arctan2(im, re, out=terms)
-        np.abs(terms, out=terms)
-        terms /= spec.tagoram_sigma * math.sqrt(2.0)
-        erfc(terms, out=terms)
-        terms *= re
-    elif spec.name == "wclf":
+        return _tagoram_sums(u, terms, spec.tagoram_sigma * math.sqrt(2.0))
+    if spec.name == "wclf":
         np.abs(re, out=terms)
         terms *= re
-    else:
-        np.square(im, out=terms)
-        if spec.name == "wslf":  # the weights overwrite u once its sin r has been read
-            weights = np.negative(terms, out=scratch[:size].reshape(shape))
-            terms *= np.exp(weights, out=weights)
-        np.negative(terms, out=terms)
-    return terms.sum(axis=-1)
+        return terms.sum(axis=-1)
+    np.square(im, out=terms)
+    if spec.name == "wslf":  # the weights overwrite u once its sin r has been read
+        weights = np.negative(terms, out=scratch[:size].reshape(shape))
+        terms *= np.exp(weights, out=weights)
+    return -terms.sum(axis=-1)  # sign-symmetric rounding: the sum of the negated terms
+
+
+def _tagoram_sums(u: np.ndarray, terms: np.ndarray, scale: float) -> np.ndarray:
+    """Sums over the last axis of erfc(|r|/scale) * cos r, r = angle(u), with
+    terms, a C-order float64 array of u's shape, as the output; u is spent.
+
+    The weight rounds to 0 wherever |r| >= reach = ERFC_ZERO * scale, so
+    while reach < pi only the pairs inside it are weighted: they are
+    compacted, go through the steps the full array would (arctan2 into
+    memory apart from its inputs there too, so numpy picks the same loop),
+    and are put back among the other pairs' terms 0 * cos r.  Every term,
+    and so every row's pairwise sum, equals the full computation's bit for
+    bit.  Inside reach means |sin r| * cot(reach) < cos r, a test that needs
+    no |u| = 1; a NaN u (NaN in both parts, as from a NaN phase) is
+    outside, and its term 0 * cos r is NaN as well.  Beyond the scratch
+    the compaction takes 1 B per pair and 16 B per pair inside reach; past
+    7/16 of the pairs inside, every pair is weighted, so at most 8 B per
+    pair.
+    """
+    re, im = u.real, u.imag
+    reach = ERFC_ZERO * scale * (1.0 + 1e-9)  # covers arctan2's, cot's and the division's rounding
+    if reach < math.pi:
+        np.multiply(np.abs(im, out=terms), 1.0 / math.tan(reach), out=terms)
+        inside = np.less(terms, re).reshape(-1)
+        count = np.count_nonzero(inside)
+        if 16 * count <= 7 * terms.size:
+            near = u.reshape(-1)[inside]
+            np.multiply(re, 0.0, out=terms)
+            weights = u.reshape(-1).view(np.float64)[:count]  # u's first floats, now free
+            terms.reshape(-1)[inside] = _tagoram_terms(near.real, near.imag, scale, out=weights)
+            return terms.sum(axis=-1)
+    return _tagoram_terms(re, im, scale, out=terms).sum(axis=-1)
+
+
+def _tagoram_terms(re: np.ndarray, im: np.ndarray, scale: float, out: np.ndarray) -> np.ndarray:
+    """erfc(|atan2(im, re)|/scale) * re, written into out."""
+    terms = np.arctan2(im, re, out=out)
+    np.abs(terms, out=terms)
+    terms /= scale
+    erfc(terms, out=terms)
+    terms *= re
+    return terms
 
 
 def _nlf_scores(res: np.ndarray, nlf_branch: str, lo: np.ndarray) -> np.ndarray:

@@ -343,16 +343,17 @@ class GridEvaluator:
     on a window or a broadcast operand (up to 3 x 8192 entries).  It takes
     per sequence entry its distance, steering and lagged phasor (at most
     5 entries), and either per cell and pair u and the terms (3; 5 with
-    several streams, which also share the pair phasors), or per line of
-    FFT length L its spectrum and a stream's product (4*L) and per cell
-    the finish's temporaries (3).  Chunks are as many whole lines as that
-    holds, so a grid within one share's budget is scored on the calling
-    thread alone.  A pair method whose line exceeds the budget takes
-    segments of at least two cells; a linear method takes a whole line
-    regardless, so its FFT length (scipy.fft.next_fast_len) depends on
-    shapes only, and its scores' last bits not on the budget or WORKERS.
+    several streams, which also share the pair phasors; tagoram's
+    compaction one more), or per line of FFT length L its spectrum and a
+    stream's product (4*L) and per cell the finish's temporaries (3).
+    Chunks are as many whole lines as that holds, so a grid within one
+    share's budget is scored on the calling thread alone.  A pair method
+    whose line exceeds the budget takes segments of at least two cells; a
+    linear method takes a whole line regardless, so its FFT length
+    (scipy.fft.next_fast_len) depends on shapes only, and its scores'
+    last bits not on the budget or WORKERS.
     On the stock plane an 8-stream pass took 26-40 ms for nlf, wclf and
-    wslf, 99-139 ms for tagoram and 3-5 ms for clf, slf and sarfid
+    wslf, 65-95 ms for tagoram and 3-5 ms for clf, slf and sarfid
     (2-core VM).
 
     A method is any callable taking (phases, dists, wavelength) and
@@ -437,7 +438,9 @@ class GridEvaluator:
         if form is None:
             dphi = phases[:, idx_a] - phases[:, idx_b]
             sides = dphi if nlf else np.exp(1j * dphi)  # each stream's side of its pairs
-            per_cell = p * (width + 1 + width * (len(dphi) > 1)) + a * per_entry
+            # tagoram's compaction takes up to one more (likelihood._tagoram_sums)
+            per_pair = width + 1 + width * (len(dphi) > 1) + (spec.name == "tagoram")
+            per_cell = p * per_pair + a * per_entry
             rows = cap // (ny * per_cell + fixed)
         else:  # imported here: ~30 ms and 1 MiB that the other methods never need
             from scipy.fft import fft, ifft, next_fast_len

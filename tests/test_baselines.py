@@ -1,7 +1,9 @@
 """SARFID coherent-sum and Tagoram CDF-weighted baselines.
 
 The complex-sum and erfc oracles are the references for sarfid_batch and
-for objective_batch's tagoram branch.
+for objective_batch's tagoram branch; tagoram's pair sums, which weight
+only the pairs whose erfc weight can be non-zero, are checked bit for bit
+against the same formula on every pair.
 """
 
 import cmath
@@ -9,7 +11,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import erfc
+
+import phaseloc.likelihood as likelihood_mod
 
 from phaseloc import (
     CarrierConfig,
@@ -28,6 +34,7 @@ from phaseloc import (
     synthesize,
     wrap_2pi,
 )
+from phaseloc.likelihood import DEFAULT_TAGORAM_SIGMA, ERFC_ZERO, _pair_sums
 
 TWO_PI = 2.0 * math.pi
 CARRIER = CarrierConfig(866.9e6)
@@ -190,3 +197,94 @@ class TestBaselineHolograms:
         for spec in (MethodSpec("sarfid"), MethodSpec("tagoram")):
             est = argmax_estimate(evaluate_hologram(samples, region, spec), truth=truth)
             assert est.err_combined_yz <= math.hypot(0.02, 0.02) + 1e-12, spec.name
+
+
+def full_tagoram_sums(pairs, measured, sigma):
+    """tagoram's pair sums with every pair weighted, as numpy computes them."""
+    u = np.multiply(pairs, measured)
+    weights = erfc(np.abs(np.arctan2(u.imag, u.real)) / (sigma * math.sqrt(2.0)))
+    return (weights * u.real).sum(axis=-1)
+
+
+def sigma_reaching(angle):
+    """The sigma at which ERFC_ZERO * sigma * sqrt(2) reaches angle."""
+    return angle / (ERFC_ZERO * math.sqrt(2.0))
+
+
+SIGMAS = {
+    "default": DEFAULT_TAGORAM_SIGMA,
+    "tiny": 1e-12,
+    "under-half-pi": sigma_reaching(math.pi / 2) * (1 - 1e-7),
+    "under-pi": sigma_reaching(math.pi) * (1 - 1e-7),
+    "at-pi": sigma_reaching(math.pi),
+    "over-pi": 0.5,
+}
+
+
+@st.composite
+def tagoram_pairs(draw):
+    """(sigma, pairs, measured): pair phasors whose products with the first
+    stream's phasors sit uniformly on the circle or within a few ulps of
+    an angle where the skip or the weight changes, with |u| a few ulps
+    off 1."""
+    sigma = SIGMAS[draw(st.sampled_from(sorted(SIGMAS)))]
+    streams = draw(st.sampled_from([0, 1, 3]))  # 0: one stream's (P,) phasors
+    rows, count = draw(st.integers(1, 4)), draw(st.integers(1, 40))
+    near = draw(st.floats(0.0, 1.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = sigma * math.sqrt(2.0)
+    edges = [e for e in (ERFC_ZERO * scale, ERFC_ZERO * scale * (1 + 1e-9), 26.64 * scale,
+                         math.pi / 2, math.pi) if e <= math.pi]
+    shape = (rows, count)
+    at_edges = np.array(edges)[rng.integers(0, len(edges), shape)]
+    at_edges *= 1 + rng.integers(-6, 7, shape) * 2.0**-52
+    angles = np.where(rng.random(shape) < near, at_edges, rng.uniform(-math.pi, math.pi, shape))
+    angles *= rng.choice([-1.0, 1.0], shape)
+    pairs = (1 + rng.integers(-4, 5, shape) * 2.0**-52) * np.exp(1j * angles)
+    measured = np.exp(1j * rng.uniform(-math.pi, math.pi, (max(streams, 1), 1, count)))
+    measured[0] = 1.0  # the first stream's u is the pairs themselves
+    return sigma, pairs, measured[0, 0] if streams == 0 else measured
+
+
+class TestTagoramSkip:
+    @settings(max_examples=300, deadline=None)
+    @given(tagoram_pairs())
+    def test_pair_sums_match_full_formula_bit_for_bit(self, case):
+        sigma, pairs, measured = case
+        got = _pair_sums(MethodSpec("tagoram", tagoram_sigma=sigma), pairs, measured)
+        want = full_tagoram_sums(pairs, measured, sigma)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()  # the sign of a zero sum included
+
+    def test_default_sigma_weights_only_the_pairs_in_reach(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        pairs = np.exp(1j * rng.uniform(-math.pi, math.pi, (50, 100)))
+        measured = np.exp(1j * rng.uniform(-math.pi, math.pi, (2, 1, 100)))
+        weighted = []
+        terms = likelihood_mod._tagoram_terms
+
+        def spy(re, im, scale, out):
+            weighted.append(re.size)
+            return terms(re, im, scale, out)
+
+        monkeypatch.setattr(likelihood_mod, "_tagoram_terms", spy)
+        got = _pair_sums(MethodSpec("tagoram"), pairs, measured)
+        assert got.tobytes() == full_tagoram_sums(pairs, measured, DEFAULT_TAGORAM_SIGMA).tobytes()
+        # |r| < 27.23 * sigma * sqrt(2) = 0.647 rad: about a fifth of uniform residuals
+        assert len(weighted) == 1 and 0 < weighted[0] < 0.25 * got.size * 100, weighted
+
+    def test_nan_pair_keeps_its_row_nan(self):
+        # a NaN phase makes both parts of its pair phasor NaN
+        pairs = np.exp(1j * np.random.default_rng(4).uniform(-math.pi, math.pi, (3, 50)))
+        pairs[1, 7] = complex(math.nan, math.nan)
+        got = _pair_sums(MethodSpec("tagoram"), pairs, np.ones(50, complex))
+        want = full_tagoram_sums(pairs, np.ones(50, complex), DEFAULT_TAGORAM_SIGMA)
+        assert np.isnan(got).tolist() == [False, True, False]
+        assert got[[0, 2]].tobytes() == want[[0, 2]].tobytes() and np.isnan(want[1])
+
+    def test_scipy_erfc_is_zero_from_the_cutoff(self):
+        # the skip is exact only while the installed erfc rounds to 0 from ERFC_ZERO on
+        x = np.concatenate([np.linspace(ERFC_ZERO, 40.0, 400_001), np.geomspace(40.0, 1e308, 2001),
+                            [np.nextafter(ERFC_ZERO, math.inf), math.inf]])
+        assert not erfc(x).any()
+        assert math.erfc(ERFC_ZERO) == 0.0

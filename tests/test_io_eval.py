@@ -319,6 +319,17 @@ class TestPhaseLogs:
         with pytest.raises(LogFormatError, match="missing columns"):
             ingest_log(path)
 
+    @pytest.mark.parametrize("reader", ["ingest_log", "_ingest_rows"])
+    @pytest.mark.parametrize("unit", [None, ""])
+    def test_missing_unit_column_needs_a_unit(self, tmp_path, reader, unit):
+        # the rows read unit "" as "use the phase_unit column", so the header
+        # check treats it as no unit on both readers
+        path = tmp_path / "log.csv"
+        path.write_text("tag_id,ant_x,ant_y,ant_z,freq_hz,phase\nT,1.4,0.0,0.0,866.9e6,1.0\n")
+        with pytest.raises(LogFormatError, match="^no phase_unit column; pass an explicit unit$"):
+            getattr(logs_mod, reader)(path, sign_flip=False, unit=unit, auto_wrap=False)
+        assert ingest_log(path, unit="radians")["T"].phases.tolist() == [1.0]
+
     def test_sign_flip(self, tmp_path):
         path = tmp_path / "log.csv"
         path.write_text(
@@ -1057,6 +1068,24 @@ class TestCli:
         captured = capsys.readouterr()
         assert code == 2
         assert f"data error: {log}: " in captured.err
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["log.csv", "scenario.cfg"]
+
+    @pytest.mark.parametrize("command", ["locate", "hologram"])
+    def test_log_not_utf8_is_data_error(self, config_path, tmp_path, capsys, command):
+        log = tmp_path / "log.csv"
+        header = b"tag_id,ant_x,ant_y,ant_z,freq_hz,phase,phase_unit\n"
+        log.write_bytes(header + b"".join(
+            b"T\xff1,1.4,%r,0.0,866.9e6,1.0,radians\n" % (0.02 * k) for k in range(11)
+        ))
+        with pytest.raises(LogFormatError, match=re.escape(f"{log}: not valid UTF-8: ")):
+            ingest_log(log)
+        out = ["--out", str(tmp_path / "holo.csv")] if command == "hologram" else []
+        code = cli([command, "--input", str(log), "--method", "clf",
+                    "--config", str(config_path), *out])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == f"data error: {log}: not valid UTF-8: invalid start byte b'\\xff'\n"
         assert captured.out == ""
         assert sorted(p.name for p in tmp_path.iterdir()) == ["log.csv", "scenario.cfg"]
 
