@@ -31,11 +31,14 @@ builds its lines' sequences once, and only the reduction differs: clf,
 slf and sarfid are linear in the steering phasors (likelihood.LinearForm),
 so each convolves a line with every stream's inputs by FFT; nlf, wclf,
 wslf and tagoram read each cell's pairs as a sliding window of it.  No
-cell and pose pays a sqrt, cos or sin.  Track-path scores match the
-block path's to about 1e-12 of the score scale, not bit for bit; a
-stream's scores still do not depend on the pass or the worker count.
-Other geometries and callables that are not a MethodSpec take the block
-path.
+cell and pose pays a sqrt, cos or sin.  A read depends on a cell only
+through its distances to the poses, so lines at one distance from the
+track axis score alike under every method: each such distance is scored
+once and its sums written to all its lines, so mirror cells tie bit for
+bit.  Track-path scores match the block path's to about 1e-12 of the
+score scale, not bit for bit; a stream's scores still do not depend on
+the pass or the worker count.  Other geometries and callables that are
+not a MethodSpec take the block path.
 """
 
 from __future__ import annotations
@@ -229,6 +232,10 @@ class _Track:
     sits (a*j + b*n)*delta from pose n beyond the offset of that end to
     pose 0, so every line reads one steering sequence at entry a*j + b*n.
     The far end is the last cell, or the first when the poses descend.
+
+    A cell's distances depend on its line only through the line's squared
+    cross-track distance, so lines at one distance (to TRACK_ULPS ulps of
+    the largest) form a group whose sums are scored once.
     """
 
     axis: int
@@ -236,7 +243,34 @@ class _Track:
     b: int
     flip: bool
     sq_offsets: np.ndarray  # entry a*j + b*n: squared along-track offset of cell j to pose n
-    cross: np.ndarray  # squared cross-track distance of each line, lines in C order
+    cross: np.ndarray  # squared cross-track distance each group is scored at, its smallest
+    members: np.ndarray  # C-order line indices, group by group; groups in C order of their first
+    starts: np.ndarray  # group g's lines are members[starts[g]:starts[g + 1]]
+
+
+def _radius_groups(cross: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(values, members, starts) of _Track for lines at squared cross-track
+    distances cross: sorted, a group takes the values within TRACK_ULPS
+    ulps of max(cross) of its smallest, which it is scored at.  Where every
+    value is apart, each line is a group of its own, in C order."""
+    order = np.argsort(cross, kind="stable")
+    v = cross[order]
+    tol = TRACK_ULPS * np.finfo(float).eps * v[-1]
+    head = np.diff(v, prepend=-np.inf) > tol  # a gap wider than tol starts a group
+    lo = np.flatnonzero(head)
+    hi = np.append(lo[1:], len(v))
+    wide = v[hi - 1] - v[lo] > tol
+    for first, end in zip(lo[wide], hi[wide]):
+        for i in range(first + 1, end):  # a chain of close values wider than tol: split greedily
+            if v[i] - v[first] > tol:
+                head[i], first = True, i
+    heads = np.flatnonzero(head)
+    rank = np.argsort(np.minimum.reduceat(order, heads))  # groups in C order of their first line
+    label = np.empty(len(v), dtype=np.intp)
+    label[order] = np.argsort(rank)[np.cumsum(head) - 1]
+    members = np.argsort(label, kind="stable")
+    starts = np.searchsorted(label[members], np.arange(len(heads) + 1))
+    return v[heads][rank], members, starts
 
 
 def _find_track(region: SearchRegion, poses: np.ndarray, sq: list) -> _Track | None:
@@ -277,7 +311,7 @@ def _find_track(region: SearchRegion, poses: np.ndarray, sq: list) -> _Track | N
     offsets = (cells[0] - p[0]) + step * np.arange(a * (ny - 1), -b * (n - 1) - 1, -1)
     u, v = (ax for ax in range(3) if ax != axis)
     cross = sq[u][:, 0, None] + sq[v][None, :, 0]
-    return _Track(axis, a, b, flip, np.square(offsets), cross.ravel())
+    return _Track(axis, a, b, flip, np.square(offsets), *_radius_groups(cross.ravel()))
 
 
 @dataclass(frozen=True)
@@ -322,10 +356,17 @@ class GridEvaluator:
     two coordinates equal for every pose) and the grid's step on that
     axis is a whole multiple or a whole fraction of the pose step (see
     _find_track), every MethodSpec under any scheme skips the blocks.
-    Per chunk, each line of cells along the track gets one sequence: its
-    distances, then its steering phasors (nlf: 4*pi*d/lambda), then under
-    misaligned the lagged pair sequence.  A cell's N (or N-1) entries are
-    a zero-copy sliding window of it.  The reduction differs by method:
+    Lines of cells along the track at one squared cross-track distance (to
+    TRACK_ULPS ulps of the largest) form a group, scored at its smallest:
+    the volume's 5,041 lines are 3,660 groups, and the 10,011 lines of a
+    region symmetric about the track the same 3,660.  Per chunk, each
+    group gets one sequence: its distances, then its steering phasors
+    (nlf: 4*pi*d/lambda), then under misaligned the lagged pair sequence.
+    A cell's N (or N-1) entries are a zero-copy sliding window of it, and
+    the group's sums are written to each of its lines.  Where every
+    distance is apart (the stock and rack-log planes), each line is a group
+    of its own, in C order, and the chunks are those of line-by-line
+    scoring.  The reduction differs by method:
 
     * clf, slf and sarfid square the sequence in place when their power
       is 2, read K_r as the window's anchor entry, and convolve each line
@@ -345,16 +386,20 @@ class GridEvaluator:
     5 entries), and either per cell and pair u and the terms (3; 5 with
     several streams, which also share the pair phasors; tagoram's
     compaction one more), or per line of FFT length L its spectrum and a
-    stream's product (4*L) and per cell the finish's temporaries (3).
-    Chunks are as many whole lines as that holds, so a grid within one
+    stream's product (4*L) and per cell the finish's temporaries (3);
+    where groups hold several lines, per cell the copy of the sums that
+    the write spreads over a group's lines (the most lines of a group).
+    Chunks are as many whole groups as that holds, so a grid within one
     share's budget is scored on the calling thread alone.  A pair method
     whose line exceeds the budget takes segments of at least two cells; a
     linear method takes a whole line regardless, so its FFT length
     (scipy.fft.next_fast_len) depends on shapes only, and its scores'
     last bits not on the budget or WORKERS.
     On the stock plane an 8-stream pass took 26-40 ms for nlf, wclf and
-    wslf, 65-95 ms for tagoram and 3-5 ms for clf, slf and sarfid
-    (2-core VM).
+    wslf, 65-95 ms for tagoram and 3-5 ms for clf, slf and sarfid; a
+    one-stream wslf hologram of the 509,141-cell volume took 244-337 ms
+    with each radius scored once, against 262-357 ms line by line (2-core
+    VM).
 
     A method is any callable taking (phases, dists, wavelength) and
     returning one score per row of dists; MethodSpec objects are such
@@ -428,7 +473,9 @@ class GridEvaluator:
         lag = b if ref is None else 0  # pose n - 1 sits b entries before pose n
         shape = self.region.shape
         ny, nv = shape[track.axis], shape[max(ax for ax in range(3) if ax != track.axis)]
-        lines = len(track.cross)
+        groups = len(track.cross)
+        # per cell, the write's copy of a chunk's sums to each line, where groups hold several
+        copy = int(np.diff(track.starts).max()) if len(track.members) > groups else 0
         width = 1 if nlf else 2  # float64 entries per pair or sequence value
         # float64 entries a chunk takes, within 6 of a share's 8 arrays (see
         # GridEvaluator); nlf's pairs take residuals and lo instead of u
@@ -440,7 +487,7 @@ class GridEvaluator:
             sides = dphi if nlf else np.exp(1j * dphi)  # each stream's side of its pairs
             # tagoram's compaction takes up to one more (likelihood._tagoram_sums)
             per_pair = width + 1 + width * (len(dphi) > 1) + (spec.name == "tagoram")
-            per_cell = p * per_pair + a * per_entry
+            per_cell = p * per_pair + a * per_entry + copy
             rows = cap // (ny * per_cell + fixed)
         else:  # imported here: ~30 ms and 1 MiB that the other methods never need
             from scipy.fft import fft, ifft, next_fast_len
@@ -453,16 +500,16 @@ class GridEvaluator:
             spectra = [fft(row, size) for row in upsampled]  # one FFT per stream, as alone
             at_cells = slice(b * (taps - 1), length, a)
             # whole lines even beyond the budget, so FFT lengths depend on shapes only
-            rows = max(1, cap // (ny * (a * per_entry + 3) + fixed + 4 * size))
-        if rows >= 1:  # whole lines; a grid within one share's budget takes one
-            chunks = [(lo, min(lo + rows, lines), 0, ny) for lo in range(0, lines, rows)]
+            rows = max(1, cap // (ny * (a * per_entry + 3 + copy) + fixed + 4 * size))
+        if rows >= 1:  # whole groups; a grid within one share's budget takes one
+            chunks = [(lo, min(lo + rows, groups), 0, ny) for lo in range(0, groups, rows)]
         else:  # segments of one line; a lone last cell joins the previous one
             cells = max(2, (cap - fixed) // per_cell)
             edges = [*range(0, ny, cells), ny]
             if edges[-1] - edges[-2] == 1:
                 del edges[-2]
             segments = list(zip(edges[:-1], edges[1:]))
-            chunks = [(line, line + 1, c0, c1) for line in range(lines) for c0, c1 in segments]
+            chunks = [(g, g + 1, c0, c1) for g in range(groups) for c0, c1 in segments]
         most = max((hi - lo) * (c1 - c0) for lo, hi, c0, c1 in chunks) * p  # pair entries
         span = a * (max(c1 - c0 for _, _, c0, c1 in chunks) - 1) + b * (n - 1) + 1  # per line
         grid = np.moveaxis(out.reshape(-1, *shape), 1 + track.axis, -1)
@@ -525,11 +572,15 @@ class GridEvaluator:
                     np.conjugate(seq[:h, : used - lag], out=line)
                     line *= seq[:h, lag:used]
                 window = windows[count][:h]
-                iu, iv = np.divmod(np.arange(lo, hi), nv)
+                lines = track.members[track.starts[lo] : track.starts[hi]]
+                iu, iv = np.divmod(lines, nv)
+                # each group's sums go to every line of the group
+                sizes = np.diff(track.starts[lo : hi + 1])
+                at = slice(None) if len(lines) == h else np.repeat(np.arange(h), sizes)
                 cols = slice(c0, c1) if track.flip else slice(ny - c1, ny - c0)
                 results = pair_sums(window) if form is None else convolved(window, line)
                 for s, sums in enumerate(results):
-                    grid[s, iu, iv, cols] = sums if track.flip else sums[:, ::-1]
+                    grid[s, iu, iv, cols] = (sums if track.flip else sums[:, ::-1])[at]
 
         _score_shares(score, chunks)
 
@@ -580,14 +631,15 @@ def evaluate_hologram(stream: SampleStream, region: SearchRegion, method) -> Hol
     return GridEvaluator(region, stream.poses).hologram(stream, method)
 
 
-def _neighborhood_mask(shape: tuple[int, ...], peak: tuple[int, ...]) -> np.ndarray:
-    """Boolean mask of the peak cell and its immediate neighbors."""
-    mask = np.zeros(shape, dtype=bool)
-    slices = tuple(
-        slice(max(0, p - 1), min(n, p + 2)) for p, n in zip(peak, shape)
-    )
-    mask[slices] = True
-    return mask
+def _max_outside_neighborhood(scores: np.ndarray, peak: tuple[int, ...]) -> float:
+    """Largest score outside the peak's 3x3x3 box, -inf when no cell lies
+    outside: the max over the slabs before and after the box on each axis,
+    within the box on the axes before it, which together hold exactly the
+    cells outside it."""
+    box = tuple(slice(max(0, p - 1), p + 2) for p in peak)
+    slabs = [scores[(*box[:ax], outer)] for ax, side in enumerate(box)
+             for outer in (slice(0, side.start), slice(side.stop, None))]
+    return float(np.max([np.max(slab, initial=-np.inf) for slab in slabs]))
 
 
 def argmax_estimate(
@@ -607,12 +659,8 @@ def argmax_estimate(
     peak_idx = np.unravel_index(flat, holo.scores.shape)
     position = holo.region.position_at(flat)
 
-    outside = ~_neighborhood_mask(holo.scores.shape, peak_idx)
-    if outside.any():
-        second = float(holo.scores[outside].max())
-        ratio = math.inf if second <= 0.0 else float(holo.scores[peak_idx]) / second
-    else:
-        ratio = math.inf
+    second = _max_outside_neighborhood(holo.scores, peak_idx)
+    ratio = math.inf if second <= 0.0 else float(holo.scores[peak_idx]) / second
 
     err_x = err_y = err_z = err_c = None
     if truth is not None:
@@ -642,9 +690,15 @@ def find_peak_regions(holo: Hologram) -> list[tuple[int, float]]:
     deliberately tight.
     """
     scores = holo.scores.ravel()
-    labels, _ = ndimage.label(holo.scores >= PEAK_THRESHOLD, structure=np.ones((3, 3, 3), dtype=int))
-    cells = np.flatnonzero(labels)
-    labs = labels.ravel()[cells]
+    above = holo.scores >= PEAK_THRESHOLD
+    cells = np.flatnonzero(above)
+    if not cells.size:
+        return []
+    # only the bounding box of the cells above the cut is labelled: it holds every component
+    at = np.unravel_index(cells, above.shape)
+    box = tuple(slice(i.min(), i.max() + 1) for i in at)
+    labels, _ = ndimage.label(above[box], structure=np.ones((3, 3, 3), dtype=int))
+    labs = labels[tuple(i - side.start for i, side in zip(at, box))]
     # one sort ranks each component's cells best first; its first cell wins
     order = np.lexsort((cells, -scores[cells], labs))
     best = cells[order][np.diff(labs[order], prepend=0) != 0]
@@ -656,11 +710,14 @@ def refine_local(holo: Hologram, stream: SampleStream) -> RefineResult:
     """One level of local refinement around the coarse peak, re-scored
     with the hologram's own method.
 
-    Re-scores a 3x3-cell neighborhood of the peak at a tenth of the
-    coarse resolution and returns the fine argmax, which by construction
-    stays inside the coarse cell's neighborhood.  When the coarse peak is
-    not unique (e.g. a flat hologram) the coarse center comes back
-    flagged unrefined.
+    Re-scores the 3x3-cell neighborhood of the peak, clipped to the
+    hologram's region, at a tenth of the coarse resolution and returns the
+    fine argmax, which by construction stays inside both the coarse cell's
+    neighborhood and the region: a peak on a region bound is refined on
+    the region's side only, so a mirror twin beyond the bound (which ties
+    it exactly when the bound is the track's plane) cannot win.  When the
+    coarse peak is not unique (e.g. a flat hologram) the coarse center
+    comes back flagged unrefined.
     """
     if holo.method is None:
         raise ValueError("hologram carries no method to refine with")
@@ -670,10 +727,10 @@ def refine_local(holo: Hologram, stream: SampleStream) -> RefineResult:
         return RefineResult(position=coarse, refined=False)
 
     center = (coarse.x, coarse.y, coarse.z)
-    res = holo.region.resolution
+    res, bounds = holo.region.resolution, holo.region.bounds
     half = [0.0 if n == 1 else 1.5 * r for r, n in zip(res, holo.region.shape)]
-    fine = SearchRegion(
-        *((c - h, c + h) for c, h in zip(center, half)),
+    fine = SearchRegion(  # clipped to the region's bounds
+        *((max(c - h, lo), min(c + h, hi)) for c, h, (lo, hi) in zip(center, half, bounds)),
         resolution=tuple(r / 10.0 for r in res),
     )
     fine_holo = evaluate_hologram(stream, fine, holo.method)

@@ -258,6 +258,65 @@ class TestArgmaxEstimate:
         assert est.err_x == 0.0
 
 
+def ratio_by_masks(scores):
+    """argmax_estimate's peak_ratio from two full-grid masks: the peak over
+    the largest score outside its 3x3x3 neighbourhood box."""
+    peak = np.unravel_index(int(np.argmax(scores)), scores.shape)
+    outside = np.ones(scores.shape, dtype=bool)
+    outside[tuple(slice(max(0, p - 1), p + 2) for p in peak)] = False
+    if not outside.any():
+        return math.inf
+    second = float(scores[outside].max())
+    return math.inf if second <= 0.0 else float(scores[peak]) / second
+
+
+@st.composite
+def peaked_grids(draw):
+    """Scores on 1-6 cells per axis, from a few levels (so ties are common),
+    with the maximum anywhere: corners, edges and faces included."""
+    shape = tuple(draw(st.integers(1, 6)) for _ in range(3))
+    levels = st.sampled_from([-0.5, 0.0, 0.25, 0.9992, 0.9995, 1.0])
+    return draw(arrays(float, shape, elements=levels))
+
+
+class TestPeakRatio:
+    @settings(max_examples=300, deadline=None)
+    @given(scores=peaked_grids())
+    @example(scores=np.ones((4, 5, 6)))  # all ones: the peak ties every cell outside
+    @example(scores=np.ones((1, 1, 1)))  # no cell outside the neighbourhood
+    @example(scores=np.arange(27.0).reshape(3, 3, 3)[::-1, ::-1, ::-1].copy())  # peak in a corner
+    @example(scores=np.pad([[[1.0]]], ((1, 1), (0, 5), (1, 1))))  # box covers two axes whole
+    def test_slabs_give_the_mask_formula_bit_for_bit(self, scores):
+        region = SearchRegion(*((0.0, 0.01 * (n - 1)) for n in scores.shape), resolution=0.01)
+        holo = Hologram(region=region, scores=scores, raw_min=0.0, raw_max=1.0)
+        got, want = argmax_estimate(holo).peak_ratio, ratio_by_masks(scores)
+        assert got == want or (math.isnan(got) and math.isnan(want)), (got, want)
+
+    @pytest.mark.parametrize("shape, peak", [
+        ((3, 3, 3), (1, 1, 1)), ((1, 3, 2), (0, 1, 0)), ((1, 1, 1), (0, 0, 0)), ((2, 2, 2), (1, 0, 1)),
+    ])
+    def test_no_cell_outside_the_neighbourhood_is_inf(self, shape, peak):
+        scores = np.full(shape, 0.5)
+        scores[peak] = 1.0
+        region = SearchRegion(*((0.0, 0.01 * (n - 1)) for n in shape), resolution=0.01)
+        holo = Hologram(region=region, scores=scores, raw_min=0.0, raw_max=1.0)
+        assert argmax_estimate(holo).peak_ratio == math.inf == ratio_by_masks(scores)
+
+
+def peaks_labelled_whole_grid(holo):
+    """find_peak_regions labelling every cell of the grid, not only the
+    box around the cells above the cut."""
+    scores = holo.scores.ravel()
+    labels, _ = ndimage.label(holo.scores >= solver_mod.PEAK_THRESHOLD,
+                              structure=np.ones((3, 3, 3), dtype=int))
+    cells = np.flatnonzero(labels)
+    labs = labels.ravel()[cells]
+    order = np.lexsort((cells, -scores[cells], labs))
+    best = cells[order][np.diff(labs[order], prepend=0) != 0]
+    best = best[np.lexsort((best, -scores[best]))]
+    return [(int(c), float(scores[c])) for c in best]
+
+
 def peaks_per_component(holo):
     """find_peak_regions as one rescan of the labels per component: the
     best cell of each, ties to the lowest flat index, strongest first."""
@@ -292,6 +351,20 @@ class TestFindPeakRegions:
         holo = Hologram(region=region, scores=scores, raw_min=0.0, raw_max=1.0)
         peaks = find_peak_regions(holo)
         assert len(peaks) > 20
+        assert peaks == peaks_per_component(holo)
+
+    @settings(max_examples=300, deadline=None)
+    @given(scores=peaked_grids())
+    @example(scores=np.zeros((4, 4, 4)))  # no cell above the cut
+    @example(scores=np.pad([[[1.0, 0.9995]]], ((0, 3), (2, 1), (1, 1))))  # box on the x=0 face
+    @example(scores=np.pad([[[1.0], [0.9992]]], ((3, 0), (0, 2), (2, 0))))  # on three far faces
+    @example(scores=np.pad([[[0.9995]], [[1.0]]], ((1, 1), (0, 0), (0, 0))))  # one-cell y and z
+    def test_bounding_box_labels_match_whole_grid(self, scores):
+        # plateaus, several components, and boxes touching each face
+        region = SearchRegion(*((0.0, 0.01 * (n - 1)) for n in scores.shape), resolution=0.01)
+        holo = Hologram(region=region, scores=scores, raw_min=0.0, raw_max=1.0)
+        peaks = find_peak_regions(holo)
+        assert peaks == peaks_labelled_whole_grid(holo)
         assert peaks == peaks_per_component(holo)
 
     def test_two_separated_plateaus(self):
@@ -351,6 +424,41 @@ class TestRefineLocal:
         assert res.refined
         assert abs(res.position.y - 0.12) <= 0.002 + 1e-12
         assert abs(res.position.z - 0.24) <= 0.002 + 1e-12
+
+    @pytest.mark.parametrize("side", ["lower", "upper"])
+    @pytest.mark.parametrize("axis, pinned", [(0, 2), (1, 0), (2, 0)], ids=["x", "y", "z"])
+    def test_peak_on_a_region_bound_refines_inside_the_region(self, axis, pinned, side):
+        # The tag sits 4 mm beyond one bound of a free axis, so the coarse
+        # peak is the cell on that bound and the unclipped fine argmax, 4 mm
+        # past it, would leave the region.  One cross-track axis is pinned:
+        # on a track, cells on a circle around it score alike.
+        bounds = [(0.0, 0.2), (-0.1, 0.1), (0.1, 0.3)]
+        bounds[pinned] = (0.2, 0.2) if pinned == 2 else (0.0, 0.0)
+        truth = [bounds[0][0], 0.02, 0.2]
+        lo, hi = bounds[axis]
+        truth[axis] = lo - 0.004 if side == "lower" else hi + 0.004
+        samples = noise_free_samples(Position3D(*truth))
+        region = SearchRegion(*bounds, resolution=0.02)
+        for method in (CLF, MethodSpec("wslf")):
+            holo = evaluate_hologram(samples, region, method)
+            coarse = argmax_estimate(holo).position
+            res = refine_local(holo, samples)
+            assert res.refined
+            got = (res.position.x, res.position.y, res.position.z)
+            assert got[axis] == pytest.approx(lo if side == "lower" else hi, abs=1e-12)
+            for c, want, (a, b) in zip(got, (coarse.x, coarse.y, coarse.z), region.bounds):
+                assert a - 1e-12 <= c <= b + 1e-12
+                assert abs(c - want) <= 0.03 + 1e-12
+
+    def test_peak_on_the_track_plane_keeps_the_region_side(self):
+        # The region's z_min is the track's plane, so fine cells at +z and -z
+        # tie bit for bit; the tie rule would pick the -z twin, outside.
+        samples = noise_free_samples(Position3D(0.0, 0.06, 0.002))
+        region = SearchRegion(x=(0.0, 0.0), y=(-0.2, 0.2), z=(0.0, 0.3), resolution=0.02)
+        holo = evaluate_hologram(samples, region, MethodSpec("wslf"))
+        assert argmax_estimate(holo).position.z == 0.0
+        res = refine_local(holo, samples)
+        assert res.refined and res.position.z == pytest.approx(0.002, abs=1e-12)
 
     def test_flat_hologram_flagged(self):
         samples = noise_free_samples()
@@ -821,6 +929,49 @@ def track_scenes(draw):
     return SearchRegion(*bounds, resolution=tuple(res)), poses, phases, draw(st.integers(0, n - 1))
 
 
+@st.composite
+def grouped_track_scenes(draw):
+    """Track scenes whose cross-track axes repeat radii: N in 8-40 poses on
+    a track as in track_scenes, at cross-track coordinates often 0; on each
+    cross-track axis 2-5 cells one shared step apart, at offsets from the
+    track that run over whole steps and hold 0 and 1 (a region symmetric
+    about the track when they run -k..k, a commensurate grid like the
+    volume's otherwise); phases of shape (N,) or (S, N); a reference
+    index; and a BLOCK size."""
+    axis, n, q = draw(st.integers(0, 2)), draw(st.integers(8, 40)), draw(st.integers(1, 3))
+    step = draw(st.floats(0.005, 0.05))
+    along = q * step if draw(st.booleans()) else step / q
+    cross_step = draw(st.floats(0.005, 0.2))
+    at = [draw(st.one_of(st.just(0.0), st.floats(-2.0, 2.0))) for _ in range(3)]
+    poses = np.array([at] * n)
+    poses[:, axis] = draw(st.floats(-1.0, 1.0)) + step * np.arange(n)
+    if draw(st.booleans()):
+        poses = poses[::-1].copy()
+    bounds, res = [], []
+    for ax in range(3):
+        if ax == axis:
+            lo, count, r = draw(st.floats(-1.0, 1.0)), draw(st.integers(8, 14)), along
+        else:
+            first = draw(st.integers(-3, 0))
+            lo, count, r = at[ax] + first * cross_step, draw(st.integers(max(2, 2 - first), 5)), cross_step
+        bounds.append((lo, lo + (count - 1) * r))
+        res.append(r)
+    s = draw(st.integers(0, 3))
+    phases = draw(arrays(float, (s, n) if s else n, elements=PHASES))
+    block = draw(st.one_of(st.just(solver_mod.BLOCK), st.integers(1, 2000)))
+    return SearchRegion(*bounds, resolution=tuple(res)), poses, phases, draw(st.integers(0, n - 1)), block
+
+
+def line_cross(ev):
+    """Each line's squared cross-track distance, lines in C order."""
+    u, v = (ax for ax in range(3) if ax != ev._track.axis)
+    return (ev._sq[u][:, 0, None] + ev._sq[v][None, :, 0]).ravel()
+
+
+def groups_of(track):
+    return [track.members[lo:hi] for lo, hi in zip(track.starts[:-1], track.starts[1:])]
+
+
 def whole_matrix(region, poses):
     cells = region.candidates()
     return np.sqrt(squared_norm_rows(cells[:, None, :] - poses[None, :, :]))
@@ -894,6 +1045,95 @@ class TestTrackPath:
                         assert alone.scores.tobytes() == stacked[k].scores.tobytes(), (spec, workers, k)
             # nor on the worker count
             assert all(np.array_equal(scores[0], other) for other in scores[1:]), spec
+
+    @settings(max_examples=100, deadline=None)
+    @given(scene=grouped_track_scenes())
+    # cross-track offsets -2..2 and 0..3 cells from the track's own coordinates
+    @example(scene=(
+        SearchRegion(x=(-0.04, 0.04), y=(-0.1, 0.1), z=(0.0, 0.06), resolution=0.02),
+        linear_track(x=0.0, z=0.0, y_start=-0.2, y_stop=0.2, spacing=0.02).as_array(),
+        np.tile(np.linspace(0.0, 6.0, 21), (2, 1)), 3, solver_mod.BLOCK,
+    ))
+    def test_lines_at_one_radius_are_scored_once(self, scene):
+        # Lines a track cannot tell apart share one group's scores: within
+        # 1e-12 of the block path, bitwise equal to each other, and still
+        # independent of the worker count and the pass
+        region, poses, phases, ref, block = scene
+        lam = CARRIER.wavelength
+        ev = GridEvaluator(region, poses)
+        track = ev._track
+        assert track is not None
+        cross = line_cross(ev)
+        tol = solver_mod.TRACK_ULPS * np.finfo(float).eps * cross.max()
+        groups = groups_of(track)
+        assert np.array_equal(np.sort(track.members), np.arange(len(cross)))
+        for lines, value in zip(groups, track.cross):
+            assert cross[lines].min() == value and cross[lines].max() - value <= tol
+        assert [g[0] for g in groups] == sorted(g[0] for g in groups)  # groups in C order
+        dists = whole_matrix(region, poses)
+        ny = region.shape[track.axis]
+        for spec in track_specs(ref):
+            scores = []
+            for workers in (1, 2, 3):
+                with mock.patch.multiple(solver_mod, BLOCK=block, WORKERS=workers):
+                    scores.append(ev.raw_scores(phases, spec, lam))
+            got = scores[0]
+            assert all(np.array_equal(got, other) for other in scores[1:]), spec
+            assert_track_matches(got, spec(phases, dists, lam), spec, dists, len(poses))
+            by_line = np.moveaxis(got.reshape(-1, *region.shape), 1 + track.axis, -1)
+            by_line = by_line.reshape(-1, len(cross), ny)
+            for lines in groups:
+                assert (by_line[:, lines] == by_line[:, lines[:1]]).all(), spec
+            for k, row in enumerate(phases if phases.ndim == 2 else []):
+                assert np.array_equal(ev.raw_scores(row, spec, lam), got[k]), (spec, k)
+
+    def test_volume_lines_collapse_to_distinct_radii(self):
+        # perfbench's volume: 71 x 71 lines along y, 3660 radii around the
+        # track; exact equality finds 4463, since equal radii round apart
+        poses = linear_track(x=1.4, z=0.0, y_start=-0.5, y_stop=0.5, spacing=0.01).as_array()
+        volume = SearchRegion(x=(0.0, 0.7), y=(-0.5, 0.5), z=(0.0, 0.7), resolution=0.01)
+        ev = GridEvaluator(volume, poses)
+        cross = line_cross(ev)
+        assert len(cross) == 5041 and len(ev._track.cross) == 3660
+        assert len(np.unique(cross)) == 4463
+        tol = solver_mod.TRACK_ULPS * np.finfo(float).eps * cross.max()
+        assert max(np.ptp(cross[lines]) for lines in groups_of(ev._track)) <= tol
+        # symmetric about the track: 10,011 lines, the same 3660 radii
+        both = SearchRegion(x=(0.0, 0.7), y=(-0.5, 0.5), z=(-0.7, 0.7), resolution=0.01)
+        ev = GridEvaluator(both, poses)
+        assert len(line_cross(ev)) == 10_011 and len(ev._track.cross) == 3660
+
+    def test_radius_groups_span_at_most_the_tolerance(self):
+        tol = solver_mod.TRACK_ULPS * np.finfo(float).eps  # of the largest value, 1.0
+        # two values 2x the tolerance apart stay two groups
+        values, members, starts = solver_mod._radius_groups(np.array([1.0 - 2 * tol, 1.0]))
+        assert list(values) == [1.0 - 2 * tol, 1.0] and list(starts) == [0, 1, 2]
+        # a chain of values 0.6 tolerances apart is split greedily from its smallest
+        chain = 0.5 + 0.6 * tol * np.arange(5)
+        values, members, starts = solver_mod._radius_groups(np.append(chain[::-1], 1.0))
+        groups = [members[lo:hi] for lo, hi in zip(starts[:-1], starts[1:])]
+        cross = np.append(chain[::-1], 1.0)
+        assert [sorted(cross[g]) for g in groups] == [[chain[4]], [chain[2], chain[3]],
+                                                      [chain[0], chain[1]], [1.0]]
+        assert all(np.ptp(cross[g]) <= tol for g in groups)
+        assert list(values) == [chain[4], chain[2], chain[0], 1.0]  # each group's smallest
+        # values all apart: one line per group, in C order
+        values, members, starts = solver_mod._radius_groups(np.array([3.0, 1.0, 2.0]))
+        assert list(values) == [3.0, 1.0, 2.0] and list(members) == [0, 1, 2] and list(starts) == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("spec", [CLF, MethodSpec("wslf"), MethodSpec("tagoram")], ids=str)
+    def test_mirror_cells_tie_and_the_lower_flat_index_wins(self, spec):
+        truth = Position3D(0.0, 0.12, 0.4)
+        samples = noise_free_samples(truth, y_half=0.5)
+        full = SearchRegion(x=(0.0, 0.0), y=(-0.5, 0.5), z=(-0.6, 0.6), resolution=0.01)
+        holo = evaluate_hologram(samples, full, spec)
+        assert np.array_equal(holo.scores, holo.scores[:, :, ::-1])  # z and -z, bit for bit
+        est = argmax_estimate(holo)
+        flat = int(np.argmax(holo.scores))
+        _, iy, iz = np.unravel_index(flat, full.shape)
+        assert est.position.z == pytest.approx(-0.4, abs=0.011) and est.peak_ratio == 1.0
+        twin = int(np.ravel_multi_index((0, iy, full.shape[2] - 1 - iz), full.shape))
+        assert find_peak_regions(holo)[:2] == [(flat, 1.0), (twin, 1.0)]
 
     @pytest.mark.parametrize("poses, region", [
         (UNEVEN_TRACK, RACK_PLANE),
