@@ -21,7 +21,7 @@ import numpy as np
 
 from ..likelihood import DifferentialScheme, MethodSpec
 from ..phase_model import Position3D
-from ..solver import GridEvaluator, SearchRegion, argmax_estimate
+from ..solver import GridEvaluator, SearchRegion, truth_errors
 from ..synthesis import Scenario, synthesize
 
 
@@ -211,31 +211,22 @@ def run_bench(
 
 def _locate_jobs(evaluator, methods, jobs, truth, per_pass) -> dict[tuple, TrialRecord]:
     """Records keyed by (trial, method index, tag) for (trial, tag,
-    stream) jobs, each method scoring up to per_pass streams at a time."""
+    stream) jobs, each method scoring up to per_pass streams at a time.
+    A record holds only the argmax cell, so GridEvaluator.best_cells
+    finds it without the holograms where bounds allow."""
     records = {}
+    region = evaluator.region
     for k, (method_name, spec) in enumerate(methods):
         for lo in range(0, len(jobs), per_pass):
             batch = jobs[lo:lo + per_pass]
             try:
-                holos = evaluator.holograms([samples for _, _, samples in batch], spec)
+                cells = evaluator.best_cells([samples for _, _, samples in batch], spec)
             except Exception as exc:
                 raise RuntimeError(f"method {method_name}: {exc}") from exc
-            for (t, tag_id, _), holo in zip(batch, holos):
-                try:
-                    est = argmax_estimate(holo, truth=truth[tag_id], tag_id=tag_id)
-                except Exception as exc:
-                    raise RuntimeError(
-                        f"trial {t}, method {method_name}, tag {tag_id}: {exc}"
-                    ) from exc
+            for (t, tag_id, _), cell in zip(batch, cells):
+                est = region.position_at(cell)
                 records[t, k, tag_id] = TrialRecord(
-                    trial=t,
-                    method=method_name,
-                    tag_id=tag_id,
-                    est=est.position,
-                    err_x=est.err_x,
-                    err_y=est.err_y,
-                    err_z=est.err_z,
-                    err_combined=est.err_combined_yz,
+                    t, method_name, tag_id, est, *truth_errors(est, truth[tag_id])
                 )
     return records
 

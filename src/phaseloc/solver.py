@@ -39,6 +39,15 @@ bit.  Track-path scores match the block path's to about 1e-12 of the
 score scale, not bit for bit; a stream's scores still do not depend on
 the pass or the worker count.  Other geometries and callables that are
 not a MethodSpec take the block path.
+
+Where only the argmax is wanted (run_bench), GridEvaluator.best_cells
+finds it without scoring every cell on every pair: for nlf, wclf and
+wslf under reference:r on a track, each pair term has a fixed maximum,
+so a sum over every tenth pose bounds each cell's full score, and only
+the cells whose bound can still reach the best full score are scored in
+full, bit for bit as in the full pass.  tagoram, whose bounds prune
+nothing, the FFT methods, whose passes are already cheap, and every
+other case score the holograms.
 """
 
 from __future__ import annotations
@@ -53,7 +62,14 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import ndimage
 
-from .likelihood import MethodSpec, _pair_sums, _steering, linear_form, pair_indices
+from .likelihood import (
+    DifferentialScheme,
+    MethodSpec,
+    _pair_sums,
+    _steering,
+    linear_form,
+    pair_indices,
+)
 from .phase_model import TWO_PI, Position3D, SampleStream, pose_array
 
 DEFAULT_CELL_CAP = 10_000_000
@@ -62,6 +78,12 @@ PASS_CELLS = 32  # fewest cells per block in a pass of streams_per_pass streams
 PASS_SCORES = 1 << 20  # most raw scores a pass of streams_per_pass streams holds: 8 MiB
 PEAK_THRESHOLD = 0.999  # find_peak_regions' cut; rack-plane ridge saddles sit near 0.99
 TRACK_ULPS = 8  # most a track's poses and cells may stray from even steps, in ulps
+BOUND_STRIDE = 10  # best_cells bounds every cell from the pairs of every 10th pose
+BOUND_COLUMNS = 5  # cells along the track of best_cells' first column, at least 2
+TERM_ULPS = 32  # most a computed pair term strays from its loop-free value, in eps
+# least and most pair term of the methods best_cells bounds
+_TERM_RANGE = {"nlf": (-4.0 * math.pi**2, 0.0), "wclf": (-1.0, 1.0), "wslf": (-1.0 / math.e, 0.0)}
+_EPS = float(np.finfo(float).eps)
 
 _AXES = ("x", "y", "z")
 
@@ -248,6 +270,45 @@ class _Track:
     starts: np.ndarray  # group g's lines are members[starts[g]:starts[g + 1]]
 
 
+def _bound_slack(p: int, pk: int, t_abs: float) -> float:
+    """What best_cells adds to a partial sum's bound for rounding.  With
+    terms of magnitude at most t_abs + TERM_ULPS*eps, any order of summing
+    n of them errs by at most (n - 1)*eps times their magnitudes' sum: so
+    eps*(t_abs + TERM_ULPS*eps)*(p^2 + pk^2) covers the full sum of p pairs
+    and the partial sum of pk.  The partial pairs read the full pass's
+    sequence entries, but numpy may multiply the strided phasors with or
+    without fused multiply-adds, moving each wclf and wslf term by at most
+    TERM_ULPS*eps (nlf's real differences round alike in any loop); so may
+    a term's rounding above t_max.  Doubled, which covers the bound's own
+    addition and comparison."""
+    term = TERM_ULPS * _EPS
+    return 2.0 * (p * term + _EPS * (t_abs + term) * (p * p + pk * pk))
+
+
+def _tie(top: float, floor: float) -> float:
+    """best_cells' tie margin for a best full score top over cells whose
+    scores are at least floor: more than a normalized hologram can merge
+    into its maximum, ulp(top - raw_min) <= eps*(top - floor), and more
+    than the rounding of top - margin, eps*|top|."""
+    return 4.0 * _EPS * (top - floor + abs(top))
+
+
+def _survivor_boxes(group: np.ndarray, column: np.ndarray, ny: int) -> list:
+    """_track_scores boxes holding the given (group, column) cells: one per
+    run of columns less than BOUND_COLUMNS apart, over the groups it
+    meets, at least two columns wide."""
+    cols = np.unique(column)
+    cuts = np.flatnonzero(np.diff(cols) >= BOUND_COLUMNS) + 1
+    boxes = []
+    for run in np.split(cols, cuts):
+        c0, c1 = int(run[0]), int(run[-1]) + 1
+        if c1 - c0 < 2:
+            c0, c1 = (c0, c0 + 2) if c0 + 2 <= ny else (c1 - 2, c1)
+        inside = (column >= run[0]) & (column <= run[-1])
+        boxes.append((int(group[inside].min()), int(group[inside].max()) + 1, c0, c1))
+    return boxes
+
+
 def _radius_groups(cross: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(values, members, starts) of _Track for lines at squared cross-track
     distances cross: sorted, a group takes the values within TRACK_ULPS
@@ -401,6 +462,11 @@ class GridEvaluator:
     with each radius scored once, against 262-357 ms line by line (2-core
     VM).
 
+    best_cells gives each stream's hologram argmax from bounds for nlf,
+    wclf and wslf under reference:r on a track (see its docstring): on
+    the stock plane an 8-stream pass with its argmax took 8-21 ms
+    instead of 22-44 ms (2-core VM).
+
     A method is any callable taking (phases, dists, wavelength) and
     returning one score per row of dists; MethodSpec objects are such
     callables.  hologram passes one stream's (N,) phases; holograms
@@ -457,19 +523,35 @@ class GridEvaluator:
         return out
 
     def _track_scores(
-        self, spec: MethodSpec, phases: np.ndarray, out: np.ndarray, wavelength: float
+        self,
+        spec: MethodSpec,
+        phases: np.ndarray,
+        out: np.ndarray,
+        wavelength: float,
+        boxes: list | None = None,
+        reads: slice = slice(None),
     ) -> None:
         """Write spec's (S, M) scores into out from one sequence per line of
         cells, in chunks dealt to the shares: clf, slf and sarfid convolve
         each line with every stream's inputs, the other methods sum every
-        cell's pair terms over a sliding window of it."""
+        cell's pair terms over a sliding window of it.
+
+        boxes, (group lo, group hi, c0, c1) each, limits the cells scored
+        to those groups' cells c0..c1 along the track (counted from the
+        line's far end; c1 - c0 >= 2), cut into chunks within the budget;
+        no other cell of out is written.  The default is the whole grid.
+        A pair method under reference:r may read only the poses reads
+        picks, with phases holding just those reads and spec's reference
+        index counted among them: its pairs are then formed from the same
+        sequence entries as in a full pass."""
         track, n = self._track, len(self.poses)
-        idx_a, idx_b = pair_indices(spec.scheme, n)  # raises as the blocks do
+        picked = range(n)[reads]
+        idx_a, idx_b = pair_indices(spec.scheme, len(picked))  # raises as the blocks do
         phases = np.atleast_2d(phases)
         form = linear_form(spec, phases)
         ref = None if spec.scheme.kind == "misaligned" else spec.scheme.reference_index
         nlf = spec.name == "nlf"
-        a, b, p = track.a, track.b, n - 1
+        a, b, p = track.a, track.b, len(picked) - 1
         lag = b if ref is None else 0  # pose n - 1 sits b entries before pose n
         shape = self.region.shape
         ny, nv = shape[track.axis], shape[max(ax for ax in range(3) if ax != track.axis)]
@@ -488,7 +570,6 @@ class GridEvaluator:
             # tagoram's compaction takes up to one more (likelihood._tagoram_sums)
             per_pair = width + 1 + width * (len(dphi) > 1) + (spec.name == "tagoram")
             per_cell = p * per_pair + a * per_entry + copy
-            rows = cap // (ny * per_cell + fixed)
         else:  # imported here: ~30 ms and 1 MiB that the other methods never need
             from scipy.fft import fft, ifft, next_fast_len
 
@@ -501,15 +582,19 @@ class GridEvaluator:
             at_cells = slice(b * (taps - 1), length, a)
             # whole lines even beyond the budget, so FFT lengths depend on shapes only
             rows = max(1, cap // (ny * (a * per_entry + 3 + copy) + fixed + 4 * size))
-        if rows >= 1:  # whole groups; a grid within one share's budget takes one
-            chunks = [(lo, min(lo + rows, groups), 0, ny) for lo in range(0, groups, rows)]
-        else:  # segments of one line; a lone last cell joins the previous one
-            cells = max(2, (cap - fixed) // per_cell)
-            edges = [*range(0, ny, cells), ny]
-            if edges[-1] - edges[-2] == 1:
-                del edges[-2]
-            segments = list(zip(edges[:-1], edges[1:]))
-            chunks = [(g, g + 1, c0, c1) for g in range(groups) for c0, c1 in segments]
+        chunks = []
+        for lo, hi, c0, c1 in [(0, groups, 0, ny)] if boxes is None else boxes:
+            if form is None:
+                rows = cap // ((c1 - c0) * per_cell + fixed)
+            if rows >= 1:  # whole groups; a grid within one share's budget takes one
+                chunks += [(g, min(g + rows, hi), c0, c1) for g in range(lo, hi, rows)]
+            else:  # segments of one line; a lone last cell joins the previous one
+                cells = max(2, (cap - fixed) // per_cell)
+                edges = [*range(c0, c1, cells), c1]
+                if edges[-1] - edges[-2] == 1:
+                    del edges[-2]
+                segments = list(zip(edges[:-1], edges[1:]))
+                chunks += [(g, g + 1, s0, s1) for g in range(lo, hi) for s0, s1 in segments]
         most = max((hi - lo) * (c1 - c0) for lo, hi, c0, c1 in chunks) * p  # pair entries
         span = a * (max(c1 - c0 for _, _, c0, c1 in chunks) - 1) + b * (n - 1) + 1  # per line
         grid = np.moveaxis(out.reshape(-1, *shape), 1 + track.axis, -1)
@@ -558,7 +643,7 @@ class GridEvaluator:
                 if count not in windows:
                     full = read[:, : used - lag]
                     view = sliding_window_view(full, full.shape[-1] - a * (count - 1), axis=-1)
-                    windows[count] = view[:, ::a, ::b]
+                    windows[count] = view[:, ::a, b * picked.start :: b * picked.step]
                 d = dists[:h, :used]
                 np.add(track.cross[lo:hi, None], track.sq_offsets[a * c0 : a * c0 + used], out=d)
                 np.sqrt(d, out=d)
@@ -598,6 +683,129 @@ class GridEvaluator:
         trajectory and one wavelength; streams_per_pass is the pass size
         to use for many streams.
         """
+        phases, wavelength = self._stacked(streams)
+        raw = self.raw_scores(phases, method, wavelength)
+        return [self._normalized(row, method) for row in raw]
+
+    def best_cells(self, streams: list[SampleStream], method) -> list[int]:
+        """The flat index argmax_estimate picks on each stream's hologram,
+        int(np.argmax(h.scores)) for h in holograms(streams, method), from
+        bounds where that is exact and cheaper, else from the holograms.
+
+        nlf, wclf and wslf under reference:r on a track sum one term per
+        pair, each within [t_min, t_max] (_TERM_RANGE: -4*pi^2, -1, -1/e
+        and 0, 1, 0).  So every cell of every stream is scored first on the
+        pairs of every k-th pose (k = BOUND_STRIDE), poses[r % k::k] with
+        reference index r // k.  Those pairs are formed from the full
+        pass's own sequence entries, not from a sequence of the picked
+        poses (which would be within TRACK_ULPS of it): nlf folds each
+        geometric difference into [0, 2*pi), where an ulp can move a term
+        by up to 4*pi^2, so its partial terms must be the full pass's bit
+        for bit.  A cell's full score is then at most its partial sum +
+        (P - P_k)*t_max + _bound_slack, which covers the rounding of both
+        sums and of the pair phasors.  Next each stream's column of cells
+        (every group, BOUND_COLUMNS cells along the track) around its
+        best-bounded cell is scored in full, by the full pass's chunks cut
+        smaller, so bit for bit as there (streams sharing a column share
+        that pass); then every cell whose bound still reaches the best
+        full score less the tie margin.  No other cell is scored in full.
+        The best full score is raw_max, and the lowest flat index reaching
+        it is the argmax of the raw scores.
+
+        The hologram normalizes by raw_max - raw_min, and rounding can
+        merge a score just below raw_max into 1.0, where the lower index
+        wins.  raw_min >= P*t_min - slack, so what can merge lies within
+        the tie margin (_tie) of raw_max, and every cell whose score does
+        has been scored in full: a stream where a lower-index cell does
+        falls back to its hologram, as does one whose bounds leave more
+        than a quarter of the grid.  The fallback streams share one pass.
+
+        Every other case scores the holograms: tagoram, whose best cell
+        scores about a third of its bound, so nothing would be pruned; clf,
+        slf and sarfid, whose FFT passes cost about 4.5 ms on the stock
+        plane; misaligned, off-track poses and plain callables.  On the
+        stock plane (8 streams, 2-core VM) a pass and its argmax took
+        8-21 ms instead of 22-44 ms, and 8-18 ms instead of 32-55 ms on
+        one CPU.
+        """
+        phases, wavelength = self._stacked(streams)
+        n, m = len(self.poses), self.region.cell_count
+        bounded = (
+            isinstance(method, MethodSpec)
+            and method.name in _TERM_RANGE
+            and method.scheme.kind == "reference"
+            and self._track is not None
+        )
+        if bounded:
+            r = method.scheme.reference_index
+            pair_indices(method.scheme, n)  # raises as a full pass does
+            reads = slice(r % BOUND_STRIDE, None, BOUND_STRIDE)
+            bounded = len(range(n)[reads]) >= 2
+        if not bounded:
+            return [self._best_cell(row) for row in self.raw_scores(phases, method, wavelength)]
+        sub = MethodSpec(method.name, DifferentialScheme.reference(r // BOUND_STRIDE))
+        bounds = np.empty((len(phases), m))
+        self._track_scores(sub, phases[:, reads], bounds, wavelength, reads=reads)
+        p, pk = n - 1, len(range(n)[reads]) - 1
+        t_min, t_max = _TERM_RANGE[method.name]
+        slack = _bound_slack(p, pk, max(-t_min, t_max))
+        bounds += (p - pk) * t_max + slack
+        group, column = self._cell_slots
+        ny, groups = self.region.shape[self._track.axis], len(self._track.cross)
+        raw = np.full_like(bounds, -np.inf)  # full scores where scored
+        scored = np.zeros(bounds.shape, dtype=bool)
+
+        def score(rows, boxes):
+            out = raw[rows]
+            self._track_scores(method, phases[rows], out, wavelength, boxes=boxes)
+            raw[rows] = out
+            for lo, hi, c0, c1 in boxes:
+                scored[rows] |= (group >= lo) & (group < hi) & (column >= c0) & (column < c1)
+
+        # each stream's column around its best-bounded cell; streams sharing one share a pass
+        columns = {}
+        for row, c in enumerate(column[np.argmax(bounds, axis=1)]):
+            c0 = max(0, min(int(c) - BOUND_COLUMNS // 2, ny - BOUND_COLUMNS))
+            columns.setdefault(c0, []).append(row)
+        for c0, rows in columns.items():
+            score(rows, [(0, groups, c0, min(ny, c0 + BOUND_COLUMNS))])
+        best, unsettled = [], []
+        for row in range(len(phases)):
+            top = raw[row].max()
+            left = (bounds[row] >= top - _tie(top, p * t_min - slack)) & ~scored[row]
+            if np.count_nonzero(left) <= m // 4:
+                if left.any():  # cells whose bound still reaches the best full score
+                    score([row], _survivor_boxes(group[left], column[left], ny))
+                    top = raw[row].max()
+                first = int(np.argmax(raw[row] >= top - _tie(top, p * t_min - slack)))
+                if raw[row, first] == top:  # no lower-index near-tie: the hologram's argmax
+                    best.append(first)
+                    continue
+            best.append(None)
+            unsettled.append(row)
+        if unsettled:  # one pass of their holograms' scores
+            full = self.raw_scores(phases[unsettled], method, wavelength)
+            for row, scores in zip(unsettled, full):
+                best[row] = self._best_cell(scores)
+        return best
+
+    @cached_property
+    def _cell_slots(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each cell's track group and its index along the track counted
+        from the line's far end, as _track_scores' boxes count cells."""
+        track, shape = self._track, self.region.shape
+        at = np.unravel_index(np.arange(self.region.cell_count), shape)
+        u, v = (ax for ax in range(3) if ax != track.axis)
+        of_line = np.empty(len(track.members), dtype=np.intp)
+        of_line[track.members] = np.repeat(np.arange(len(track.cross)), np.diff(track.starts))
+        j = at[track.axis]
+        return of_line[at[u] * shape[v] + at[v]], j if track.flip else shape[track.axis] - 1 - j
+
+    def _best_cell(self, raw: np.ndarray) -> int:
+        return int(np.argmax(self._normalized(raw, None).scores))
+
+    def _stacked(self, streams: list[SampleStream]) -> tuple[np.ndarray, float]:
+        """The streams' stacked (S, N) phases and their one wavelength."""
         if not streams:
             raise ValueError("no streams to score")
         for stream in streams:
@@ -605,8 +813,7 @@ class GridEvaluator:
         wavelength = streams[0].carrier.wavelength
         if any(s.carrier.wavelength != wavelength for s in streams):
             raise ValueError("streams differ in wavelength")
-        raw = self.raw_scores(np.stack([s.phases for s in streams]), method, wavelength)
-        return [self._normalized(row, method) for row in raw]
+        return np.stack([s.phases for s in streams]), wavelength
 
     def _check(self, stream: SampleStream) -> None:
         if not np.array_equal(stream.poses, self.poses):
@@ -662,21 +869,15 @@ def argmax_estimate(
     second = _max_outside_neighborhood(holo.scores, peak_idx)
     ratio = math.inf if second <= 0.0 else float(holo.scores[peak_idx]) / second
 
-    err_x = err_y = err_z = err_c = None
-    if truth is not None:
-        err_x = abs(position.x - truth.x)
-        err_y = abs(position.y - truth.y)
-        err_z = abs(position.z - truth.z)
-        err_c = math.hypot(err_y, err_z)
-    return TagEstimate(
-        tag_id=tag_id,
-        position=position,
-        peak_ratio=ratio,
-        err_x=err_x,
-        err_y=err_y,
-        err_z=err_z,
-        err_combined_yz=err_c,
-    )
+    errors = (None,) * 4 if truth is None else truth_errors(position, truth)
+    return TagEstimate(tag_id, position, ratio, *errors)
+
+
+def truth_errors(position: Position3D, truth: Position3D) -> tuple[float, float, float, float]:
+    """An estimate's (err_x, err_y, err_z, err_combined_yz) against ground
+    truth: absolute per-axis errors and the Y/Z distance."""
+    err_y, err_z = abs(position.y - truth.y), abs(position.z - truth.z)
+    return abs(position.x - truth.x), err_y, err_z, math.hypot(err_y, err_z)
 
 
 def find_peak_regions(holo: Hologram) -> list[tuple[int, float]]:

@@ -10,6 +10,7 @@ import threading
 import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -43,7 +44,7 @@ from phaseloc import (
     synthesize,
 )
 from phaseloc.io_eval import resolve_method
-from phaseloc.likelihood import pair_indices
+from phaseloc.likelihood import linear_form, pair_indices
 from phaseloc.phase_model import squared_norm_rows
 
 CARRIER = CarrierConfig(866.9e6)
@@ -1251,6 +1252,204 @@ class TestTrackPath:
         assert ev._track is not None
         with pytest.raises(ValueError, match=match):
             ev.raw_scores(np.zeros(len(RACK_TRACK)), spec, CARRIER.wavelength)
+
+
+@st.composite
+def best_cell_scenes(draw):
+    """A track of N in 11-60 poses along x, y or z, ascending or
+    descending, at cross-track coordinates often 0 or nudged off 0 by up
+    to 1e-13 m; a region of 6-20 cells along it (stepping q pose steps or
+    1/q of one) and, on each other axis, 1 cell or 2-3 cells on each side
+    symmetric about the track (mirror cells tie bit for bit, or nearly, so
+    the lowest flat index must win); S in 1-4 streams, each of a tag on a
+    grid cell or off one, noise-free or with noise and phase jumps, or of
+    uniform phases; a reference index; and the route: the track, or the
+    full route by misaligned, a pose nudged off the track, a plain
+    callable or a constant-score callable."""
+    axis, n, q = draw(st.integers(0, 2)), draw(st.integers(11, 60)), draw(st.integers(1, 3))
+    step = draw(st.floats(0.005, 0.03))
+    along = q * step if draw(st.booleans()) else step / q
+    at = [draw(st.sampled_from([0.0, 1e-15, 1e-14, 1e-13, -0.3, 1.4])) for _ in range(3)]
+    poses = np.array([at] * n, dtype=float)
+    poses[:, axis] = draw(st.floats(-0.5, 0.5)) + step * np.arange(n)
+    if draw(st.booleans()):
+        poses = poses[::-1].copy()
+    bounds, res = [], []
+    for ax in range(3):
+        if ax == axis:
+            lo, count, r = poses[:, ax].min() + draw(st.floats(-0.1, 0.1)), draw(st.integers(6, 20)), along
+            bounds.append((lo, lo + (count - 1) * r))
+        else:
+            r, k = draw(st.floats(0.01, 0.2)), draw(st.integers(0, 3))
+            centre = round(at[ax], 12) + draw(st.sampled_from([0.0, 0.0, 0.5, 1.0])) * r
+            bounds.append((centre - k * r, centre + k * r))
+        res.append(r)
+    region = SearchRegion(*bounds, resolution=tuple(res))
+    cells = region.candidates()
+    streams = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["cell", "off-cell", "noisy", "uniform"]))
+        if kind == "uniform":
+            phases = np.array(draw(st.lists(PHASES, min_size=n, max_size=n)))
+        else:
+            tag = cells[draw(st.integers(0, len(cells) - 1))]
+            if kind != "cell":
+                tag = tag + np.array(draw(st.lists(st.floats(-0.01, 0.01), min_size=3, max_size=3)))
+            dist = np.sqrt(squared_norm_rows(poses - tag))
+            phases = 4.0 * math.pi * dist / CARRIER.wavelength + draw(PHASES)
+            if kind == "noisy":
+                rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+                phases += rng.normal(0.0, draw(st.floats(0.01, 0.5)), n)
+                phases[rng.uniform(size=n) < 0.1] += math.pi  # jumps
+            phases = np.mod(phases, 2.0 * math.pi)
+            phases[phases >= 2.0 * math.pi] = 0.0
+        streams.append(SampleStream(poses, phases, CARRIER))
+    route = draw(st.sampled_from(["track"] * 4 + ["misaligned", "off-track", "callable", "constant"]))
+    return region, poses, streams, draw(st.integers(0, n - 1)), route
+
+
+def best_cell_specs(ref, route):
+    """The seven methods, the five likelihoods under reference:ref (or
+    misaligned); plain callables for the callable routes."""
+    scheme = DifferentialScheme.misaligned() if route == "misaligned" else DifferentialScheme.reference(ref)
+    specs = [MethodSpec(name, scheme) for name in ("nlf", "clf", "slf", "wclf", "wslf")]
+    specs += [MethodSpec("sarfid"), MethodSpec("tagoram")]
+    if route == "constant":
+        return [lambda phases, dists, wavelength: np.zeros(phases.shape[:-1] + dists.shape[:1])]
+    if route == "callable":
+        return [lambda phases, dists, wavelength, spec=spec: spec(phases, dists, wavelength)
+                for spec in specs]
+    return specs
+
+
+# the stock plane's 71 lines of 101 cells under 101 poses, as mc-plane's scene
+STOCK_TRACK = linear_track(x=1.4, z=0.0, y_start=-0.5, y_stop=0.5, spacing=0.01).as_array()
+STOCK_PLANE = SearchRegion(x=(0.0, 0.0), y=(-0.5, 0.5), z=(0.0, 0.7), resolution=0.01)
+
+
+def stock_streams(seed, trials=4):
+    """The (trial, tag) streams of mc-plane's scene: its noise, jumps and two tags."""
+    scene = Scenario(
+        tags=(TagTruth("T01", Position3D(0.0, 0.12, 0.24)), TagTruth("T02", Position3D(0.0, -0.1, 0.4))),
+        trajectory=linear_track(x=1.4, z=0.0, y_start=-0.5, y_stop=0.5, spacing=0.01),
+        carrier=CARRIER,
+        noise=NoiseModel(sigma_slope=0.006, sigma_intercept=0.0084),
+        jump_probability=0.05,
+    )
+    return [stream for t in range(trials)
+            for stream in synthesize(replace(scene, rng_seed=seed + t)).values()]
+
+
+class TestBestCells:
+    @settings(max_examples=120, deadline=None)
+    @given(scene=best_cell_scenes())
+    # noise-free tags on a region symmetric about a track nudged 1e-13 m off
+    # it: mirror cells fall into two groups, and each stream's raw maximum
+    # ties a lower-index twin once normalized (near-tie fallback)
+    @example(scene=(
+        SearchRegion(x=(0.0, 0.0), y=(-0.2, 0.2), z=(-0.3, 0.3), resolution=0.01),
+        linear_track(x=1.4, z=1e-13, y_start=-0.3, y_stop=0.3, spacing=0.01).as_array(),
+        [noise_free_samples(Position3D(0.0, 0.05, z), spacing=0.01) for z in (0.1, 0.2, 0.25)],
+        13, "track",
+    ))
+    def test_best_cells_are_the_holograms_argmax(self, scene):
+        region, poses, streams, ref, route = scene
+        if route == "off-track":
+            poses = poses.copy()
+            poses[len(poses) // 2, (int(np.flatnonzero(np.ptp(poses, axis=0))[0]) + 1) % 3] += 1e-3
+            streams = [SampleStream(poses, s.phases, s.carrier) for s in streams]
+        else:
+            streams = [SampleStream(poses, s.phases, s.carrier) for s in streams]
+        ev = GridEvaluator(region, poses)
+        if route == "off-track":
+            assert ev._track is None
+        for method in best_cell_specs(ref, route):
+            want = [int(np.argmax(h.scores)) for h in ev.holograms(streams, method)]
+            assert ev.best_cells(streams, method) == want, method
+            # one stream is a pass of one
+            assert ev.best_cells(streams[-1:], method) == want[-1:], method
+
+    @pytest.mark.parametrize("seed", [200, 400, 600])
+    def test_bounds_leave_few_cells_on_the_stock_plane(self, seed):
+        # each stream's column is scored in full, about 5% of the grid, and
+        # no stream needs its hologram
+        ev = GridEvaluator(STOCK_PLANE, STOCK_TRACK)
+        streams = stock_streams(seed)
+        real = GridEvaluator._track_scores
+
+        def spy(self, spec, phases, out, wavelength, boxes=None, reads=slice(None)):
+            assert reads != slice(None) or boxes is not None, "a full pass"
+            if boxes is not None:
+                boxes_seen.append((len(phases), boxes))
+            return real(self, spec, phases, out, wavelength, boxes=boxes, reads=reads)
+
+        for name in ("nlf", "wclf", "wslf"):
+            spec = MethodSpec(name, DifferentialScheme.reference(seed % 101))
+            want = [int(np.argmax(h.scores)) for h in ev.holograms(streams, spec)]
+            boxes_seen = []
+            with mock.patch.object(GridEvaluator, "_track_scores", spy):
+                assert ev.best_cells(streams, spec) == want, name
+            cells = sum(rows * (hi - lo) * (c1 - c0) for rows, seen in boxes_seen
+                        for lo, hi, c0, c1 in seen)
+            assert cells <= 0.1 * len(streams) * STOCK_PLANE.cell_count, (name, boxes_seen)
+
+    @settings(max_examples=60, deadline=None)
+    @given(scene=track_scenes(), data=st.data())
+    def test_boxed_cells_score_as_in_the_full_pass(self, scene, data):
+        # a box's cells equal their raw_scores entries bit for bit, and no
+        # other cell of out is written
+        region, poses, phases, ref = scene
+        ev = GridEvaluator(region, poses)
+        track = ev._track
+        assert track is not None
+        ny, groups = region.shape[track.axis], len(track.cross)
+        boxes = []
+        for _ in range(data.draw(st.integers(1, 3))):
+            lo = data.draw(st.integers(0, groups - 1))
+            c0 = data.draw(st.integers(0, ny - 2))
+            boxes.append((lo, data.draw(st.integers(lo + 1, groups)), c0, data.draw(st.integers(c0 + 2, ny))))
+        group, column = ev._cell_slots
+        inside = np.zeros(region.cell_count, dtype=bool)
+        for lo, hi, c0, c1 in boxes:
+            inside |= (group >= lo) & (group < hi) & (column >= c0) & (column < c1)
+        stacked = np.atleast_2d(phases)
+        for spec in track_specs(ref)[:-2] + [MethodSpec("tagoram")]:
+            if linear_form(spec, stacked) is not None:
+                continue  # clf, slf and sarfid: whole lines by FFT only
+            want = np.atleast_2d(ev.raw_scores(phases, spec, CARRIER.wavelength))
+            for block in (solver_mod.BLOCK, 64):
+                out = np.full(want.shape, np.nan)
+                with mock.patch.object(solver_mod, "BLOCK", block):
+                    ev._track_scores(spec, stacked, out, CARRIER.wavelength, boxes=boxes)
+                assert np.array_equal(out[:, inside], want[:, inside]), (spec, block)
+                assert np.isnan(out[:, ~inside]).all(), spec
+
+    def test_partial_pass_scores_every_tenth_pose(self):
+        # the pairs of every 10th pose against the reference, as an
+        # evaluator of those poses alone scores them (off nlf's folds)
+        ev = GridEvaluator(STOCK_PLANE, STOCK_TRACK)
+        phases = np.stack([s.phases for s in stock_streams(3, 1)])
+        for ref in (0, 37, 100):
+            reads = slice(ref % 10, None, 10)
+            picked = GridEvaluator(STOCK_PLANE, STOCK_TRACK[reads])
+            assert picked._track is not None
+            dists = whole_matrix(STOCK_PLANE, STOCK_TRACK[reads])
+            for name in ("nlf", "wclf", "wslf"):
+                sub = MethodSpec(name, DifferentialScheme.reference(ref // 10))
+                partial = np.empty((2, STOCK_PLANE.cell_count))
+                ev._track_scores(sub, phases[:, reads], partial, CARRIER.wavelength, reads=reads)
+                alone = picked.raw_scores(phases[:, reads], sub, CARRIER.wavelength)
+                assert_track_matches(partial, alone, sub, dists, dists.shape[1])
+
+    def test_failing_method_fails_as_the_full_pass(self):
+        ev = GridEvaluator(STOCK_PLANE, STOCK_TRACK)
+        streams = stock_streams(1, 1)
+        for name in ("nlf", "wclf", "clf"):
+            spec = MethodSpec(name, DifferentialScheme.reference(101))
+            with pytest.raises(ValueError, match="reference index 101 out of range for 101 samples"):
+                ev.best_cells(streams, spec)
+        with pytest.raises(ValueError, match="no streams"):
+            ev.best_cells([], MethodSpec("nlf"))
 
 
 @pytest.mark.parametrize("name", METHOD_NAMES)
