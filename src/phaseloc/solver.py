@@ -145,7 +145,9 @@ class SearchRegion:
     Each axis is a (min, max) pair; min == max pins the axis to a single
     plane (the usual rack-plane search fixes x).  Cell centers start at
     min and step by the per-axis resolution; max is included when the
-    span divides evenly.
+    span divides evenly, and no centre lies beyond it: where min + k*res
+    rounds above max (0.7000000000000001 for [0, 0.7] at 0.01), the last
+    centre is max.
     """
 
     x: tuple[float, float]
@@ -180,7 +182,7 @@ class SearchRegion:
         lo, hi = self.bounds[axis]
         if lo == hi:
             return np.array([lo], dtype=float)
-        return lo + self.resolution[axis] * np.arange(self.shape[axis])
+        return np.minimum(lo + self.resolution[axis] * np.arange(self.shape[axis]), hi)
 
     @property
     def shape(self) -> tuple[int, int, int]:

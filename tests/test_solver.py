@@ -93,6 +93,20 @@ class TestSearchRegion:
         assert len(ys) == 141
         assert ys[0] == -0.7 and abs(ys[-1] - 0.7) < 1e-12
 
+    @settings(max_examples=300, deadline=None)
+    @given(lo=st.floats(-2.0, 2.0), span=st.floats(0.0, 2.0), res=st.floats(1e-3, 0.5))
+    @example(lo=0.0, span=0.7, res=0.01)  # 0 + 0.01*70 = 0.7000000000000001
+    @example(lo=0.0, span=0.7, res=0.02)  # rack-log's z grid: 0 + 0.02*35, the same
+    def test_cell_centres_stay_within_bounds(self, lo, span, res):
+        hi = lo + span
+        region = SearchRegion(x=(lo, hi), y=(0.0, 0.0), z=(0.0, 0.0), resolution=res)
+        cells = region.axis_cells(0)
+        assert cells[0] == lo and lo <= cells.min() and cells.max() <= hi
+        assert np.all(np.diff(cells) > 0)
+        assert region.position_at(len(cells) - 1).x == cells[-1] <= hi
+        if (lo, span) == (0.0, 0.7):
+            assert cells[-1] == 0.7
+
     def test_cell_cap(self):
         with pytest.raises(ValueError):
             SearchRegion(x=(0, 1), y=(0, 1), z=(0, 1), resolution=0.001)
@@ -1090,13 +1104,13 @@ class TestTrackPath:
 
     def test_volume_lines_collapse_to_distinct_radii(self):
         # perfbench's volume: 71 x 71 lines along y, 3660 radii around the
-        # track; exact equality finds 4463, since equal radii round apart
+        # track; exact equality finds 4466, since equal radii round apart
         poses = linear_track(x=1.4, z=0.0, y_start=-0.5, y_stop=0.5, spacing=0.01).as_array()
         volume = SearchRegion(x=(0.0, 0.7), y=(-0.5, 0.5), z=(0.0, 0.7), resolution=0.01)
         ev = GridEvaluator(volume, poses)
         cross = line_cross(ev)
         assert len(cross) == 5041 and len(ev._track.cross) == 3660
-        assert len(np.unique(cross)) == 4463
+        assert len(np.unique(cross)) == 4466
         tol = solver_mod.TRACK_ULPS * np.finfo(float).eps * cross.max()
         assert max(np.ptp(cross[lines]) for lines in groups_of(ev._track)) <= tol
         # symmetric about the track: 10,011 lines, the same 3660 radii
