@@ -742,13 +742,13 @@ class GridEvaluator:
             r = method.scheme.reference_index
             pair_indices(method.scheme, n)  # raises as a full pass does
             reads = slice(r % BOUND_STRIDE, None, BOUND_STRIDE)
-            bounded = len(range(n)[reads]) >= 2
+            p, pk = n - 1, len(range(n)[reads]) - 1  # pairs in full and in the partial sums
+            bounded = pk >= 1
         if not bounded:
             return [self._best_cell(row) for row in self.raw_scores(phases, method, wavelength)]
         sub = MethodSpec(method.name, DifferentialScheme.reference(r // BOUND_STRIDE))
         bounds = np.empty((len(phases), m))
         self._track_scores(sub, phases[:, reads], bounds, wavelength, reads=reads)
-        p, pk = n - 1, len(range(n)[reads]) - 1
         t_min, t_max = _TERM_RANGE[method.name]
         slack = _bound_slack(p, pk, max(-t_min, t_max))
         bounds += (p - pk) * t_max + slack
