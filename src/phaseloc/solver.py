@@ -721,6 +721,8 @@ class GridEvaluator:
         has been scored in full: a stream where a lower-index cell does
         falls back to its hologram, as does one whose bounds leave more
         than a quarter of the grid.  The fallback streams share one pass.
+        Beside the tables it holds three (S, M) arrays: the bounds, the
+        full scores where scored, and which cells those are.
 
         Every other case scores the holograms: tagoram, whose best cell
         scores about a third of its bound, so nothing would be pruned; clf,
