@@ -62,7 +62,12 @@ tagoram's weight erfc(|r|/(sigma*sqrt(2))) rounds to exactly 0 from
 |r| = ERFC_ZERO*sigma*sqrt(2) on (0.647 rad at the default sigma, where
 about 70% of a stock hologram's pairs lie), so _pair_sums computes it
 only for the pairs inside that reach, compacted, and writes 0 * cos r
-for the rest: the same terms as weighting every pair, bit for bit.
+for the rest: the same terms as weighting every pair, bit for bit.  The
+reach, in units of sigma*sqrt(2), is an argument of _pair_sums: a
+smaller one truncates the sums through the same steps, every pair it
+leaves out having a weight of at most erfc(reach) (GridEvaluator.
+best_cells' cheap tagoram pass takes 4, where that is 1.5e-8 and 5.4%
+of a stock hologram's pairs lie inside).
 
 The pair terms of a C-order (..., M, P) block are summed pairwise per
 row, whatever M and however many streams share it.  A block of one
@@ -274,10 +279,13 @@ def _pair_sums(
     measured: np.ndarray,
     scratch: np.ndarray | None = None,
     nlf_branch: str = BRANCH_NEAREST,
+    reach: float = ERFC_ZERO,
 ) -> np.ndarray:
     """Sums over the last axis of a differential method's pair terms, from
     the geometry every stream shares and the streams' own side of each
     pair, broadcast against it; each method's term is written here once.
+    tagoram weights only the pairs with |r| < reach*sigma*sqrt(2), so below
+    ERFC_ZERO its sums are truncated (see _tagoram_sums).
 
     For nlf, pairs holds the folded geometric differences
     wrap(4*pi*(d_a - d_b)/lambda), measured the measured differences
@@ -304,7 +312,8 @@ def _pair_sums(
         return re.sum(axis=-1)
     terms = scratch[2 * size : 3 * size].reshape(shape)
     if spec.name == "tagoram":
-        return _tagoram_sums(u, terms, spec.tagoram_sigma * math.sqrt(2.0))
+        scale = spec.tagoram_sigma * math.sqrt(2.0)
+        return _tagoram_sums(u, terms, scale, reach * scale)
     if spec.name == "wclf":
         np.abs(re, out=terms)
         terms *= re
@@ -316,25 +325,28 @@ def _pair_sums(
     return -terms.sum(axis=-1)  # sign-symmetric rounding: the sum of the negated terms
 
 
-def _tagoram_sums(u: np.ndarray, terms: np.ndarray, scale: float) -> np.ndarray:
-    """Sums over the last axis of erfc(|r|/scale) * cos r, r = angle(u), with
-    terms, a C-order float64 array of u's shape, as the output; u is spent.
+def _tagoram_sums(u: np.ndarray, terms: np.ndarray, scale: float, reach: float) -> np.ndarray:
+    """Sums over the last axis of erfc(|r|/scale) * cos r, r = angle(u),
+    over the pairs with |r| < reach, with terms, a C-order float64 array of
+    u's shape, as the output; u is spent.
 
-    The weight rounds to 0 wherever |r| >= reach = ERFC_ZERO * scale, so
-    while reach < pi only the pairs inside it are weighted: they are
+    While reach < pi only the pairs inside it are weighted: they are
     compacted, go through the steps the full array would (arctan2 into
     memory apart from its inputs there too, so numpy picks the same loop),
-    and are put back among the other pairs' terms 0 * cos r.  Every term,
-    and so every row's pairwise sum, equals the full computation's bit for
-    bit.  Inside reach means |sin r| * cot(reach) < cos r, a test that needs
-    no |u| = 1; a NaN u (NaN in both parts, as from a NaN phase) is
-    outside, and its term 0 * cos r is NaN as well.  Beyond the scratch
-    the compaction takes 1 B per pair and 16 B per pair inside reach; past
-    7/16 of the pairs inside, every pair is weighted, so at most 8 B per
-    pair.
+    and are put back among the other pairs' terms 0 * cos r.  The terms
+    inside equal the full computation's bit for bit, and a pair left out
+    has |r|/scale >= reach/scale, so a weight of at most erfc(reach/scale).
+    From reach = ERFC_ZERO * scale on that weight rounds to 0, so every
+    term, and so every row's pairwise sum, equals the full computation's
+    bit for bit.  Inside reach means |sin r| * cot(reach) < cos r, a test
+    that needs no |u| = 1; a NaN u (NaN in both parts, as from a NaN
+    phase) is outside, and its term 0 * cos r is NaN as well.  Beyond the
+    scratch the compaction takes 1 B per pair and 16 B per pair inside
+    reach; past 7/16 of the pairs inside, every pair is weighted (the full
+    sums, whatever the reach), so at most 8 B per pair.
     """
     re, im = u.real, u.imag
-    reach = ERFC_ZERO * scale * (1.0 + 1e-9)  # covers arctan2's, cot's and the division's rounding
+    reach *= 1.0 + 1e-9  # covers arctan2's, cot's and the division's rounding
     if reach < math.pi:
         np.multiply(np.abs(im, out=terms), 1.0 / math.tan(reach), out=terms)
         inside = np.less(terms, re).reshape(-1)

@@ -41,13 +41,14 @@ the pass or the worker count.  Other geometries and callables that are
 not a MethodSpec take the block path.
 
 Where only the argmax is wanted (run_bench), GridEvaluator.best_cells
-finds it without scoring every cell on every pair: for nlf, wclf and
-wslf under reference:r on a track, each pair term has a fixed maximum,
-so a sum over every tenth pose bounds each cell's full score, and only
-the cells whose bound can still reach the best full score are scored in
-full, bit for bit as in the full pass.  tagoram, whose bounds prune
-nothing, the FFT methods, whose passes are already cheap, and every
-other case score the holograms.
+finds it without scoring every cell on every pair: under reference:r on
+a track, a cheap pass bounds each cell's full score (for nlf, wclf and
+wslf, whose pair terms have a fixed maximum, a sum over every tenth
+pose; for tagoram, its sum over the pairs within 4*sigma*sqrt(2), the
+rest weighing at most erfc(4) each), and only the cells whose bound can
+still reach the best full score are scored in full, bit for bit as in
+the full pass.  The FFT methods, whose passes are already cheap, and
+every other case score the holograms.
 """
 
 from __future__ import annotations
@@ -61,8 +62,10 @@ from functools import cached_property
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import ndimage
+from scipy.special import erfc
 
 from .likelihood import (
+    ERFC_ZERO,
     DifferentialScheme,
     MethodSpec,
     _pair_sums,
@@ -78,11 +81,17 @@ PASS_CELLS = 32  # fewest cells per block in a pass of streams_per_pass streams
 PASS_SCORES = 1 << 20  # most raw scores a pass of streams_per_pass streams holds: 8 MiB
 PEAK_THRESHOLD = 0.999  # find_peak_regions' cut; rack-plane ridge saddles sit near 0.99
 TRACK_ULPS = 8  # most a track's poses and cells may stray from even steps, in ulps
-BOUND_STRIDE = 10  # best_cells bounds every cell from the pairs of every 10th pose
+BOUND_STRIDE = 10  # best_cells bounds nlf, wclf and wslf from the pairs of every 10th pose
+BOUND_REACH = 4.0  # and tagoram from the pairs with |r| < 4*sigma*sqrt(2)
 BOUND_COLUMNS = 5  # cells along the track of best_cells' first column, at least 2
 TERM_ULPS = 32  # most a computed pair term strays from its loop-free value, in eps
 # least and most pair term of the methods best_cells bounds
-_TERM_RANGE = {"nlf": (-4.0 * math.pi**2, 0.0), "wclf": (-1.0, 1.0), "wslf": (-1.0 / math.e, 0.0)}
+_TERM_RANGE = {
+    "nlf": (-4.0 * math.pi**2, 0.0),
+    "wclf": (-1.0, 1.0),
+    "wslf": (-1.0 / math.e, 0.0),
+    "tagoram": (-1.0, 1.0),
+}
 _EPS = float(np.finfo(float).eps)
 
 _AXES = ("x", "y", "z")
@@ -273,18 +282,33 @@ class _Track:
 
 
 def _bound_slack(p: int, pk: int, t_abs: float) -> float:
-    """What best_cells adds to a partial sum's bound for rounding.  With
+    """What best_cells adds to a cheap sum's bounds for rounding.  With
     terms of magnitude at most t_abs + TERM_ULPS*eps, any order of summing
     n of them errs by at most (n - 1)*eps times their magnitudes' sum: so
     eps*(t_abs + TERM_ULPS*eps)*(p^2 + pk^2) covers the full sum of p pairs
-    and the partial sum of pk.  The partial pairs read the full pass's
-    sequence entries, but numpy may multiply the strided phasors with or
-    without fused multiply-adds, moving each wclf and wslf term by at most
-    TERM_ULPS*eps (nlf's real differences round alike in any loop); so may
-    a term's rounding above t_max.  Doubled, which covers the bound's own
-    addition and comparison."""
+    and the cheap sum of pk (tagoram's truncated sum: p, some of them 0).
+    The partial pairs read the full pass's sequence entries, but numpy may
+    multiply the strided phasors with or without fused multiply-adds,
+    moving each wclf and wslf term by at most TERM_ULPS*eps (nlf's real
+    differences round alike in any loop); so may a term's rounding above
+    t_max.  Doubled, which covers the bound's own addition and
+    comparison."""
     term = TERM_ULPS * _EPS
     return 2.0 * (p * term + _EPS * (t_abs + term) * (p * p + pk * pk))
+
+
+@dataclass(frozen=True)
+class _BoundPlan:
+    """How best_cells bounds a method's full raw scores: cheap(phases, out)
+    writes every cell's cheap score for (S, N) phases into (S, M) out, and
+    a cell's full score lies within [cheap - below, cheap + above].  below
+    is None where that lower bound is too wide to use, and a column pass
+    learns one instead.  floor is at most any cell's full score."""
+
+    cheap: object
+    above: float
+    below: float | None
+    floor: float
 
 
 def _tie(top: float, floor: float) -> float:
@@ -465,20 +489,26 @@ class GridEvaluator:
     VM).
 
     best_cells gives each stream's hologram argmax from bounds for nlf,
-    wclf and wslf under reference:r on a track (see its docstring): on
-    the stock plane an 8-stream pass with its argmax took 8-21 ms
-    instead of 22-44 ms (2-core VM).
+    wclf, wslf and tagoram under reference:r on a track (see its
+    docstring): on the stock plane an 8-stream pass with its argmax took
+    8-21 ms instead of 22-44 ms for nlf, wclf and wslf, and TAGORAM_TIMES
+    for tagoram (2-core VM).
 
     A method is any callable taking (phases, dists, wavelength) and
     returning one score per row of dists; MethodSpec objects are such
     callables.  hologram passes one stream's (N,) phases; holograms
     passes S >= 1 streams' stacked (S, N) phases, which the method must
-    score as (S, rows).
+    score as (S, rows).  The poses must hold at least two distinct
+    positions: at one, every cell's pair phasors are 1 up to rounding and
+    its argmax would be noise, so the evaluator raises ValueError.
     """
 
     def __init__(self, region: SearchRegion, poses_xyz: np.ndarray):
         self.region = region
         self.poses = pose_array(poses_xyz, 2)  # copied if writable: the tables must not go stale
+        if not (self.poses != self.poses[0]).any():
+            # every cell's pair phasors are then 1 up to rounding, so the argmax would be noise
+            raise ValueError("poses hold fewer than two distinct positions")
         self._sq = [(region.axis_cells(a)[:, None] - self.poses[None, :, a]) ** 2 for a in range(3)]
 
     @cached_property
@@ -532,6 +562,7 @@ class GridEvaluator:
         wavelength: float,
         boxes: list | None = None,
         reads: slice = slice(None),
+        reach: float = ERFC_ZERO,
     ) -> None:
         """Write spec's (S, M) scores into out from one sequence per line of
         cells, in chunks dealt to the shares: clf, slf and sarfid convolve
@@ -545,7 +576,9 @@ class GridEvaluator:
         A pair method under reference:r may read only the poses reads
         picks, with phases holding just those reads and spec's reference
         index counted among them: its pairs are then formed from the same
-        sequence entries as in a full pass."""
+        sequence entries as in a full pass.  tagoram weights only the pairs
+        with |r| < reach*sigma*sqrt(2) (likelihood._pair_sums): below
+        ERFC_ZERO its sums are truncated."""
         track, n = self._track, len(self.poses)
         picked = range(n)[reads]
         idx_a, idx_b = pair_indices(spec.scheme, len(picked))  # raises as the blocks do
@@ -626,7 +659,7 @@ class GridEvaluator:
                     if nlf:
                         _wrap(pairs)
                 for side in sides:
-                    yield _pair_sums(spec, pairs, side, scratch)
+                    yield _pair_sums(spec, pairs, side, scratch, reach=reach)
 
             def convolved(window, line):
                 if form.power == 2:
@@ -694,66 +727,56 @@ class GridEvaluator:
         int(np.argmax(h.scores)) for h in holograms(streams, method), from
         bounds where that is exact and cheaper, else from the holograms.
 
-        nlf, wclf and wslf under reference:r on a track sum one term per
-        pair, each within [t_min, t_max] (_TERM_RANGE: -4*pi^2, -1, -1/e
-        and 0, 1, 0).  So every cell of every stream is scored first on the
-        pairs of every k-th pose (k = BOUND_STRIDE), poses[r % k::k] with
-        reference index r // k.  Those pairs are formed from the full
-        pass's own sequence entries, not from a sequence of the picked
-        poses (which would be within TRACK_ULPS of it): nlf folds each
-        geometric difference into [0, 2*pi), where an ulp can move a term
-        by up to 4*pi^2, so its partial terms must be the full pass's bit
-        for bit.  A cell's full score is then at most its partial sum +
-        (P - P_k)*t_max + _bound_slack, which covers the rounding of both
-        sums and of the pair phasors.  Next each stream's column of cells
-        (every group, BOUND_COLUMNS cells along the track) around its
-        best-bounded cell is scored in full, by the full pass's chunks cut
-        smaller, so bit for bit as there (streams sharing a column share
-        that pass); then every cell whose bound still reaches the best
-        full score less the tie margin.  No other cell is scored in full.
-        The best full score is raw_max, and the lowest flat index reaching
-        it is the argmax of the raw scores.
+        Under reference:r on a track, nlf, wclf, wslf and tagoram have a
+        bound plan (_bound_plan): a cheap pass that scores every cell of
+        every stream, and how far a cell's full score can lie from its
+        cheap score.  nlf's, wclf's and wslf's cheap scores are the
+        partial sums over every k-th pose's pairs (k = BOUND_STRIDE); their
+        full score is at most the partial sum + (P - P_k)*t_max + slack, but
+        their lower bound is (P - P_k)*(t_max - t_min) below that, too wide
+        to use.  tagoram's cheap scores are its sums over the pairs with
+        |r| < BOUND_REACH*sigma*sqrt(2), and its full score lies within
+        P*erfc(BOUND_REACH) + slack of them on either side.
+
+        Every stream then needs a lower bound on its best full score: where
+        the plan bounds both sides, the best cheap score less the plan's
+        lower width; else the best full score of its column of cells (every
+        group, BOUND_COLUMNS cells along the track) around its best-bounded
+        cell, scored in full (streams sharing a column share that pass).
+        Every cell whose upper bound reaches that less the tie margin is
+        scored in full; no other cell can win, its upper bound lying below
+        the best full score.  Full scores are those of the full pass's
+        chunks cut smaller, so bit for bit as there.  The best
+        full score is raw_max, and the lowest flat index reaching it is the
+        argmax of the raw scores.
 
         The hologram normalizes by raw_max - raw_min, and rounding can
         merge a score just below raw_max into 1.0, where the lower index
-        wins.  raw_min >= P*t_min - slack, so what can merge lies within
-        the tie margin (_tie) of raw_max, and every cell whose score does
-        has been scored in full: a stream where a lower-index cell does
-        falls back to its hologram, as does one whose bounds leave more
-        than a quarter of the grid.  The fallback streams share one pass.
-        Beside the tables it holds three (S, M) arrays: the bounds, the
-        full scores where scored, and which cells those are.
+        wins.  raw_min >= P*t_min - slack (the plan's floor; t_min is
+        -4*pi^2, -1, -1/e and -1), so what can merge lies within the tie
+        margin (_tie) of raw_max, and every cell whose score does has been
+        scored in full: a stream where a lower-index cell does falls back
+        to its hologram, as does one whose bounds leave more than a quarter
+        of the grid.  For tagoram that is decided from the cheap pass alone,
+        so such a stream pays no column pass.  The fallback streams share
+        one pass.  Beside the tables it holds three (S, M) arrays: the
+        bounds, the full scores where scored, and which cells those are.
 
-        Every other case scores the holograms: tagoram, whose best cell
-        scores about a third of its bound, so nothing would be pruned; clf,
-        slf and sarfid, whose FFT passes cost about 4.5 ms on the stock
-        plane; misaligned, off-track poses and plain callables.  On the
-        stock plane (8 streams, 2-core VM) a pass and its argmax took
-        8-21 ms instead of 22-44 ms, and 8-18 ms instead of 32-55 ms on
-        one CPU.
+        Every other case scores the holograms: clf, slf and sarfid, whose
+        FFT passes cost about 4.5 ms on the stock plane; tagoram where
+        BOUND_REACH*sigma*sqrt(2) >= pi, where its cheap pass would weight
+        every pair; misaligned, off-track poses and plain callables.  On the
+        stock plane (8 streams, 2-core VM) a pass and its argmax took 8-21
+        ms instead of 22-44 ms for nlf, wclf and wslf, and 8-18 ms instead
+        of 32-55 ms on one CPU.
         """
         phases, wavelength = self._stacked(streams)
-        n, m = len(self.poses), self.region.cell_count
-        bounded = (
-            isinstance(method, MethodSpec)
-            and method.name in _TERM_RANGE
-            and method.scheme.kind == "reference"
-            and self._track is not None
-        )
-        if bounded:
-            r = method.scheme.reference_index
-            pair_indices(method.scheme, n)  # raises as a full pass does
-            reads = slice(r % BOUND_STRIDE, None, BOUND_STRIDE)
-            p, pk = n - 1, len(range(n)[reads]) - 1  # pairs in full and in the partial sums
-            bounded = pk >= 1
-        if not bounded:
+        plan = self._bound_plan(method, wavelength)
+        if plan is None:
             return [self._best_cell(row) for row in self.raw_scores(phases, method, wavelength)]
-        sub = MethodSpec(method.name, DifferentialScheme.reference(r // BOUND_STRIDE))
+        m = self.region.cell_count
         bounds = np.empty((len(phases), m))
-        self._track_scores(sub, phases[:, reads], bounds, wavelength, reads=reads)
-        t_min, t_max = _TERM_RANGE[method.name]
-        slack = _bound_slack(p, pk, max(-t_min, t_max))
-        bounds += (p - pk) * t_max + slack
+        plan.cheap(phases, bounds)
         group, column = self._cell_slots
         ny, groups = self.region.shape[self._track.axis], len(self._track.cross)
         raw = np.full_like(bounds, -np.inf)  # full scores where scored
@@ -766,22 +789,25 @@ class GridEvaluator:
             for lo, hi, c0, c1 in boxes:
                 scored[rows] |= (group >= lo) & (group < hi) & (column >= c0) & (column < c1)
 
-        # each stream's column around its best-bounded cell; streams sharing one share a pass
-        columns = {}
-        for row, c in enumerate(column[np.argmax(bounds, axis=1)]):
-            c0 = max(0, min(int(c) - BOUND_COLUMNS // 2, ny - BOUND_COLUMNS))
-            columns.setdefault(c0, []).append(row)
-        for c0, rows in columns.items():
-            score(rows, [(0, groups, c0, min(ny, c0 + BOUND_COLUMNS))])
+        if plan.below is not None:
+            known = bounds.max(axis=1) - plan.below  # at most each stream's best full score
+        else:  # each stream's column around its best-bounded cell; streams sharing one share a pass
+            columns = {}
+            for row, c in enumerate(column[np.argmax(bounds, axis=1)]):
+                c0 = max(0, min(int(c) - BOUND_COLUMNS // 2, ny - BOUND_COLUMNS))
+                columns.setdefault(c0, []).append(row)
+            for c0, rows in columns.items():
+                score(rows, [(0, groups, c0, min(ny, c0 + BOUND_COLUMNS))])
+            known = raw.max(axis=1)
+        bounds += plan.above
         best, unsettled = [], []
         for row in range(len(phases)):
-            top = raw[row].max()
-            left = (bounds[row] >= top - _tie(top, p * t_min - slack)) & ~scored[row]
+            left = (bounds[row] >= known[row] - _tie(known[row], plan.floor)) & ~scored[row]
             if np.count_nonzero(left) <= m // 4:
                 if left.any():  # cells whose bound still reaches the best full score
                     score([row], _survivor_boxes(group[left], column[left], ny))
-                    top = raw[row].max()
-                first = int(np.argmax(raw[row] >= top - _tie(top, p * t_min - slack)))
+                top = raw[row].max()
+                first = int(np.argmax(raw[row] >= top - _tie(top, plan.floor)))
                 if raw[row, first] == top:  # no lower-index near-tie: the hologram's argmax
                     best.append(first)
                     continue
@@ -792,6 +818,51 @@ class GridEvaluator:
             for row, scores in zip(unsettled, full):
                 best[row] = self._best_cell(scores)
         return best
+
+    def _bound_plan(self, method, wavelength: float) -> _BoundPlan | None:
+        """best_cells' _BoundPlan for method, or None where it scores the
+        holograms.  nlf, wclf and wslf: the pairs of every k-th pose
+        (k = BOUND_STRIDE), poses[r % k::k] with reference index r // k.
+        Those pairs are formed from the full pass's own sequence entries,
+        not from a sequence of the picked poses (which would be within
+        TRACK_ULPS of it): nlf folds each geometric difference into
+        [0, 2*pi), where an ulp can move a term by up to 4*pi^2, so its
+        partial terms must be the full pass's bit for bit.  tagoram: the
+        pairs with |r| < BOUND_REACH*sigma*sqrt(2), through the full pass's
+        chunks, so each such pair's term is the full pass's bit for bit
+        and each other pair's term there weighs at most erfc(BOUND_REACH).
+        _bound_slack covers the rounding of both sums."""
+        if not (
+            isinstance(method, MethodSpec)
+            and method.name in _TERM_RANGE
+            and method.scheme.kind == "reference"
+            and self._track is not None
+        ):
+            return None
+        n, r = len(self.poses), method.scheme.reference_index
+        pair_indices(method.scheme, n)  # raises as a full pass does
+        (t_min, t_max), p = _TERM_RANGE[method.name], n - 1
+        if method.name == "tagoram":
+            if BOUND_REACH * method.tagoram_sigma * math.sqrt(2.0) >= math.pi:
+                return None  # the cheap pass would weight every pair
+            slack = _bound_slack(p, p, 1.0)
+            half = p * float(erfc(BOUND_REACH)) * (1.0 + TERM_ULPS * _EPS) + slack
+
+            def truncated(phases, out):
+                self._track_scores(method, phases, out, wavelength, reach=BOUND_REACH)
+
+            return _BoundPlan(truncated, half, half, p * t_min - slack)
+        reads = slice(r % BOUND_STRIDE, None, BOUND_STRIDE)
+        pk = len(range(n)[reads]) - 1  # pairs in the partial sums
+        if pk < 1:
+            return None
+        sub = MethodSpec(method.name, DifferentialScheme.reference(r // BOUND_STRIDE))
+        slack = _bound_slack(p, pk, max(-t_min, t_max))
+
+        def partial(phases, out):
+            self._track_scores(sub, phases[:, reads], out, wavelength, reads=reads)
+
+        return _BoundPlan(partial, (p - pk) * t_max + slack, None, p * t_min - slack)
 
     @cached_property
     def _cell_slots(self) -> tuple[np.ndarray, np.ndarray]:

@@ -1089,6 +1089,24 @@ class TestCli:
         assert captured.out == ""
         assert sorted(p.name for p in tmp_path.iterdir()) == ["log.csv", "scenario.cfg"]
 
+    @pytest.mark.parametrize("command", ["locate", "hologram"])
+    def test_coincident_poses_are_data_error(self, tmp_path, capsys, command):
+        # five reads of one tag, all at one pose, determine no position
+        log = tmp_path / "log.csv"
+        log.write_text("tag_id,ant_x,ant_y,ant_z,freq_hz,phase,phase_unit\n" + "".join(
+            f"T01,1.4,0.0,0.0,866.9e6,{0.3 * k!r},radians\n" for k in range(5)
+        ))
+        out = ["--out", str(tmp_path / "holo.csv")] if command == "hologram" else []
+        header = "tag_id,est_x,est_y,est_z,err_y,err_z,err_combined,peak_ratio\n"
+        for method in ("wslf", "tagoram"):
+            code = cli([command, "--input", str(log), "--method", method,
+                        "--region", "x=0,y=-0.3:0.3,z=0:0.3", *out])
+            captured = capsys.readouterr()
+            assert code == 2, method
+            assert captured.err == "data error: tag T01: poses hold fewer than two distinct positions\n"
+            assert captured.out == (header if command == "locate" else "")
+            assert [p.name for p in tmp_path.iterdir()] == ["log.csv"]
+
     def test_malformed_log_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("tag_id,ant_x,ant_y,ant_z,freq_hz,phase,phase_unit\nT,1.4,x,0,866.9e6,1,radians\n")

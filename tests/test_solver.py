@@ -44,7 +44,7 @@ from phaseloc import (
     synthesize,
 )
 from phaseloc.io_eval import resolve_method
-from phaseloc.likelihood import linear_form, pair_indices
+from phaseloc.likelihood import DEFAULT_TAGORAM_SIGMA, ERFC_ZERO, linear_form, pair_indices
 from phaseloc.phase_model import squared_norm_rows
 
 CARRIER = CarrierConfig(866.9e6)
@@ -509,6 +509,20 @@ def regions(draw):
     return SearchRegion(*bounds, resolution=tuple(res))
 
 
+def pose_sets(n):
+    """N poses in [-2, 2]^3 holding at least two distinct positions (one
+    position determines nothing, and GridEvaluator rejects it)."""
+    return arrays(float, (n, 3), elements=st.floats(-2.0, 2.0)).filter(
+        lambda poses: (poses != poses[0]).any()
+    )
+
+
+# poses mirrored about the plane y = 0, where every cell of the block
+# examples below lies: a cell's distances to them, and so its steering
+# phasors, are equal bit for bit, as at one pose
+MIRRORED = np.array([[0.0, (-1) ** k * 0.5, 0.0] for k in range(9)])
+
+
 @st.composite
 def block_scenes(draw, streams=st.just(0)):
     """A region, N poses, phases of shape (N,) (or (S, N) for S drawn from
@@ -517,7 +531,7 @@ def block_scenes(draw, streams=st.just(0)):
     does not divide the cells."""
     region = draw(regions())
     n, s = draw(st.integers(2, 60)), draw(streams)
-    poses = draw(arrays(float, (n, 3), elements=st.floats(-2.0, 2.0)))
+    poses = draw(pose_sets(n))
     phases = draw(arrays(float, (s, n) if s else n, elements=PHASES))
     return region, poses, phases, draw(st.integers(1, region.cell_count * max(1, s) * n))
 
@@ -528,7 +542,7 @@ def stacked_scenes(draw):
     reference index."""
     region = draw(regions())
     n, s = draw(st.integers(2, 40)), draw(st.integers(2, 6))
-    poses = draw(arrays(float, (n, 3), elements=st.floats(-2.0, 2.0)))
+    poses = draw(pose_sets(n))
     phases = draw(arrays(float, (s, n), elements=PHASES))
     return region, poses, phases, draw(st.integers(0, n - 1))
 
@@ -569,14 +583,14 @@ class TestGridEvaluator:
     # 5 cells in blocks of 2, whose lone last cell joins its neighbour
     @example(scene=(
         SearchRegion(x=(0.0, 0.5), y=(0.0, 0.0), z=(0.0, 0.0), resolution=0.125),
-        np.zeros((9, 3)), np.array([2.0, 0, 0, 0, 0, 0, 0, 0, 0]), 18,
+        MIRRORED, np.array([2.0, 0, 0, 0, 0, 0, 0, 0, 0]), 18,
     ))
     # 9 cells of one pair A * conj(A): numpy multiplies a one-element complex
     # array in place without FMA, so one-cell blocks (without the two-cell
     # floor, or the lone last cell's merge) give sin r = 0, not ~1e-17
     @example(scene=(
         SearchRegion(x=(0.0, 0.25), y=(0.0, 0.0), z=(0.0, 0.25), resolution=0.125),
-        np.zeros((2, 3)), np.zeros(2), 1,
+        MIRRORED[:2], np.zeros(2), 1,
     ))
     def test_block_path_matches_whole_matrix(self, scene):
         region, poses, phases, block = scene
@@ -596,13 +610,13 @@ class TestGridEvaluator:
     # block and a lone last cell that joins its neighbour
     @example(scene=(
         SearchRegion(x=(0.0, 0.5), y=(0.0, 0.0), z=(0.0, 0.0), resolution=0.125),
-        np.zeros((9, 3)), np.tile([2.0, 0, 0, 0, 0, 0, 0, 0, 0], (3, 1)), 5,
+        MIRRORED, np.tile([2.0, 0, 0, 0, 0, 0, 0, 0, 0], (3, 1)), 5,
     ))
     # 3 cells of 2 streams x one pair A * conj(A) with BLOCK below S*N, none
     # at the poses (where A = 1): a one-cell block gives sin r = 0, not ~1e-17
     @example(scene=(
         SearchRegion(x=(0.125, 0.375), y=(0.0, 0.0), z=(0.0, 0.0), resolution=0.125),
-        np.zeros((2, 3)), np.zeros((2, 2)), 1,
+        MIRRORED[:2], np.zeros((2, 2)), 1,
     ))
     def test_stacked_block_path_matches_whole_matrix(self, scene):
         region, poses, phases, block = scene
@@ -675,7 +689,9 @@ class TestGridEvaluator:
             fine = SearchRegion(x=(0.0, 0.0), y=(-0.5, 0.5), z=(0.0, 0.52), resolution=0.002)
             assert GridEvaluator(fine, poses).streams_per_pass == solver_mod.PASS_SCORES // 130_761 == 8
             # a single stream per pass once one stream's poses fill a block
-            assert GridEvaluator(plane, np.zeros((70_000, 3))).streams_per_pass == 1
+            many = np.zeros((70_000, 3))
+            many[1, 0] = 0.001  # two distinct positions, off any track
+            assert GridEvaluator(plane, many).streams_per_pass == 1
         # each worker's block still holds PASS_CELLS cells
         with mock.patch.object(solver_mod, "WORKERS", 2):
             s = GridEvaluator(plane, poses).streams_per_pass
@@ -711,6 +727,20 @@ class TestGridEvaluator:
         region = SearchRegion(x=(0.0, 0.0), y=(-0.1, 0.1), z=(0.0, 0.2), resolution=0.05)
         with pytest.raises(ValueError, match=match):
             GridEvaluator(region, np.array(poses))
+
+    def test_coincident_poses_are_rejected(self):
+        # five reads at one pose: every cell's pair phasors are 1 up to
+        # rounding, so an argmax there would be noise
+        region = SearchRegion(x=(0.0, 0.0), y=(-0.3, 0.3), z=(0.0, 0.3), resolution=0.05)
+        poses = np.array([[1.4, 0.0, 0.0]] * 5)
+        with pytest.raises(ValueError, match="poses hold fewer than two distinct positions"):
+            GridEvaluator(region, poses)
+        stream = SampleStream(poses, np.linspace(0.1, 0.5, 5), CARRIER)
+        for name in ("wslf", "tagoram"):
+            with pytest.raises(ValueError, match="poses hold fewer than two distinct positions"):
+                evaluate_hologram(stream, region, MethodSpec(name))
+        poses[2, 2] = 1e-3  # two distinct positions are enough
+        assert GridEvaluator(region, poses).region == region
 
     def test_caller_pose_writes_do_not_reach_evaluator(self):
         # the tables are built at construction, so the evaluator must not
@@ -1154,10 +1184,9 @@ class TestTrackPath:
         (UNEVEN_TRACK, RACK_PLANE),
         (REFINE_TRACK + np.arange(41)[:, None] * [1e-3, 0.0, 0.0], RACK_PLANE),
         (REFINE_TRACK, SearchRegion(x=(0.0, 0.0), y=(-0.1, 0.1), z=(0.0, 0.1), resolution=0.025)),
-        (np.repeat(REFINE_TRACK[:1], 9, axis=0), RACK_PLANE),
         (REFINE_TRACK, SearchRegion(x=(0.0, 0.1), y=(0.05, 0.05), z=(0.0, 0.1), resolution=0.02)),
         (REFINE_TRACK[:2], RACK_PLANE),
-    ], ids=["uneven", "tilted", "non-integer-ratio", "coincident", "one-cell-lines", "two-poses"])
+    ], ids=["uneven", "tilted", "non-integer-ratio", "one-cell-lines", "two-poses"])
     def test_off_track_geometry_keeps_block_path(self, poses, region):
         lam = CARRIER.wavelength
         ev = GridEvaluator(region, poses)
@@ -1322,12 +1351,18 @@ def best_cell_scenes(draw):
     return region, poses, streams, draw(st.integers(0, n - 1)), route
 
 
+# tagoram's cheap pass reaches pi from this sigma on: best_cells scores its holograms
+REACHING_PI = math.pi / (solver_mod.BOUND_REACH * math.sqrt(2.0))
+
+
 def best_cell_specs(ref, route):
     """The seven methods, the five likelihoods under reference:ref (or
-    misaligned); plain callables for the callable routes."""
+    misaligned), tagoram also at a tiny sigma and at one whose cheap reach
+    passes pi; plain callables for the callable routes."""
     scheme = DifferentialScheme.misaligned() if route == "misaligned" else DifferentialScheme.reference(ref)
     specs = [MethodSpec(name, scheme) for name in ("nlf", "clf", "slf", "wclf", "wslf")]
-    specs += [MethodSpec("sarfid"), MethodSpec("tagoram")]
+    specs += [MethodSpec("sarfid")]
+    specs += [MethodSpec("tagoram", tagoram_sigma=sigma) for sigma in (DEFAULT_TAGORAM_SIGMA, 1e-3, 0.6)]
     if route == "constant":
         return [lambda phases, dists, wavelength: np.zeros(phases.shape[:-1] + dists.shape[:1])]
     if route == "callable":
@@ -1379,7 +1414,12 @@ class TestBestCells:
             assert ev._track is None
         for method in best_cell_specs(ref, route):
             want = [int(np.argmax(h.scores)) for h in ev.holograms(streams, method)]
-            assert ev.best_cells(streams, method) == want, method
+            with mock.patch.object(GridEvaluator, "_track_scores", autospec=True,
+                                   side_effect=GridEvaluator._track_scores) as passes:
+                assert ev.best_cells(streams, method) == want, method
+            if getattr(method, "tagoram_sigma", 0.0) >= REACHING_PI and ev._track is not None:
+                # the holograms' one full pass, no cheap one
+                assert [call.kwargs for call in passes.call_args_list] == [{}], method
             # one stream is a pass of one
             assert ev.best_cells(streams[-1:], method) == want[-1:], method
 
@@ -1391,14 +1431,15 @@ class TestBestCells:
         streams = stock_streams(seed)
         real = GridEvaluator._track_scores
 
-        def spy(self, spec, phases, out, wavelength, boxes=None, reads=slice(None)):
-            assert reads != slice(None) or boxes is not None, "a full pass"
+        def spy(self, spec, phases, out, wavelength, boxes=None, reads=slice(None), reach=ERFC_ZERO):
+            assert reads != slice(None) or boxes is not None or reach != ERFC_ZERO, "a full pass"
             if boxes is not None:
                 boxes_seen.append((len(phases), boxes))
-            return real(self, spec, phases, out, wavelength, boxes=boxes, reads=reads)
+            return real(self, spec, phases, out, wavelength, boxes=boxes, reads=reads, reach=reach)
 
-        for name in ("nlf", "wclf", "wslf"):
-            spec = MethodSpec(name, DifferentialScheme.reference(seed % 101))
+        for name in ("nlf", "wclf", "wslf", "tagoram"):
+            scheme = DifferentialScheme.reference(0 if name == "tagoram" else seed % 101)
+            spec = MethodSpec(name, scheme)
             want = [int(np.argmax(h.scores)) for h in ev.holograms(streams, spec)]
             boxes_seen = []
             with mock.patch.object(GridEvaluator, "_track_scores", spy):
@@ -1406,6 +1447,22 @@ class TestBestCells:
             cells = sum(rows * (hi - lo) * (c1 - c0) for rows, seen in boxes_seen
                         for lo, hi, c0, c1 in seen)
             assert cells <= 0.1 * len(streams) * STOCK_PLANE.cell_count, (name, boxes_seen)
+
+    @pytest.mark.parametrize("seed", [200, 400, 600])
+    def test_tagoram_bounds_hold_every_full_score(self, seed):
+        # every cell's truncated sum less the plan's lower width is at most
+        # its full raw score, and that at most the sum plus its upper width
+        ev = GridEvaluator(STOCK_PLANE, STOCK_TRACK)
+        phases = np.stack([s.phases for s in stock_streams(seed)])
+        for sigma in (DEFAULT_TAGORAM_SIGMA, 1e-3):
+            spec = MethodSpec("tagoram", tagoram_sigma=sigma)
+            plan = ev._bound_plan(spec, CARRIER.wavelength)
+            cheap = np.empty((len(phases), STOCK_PLANE.cell_count))
+            plan.cheap(phases, cheap)
+            full = ev.raw_scores(phases, spec, CARRIER.wavelength)
+            assert (cheap - plan.below <= full).all() and (full <= cheap + plan.above).all(), sigma
+            assert plan.above == plan.below < 2e-6, sigma
+            assert not np.array_equal(cheap, full), sigma  # the pass is truncated
 
     @settings(max_examples=60, deadline=None)
     @given(scene=track_scenes(), data=st.data())
