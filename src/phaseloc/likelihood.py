@@ -65,9 +65,9 @@ only for the pairs inside that reach, compacted, and writes 0 * cos r
 for the rest: the same terms as weighting every pair, bit for bit.  The
 reach, in units of sigma*sqrt(2), is an argument of _pair_sums: a
 smaller one truncates the sums through the same steps, every pair it
-leaves out having a weight of at most erfc(reach) (GridEvaluator.
-best_cells' cheap tagoram pass takes 4, where that is 1.5e-8 and 5.4%
-of a stock hologram's pairs lie inside).
+leaves out having a weight of at most erfc(reach).  The cheap tagoram
+pass of GridEvaluator.best_cells takes 4, where that weight is 1.5e-8
+and 5.4% of a stock hologram's pairs lie inside.
 
 The pair terms of a C-order (..., M, P) block are summed pairwise per
 row, whatever M and however many streams share it.  A block of one

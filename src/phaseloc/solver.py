@@ -491,8 +491,8 @@ class GridEvaluator:
     best_cells gives each stream's hologram argmax from bounds for nlf,
     wclf, wslf and tagoram under reference:r on a track (see its
     docstring): on the stock plane an 8-stream pass with its argmax took
-    8-21 ms instead of 22-44 ms for nlf, wclf and wslf, and TAGORAM_TIMES
-    for tagoram (2-core VM).
+    8-21 ms instead of 22-44 ms for nlf, wclf and wslf, and 53-72 ms
+    instead of 67-91 ms for tagoram (2-core VM).
 
     A method is any callable taking (phases, dists, wavelength) and
     returning one score per row of dists; MethodSpec objects are such
@@ -728,47 +728,36 @@ class GridEvaluator:
         bounds where that is exact and cheaper, else from the holograms.
 
         Under reference:r on a track, nlf, wclf, wslf and tagoram have a
-        bound plan (_bound_plan): a cheap pass that scores every cell of
-        every stream, and how far a cell's full score can lie from its
-        cheap score.  nlf's, wclf's and wslf's cheap scores are the
-        partial sums over every k-th pose's pairs (k = BOUND_STRIDE); their
-        full score is at most the partial sum + (P - P_k)*t_max + slack, but
-        their lower bound is (P - P_k)*(t_max - t_min) below that, too wide
-        to use.  tagoram's cheap scores are its sums over the pairs with
-        |r| < BOUND_REACH*sigma*sqrt(2), and its full score lies within
-        P*erfc(BOUND_REACH) + slack of them on either side.
-
-        Every stream then needs a lower bound on its best full score: where
-        the plan bounds both sides, the best cheap score less the plan's
-        lower width; else the best full score of its column of cells (every
-        group, BOUND_COLUMNS cells along the track) around its best-bounded
-        cell, scored in full (streams sharing a column share that pass).
+        bound plan (_bound_plan): a cheap pass over every cell of every
+        stream, and how far above (and, for tagoram, below) its cheap score
+        a cell's full score can lie.  Each stream then needs a lower bound
+        on its best full score: the best cheap score less the plan's lower
+        width where there is one, else the best full score of its column
+        of cells (every group, BOUND_COLUMNS cells along the track) around
+        its best-bounded cell (streams sharing a column share that pass).
         Every cell whose upper bound reaches that less the tie margin is
-        scored in full; no other cell can win, its upper bound lying below
-        the best full score.  Full scores are those of the full pass's
-        chunks cut smaller, so bit for bit as there.  The best
-        full score is raw_max, and the lowest flat index reaching it is the
+        scored in full; no other cell can win.  Full scores are those of
+        the full pass's chunks cut smaller, so bit for bit as there, and
+        the lowest flat index reaching the best of them, raw_max, is the
         argmax of the raw scores.
 
         The hologram normalizes by raw_max - raw_min, and rounding can
         merge a score just below raw_max into 1.0, where the lower index
-        wins.  raw_min >= P*t_min - slack (the plan's floor; t_min is
-        -4*pi^2, -1, -1/e and -1), so what can merge lies within the tie
-        margin (_tie) of raw_max, and every cell whose score does has been
-        scored in full: a stream where a lower-index cell does falls back
-        to its hologram, as does one whose bounds leave more than a quarter
-        of the grid.  For tagoram that is decided from the cheap pass alone,
-        so such a stream pays no column pass.  The fallback streams share
-        one pass.  Beside the tables it holds three (S, M) arrays: the
-        bounds, the full scores where scored, and which cells those are.
+        wins.  raw_min >= P*t_min - slack (the plan's floor), so what can
+        merge lies within the tie margin (_tie) of raw_max, and every cell
+        whose score does has been scored in full: a stream where a
+        lower-index cell does falls back to its hologram, as does one whose
+        bounds leave more than a quarter of the grid (for tagoram decided
+        before any cell is scored in full).  The fallback streams share one
+        pass.  Beside the tables it holds three (S, M) arrays: the bounds,
+        the full scores where scored, and which cells those are.
 
         Every other case scores the holograms: clf, slf and sarfid, whose
         FFT passes cost about 4.5 ms on the stock plane; tagoram where
-        BOUND_REACH*sigma*sqrt(2) >= pi, where its cheap pass would weight
-        every pair; misaligned, off-track poses and plain callables.  On the
-        stock plane (8 streams, 2-core VM) a pass and its argmax took 8-21
-        ms instead of 22-44 ms for nlf, wclf and wslf, and 8-18 ms instead
-        of 32-55 ms on one CPU.
+        BOUND_REACH*sigma*sqrt(2) >= pi; misaligned, off-track poses and
+        plain callables.  On one CPU of the stock plane (8 streams, 2-core
+        VM) a pass and its argmax took 8-18 ms instead of 32-55 ms for nlf,
+        wclf and wslf, and 54-83 ms instead of 88-134 ms for tagoram.
         """
         phases, wavelength = self._stacked(streams)
         plan = self._bound_plan(method, wavelength)
@@ -777,6 +766,7 @@ class GridEvaluator:
         m = self.region.cell_count
         bounds = np.empty((len(phases), m))
         plan.cheap(phases, bounds)
+        bounds += plan.above
         group, column = self._cell_slots
         ny, groups = self.region.shape[self._track.axis], len(self._track.cross)
         raw = np.full_like(bounds, -np.inf)  # full scores where scored
@@ -789,8 +779,8 @@ class GridEvaluator:
             for lo, hi, c0, c1 in boxes:
                 scored[rows] |= (group >= lo) & (group < hi) & (column >= c0) & (column < c1)
 
-        if plan.below is not None:
-            known = bounds.max(axis=1) - plan.below  # at most each stream's best full score
+        if plan.below is not None:  # at most each stream's best full score
+            known = bounds.max(axis=1) - (plan.above + plan.below)
         else:  # each stream's column around its best-bounded cell; streams sharing one share a pass
             columns = {}
             for row, c in enumerate(column[np.argmax(bounds, axis=1)]):
@@ -799,7 +789,6 @@ class GridEvaluator:
             for c0, rows in columns.items():
                 score(rows, [(0, groups, c0, min(ny, c0 + BOUND_COLUMNS))])
             known = raw.max(axis=1)
-        bounds += plan.above
         best, unsettled = [], []
         for row in range(len(phases)):
             left = (bounds[row] >= known[row] - _tie(known[row], plan.floor)) & ~scored[row]
@@ -821,17 +810,26 @@ class GridEvaluator:
 
     def _bound_plan(self, method, wavelength: float) -> _BoundPlan | None:
         """best_cells' _BoundPlan for method, or None where it scores the
-        holograms.  nlf, wclf and wslf: the pairs of every k-th pose
-        (k = BOUND_STRIDE), poses[r % k::k] with reference index r // k.
-        Those pairs are formed from the full pass's own sequence entries,
-        not from a sequence of the picked poses (which would be within
+        holograms.  Each pair term lies within [t_min, t_max] (_TERM_RANGE).
+
+        nlf, wclf and wslf: the partial sums over the pairs of every k-th
+        pose (k = BOUND_STRIDE), poses[r % k::k] with reference index
+        r // k, bound the full score from above by (P - P_k)*t_max + slack;
+        from below only by (P - P_k)*(t_max - t_min) less, too wide to use.
+        The pairs are formed from the full pass's own sequence entries, not
+        from a sequence of the picked poses (which would be within
         TRACK_ULPS of it): nlf folds each geometric difference into
         [0, 2*pi), where an ulp can move a term by up to 4*pi^2, so its
-        partial terms must be the full pass's bit for bit.  tagoram: the
-        pairs with |r| < BOUND_REACH*sigma*sqrt(2), through the full pass's
-        chunks, so each such pair's term is the full pass's bit for bit
-        and each other pair's term there weighs at most erfc(BOUND_REACH).
-        _bound_slack covers the rounding of both sums."""
+        partial terms must be the full pass's bit for bit.
+
+        tagoram: its sums over the pairs with |r| < BOUND_REACH*sigma*
+        sqrt(2), through the full pass's chunks, so each such pair's term
+        is the full pass's bit for bit and each other pair's term there
+        weighs at most erfc(BOUND_REACH) (1.5e-8): the full score lies
+        within P*erfc(BOUND_REACH) + slack of the sum on either side.  From
+        BOUND_REACH*sigma*sqrt(2) >= pi the cheap pass would weight every
+        pair, so tagoram takes the holograms.  _bound_slack covers the
+        rounding of both sums."""
         if not (
             isinstance(method, MethodSpec)
             and method.name in _TERM_RANGE

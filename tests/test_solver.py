@@ -1464,6 +1464,31 @@ class TestBestCells:
             assert plan.above == plan.below < 2e-6, sigma
             assert not np.array_equal(cheap, full), sigma  # the pass is truncated
 
+    def test_two_sided_widths_are_all_the_route_relies_on(self):
+        # a cheap pass may read anywhere within the plan's widths of the full
+        # scores: here each stream's best cell reads the lowest it may and
+        # every other cell the highest, with widths of 3/4 of the smallest
+        # gap to a stream's second-best cell
+        ev = GridEvaluator(STOCK_PLANE, STOCK_TRACK)
+        streams, spec = stock_streams(200), MethodSpec("tagoram")
+        full = ev.raw_scores(np.stack([s.phases for s in streams]), spec, CARRIER.wavelength)
+        rows, best = np.arange(len(full)), full.argmax(axis=1)
+        others = full.copy()
+        others[rows, best] = -np.inf
+        width = 0.75 * (full[rows, best] - others.max(axis=1)).min()
+        real = GridEvaluator._bound_plan
+
+        def at_the_edges(self, method, wavelength):
+            def cheap(phases, out):
+                np.add(full, width, out=out)
+                out[rows, best] = full[rows, best] - width
+
+            return solver_mod._BoundPlan(cheap, width, width, real(self, method, wavelength).floor)
+
+        want = [int(np.argmax(h.scores)) for h in ev.holograms(streams, spec)]
+        with mock.patch.object(GridEvaluator, "_bound_plan", at_the_edges):
+            assert ev.best_cells(streams, spec) == want
+
     @settings(max_examples=60, deadline=None)
     @given(scene=track_scenes(), data=st.data())
     def test_boxed_cells_score_as_in_the_full_pass(self, scene, data):
