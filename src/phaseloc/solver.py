@@ -837,7 +837,7 @@ class GridEvaluator:
             and self._track is not None
         ):
             return None
-        n, r = len(self.poses), method.scheme.reference_index
+        n = len(self.poses)
         pair_indices(method.scheme, n)  # raises as a full pass does
         (t_min, t_max), p = _TERM_RANGE[method.name], n - 1
         if method.name == "tagoram":
@@ -850,6 +850,7 @@ class GridEvaluator:
                 self._track_scores(method, phases, out, wavelength, reach=BOUND_REACH)
 
             return _BoundPlan(truncated, half, half, p * t_min - slack)
+        r = method.scheme.reference_index
         reads = slice(r % BOUND_STRIDE, None, BOUND_STRIDE)
         pk = len(range(n)[reads]) - 1  # pairs in the partial sums
         if pk < 1:
