@@ -42,13 +42,15 @@ not a MethodSpec take the block path.
 
 Where only the argmax is wanted (run_bench), GridEvaluator.best_cells
 finds it without scoring every cell on every pair: under reference:r on
-a track, a cheap pass bounds each cell's full score (for nlf, wclf and
-wslf, whose pair terms have a fixed maximum, a sum over every tenth
-pose; for tagoram, its sum over the pairs within 4*sigma*sqrt(2), the
-rest weighing at most erfc(4) each), and only the cells whose bound can
-still reach the best full score are scored in full, bit for bit as in
-the full pass.  The FFT methods, whose passes are already cheap, and
-every other case score the holograms.
+a track, a cheap pass bounds each cell's full score from above, and only
+the cells whose bound can still reach the best full score are scored in
+full, bit for bit as in the full pass.  wclf and wslf weight each clf or
+slf pair term by a weight in [0, 1], and nlf's -r^2 lies below 2*cos r -
+2, so a scaled clf or slf FFT pass bounds nlf, wclf and wslf (the
+sandwich); tagoram's sum over the pairs within 4*sigma*sqrt(2), the
+rest weighing at most erfc(4) each, bounds tagoram.  The FFT methods,
+whose passes are already cheap, and every other case score the
+holograms.
 """
 
 from __future__ import annotations
@@ -66,7 +68,6 @@ from scipy.special import erfc
 
 from .likelihood import (
     ERFC_ZERO,
-    DifferentialScheme,
     MethodSpec,
     _pair_sums,
     _steering,
@@ -81,17 +82,14 @@ PASS_CELLS = 32  # fewest cells per block in a pass of streams_per_pass streams
 PASS_SCORES = 1 << 20  # most raw scores a pass of streams_per_pass streams holds: 8 MiB
 PEAK_THRESHOLD = 0.999  # find_peak_regions' cut; rack-plane ridge saddles sit near 0.99
 TRACK_ULPS = 8  # most a track's poses and cells may stray from even steps, in ulps
-BOUND_STRIDE = 10  # best_cells bounds nlf, wclf and wslf from the pairs of every 10th pose
-BOUND_REACH = 4.0  # and tagoram from the pairs with |r| < 4*sigma*sqrt(2)
-BOUND_COLUMNS = 5  # cells along the track of best_cells' first column, at least 2
-TERM_ULPS = 32  # most a computed pair term strays from its loop-free value, in eps
-# least and most pair term of the methods best_cells bounds
-_TERM_RANGE = {
-    "nlf": (-4.0 * math.pi**2, 0.0),
-    "wclf": (-1.0, 1.0),
-    "wslf": (-1.0 / math.e, 0.0),
-    "tagoram": (-1.0, 1.0),
-}
+BOUND_REACH = 4.0  # best_cells bounds tagoram from the pairs with |r| < 4*sigma*sqrt(2)
+BOUND_GAP = 5  # best_cells' boxes join cells fewer than 5 apart along the track
+TERM_ULPS = 32  # most a computed phasor strays from its exact value, in eps
+# least pair term of the methods best_cells bounds
+_TERM_MIN = {"nlf": -4.0 * math.pi**2, "wclf": -1.0, "wslf": -1.0 / math.e, "tagoram": -1.0}
+# per pair, term <= scale * (the cheap method's term) + offset, for any residual r:
+# -r^2 <= 2*cos r - 2; |cos r|*cos r <= (1 + cos r)/2; -sin^2 r*exp(-sin^2 r) <= -sin^2 r/e
+_SANDWICH = {"nlf": ("clf", 2.0, -2.0), "wclf": ("clf", 0.5, 0.5), "wslf": ("slf", 1.0 / math.e, 0.0)}
 _EPS = float(np.finfo(float).eps)
 
 _AXES = ("x", "y", "z")
@@ -281,33 +279,80 @@ class _Track:
     starts: np.ndarray  # group g's lines are members[starts[g]:starts[g + 1]]
 
 
-def _bound_slack(p: int, pk: int, t_abs: float) -> float:
-    """What best_cells adds to a cheap sum's bounds for rounding.  With
-    terms of magnitude at most t_abs + TERM_ULPS*eps, any order of summing
-    n of them errs by at most (n - 1)*eps times their magnitudes' sum: so
-    eps*(t_abs + TERM_ULPS*eps)*(p^2 + pk^2) covers the full sum of p pairs
-    and the cheap sum of pk (tagoram's truncated sum: p, some of them 0).
-    The partial pairs read the full pass's sequence entries, but numpy may
-    multiply the strided phasors with or without fused multiply-adds,
-    moving each wclf and wslf term by at most TERM_ULPS*eps (nlf's real
-    differences round alike in any loop); so may a term's rounding above
-    t_max.  Doubled, which covers the bound's own addition and
-    comparison."""
-    term = TERM_ULPS * _EPS
-    return 2.0 * (p * term + _EPS * (t_abs + term) * (p * p + pk * pk))
+def _bound_slack(name: str, p: int, span: int = 0, kd_max: float = 0.0) -> float:
+    """What best_cells adds to method name's cheap bound over p pairs
+    (n = p + 1 reads) for rounding: the sum of the terms below, doubled,
+    which covers the bound's own scaling, addition and comparison.  The
+    sandwich holds for exact values: the angle r of each pair, from the
+    computed distance phases kd (the sequence entries both passes read)
+    and the read phases.  eps is 2^-52, so an operation errs by at most
+    eps/2 of its result, and TERM_ULPS*eps bounds numpy's cos, sin and exp
+    (and a squaring) on a phasor.
+
+    full: the full pass's term and summation rounding.  A pair phasor
+    A_n*conj(A_r)*exp(j*dphi) lies within 4*TERM_ULPS*eps of exp(j*r) (three
+    phasors, two products, dphi's subtraction), and wclf's and wslf's
+    terms move by at most twice that, plus their own rounding; nlf's term
+    is its computed residual's square, within eps*4*pi^2 < TERM_ULPS*eps.
+    So each term lies within 8*TERM_ULPS*eps of the exact term, and any
+    order of summing p terms of magnitude at most t = -t_min errs by at
+    most (p - 1)*eps/2 times their magnitudes' sum: eps*t*p^2 covers it.
+
+    cheap: for tagoram, the truncated sum of the full pass's own terms
+    (bit for bit), so its summation alone: eps*t*p^2.  For the others, the
+    sandwich's scale times the error of the clf or slf pass, which sums
+    y = sum_n exp(j*phi_n)*K_n (K = A, or A^2 for slf) by convolving each
+    line's sequence with a stream's inputs, and finishes with
+    conj(exp(j*phi_r)*K_r)*y:
+    * phasors: each input and each sequence entry within TERM_ULPS*eps of
+      its exact value, so y within 2*TERM_ULPS*eps*N, and the finish's
+      product of |y| <= N by two more such phasors within (2*TERM_ULPS +
+      3)*eps*N: 5*TERM_ULPS*eps*N in all;
+    * fft: ifft(fft(x)*fft(h)) of a circular length L <= 2*span
+      (scipy.fft.next_fast_len(span) < 2*span, span being the line's
+      sequence length) for a line x of at most L entries and a stream's
+      inputs h of N, all of modulus 1.  Higham (Accuracy and Stability of
+      Numerical Algorithms, 2nd ed., section 24.1, Theorem 24.2) bounds a
+      computed radix-2 FFT by kappa*||X||_2, kappa = log2(L)*eta/(1 -
+      log2(L)*eta), eta = mu + gamma_4*(sqrt(2) + mu) <= 4*eps to first
+      order with twiddle errors mu <= eps; kappa = 8*eps*log2(L) here,
+      twice that, for pocketfft's mixed radices.  With ||X||_2 <= L,
+      ||X||_inf <= L, ||H||_2 <= sqrt(L*N), ||H||_inf <= N, ||X*H||_2 =
+      sqrt(L)*||y||_2 <= L*N and a complex product within sqrt(2)*gamma_2
+      <= 2*eps <= kappa, every sum errs by at most kappa*(3*sqrt(L)*N +
+      L*sqrt(N)) to first order.
+
+    gap, nlf only: nlf folds each geometric difference, fl(kd_n - kd_r)
+    folded by fmod into [0, 2*pi), and its residual dphi - fold (or that
+    + 2*pi) differs from r + 2*pi*k by at most eps*(kd_max + 10*pi): the
+    two subtractions of at most kd_max and 2*pi (eps*kd_max/2 + eps*pi),
+    the fold's addition and TWO_PI's distance from 2*pi times at most
+    kd_max/(2*pi) + 2 folds (2*pi*eps + eps*(kd_max/2 + 2*pi)), and the
+    residual's and the branch's additions of at most 4*pi (4*pi*eps) and
+    TWO_PI's error once more (pi*eps).  2*cos moves by at most twice
+    that, so 2*p*eps*(kd_max + 10*pi) in all.  On the stock plane (P =
+    100) the sum is below 1e-9."""
+    eps, n, t = _EPS, p + 1, -_TERM_MIN[name]
+    summed = eps * t * p * p
+    full = 8 * TERM_ULPS * eps * p + summed
+    cheap = summed  # tagoram's truncated sum
+    if name in _SANDWICH:
+        phasors = 5 * TERM_ULPS * eps * n
+        fft = 8 * eps * math.log2(2 * span) * (3 * math.sqrt(2 * span) * n + 2 * span * math.sqrt(n))
+        cheap = _SANDWICH[name][1] * (phasors + fft)
+    gap = 2 * p * eps * (kd_max + 10 * math.pi) if name == "nlf" else 0.0
+    return 2.0 * (full + cheap + gap)
 
 
 @dataclass(frozen=True)
 class _BoundPlan:
     """How best_cells bounds a method's full raw scores: cheap(phases, out)
     writes every cell's cheap score for (S, N) phases into (S, M) out, and
-    a cell's full score lies within [cheap - below, cheap + above].  below
-    is None where that lower bound is too wide to use, and a column pass
-    learns one instead.  floor is at most any cell's full score."""
+    a cell's full score is at most its cheap score + width.  floor is at
+    most any cell's full score."""
 
     cheap: object
-    above: float
-    below: float | None
+    width: float
     floor: float
 
 
@@ -321,10 +366,10 @@ def _tie(top: float, floor: float) -> float:
 
 def _survivor_boxes(group: np.ndarray, column: np.ndarray, ny: int) -> list:
     """_track_scores boxes holding the given (group, column) cells: one per
-    run of columns less than BOUND_COLUMNS apart, over the groups it
-    meets, at least two columns wide."""
+    run of columns less than BOUND_GAP apart, over the groups it meets, at
+    least two columns wide."""
     cols = np.unique(column)
-    cuts = np.flatnonzero(np.diff(cols) >= BOUND_COLUMNS) + 1
+    cuts = np.flatnonzero(np.diff(cols) >= BOUND_GAP) + 1
     boxes = []
     for run in np.split(cols, cuts):
         c0, c1 = int(run[0]), int(run[-1]) + 1
@@ -477,7 +522,8 @@ class GridEvaluator:
     where groups hold several lines, per cell the copy of the sums that
     the write spreads over a group's lines (the most lines of a group).
     Chunks are as many whole groups as that holds, so a grid within one
-    share's budget is scored on the calling thread alone.  A pair method
+    share's budget is scored on the calling thread alone, as are boxes
+    whose chunks fit it together.  A pair method
     whose line exceeds the budget takes segments of at least two cells; a
     linear method takes a whole line regardless, so its FFT length
     (scipy.fft.next_fast_len) depends on shapes only, and its scores'
@@ -490,9 +536,8 @@ class GridEvaluator:
 
     best_cells gives each stream's hologram argmax from bounds for nlf,
     wclf, wslf and tagoram under reference:r on a track (see its
-    docstring): on the stock plane an 8-stream pass with its argmax took
-    8-21 ms instead of 22-44 ms for nlf, wclf and wslf, and 53-72 ms
-    instead of 67-91 ms for tagoram (2-core VM).
+    docstring): nlf, wclf and wslf from a clf or slf FFT pass their
+    weights sandwich, tagoram from its truncated pass.
 
     A method is any callable taking (phases, dists, wavelength) and
     returning one score per row of dists; MethodSpec objects are such
@@ -561,7 +606,6 @@ class GridEvaluator:
         out: np.ndarray,
         wavelength: float,
         boxes: list | None = None,
-        reads: slice = slice(None),
         reach: float = ERFC_ZERO,
     ) -> None:
         """Write spec's (S, M) scores into out from one sequence per line of
@@ -573,20 +617,16 @@ class GridEvaluator:
         to those groups' cells c0..c1 along the track (counted from the
         line's far end; c1 - c0 >= 2), cut into chunks within the budget;
         no other cell of out is written.  The default is the whole grid.
-        A pair method under reference:r may read only the poses reads
-        picks, with phases holding just those reads and spec's reference
-        index counted among them: its pairs are then formed from the same
-        sequence entries as in a full pass.  tagoram weights only the pairs
+        tagoram weights only the pairs
         with |r| < reach*sigma*sqrt(2) (likelihood._pair_sums): below
         ERFC_ZERO its sums are truncated."""
         track, n = self._track, len(self.poses)
-        picked = range(n)[reads]
-        idx_a, idx_b = pair_indices(spec.scheme, len(picked))  # raises as the blocks do
+        idx_a, idx_b = pair_indices(spec.scheme, n)  # raises as the blocks do
         phases = np.atleast_2d(phases)
         form = linear_form(spec, phases)
         ref = None if spec.scheme.kind == "misaligned" else spec.scheme.reference_index
         nlf = spec.name == "nlf"
-        a, b, p = track.a, track.b, len(picked) - 1
+        a, b, p = track.a, track.b, n - 1
         lag = b if ref is None else 0  # pose n - 1 sits b entries before pose n
         shape = self.region.shape
         ny, nv = shape[track.axis], shape[max(ax for ax in range(3) if ax != track.axis)]
@@ -678,7 +718,7 @@ class GridEvaluator:
                 if count not in windows:
                     full = read[:, : used - lag]
                     view = sliding_window_view(full, full.shape[-1] - a * (count - 1), axis=-1)
-                    windows[count] = view[:, ::a, b * picked.start :: b * picked.step]
+                    windows[count] = view[:, ::a, ::b]
                 d = dists[:h, :used]
                 np.add(track.cross[lo:hi, None], track.sq_offsets[a * c0 : a * c0 + used], out=d)
                 np.sqrt(d, out=d)
@@ -702,7 +742,11 @@ class GridEvaluator:
                 for s, sums in enumerate(results):
                     grid[s, iu, iv, cols] = (sums if track.flip else sums[:, ::-1])[at]
 
-        _score_shares(score, chunks)
+        if form is None and sum((hi - lo) * ((c1 - c0) * per_cell + fixed)
+                                for lo, hi, c0, c1 in chunks) <= cap:
+            score(chunks)  # boxes within one share's budget: the calling thread alone, as one chunk
+        else:
+            _score_shares(score, chunks)
 
     def hologram(self, stream: SampleStream, method) -> Hologram:
         """One stream's hologram, scored from its (N,) phases."""
@@ -729,80 +773,68 @@ class GridEvaluator:
 
         Under reference:r on a track, nlf, wclf, wslf and tagoram have a
         bound plan (_bound_plan): a cheap pass over every cell of every
-        stream, and how far above (and, for tagoram, below) its cheap score
-        a cell's full score can lie.  Each stream then needs a lower bound
-        on its best full score: the best cheap score less the plan's lower
-        width where there is one, else the best full score of its column
-        of cells (every group, BOUND_COLUMNS cells along the track) around
-        its best-bounded cell (streams sharing a column share that pass).
-        Every cell whose upper bound reaches that less the tie margin is
-        scored in full; no other cell can win.  Full scores are those of
-        the full pass's chunks cut smaller, so bit for bit as there, and
-        the lowest flat index reaching the best of them, raw_max, is the
-        argmax of the raw scores.
+        stream, and how far above its cheap score a cell's full score can
+        lie.  Each stream's best-bounded cell is scored in full, which is a
+        lower bound on its best full score; then every cell whose bound
+        still reaches that less the tie margin is scored in full, and no
+        other cell can win.  Each step scores boxes around every stream's
+        cells (_survivor_boxes), each box for the streams with a cell in it;
+        streams whose cells lie together share a pass.  Full scores are
+        those of the full pass's chunks cut smaller, so bit for bit as
+        there, and the lowest flat index reaching the best of them, raw_max,
+        is the argmax of the raw scores.
 
         The hologram normalizes by raw_max - raw_min, and rounding can
         merge a score just below raw_max into 1.0, where the lower index
-        wins.  raw_min >= P*t_min - slack (the plan's floor), so what can
-        merge lies within the tie margin (_tie) of raw_max, and every cell
-        whose score does has been scored in full: a stream where a
-        lower-index cell does falls back to its hologram, as does one whose
-        bounds leave more than a quarter of the grid (for tagoram decided
-        before any cell is scored in full).  The fallback streams share one
-        pass.  Beside the tables it holds three (S, M) arrays: the bounds,
-        the full scores where scored, and which cells those are.
+        wins.  raw_min >= the plan's floor, so what can merge lies within
+        the tie margin (_tie) of raw_max, and every cell whose score does
+        has been scored in full: a stream where a lower-index cell does
+        falls back to its hologram, as does one whose bounds leave more
+        than a quarter of the grid after the first step.  The fallback
+        streams share one pass.  Beside the tables it holds two (S, M)
+        arrays: the bounds, and the full scores, -inf where not scored.
 
         Every other case scores the holograms: clf, slf and sarfid, whose
         FFT passes cost about 4.5 ms on the stock plane; tagoram where
-        BOUND_REACH*sigma*sqrt(2) >= pi; misaligned, off-track poses and
-        plain callables.  On one CPU of the stock plane (8 streams, 2-core
-        VM) a pass and its argmax took 8-18 ms instead of 32-55 ms for nlf,
-        wclf and wslf, and 54-83 ms instead of 88-134 ms for tagoram.
+        BOUND_REACH*sigma*sqrt(2) >= pi; misaligned, where the sandwich
+        holds but prunes little; off-track poses and plain callables.
         """
         phases, wavelength = self._stacked(streams)
         plan = self._bound_plan(method, wavelength)
         if plan is None:
             return [self._best_cell(row) for row in self.raw_scores(phases, method, wavelength)]
-        m = self.region.cell_count
+        m, rows = self.region.cell_count, np.arange(len(phases))
         bounds = np.empty((len(phases), m))
         plan.cheap(phases, bounds)
-        bounds += plan.above
+        bounds += plan.width
         group, column = self._cell_slots
-        ny, groups = self.region.shape[self._track.axis], len(self._track.cross)
+        ny = self.region.shape[self._track.axis]
         raw = np.full_like(bounds, -np.inf)  # full scores where scored
-        scored = np.zeros(bounds.shape, dtype=bool)
 
-        def score(rows, boxes):
-            out = raw[rows]
-            self._track_scores(method, phases[rows], out, wavelength, boxes=boxes)
-            raw[rows] = out
-            for lo, hi, c0, c1 in boxes:
-                scored[rows] |= (group >= lo) & (group < hi) & (column >= c0) & (column < c1)
+        def score(cells):  # the (S, M) cells marked, by the streams with a cell in each box
+            marked, passes = cells.any(axis=0), {}
+            for box in _survivor_boxes(group[marked], column[marked], ny) if marked.any() else []:
+                lo, hi, c0, c1 = box
+                inside = (group >= lo) & (group < hi) & (column >= c0) & (column < c1)
+                passes.setdefault(tuple(np.flatnonzero(cells[:, inside].any(axis=1))), []).append(box)
+            for at, boxes in passes.items():
+                out = raw[list(at)]
+                self._track_scores(method, phases[list(at)], out, wavelength, boxes=boxes)
+                raw[list(at)] = out
 
-        if plan.below is not None:  # at most each stream's best full score
-            known = bounds.max(axis=1) - (plan.above + plan.below)
-        else:  # each stream's column around its best-bounded cell; streams sharing one share a pass
-            columns = {}
-            for row, c in enumerate(column[np.argmax(bounds, axis=1)]):
-                c0 = max(0, min(int(c) - BOUND_COLUMNS // 2, ny - BOUND_COLUMNS))
-                columns.setdefault(c0, []).append(row)
-            for c0, rows in columns.items():
-                score(rows, [(0, groups, c0, min(ny, c0 + BOUND_COLUMNS))])
-            known = raw.max(axis=1)
-        best, unsettled = [], []
-        for row in range(len(phases)):
-            left = (bounds[row] >= known[row] - _tie(known[row], plan.floor)) & ~scored[row]
-            if np.count_nonzero(left) <= m // 4:
-                if left.any():  # cells whose bound still reaches the best full score
-                    score([row], _survivor_boxes(group[left], column[left], ny))
-                top = raw[row].max()
-                first = int(np.argmax(raw[row] >= top - _tie(top, plan.floor)))
-                if raw[row, first] == top:  # no lower-index near-tie: the hologram's argmax
-                    best.append(first)
-                    continue
-            best.append(None)
-            unsettled.append(row)
-        if unsettled:  # one pass of their holograms' scores
+        first = np.zeros(bounds.shape, dtype=bool)
+        first[rows, np.argmax(bounds, axis=1)] = True
+        score(first)
+        known = raw.max(axis=1)  # at most each stream's best full score
+        left = (bounds >= (known - _tie(known, plan.floor))[:, None]) & (raw == -np.inf)
+        few = np.count_nonzero(left, axis=1) <= m // 4
+        score(left & few[:, None])
+        top = raw.max(axis=1)
+        best = np.argmax(raw >= (top - _tie(top, plan.floor))[:, None], axis=1)
+        # where a lower-index cell nearly ties top, or too many cells were left: the holograms
+        unsettled = np.flatnonzero(~few | (raw[rows, best] != top))
+        best = best.tolist()
+        if len(unsettled):  # one pass of their holograms' scores
             full = self.raw_scores(phases[unsettled], method, wavelength)
             for row, scores in zip(unsettled, full):
                 best[row] = self._best_cell(scores)
@@ -810,58 +842,56 @@ class GridEvaluator:
 
     def _bound_plan(self, method, wavelength: float) -> _BoundPlan | None:
         """best_cells' _BoundPlan for method, or None where it scores the
-        holograms.  Each pair term lies within [t_min, t_max] (_TERM_RANGE).
+        holograms.  Every pair term is at least t_min (_TERM_MIN), so every
+        full score at least P*t_min, less the rounding.
 
-        nlf, wclf and wslf: the partial sums over the pairs of every k-th
-        pose (k = BOUND_STRIDE), poses[r % k::k] with reference index
-        r // k, bound the full score from above by (P - P_k)*t_max + slack;
-        from below only by (P - P_k)*(t_max - t_min) less, too wide to use.
-        The pairs are formed from the full pass's own sequence entries, not
-        from a sequence of the picked poses (which would be within
-        TRACK_ULPS of it): nlf folds each geometric difference into
-        [0, 2*pi), where an ulp can move a term by up to 4*pi^2, so its
-        partial terms must be the full pass's bit for bit.
+        nlf, wclf and wslf: in the paper, wclf and wslf are clf and slf with
+        each pair term weighted by |cos r| or exp(-sin^2 r), both in [0, 1],
+        and nlf's -r^2 lies below 2*cos r - 2 on every branch of r; so each
+        pair term is at most an affine function of the clf or slf term of
+        the same pair (_SANDWICH), and the full score at most scale*(the
+        clf or slf score) + offset*P.  The cheap pass is that method's
+        ordinary full pass, one FFT pass, scaled; the width is
+        _bound_slack's rounding slack.
 
         tagoram: its sums over the pairs with |r| < BOUND_REACH*sigma*
         sqrt(2), through the full pass's chunks, so each such pair's term
         is the full pass's bit for bit and each other pair's term there
-        weighs at most erfc(BOUND_REACH) (1.5e-8): the full score lies
-        within P*erfc(BOUND_REACH) + slack of the sum on either side.  From
+        weighs at most erfc(BOUND_REACH) (1.5e-8): the full score is at
+        most the sum + P*erfc(BOUND_REACH) + slack.  From
         BOUND_REACH*sigma*sqrt(2) >= pi the cheap pass would weight every
-        pair, so tagoram takes the holograms.  _bound_slack covers the
-        rounding of both sums."""
+        pair, so tagoram takes the holograms."""
         if not (
             isinstance(method, MethodSpec)
-            and method.name in _TERM_RANGE
+            and method.name in _TERM_MIN
             and method.scheme.kind == "reference"
             and self._track is not None
         ):
             return None
-        n = len(self.poses)
+        track, n = self._track, len(self.poses)
         pair_indices(method.scheme, n)  # raises as a full pass does
-        (t_min, t_max), p = _TERM_RANGE[method.name], n - 1
+        p = n - 1
         if method.name == "tagoram":
             if BOUND_REACH * method.tagoram_sigma * math.sqrt(2.0) >= math.pi:
                 return None  # the cheap pass would weight every pair
-            slack = _bound_slack(p, p, 1.0)
-            half = p * float(erfc(BOUND_REACH)) * (1.0 + TERM_ULPS * _EPS) + slack
+            width = p * float(erfc(BOUND_REACH)) * (1.0 + TERM_ULPS * _EPS) + _bound_slack("tagoram", p)
 
-            def truncated(phases, out):
+            def cheap(phases, out):
                 self._track_scores(method, phases, out, wavelength, reach=BOUND_REACH)
 
-            return _BoundPlan(truncated, half, half, p * t_min - slack)
-        r = method.scheme.reference_index
-        reads = slice(r % BOUND_STRIDE, None, BOUND_STRIDE)
-        pk = len(range(n)[reads]) - 1  # pairs in the partial sums
-        if pk < 1:
-            return None
-        sub = MethodSpec(method.name, DifferentialScheme.reference(r // BOUND_STRIDE))
-        slack = _bound_slack(p, pk, max(-t_min, t_max))
+        else:
+            name, scale, offset = _SANDWICH[method.name]
+            lower = MethodSpec(name, method.scheme)
+            span = track.a * (self.region.shape[track.axis] - 1) + track.b * p + 1
+            kd_max = 4.0 * math.pi / wavelength * math.sqrt(track.cross.max() + track.sq_offsets.max())
+            width = _bound_slack(method.name, p, span, kd_max)
 
-        def partial(phases, out):
-            self._track_scores(sub, phases[:, reads], out, wavelength, reads=reads)
+            def cheap(phases, out):
+                self._track_scores(lower, phases, out, wavelength)
+                out *= scale
+                out += offset * p
 
-        return _BoundPlan(partial, (p - pk) * t_max + slack, None, p * t_min - slack)
+        return _BoundPlan(cheap, width, p * _TERM_MIN[method.name] - width)
 
     @cached_property
     def _cell_slots(self) -> tuple[np.ndarray, np.ndarray]:

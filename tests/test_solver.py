@@ -1376,10 +1376,19 @@ STOCK_TRACK = linear_track(x=1.4, z=0.0, y_start=-0.5, y_stop=0.5, spacing=0.01)
 STOCK_PLANE = SearchRegion(x=(0.0, 0.0), y=(-0.5, 0.5), z=(0.0, 0.7), resolution=0.01)
 
 
-def stock_streams(seed, trials=4):
-    """The (trial, tag) streams of mc-plane's scene: its noise, jumps and two tags."""
+MC_PLANE_TAGS = (TagTruth("T01", Position3D(0.0, 0.12, 0.24)), TagTruth("T02", Position3D(0.0, -0.1, 0.4)))
+# six tags over the stock plane: T03 shares T01's column along the track, T05 T04's line
+SIX_TAGS = MC_PLANE_TAGS + tuple(
+    TagTruth(f"T0{k}", Position3D(0.0, y, z))
+    for k, (y, z) in enumerate([(0.12, 0.55), (-0.35, 0.1), (0.3, 0.1), (0.0, 0.65)], start=3)
+)
+
+
+def stock_streams(seed, trials=4, tags=MC_PLANE_TAGS):
+    """The (trial, tag) streams of mc-plane's scene: its noise, jumps and
+    two tags, or the given tags."""
     scene = Scenario(
-        tags=(TagTruth("T01", Position3D(0.0, 0.12, 0.24)), TagTruth("T02", Position3D(0.0, -0.1, 0.4))),
+        tags=tags,
         trajectory=linear_track(x=1.4, z=0.0, y_start=-0.5, y_stop=0.5, spacing=0.01),
         carrier=CARRIER,
         noise=NoiseModel(sigma_slope=0.006, sigma_intercept=0.0084),
@@ -1425,33 +1434,56 @@ class TestBestCells:
 
     @pytest.mark.parametrize("seed", [200, 400, 600])
     def test_bounds_leave_few_cells_on_the_stock_plane(self, seed):
-        # each stream's column is scored in full, about 5% of the grid, and
-        # no stream needs its hologram
+        # the cheap pass (a full clf or slf pass, or tagoram's truncated one)
+        # leaves few cells to score in full, and no stream needs its
+        # hologram: mc-plane's two tags, and six tags, two pairs of them
+        # sharing a column or a line
         ev = GridEvaluator(STOCK_PLANE, STOCK_TRACK)
-        streams = stock_streams(seed)
         real = GridEvaluator._track_scores
 
-        def spy(self, spec, phases, out, wavelength, boxes=None, reads=slice(None), reach=ERFC_ZERO):
-            assert reads != slice(None) or boxes is not None or reach != ERFC_ZERO, "a full pass"
+        def spy(self, spec, phases, out, wavelength, boxes=None, reach=ERFC_ZERO):
+            assert spec != bounded or boxes is not None or reach != ERFC_ZERO, "a full pass"
             if boxes is not None:
                 boxes_seen.append((len(phases), boxes))
-            return real(self, spec, phases, out, wavelength, boxes=boxes, reads=reads, reach=reach)
+            return real(self, spec, phases, out, wavelength, boxes=boxes, reach=reach)
 
-        for name in ("nlf", "wclf", "wslf", "tagoram"):
-            scheme = DifferentialScheme.reference(0 if name == "tagoram" else seed % 101)
-            spec = MethodSpec(name, scheme)
-            want = [int(np.argmax(h.scores)) for h in ev.holograms(streams, spec)]
-            boxes_seen = []
-            with mock.patch.object(GridEvaluator, "_track_scores", spy):
-                assert ev.best_cells(streams, spec) == want, name
-            cells = sum(rows * (hi - lo) * (c1 - c0) for rows, seen in boxes_seen
-                        for lo, hi, c0, c1 in seen)
-            assert cells <= 0.1 * len(streams) * STOCK_PLANE.cell_count, (name, boxes_seen)
+        for streams in (stock_streams(seed), stock_streams(seed, 2, SIX_TAGS)):
+            for name in ("nlf", "wclf", "wslf", "tagoram"):
+                scheme = DifferentialScheme.reference(0 if name == "tagoram" else seed % 101)
+                bounded = MethodSpec(name, scheme)
+                want = [int(np.argmax(h.scores)) for h in ev.holograms(streams, bounded)]
+                boxes_seen = []
+                with mock.patch.object(GridEvaluator, "_track_scores", spy):
+                    assert ev.best_cells(streams, bounded) == want, name
+                cells = sum(rows * (hi - lo) * (c1 - c0) for rows, seen in boxes_seen
+                            for lo, hi, c0, c1 in seen)
+                assert cells <= 0.1 * len(streams) * STOCK_PLANE.cell_count, (name, boxes_seen)
+
+    @pytest.mark.parametrize("seed", [200, 400, 600])
+    def test_sandwich_bounds_hold_every_full_score(self, seed):
+        # every cell's full nlf, wclf and wslf raw score is at most its
+        # bound, the scaled clf or slf score + the plan's width, also for
+        # streams whose reference read jumped by pi
+        ev = GridEvaluator(STOCK_PLANE, STOCK_TRACK)
+        phases = np.stack([s.phases for s in stock_streams(seed)])
+        for ref in (0, 37, 99):
+            jumped = phases[:3].copy()
+            jumped[:, ref] = np.mod(jumped[:, ref] + math.pi, 2.0 * math.pi)
+            stacked = np.vstack([phases, jumped])
+            for name in ("nlf", "wclf", "wslf"):
+                spec = MethodSpec(name, DifferentialScheme.reference(ref))
+                plan = ev._bound_plan(spec, CARRIER.wavelength)
+                cheap = np.empty((len(stacked), STOCK_PLANE.cell_count))
+                plan.cheap(stacked, cheap)
+                full = ev.raw_scores(stacked, spec, CARRIER.wavelength)
+                assert (full <= cheap + plan.width).all(), (name, ref)
+                assert 0.0 < plan.width < 1e-6, (name, plan.width)
+                assert (full >= plan.floor).all(), (name, ref)
 
     @pytest.mark.parametrize("seed", [200, 400, 600])
     def test_tagoram_bounds_hold_every_full_score(self, seed):
-        # every cell's truncated sum less the plan's lower width is at most
-        # its full raw score, and that at most the sum plus its upper width
+        # every cell's full raw score is at most its truncated sum plus the
+        # plan's width, and at least the sum less that width
         ev = GridEvaluator(STOCK_PLANE, STOCK_TRACK)
         phases = np.stack([s.phases for s in stock_streams(seed)])
         for sigma in (DEFAULT_TAGORAM_SIGMA, 1e-3):
@@ -1460,34 +1492,40 @@ class TestBestCells:
             cheap = np.empty((len(phases), STOCK_PLANE.cell_count))
             plan.cheap(phases, cheap)
             full = ev.raw_scores(phases, spec, CARRIER.wavelength)
-            assert (cheap - plan.below <= full).all() and (full <= cheap + plan.above).all(), sigma
-            assert plan.above == plan.below < 2e-6, sigma
+            assert (cheap - plan.width <= full).all() and (full <= cheap + plan.width).all(), sigma
+            assert plan.width < 2e-6, sigma
             assert not np.array_equal(cheap, full), sigma  # the pass is truncated
 
-    def test_two_sided_widths_are_all_the_route_relies_on(self):
-        # a cheap pass may read anywhere within the plan's widths of the full
-        # scores: here each stream's best cell reads the lowest it may and
-        # every other cell the highest, with widths of 3/4 of the smallest
-        # gap to a stream's second-best cell
+    def test_one_sided_width_is_all_the_route_relies_on(self):
+        # a cell's bound may lie anywhere at or above its full score: here
+        # each stream's best cell's bound equals its full score and every
+        # other cell's is its full score + the width, a power of two below
+        # the smallest gap to a stream's second-best cell (the best cell is
+        # the best-bounded one) or above the largest (it is not)
         ev = GridEvaluator(STOCK_PLANE, STOCK_TRACK)
         streams, spec = stock_streams(200), MethodSpec("tagoram")
         full = ev.raw_scores(np.stack([s.phases for s in streams]), spec, CARRIER.wavelength)
         rows, best = np.arange(len(full)), full.argmax(axis=1)
         others = full.copy()
         others[rows, best] = -np.inf
-        width = 0.75 * (full[rows, best] - others.max(axis=1)).min()
+        gaps = full[rows, best] - others.max(axis=1)
         real = GridEvaluator._bound_plan
-
-        def at_the_edges(self, method, wavelength):
-            def cheap(phases, out):
-                np.add(full, width, out=out)
-                out[rows, best] = full[rows, best] - width
-
-            return solver_mod._BoundPlan(cheap, width, width, real(self, method, wavelength).floor)
-
         want = [int(np.argmax(h.scores)) for h in ev.holograms(streams, spec)]
-        with mock.patch.object(GridEvaluator, "_bound_plan", at_the_edges):
-            assert ev.best_cells(streams, spec) == want
+        for width in (2.0 ** math.floor(math.log2(gaps.min())), 2.0 ** math.ceil(math.log2(gaps.max()))):
+            at_best = full[rows, best] - width
+            # the best scores are positive, so with a power of two the sum is exact
+            assert np.array_equal(at_best + width, full[rows, best])
+
+            def at_the_edges(self, method, wavelength):
+                def cheap(phases, out):
+                    out[:] = full
+                    out[rows, best] = at_best
+
+                return solver_mod._BoundPlan(cheap, width, real(self, method, wavelength).floor)
+
+            with mock.patch.object(GridEvaluator, "_bound_plan", at_the_edges), \
+                    mock.patch.object(GridEvaluator, "raw_scores", side_effect=AssertionError("fell back")):
+                assert ev.best_cells(streams, spec) == want, width
 
     @settings(max_examples=60, deadline=None)
     @given(scene=track_scenes(), data=st.data())
@@ -1519,23 +1557,6 @@ class TestBestCells:
                     ev._track_scores(spec, stacked, out, CARRIER.wavelength, boxes=boxes)
                 assert np.array_equal(out[:, inside], want[:, inside]), (spec, block)
                 assert np.isnan(out[:, ~inside]).all(), spec
-
-    def test_partial_pass_scores_every_tenth_pose(self):
-        # the pairs of every 10th pose against the reference, as an
-        # evaluator of those poses alone scores them (off nlf's folds)
-        ev = GridEvaluator(STOCK_PLANE, STOCK_TRACK)
-        phases = np.stack([s.phases for s in stock_streams(3, 1)])
-        for ref in (0, 37, 100):
-            reads = slice(ref % 10, None, 10)
-            picked = GridEvaluator(STOCK_PLANE, STOCK_TRACK[reads])
-            assert picked._track is not None
-            dists = whole_matrix(STOCK_PLANE, STOCK_TRACK[reads])
-            for name in ("nlf", "wclf", "wslf"):
-                sub = MethodSpec(name, DifferentialScheme.reference(ref // 10))
-                partial = np.empty((2, STOCK_PLANE.cell_count))
-                ev._track_scores(sub, phases[:, reads], partial, CARRIER.wavelength, reads=reads)
-                alone = picked.raw_scores(phases[:, reads], sub, CARRIER.wavelength)
-                assert_track_matches(partial, alone, sub, dists, dists.shape[1])
 
     def test_failing_method_fails_as_the_full_pass(self):
         ev = GridEvaluator(STOCK_PLANE, STOCK_TRACK)
