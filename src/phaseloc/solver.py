@@ -307,7 +307,7 @@ def _bound_slack(name: str, p: int, span: int = 0, kd_max: float = 0.0) -> float
     * phasors: each input and each sequence entry within TERM_ULPS*eps of
       its exact value, so y within 2*TERM_ULPS*eps*N, and the finish's
       product of |y| <= N by two more such phasors within (2*TERM_ULPS +
-      3)*eps*N: 5*TERM_ULPS*eps*N in all;
+      4)*eps*N: 5*TERM_ULPS*eps*N covers both;
     * fft: ifft(fft(x)*fft(h)) of a circular length L <= 2*span
       (scipy.fft.next_fast_len(span) < 2*span, span being the line's
       sequence length) for a line x of at most L entries and a stream's
@@ -523,11 +523,11 @@ class GridEvaluator:
     the write spreads over a group's lines (the most lines of a group).
     Chunks are as many whole groups as that holds, so a grid within one
     share's budget is scored on the calling thread alone, as are boxes
-    whose chunks fit it together.  A pair method
-    whose line exceeds the budget takes segments of at least two cells; a
-    linear method takes a whole line regardless, so its FFT length
-    (scipy.fft.next_fast_len) depends on shapes only, and its scores'
-    last bits not on the budget or WORKERS.
+    whose chunks fit it together.  A pair method whose line exceeds the
+    budget takes segments of at least two cells; a linear method takes a
+    whole line regardless, so its FFT length (scipy.fft.next_fast_len)
+    depends on shapes only, and its scores' last bits not on the budget or
+    WORKERS.
     On the stock plane an 8-stream pass took 26-40 ms for nlf, wclf and
     wslf, 65-95 ms for tagoram and 3-5 ms for clf, slf and sarfid; a
     one-stream wslf hologram of the 509,141-cell volume took 244-337 ms
@@ -617,9 +617,8 @@ class GridEvaluator:
         to those groups' cells c0..c1 along the track (counted from the
         line's far end; c1 - c0 >= 2), cut into chunks within the budget;
         no other cell of out is written.  The default is the whole grid.
-        tagoram weights only the pairs
-        with |r| < reach*sigma*sqrt(2) (likelihood._pair_sums): below
-        ERFC_ZERO its sums are truncated."""
+        tagoram weights only the pairs with |r| < reach*sigma*sqrt(2)
+        (likelihood._pair_sums): below ERFC_ZERO its sums are truncated."""
         track, n = self._track, len(self.poses)
         idx_a, idx_b = pair_indices(spec.scheme, n)  # raises as the blocks do
         phases = np.atleast_2d(phases)
