@@ -46,17 +46,16 @@ bit.  sarfid sums z_n = exp(j*phi_n) * A_n directly, in one form for one
 or S streams.
 
 On an evenly stepped track, GridEvaluator builds each line of cells'
-steering sequence once (under misaligned, the pair sequence
-A_n*conj(A_{n-1})) and reduces it in one of two ways.  nlf, wclf, wslf
-and tagoram go through _pair_sums, with A read from windows of the
-sequence instead of computed per cell and pose.  clf, slf and sarfid are
-linear in w_n = exp(j*phi_n)*A_n, so the sequence is convolved with each
-stream's inputs; linear_form gives those inputs and the finish: sarfid
-|sum_n w_n|/N; clf under reference:r Re[conj(w_r) * sum_n w_n] - 1; slf
-under reference:r 1/2*Re[conj(w_r)^2 * sum_n w_n^2] - 1/2 - P/2, since
--sin^2 x = (cos 2x - 1)/2 over P = N-1 pairs; under misaligned the pair
-phasors exp(j*dphi_n)*A_n*conj(A_{n-1}) (squared for slf) take the place
-of w_n.  It agrees with the cell blocks to about 1e-12 of the score scale.
+steering sequence once and reduces it in one of two ways.  Under
+misaligned, and for nlf, wclf, wslf and tagoram under reference:r, a
+cell's pairs are formed from its window of the sequence and go through
+_pair_sums, with A read from the window instead of computed per cell and
+pose.  Under reference:r clf and slf, and sarfid, are linear in w_n =
+exp(j*phi_n)*A_n, so the sequence is convolved with each stream's
+inputs; linear_form gives those inputs and the finish: sarfid
+|sum_n w_n|/N; clf Re[conj(w_r) * sum_n w_n] - 1; slf 1/2*Re[conj(w_r)^2
+* sum_n w_n^2] - 1/2 - P/2, since -sin^2 x = (cos 2x - 1)/2 over P = N-1
+pairs.  It agrees with the cell blocks to about 1e-12 of the score scale.
 
 tagoram's weight erfc(|r|/(sigma*sqrt(2))) rounds to exactly 0 from
 |r| = ERFC_ZERO*sigma*sqrt(2) on (0.647 rad at the default sigma, where
@@ -389,17 +388,17 @@ def _nlf_scores(res: np.ndarray, nlf_branch: str, lo: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class LinearForm:
     """A method whose score is linear in the phasors w_n = exp(j*phi_n)*A_n:
-    per cell, one sum y = sum_k inputs[..., k] * K_k, then finish(y).
+    per cell, one sum y = sum_n inputs[..., n] * K_n, then finish(y).
 
     K_n is the steering phasor A_n = exp(-j*4*pi*d_n/lambda) of the cell
-    to pose n raised to ``power``, and inputs holds one per pose; without
-    an ``anchor`` (misaligned) K_k is the pair phasor A_{k+1}*conj(A_k)
-    raised to ``power``, and inputs holds one per pair.  With an anchor r
-    the finish also reads K_r, the cell's kernel at the reference pose.
+    to pose n raised to ``power``, and inputs holds one per pose.  clf and
+    slf take the reference index r as their ``anchor``, and their finish
+    also reads K_r, the cell's kernel at the reference pose; sarfid has
+    none.
     """
 
     name: str
-    inputs: np.ndarray  # (S, N) or, per pair, (S, N-1) complex, one row per stream
+    inputs: np.ndarray  # (S, N) complex, one row per stream
     power: int
     anchor: int | None
 
@@ -409,36 +408,29 @@ class LinearForm:
         n = self.inputs.shape[-1]
         if self.name == "sarfid":  # |sum_n w_n| / N
             return np.abs(sums) / n
-        if self.anchor is None:  # sum over the n pairs of Re u (or Re u^2)
-            re = sums.real.copy()
-        else:  # Re[conj(w_r) * sum_n w_n] - |w_r|^2, or the same of w^2, over n-1 pairs
-            re = np.multiply(anchor_kernel, self.inputs[stream, self.anchor])
-            re = np.multiply(np.conjugate(re, out=re), sums, out=re).real - 1.0
-            n -= 1
+        # Re[conj(w_r) * sum_n w_n] - |w_r|^2, or the same of w^2, over n-1 pairs
+        re = np.multiply(anchor_kernel, self.inputs[stream, self.anchor])
+        re = np.multiply(np.conjugate(re, out=re), sums, out=re).real - 1.0
         if self.name == "clf":
             return re
-        re *= 0.5  # -sin^2 r = (cos 2r - 1)/2 over the n pairs
-        re -= 0.5 * n
+        re *= 0.5  # -sin^2 r = (cos 2r - 1)/2 over the n-1 pairs
+        re -= 0.5 * (n - 1)
         return re
 
 
 def linear_form(spec: MethodSpec, phases: np.ndarray) -> LinearForm | None:
-    """clf's, slf's or sarfid's LinearForm for (N,) or (S, N) phases (as
-    (1, ...) or (S, ...) inputs); None for the other methods.  Raises as
-    pair_indices does for fewer than two reads or a reference index out
-    of range."""
-    if spec.name not in ("clf", "slf", "sarfid"):
+    """sarfid's, or clf's or slf's under reference:r, LinearForm for (N,)
+    or (S, N) phases (as (1, ...) or (S, ...) inputs); None for the other
+    methods and schemes.  Raises as pair_indices does for fewer than two
+    reads or a reference index out of range."""
+    if spec.name not in ("clf", "slf", "sarfid") or spec.scheme.kind == "misaligned":
         return None
     phases = np.atleast_2d(np.asarray(phases, dtype=float))
     if spec.name == "sarfid":
         return LinearForm(spec.name, np.exp(1j * phases), 1, None)
-    idx_a, idx_b = pair_indices(spec.scheme, phases.shape[-1])  # raises as the blocks do
+    pair_indices(spec.scheme, phases.shape[-1])  # raises as the blocks do
     power = 1 if spec.name == "clf" else 2
-    if spec.scheme.kind == "reference":
-        inputs = np.exp(1j * power * phases)
-        return LinearForm(spec.name, inputs, power, spec.scheme.reference_index)
-    inputs = np.exp(1j * power * (phases[:, idx_a] - phases[:, idx_b]))
-    return LinearForm(spec.name, inputs, power, None)
+    return LinearForm(spec.name, np.exp(1j * power * phases), power, spec.scheme.reference_index)
 
 
 def _steering(dists: np.ndarray, wavelength: float, out: np.ndarray | None = None) -> np.ndarray:

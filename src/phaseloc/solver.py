@@ -16,26 +16,26 @@ independently, in fixed-size blocks of cells that bound memory, with
 per-cell sums taken in a fixed order, so results do not depend on the
 block size and are reproducible bit-for-bit.  The blocks are dealt
 round-robin to WORKERS shares, one per CPU this process may run on: the
-calling thread scores the first, a shared thread pool the rest (numpy
-releases the GIL), and each block is 1/WORKERS of the single-worker
-size, so all workers together keep to one 4 MiB block budget.  With one
-CPU no thread is started; scores are the same bit for bit at any
-worker count.
+calling thread scores the first, threads started for that pass alone the
+rest (numpy releases the GIL), and each block is 1/WORKERS of the
+single-worker size, so all workers together keep to one 4 MiB block
+budget.  No scoring thread outlives its pass, and with one CPU none is
+started; scores are the same bit for bit at any worker count.
 
 On a straight, evenly stepped track whose cell step along the track is a
 whole multiple of the pose step or a whole fraction of it, all cells of
 a line along the track read one shared steering sequence, and
 GridEvaluator scores every MethodSpec from it instead (the track path),
 in chunks under the same budget, dealt to the same shares.  Each chunk
-builds its lines' sequences once, and only the reduction differs: clf,
-slf and sarfid are linear in the steering phasors (likelihood.LinearForm),
-so each convolves a line with every stream's inputs by FFT; nlf, wclf,
-wslf and tagoram read each cell's pairs as a sliding window of it.  No
-cell and pose pays a sqrt, cos or sin.  A read depends on a cell only
-through its distances to the poses, so lines at one distance from the
-track axis score alike under every method: each such distance is scored
-once and its sums written to all its lines, so mirror cells tie bit for
-bit.  Track-path scores match the block path's to about 1e-12 of the
+builds its lines' sequences once, and only the reduction differs: under
+reference:r clf and slf, and sarfid, are linear in the steering phasors
+(likelihood.LinearForm), so each convolves a line with every stream's
+inputs by FFT; the other methods, and every method under misaligned, form
+each cell's pairs from a sliding window of it.  No cell and pose pays a
+sqrt, cos or sin.  A read depends on a cell only through its distances to
+the poses, so lines at one distance from the track axis score alike under
+every method: each such distance is scored once and its sums written to
+all its lines, so mirror cells tie bit for bit.  Track-path scores match the block path's to about 1e-12 of the
 score scale, not bit for bit; a stream's scores still do not depend on
 the pass or the worker count.  Other geometries and callables that are
 not a MethodSpec take the block path.
@@ -57,7 +57,7 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -100,31 +100,18 @@ except AttributeError:  # no affinity call on this platform
     WORKERS = os.cpu_count() or 1
 
 
-def _new_pool() -> None:
-    # a forked child inherits the pool but not its threads, so work queued
-    # there would never run: the child gets a pool of its own
-    global _pool
-    _pool = ThreadPoolExecutor(max(1, WORKERS - 1), thread_name_prefix="phaseloc-score")
-
-
-_new_pool()  # its threads start on the first submit, never with one CPU
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_new_pool)
-
-
 def _score_shares(score, blocks: list) -> None:
     """Run score(blocks[k::shares]) for each of up to WORKERS shares:
-    share 0 on the calling thread, the rest on the pool.  Waits for every
-    share, then re-raises the first error in share order."""
+    share 0 on the calling thread, the rest on threads started for this
+    call alone.  Waits for every share, then re-raises the first error in
+    share order."""
     shares = min(WORKERS, len(blocks))
     if shares < 2:
         score(blocks)
         return
-    futures = [_pool.submit(score, blocks[k::shares]) for k in range(1, shares)]
-    try:
+    with ThreadPoolExecutor(shares - 1, thread_name_prefix="phaseloc-score") as pool:
+        futures = [pool.submit(score, blocks[k::shares]) for k in range(1, shares)]
         score(blocks[::shares])
-    finally:
-        wait(futures)
     for future in futures:
         future.result()
 
@@ -493,29 +480,30 @@ class GridEvaluator:
     the volume's 5,041 lines are 3,660 groups, and the 10,011 lines of a
     region symmetric about the track the same 3,660.  Per chunk, each
     group gets one sequence: its distances, then its steering phasors
-    (nlf: 4*pi*d/lambda), then under misaligned the lagged pair sequence.
-    A cell's N (or N-1) entries are a zero-copy sliding window of it, and
-    the group's sums are written to each of its lines.  Where every
-    distance is apart (the stock and rack-log planes), each line is a group
-    of its own, in C order, and the chunks are those of line-by-line
-    scoring.  The reduction differs by method:
+    (nlf: 4*pi*d/lambda).  A cell's N entries are a zero-copy sliding
+    window of it, and the group's sums are written to each of its lines.
+    Where every distance is apart (the stock and rack-log planes), each
+    line is a group of its own, in C order, and the chunks are those of
+    line-by-line scoring.  The reduction differs by method:
 
-    * clf, slf and sarfid square the sequence in place when their power
-      is 2, read K_r as the window's anchor entry, and convolve each line
-      by FFT with each stream's upsampled inputs, one stream at a time.
-    * nlf, wclf, wslf and tagoram: under reference:r the chunk's pair
-      phasors window * conj(K_r) (nlf: the folded window - kd_r) are
-      formed once for all streams, then likelihood._pair_sums gives each
-      stream's sums, so one stream's scores equal its scores in any pass
-      bit for bit.
+    * sarfid, and clf and slf under reference:r, square the sequence in
+      place when their power is 2, read K_r as the window's anchor entry,
+      and convolve each line by FFT with each stream's upsampled inputs,
+      one stream at a time.
+    * nlf, wclf, wslf and tagoram, and every method under misaligned: the
+      chunk's pair phasors are formed once for all streams from the
+      windows, window * conj(K_r) under reference:r and conj(A_(n-1)) *
+      A_n under misaligned (nlf: the folded window - kd_r, or kd_n -
+      kd_(n-1)), then likelihood._pair_sums gives each stream's sums, so
+      one stream's scores equal its scores in any pass bit for bit.
 
     A share allocates its sequence arrays, and the pair methods' scratch,
     once per raw_scores call and writes into them.  A chunk stays within
     6 of the share's 8 arrays of BLOCK // WORKERS float64 entries; the
     other 2 leave room for the buffers numpy allocates for each operation
     on a window or a broadcast operand (up to 3 x 8192 entries).  It takes
-    per sequence entry its distance, steering and lagged phasor (at most
-    5 entries), and either per cell and pair u and the terms (3; 5 with
+    per sequence entry its distance and steering phasor (at most 3
+    entries), and either per cell and pair u and the terms (3; 5 with
     several streams, which also share the pair phasors; tagoram's
     compaction one more), or per line of FFT length L its spectrum and a
     stream's product (4*L) and per cell the finish's temporaries (3);
@@ -532,7 +520,9 @@ class GridEvaluator:
     wslf, 65-95 ms for tagoram and 3-5 ms for clf, slf and sarfid; a
     one-stream wslf hologram of the 509,141-cell volume took 244-337 ms
     with each radius scored once, against 262-357 ms line by line (2-core
-    VM).
+    VM).  Under misaligned, which no stock scene runs, a 6-stream pass
+    took 18-21 ms for clf, 21-25 ms for slf, 25-28 ms for nlf and 24-30 ms
+    for wclf and wslf (2-core VM; 22-41 ms on one CPU).
 
     best_cells gives each stream's hologram argmax from bounds for nlf,
     wclf, wslf and tagoram under reference:r on a track (see its
@@ -609,9 +599,9 @@ class GridEvaluator:
         reach: float = ERFC_ZERO,
     ) -> None:
         """Write spec's (S, M) scores into out from one sequence per line of
-        cells, in chunks dealt to the shares: clf, slf and sarfid convolve
-        each line with every stream's inputs, the other methods sum every
-        cell's pair terms over a sliding window of it.
+        cells, in chunks dealt to the shares: methods with a LinearForm
+        convolve each line with every stream's inputs, the others form each
+        cell's pairs from its sliding window of the line and sum their terms.
 
         boxes, (group lo, group hi, c0, c1) each, limits the cells scored
         to those groups' cells c0..c1 along the track (counted from the
@@ -626,7 +616,6 @@ class GridEvaluator:
         ref = None if spec.scheme.kind == "misaligned" else spec.scheme.reference_index
         nlf = spec.name == "nlf"
         a, b, p = track.a, track.b, n - 1
-        lag = b if ref is None else 0  # pose n - 1 sits b entries before pose n
         shape = self.region.shape
         ny, nv = shape[track.axis], shape[max(ax for ax in range(3) if ax != track.axis)]
         groups = len(track.cross)
@@ -635,7 +624,7 @@ class GridEvaluator:
         width = 1 if nlf else 2  # float64 entries per pair or sequence value
         # float64 entries a chunk takes, within 6 of a share's 8 arrays (see
         # GridEvaluator); nlf's pairs take residuals and lo instead of u
-        per_entry = 1 + (not nlf) * width + (lag > 0) * width
+        per_entry = 1 + (not nlf) * width
         fixed = (b * (n - 1) + 1 - a) * per_entry
         cap = 6 * (BLOCK // WORKERS)
         if form is None:
@@ -648,7 +637,7 @@ class GridEvaluator:
             from scipy.fft import fft, ifft, next_fast_len
 
             taps = form.inputs.shape[-1]
-            length = a * (ny - 1) + b * (n - 1) + 1 - lag  # entries a whole line convolves
+            length = a * (ny - 1) + b * (n - 1) + 1  # entries a whole line convolves
             size = next_fast_len(length)  # no wrap-around reaches the sums
             upsampled = np.zeros((len(form.inputs), b * (taps - 1) + 1), dtype=complex)
             upsampled[:, ::b] = form.inputs[:, ::-1]  # so cell j's sum sits at b*(taps-1) + a*j
@@ -677,8 +666,6 @@ class GridEvaluator:
             rows = max(hi - lo for lo, hi, _, _ in chunks)
             dists = np.empty((rows, span))  # and nlf's phases 4*pi*d/lambda
             seq = dists if nlf else np.empty((rows, span), dtype=complex)
-            lagged = np.empty((rows, span - lag), dtype=seq.dtype) if lag else None
-            read = seq if lagged is None else lagged  # the sequence the cells read
             if form is None:
                 scratch = np.empty((width + 1) * most)
                 # one stream's pairs are the start of its scratch, turned into u in place
@@ -687,16 +674,19 @@ class GridEvaluator:
             windows = {}  # per cell count: entry (line, j, n) is pose n's of cell j
 
             def pair_sums(window):
-                if ref is None:
-                    pairs = window
+                pairs = geometry[: window[..., 0].size * p].reshape(window.shape[:2] + (p,))
+                if ref is None and nlf:  # folded kd_n - kd_(n-1)
+                    np.subtract(window[..., 1:], window[..., :-1], out=pairs)
+                elif ref is None:  # conj(A_(n-1)) * A_n
+                    np.conjugate(window[..., :-1], out=pairs)
+                    pairs *= window[..., 1:]
                 else:  # nlf: folded kd_n - kd_r; the rest: A_n * conj(A_r)
-                    pairs = geometry[: window[..., 0].size * p].reshape(window.shape[:2] + (p,))
                     at_ref = window[..., ref, None] if nlf else np.conjugate(window[..., ref, None])
                     combine = np.subtract if nlf else np.multiply
                     combine(window[..., :ref], at_ref, out=pairs[..., :ref])
                     combine(window[..., ref + 1 :], at_ref, out=pairs[..., ref:])
-                    if nlf:
-                        _wrap(pairs)
+                if nlf:
+                    _wrap(pairs)
                 for side in sides:
                     yield _pair_sums(spec, pairs, side, scratch, reach=reach)
 
@@ -713,10 +703,9 @@ class GridEvaluator:
             for lo, hi, c0, c1 in chunks:
                 h, count = hi - lo, c1 - c0
                 used = a * (count - 1) + b * (n - 1) + 1  # sequence entries the cells read
-                line = read[:h, : used - lag]
+                line = seq[:h, :used]
                 if count not in windows:
-                    full = read[:, : used - lag]
-                    view = sliding_window_view(full, full.shape[-1] - a * (count - 1), axis=-1)
+                    view = sliding_window_view(seq[:, :used], b * (n - 1) + 1, axis=-1)
                     windows[count] = view[:, ::a, ::b]
                 d = dists[:h, :used]
                 np.add(track.cross[lo:hi, None], track.sq_offsets[a * c0 : a * c0 + used], out=d)
@@ -724,12 +713,7 @@ class GridEvaluator:
                 if nlf:
                     d *= 4.0 * math.pi / wavelength
                 else:
-                    _steering(d, wavelength, out=seq[:h, :used])
-                if lag and nlf:
-                    _wrap(np.subtract(d[:, lag:], d[:, :-lag], out=line))
-                elif lag:
-                    np.conjugate(seq[:h, : used - lag], out=line)
-                    line *= seq[:h, lag:used]
+                    _steering(d, wavelength, out=line)
                 window = windows[count][:h]
                 lines = track.members[track.starts[lo] : track.starts[hi]]
                 iu, iv = np.divmod(lines, nv)

@@ -9,7 +9,6 @@ import sys
 import threading
 import time
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from unittest import mock
 
@@ -797,7 +796,7 @@ class TestGridEvaluator:
         assert finished.count(1 - raising_share) == (4 if raising_share else 3)
 
     def test_more_workers_than_cpus_score_the_same(self):
-        # 5 shares on 4 pool threads and the caller, switching threads often
+        # 5 shares on 4 threads and the caller, switching threads often
         region = SearchRegion(x=(0.0, 0.04), y=(-0.3, 0.3), z=(0.0, 0.5), resolution=0.02)
         phases = np.stack([noise_free_samples(phi0=phi0).phases for phi0 in (0.3, 1.9, 4.0)])
         ev = GridEvaluator(region, noise_free_samples().poses)
@@ -806,8 +805,7 @@ class TestGridEvaluator:
             want = [(ev.raw_scores(phases[0], spec, lam), ev.raw_scores(phases, spec, lam))
                     for spec in BLOCK_SPECS]
         interval = sys.getswitchinterval()
-        with ThreadPoolExecutor(4) as pool, \
-                mock.patch.multiple(solver_mod, BLOCK=4096, WORKERS=5, _pool=pool):
+        with mock.patch.multiple(solver_mod, BLOCK=4096, WORKERS=5):
             sys.setswitchinterval(1e-6)
             try:
                 for spec, (one, stacked) in zip(BLOCK_SPECS, want):
@@ -819,9 +817,8 @@ class TestGridEvaluator:
     def test_one_cpu_starts_no_thread(self):
         stream = noise_free_samples()
         region = SearchRegion(x=(0.0, 0.0), y=(-0.3, 0.3), z=(0.0, 0.5), resolution=0.02)
-        pool = mock.Mock(spec=solver_mod._pool)
-        pool.submit.side_effect = AssertionError("a pool thread was asked to score")
-        with mock.patch.multiple(solver_mod, BLOCK=64, WORKERS=1, _pool=pool):
+        pool = mock.Mock(side_effect=AssertionError("a scoring thread was asked for"))
+        with mock.patch.multiple(solver_mod, BLOCK=64, WORKERS=1, ThreadPoolExecutor=pool):
             threads = threading.active_count()
             ev = GridEvaluator(region, stream.poses)
             for spec in (CLF, MethodSpec("sarfid")):
@@ -829,8 +826,28 @@ class TestGridEvaluator:
                 ev.holograms([stream, stream], spec)
         assert threading.active_count() == threads
 
-    # Python 3.12+ warns at any fork of a multi-threaded process, which is
-    # the situation this test sets up on purpose
+    def test_no_scoring_thread_outlives_its_pass(self):
+        # a second share scores on a thread of its own, which is gone once
+        # the pass returns, so a later fork finds no idle scoring thread
+        stream = noise_free_samples()
+        region = SearchRegion(x=(0.0, 0.0), y=(-0.3, 0.3), z=(0.0, 0.5), resolution=0.02)
+        scorers = set()
+
+        def method(phases, dists, wavelength):
+            scorers.add(threading.current_thread())
+            return CLF(phases, dists, wavelength)
+
+        with mock.patch.multiple(solver_mod, BLOCK=2048, WORKERS=2):
+            ev = GridEvaluator(region, stream.poses)
+            ev.hologram(stream, method)
+            ev.holograms([stream, stream], CLF)
+        assert len(scorers) == 2 and threading.main_thread() in scorers
+        assert not any(t.is_alive() for t in scorers - {threading.main_thread()})
+        assert not [t for t in threading.enumerate() if t.name.startswith("phaseloc-score")]
+
+    # Python 3.12+ warns at any fork of a multi-threaded process; the
+    # scoring threads are gone by the fork, but a thread of another test
+    # may not be
     @pytest.mark.filterwarnings("ignore:This process .*is multi-threaded:DeprecationWarning")
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_forked_child_scores_without_hanging(self):
@@ -838,7 +855,7 @@ class TestGridEvaluator:
         region = SearchRegion(x=(0.0, 0.0), y=(-0.3, 0.3), z=(0.0, 0.5), resolution=0.02)
         with mock.patch.multiple(solver_mod, BLOCK=2048, WORKERS=2):
             ev = GridEvaluator(region, stream.poses)
-            parent = ev.raw_scores(stream.phases, CLF, CARRIER.wavelength)  # starts a pool thread
+            parent = ev.raw_scores(stream.phases, CLF, CARRIER.wavelength)  # on two threads
             read_end, write_end = os.pipe()
             pid = os.fork()
             if pid == 0:  # the child: score again, send the scores, never return
@@ -1242,22 +1259,26 @@ class TestTrackPath:
                 score()
             return (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / reps
 
+        misaligned = MethodSpec("nlf", DifferentialScheme.misaligned())
+        pairs = faults(lambda: ev.holograms(streams, misaligned), 5)  # first: no pages reused yet
         one = faults(lambda: ev.hologram(streams[0], MethodSpec("wslf")), 10)
         eight = faults(lambda: ev.holograms(streams, MethodSpec("wclf")), 5)
-        assert one <= 256 and eight <= 256, (one, eight)
+        assert one <= 256 and eight <= 256 and pairs <= 256, (one, eight, pairs)
 
     def test_pair_methods_do_not_import_scipy_fft(self):
         code = (
             "import sys\n"
             "import numpy as np\n"
-            "from phaseloc import CarrierConfig, GridEvaluator, MethodSpec, SampleStream, "
-            "SearchRegion, linear_track\n"
+            "from phaseloc import CarrierConfig, DifferentialScheme, GridEvaluator, MethodSpec, "
+            "SampleStream, SearchRegion, linear_track\n"
             "poses = linear_track(x=1.4, z=0.0, y_start=-0.1, y_stop=0.1, spacing=0.004).poses\n"
             "region = SearchRegion(x=(0.0, 0.0), y=(-0.1, 0.1), z=(0.0, 0.1), resolution=0.02)\n"
             "ev = GridEvaluator(region, poses)\n"
             "stream = SampleStream(poses, np.linspace(0.0, 6.0, 51), CarrierConfig(866.9e6))\n"
             "for name in ('nlf', 'wclf', 'wslf', 'tagoram'):\n"
             "    ev.hologram(stream, MethodSpec(name))\n"
+            "for name in ('clf', 'slf'):\n"
+            "    ev.hologram(stream, MethodSpec(name, DifferentialScheme.misaligned()))\n"
             "assert ev._track is not None\n"
             "print('scipy.fft' in sys.modules)\n"
         )
