@@ -521,8 +521,8 @@ class GridEvaluator:
     one-stream wslf hologram of the 509,141-cell volume took 244-337 ms
     with each radius scored once, against 262-357 ms line by line (2-core
     VM).  Under misaligned, which no stock scene runs, a 6-stream pass
-    took 18-21 ms for clf, 21-25 ms for slf, 25-28 ms for nlf and 24-30 ms
-    for wclf and wslf (2-core VM; 22-41 ms on one CPU).
+    took 16-20 ms for clf, 22-28 ms for slf, 24-26 ms for nlf and 26-34 ms
+    for wclf and wslf (2-core VM; 18-48 ms on one CPU).
 
     best_cells gives each stream's hologram argmax from bounds for nlf,
     wclf, wslf and tagoram under reference:r on a track (see its

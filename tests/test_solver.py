@@ -1243,7 +1243,9 @@ class TestTrackPath:
         # so repeated scoring reuses pages.  On the stock plane the block
         # path took 2,000-3,300 minor faults per one-stream wslf hologram
         # and 555-17,550 per 8-stream wclf pass (2-core VM, also under
-        # taskset -c 0); the track path takes 0-90.  Bound: 256.
+        # taskset -c 0); the track path takes 0-90, and 127-137 for an
+        # 8-stream misaligned nlf pass, whose window operands numpy
+        # buffers on every call.  Bound: 256.
         resource = pytest.importorskip("resource")
         region = SearchRegion(x=(0.0, 0.0), y=(-0.5, 0.5), z=(0.0, 0.7), resolution=0.01)
         poses = linear_track(x=1.4, z=0.0, y_start=-0.5, y_stop=0.5, spacing=0.01).as_array()
