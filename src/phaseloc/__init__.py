@@ -18,7 +18,6 @@ from .likelihood import (
     delta_phi_d_mod,
     delta_phi_d_unwrap,
     objective_batch,
-    sarfid_batch,
 )
 from .phase_model import (
     SPEED_OF_LIGHT,

@@ -137,8 +137,11 @@ def ingest_log(
     checked in file order, so the first bad row is the one reported.
 
     The log is read by columns when it can be (see the module docstring);
-    every other log, and every error, is the row loop's.
+    every other log, and every error, is the row loop's.  An unknown unit
+    raises ValueError before the log is read.
     """
+    if unit and unit not in _UNITS:  # "" reads the phase_unit column, as None does
+        raise ValueError(f"unknown phase unit {unit!r}")
     streams = _read_columns(path, sign_flip, unit, auto_wrap)
     return _ingest_rows(path, sign_flip, unit, auto_wrap) if streams is None else streams
 

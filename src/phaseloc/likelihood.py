@@ -37,13 +37,18 @@ All functions are pure.  Every differential method but nlf reads a pair
 only through cos r and sin r, the real and imaginary parts of the pair
 phasor u = A_a * conj(A_b) * exp(j*dphi) = exp(j*r), with the steering
 phasors A = exp(-j*4*pi*d/lambda); nlf reads the residual dphi -
-wrap(4*pi*(d_a - d_b)/lambda) itself.  _pair_sums writes each method's
-per-pair term once, from the geometry every stream shares (A_a *
-conj(A_b), or nlf's folded differences) and each stream's own side of
-its pairs (exp(j*dphi), or dphi), and sums it.  One stream's (N,) phases
-are a stack of one: its sums are its row of any (S, N) stack's, bit for
-bit.  sarfid sums z_n = exp(j*phi_n) * A_n directly, in one form for one
-or S streams.
+wrap(4*pi*d_a/lambda - 4*pi*d_b/lambda) itself.  pair_values is the one
+pairing rule: by slices of per-read values it forms both sides of every
+pair, each stream's measured differences dphi and the geometry every
+stream shares (A_a * conj(A_b), conj(A_(n-1)) * A_n under misaligned, or
+nlf's folded differences), for a block of cells (objective_batch) and a
+track's windows (solver) alike.  _pair_sums writes each method's
+per-pair term once, from that geometry and each stream's own side of its
+pairs (exp(j*dphi), or dphi), and sums it.  One stream's (N,) phases are
+a stack of one: its sums are its row of any (S, N) stack's, bit for bit.
+sarfid is scored through its LinearForm everywhere: per cell y = sum_n
+exp(j*phi_n) * A_n, finished as |y|/N, summed over a block's steering
+phasors or convolved along a track.
 
 On an evenly stepped track, GridEvaluator builds each line of cells'
 steering sequence once and reduces it in one of two ways.  Under
@@ -160,25 +165,73 @@ class MethodSpec:
     def __call__(self, phases: np.ndarray, dists: np.ndarray, wavelength: float) -> np.ndarray:
         """Scores per candidate row of ``dists``: (M,) for one stream's
         (N,) phases, (S, M) for S streams' stacked (S, N) phases."""
-        if self.name == "sarfid":
-            return sarfid_batch(phases, dists, wavelength)
         return objective_batch(phases, dists, self, wavelength)
 
 
 def pair_indices(scheme: DifferentialScheme, n_samples: int) -> tuple[np.ndarray, np.ndarray]:
     """Index arrays (a, b) such that pair k differences sample a[k] minus
     sample b[k].  Misaligned gives (n, n-1) for n=1..N-1; reference gives
-    (n, r) for every n != r.  Both yield N-1 pairs."""
-    if n_samples < 2:
-        raise ValueError(f"need at least 2 samples, got {n_samples}")
+    (n, r) for every n != r.  Both yield N-1 pairs.  pair_values forms
+    the same pairs by slices; these arrays are its index-array reference."""
+    _check_reads(scheme, n_samples)
     if scheme.kind == "misaligned":
         a = np.arange(1, n_samples)
         return a, a - 1
     r = scheme.reference_index
-    if not (0 <= r < n_samples):
-        raise ValueError(f"reference index {r} out of range for {n_samples} samples")
     a = np.concatenate([np.arange(0, r), np.arange(r + 1, n_samples)])
     return a, np.full(len(a), r)
+
+
+def _check_reads(scheme: DifferentialScheme, n_samples: int) -> None:
+    if n_samples < 2:
+        raise ValueError(f"need at least 2 samples, got {n_samples}")
+    if scheme.kind == "reference" and not (0 <= scheme.reference_index < n_samples):
+        raise ValueError(f"reference index {scheme.reference_index} out of range for {n_samples} samples")
+
+
+def pair_values(
+    scheme: DifferentialScheme, values: np.ndarray, out: np.ndarray | None = None, fold: bool = False
+) -> np.ndarray:
+    """Per-pair values (..., N-1) of per-read values (..., N) under
+    scheme, pair k being pair_indices' (a[k], b[k]), formed by slices, so
+    values may be any view (a track's sliding windows).  Real values give
+    the differences v_a - v_b, folded into [0, 2*pi) in place when fold is
+    set (as phase_model.wrap_2pi folds, to within an ulp of 4*pi); complex
+    values give the pair phasors v_a * conj(v_b), computed as
+    conj(v_(n-1)) * v_n under misaligned.  The result is written into out
+    when given.  Raises as pair_indices does.
+
+    Both sides of every differential pair come from here: each stream's
+    measured differences dphi, and the geometry every stream shares, nlf's
+    folded differences of kd = 4*pi*d/lambda or the others' pair phasors
+    of the steering phasors A."""
+    n = values.shape[-1]
+    _check_reads(scheme, n)
+    if out is None:
+        out = np.empty(values.shape[:-1] + (n - 1,), dtype=values.dtype)
+    phasor = np.iscomplexobj(values)
+    if scheme.kind == "misaligned" and phasor:
+        np.multiply(np.conjugate(values[..., :-1], out=out), values[..., 1:], out=out)
+    elif scheme.kind == "misaligned":
+        np.subtract(values[..., 1:], values[..., :-1], out=out)
+    else:
+        r = scheme.reference_index
+        at_r = np.conjugate(values[..., r, None]) if phasor else values[..., r, None]
+        combine = np.multiply if phasor else np.subtract
+        combine(values[..., :r], at_r, out=out[..., :r])
+        combine(values[..., r + 1 :], at_r, out=out[..., r:])
+    if fold:  # fmod keeps the sign: x - 2*pi*k in (-2*pi, 2*pi), then shifted into [0, 2*pi)
+        np.fmod(out, TWO_PI, out=out)
+        out += TWO_PI
+        np.fmod(out, TWO_PI, out=out)
+    return out
+
+
+def measured_sides(spec: MethodSpec, phases: np.ndarray) -> np.ndarray:
+    """Each stream's side of its pairs: the measured differences dphi for
+    nlf, exp(j*dphi) for the other differential methods."""
+    dphi = pair_values(spec.scheme, np.asarray(phases, dtype=float))
+    return dphi if spec.name == "nlf" else np.exp(1j * dphi)
 
 
 def delta_phi_d_unwrap(ddist: float, dphi_measured: float, wavelength: float) -> float:
@@ -236,40 +289,36 @@ def objective_batch(
     wavelength: float,
     nlf_branch: str = BRANCH_NEAREST,
 ) -> np.ndarray:
-    """Differential score per candidate for every method but sarfid.
+    """Score per candidate for every method.
 
     phases is the (N,) wrapped measurement vector, or (S, N) for S
     streams over the same poses; dists is (M, N) with row m holding
-    candidate m's distances to the N poses.  Returns (M,) sums over the
-    scheme's pairs, or (S, M).  The pair geometry is built once for all
-    streams, nlf's folded differences 4*pi*(d_a - d_b)/lambda or the
-    others' pair phasors A_a * conj(A_b), and _pair_sums sums every
-    stream's terms against it, so a stream's row equals its (N,) call bit
-    for bit.  tagoram weights cos r by 2*(1 - Phi(|r|/sigma)) =
+    candidate m's distances to the N poses.  Returns (M,) scores, or
+    (S, M).  sarfid goes through its LinearForm: per row, the sum of the
+    steering phasors times the inputs, then finish.  The differential
+    methods sum over the scheme's pairs: pair_values builds the pair
+    geometry once for all streams, nlf's folded differences of 4*pi*d/lambda
+    or the others' pair phasors, and _pair_sums sums every stream's terms
+    against it, so a stream's row equals its (N,) call bit for bit.
+    tagoram weights cos r by 2*(1 - Phi(|r|/sigma)) =
     erfc(|r|/(sigma*sqrt(2))) with r = atan2(sin r, cos r) in [-pi, pi],
     since a tail probability of an unwrapped circular residual would be
     meaningless.
     """
-    if spec.name == "sarfid":
-        raise ValueError("sarfid is not a differential method; use sarfid_batch")
     phases = np.asarray(phases, dtype=float)
     dists = np.atleast_2d(np.asarray(dists, dtype=float))
-    idx_a, idx_b = pair_indices(spec.scheme, phases.shape[-1])
-    measured = phases[..., idx_a] - phases[..., idx_b]
-    if spec.name == "nlf":
-        pairs = wrap_2pi(4.0 * math.pi * (dists[:, idx_a] - dists[:, idx_b]) / wavelength)
-    else:
-        # the pair phasors A_a * conj(A_b), an (M, P) block; the in-place
-        # steps keep at most one real block beside it
+    if spec.name == "sarfid":
+        form = linear_form(spec, phases)
+        sums = (_steering(dists, wavelength) * form.inputs[:, None, :]).sum(axis=-1)
+        return form.finish(sums, None, 0).reshape(phases.shape[:-1] + (-1,))
+    measured = measured_sides(spec, phases)
+    if spec.name == "nlf":  # scaled before the difference, as on a track
+        pairs = pair_values(spec.scheme, dists * (4.0 * math.pi / wavelength), fold=True)
+    else:  # the (M, P) pair phasors; the steering goes before the sums' scratch comes
         steering = _steering(dists, wavelength)
-        pairs, conj_b = steering[:, idx_a], steering[:, idx_b]
+        pairs = pair_values(spec.scheme, steering)
         del steering
-        pairs *= np.conjugate(conj_b, out=conj_b)
-        del conj_b
-        measured = np.exp(1j * measured)
-    if phases.ndim == 2:
-        measured = measured[:, None, :]
-    return _pair_sums(spec, pairs, measured, nlf_branch=nlf_branch)
+    return _pair_sums(spec, pairs, measured[..., None, :], nlf_branch=nlf_branch)
 
 
 def _pair_sums(
@@ -428,7 +477,7 @@ def linear_form(spec: MethodSpec, phases: np.ndarray) -> LinearForm | None:
     phases = np.atleast_2d(np.asarray(phases, dtype=float))
     if spec.name == "sarfid":
         return LinearForm(spec.name, np.exp(1j * phases), 1, None)
-    pair_indices(spec.scheme, phases.shape[-1])  # raises as the blocks do
+    _check_reads(spec.scheme, phases.shape[-1])  # raises as the pairs do
     power = 1 if spec.name == "clf" else 2
     return LinearForm(spec.name, np.exp(1j * power * phases), power, spec.scheme.reference_index)
 
@@ -446,15 +495,3 @@ def _steering(dists: np.ndarray, wavelength: float, out: np.ndarray | None = Non
     np.sin(neg_kd, out=out.imag)
     return out
 
-
-def sarfid_batch(phases: np.ndarray, dists: np.ndarray, wavelength: float) -> np.ndarray:
-    """Coherent-sum magnitude per candidate row of ``dists``, in [0, 1].
-
-    |sum_n exp(j*phi[n]) * exp(-j*4*pi*d[n]/lambda)| / N, per row of
-    ``dists`` and per stream: (M,) for (N,) phases, (S, M) for (S, N).
-    A common phase shift on all reads rotates every term equally, so the
-    magnitude is invariant to the per-tag offset.
-    """
-    phases = np.asarray(phases, dtype=float)
-    z = _steering(np.atleast_2d(dists), wavelength) * np.exp(1j * phases)[..., None, :]
-    return np.abs(z.sum(axis=-1)) / phases.shape[-1]

@@ -31,14 +31,16 @@ builds its lines' sequences once, and only the reduction differs: under
 reference:r clf and slf, and sarfid, are linear in the steering phasors
 (likelihood.LinearForm), so each convolves a line with every stream's
 inputs by FFT; the other methods, and every method under misaligned, form
-each cell's pairs from a sliding window of it.  No cell and pose pays a
-sqrt, cos or sin.  A read depends on a cell only through its distances to
-the poses, so lines at one distance from the track axis score alike under
-every method: each such distance is scored once and its sums written to
-all its lines, so mirror cells tie bit for bit.  Track-path scores match the block path's to about 1e-12 of the
-score scale, not bit for bit; a stream's scores still do not depend on
-the pass or the worker count.  Other geometries and callables that are
-not a MethodSpec take the block path.
+each cell's pairs from a sliding window of it by likelihood.pair_values,
+the rule the cell blocks use.  No cell and pose pays a sqrt, cos or sin.
+A read depends on a cell only through its distances to the poses, so
+lines at one distance from the track axis score alike under every
+method: each such distance is scored once and its sums written to all
+its lines, so mirror cells tie bit for bit.  Track-path scores match the
+block path's to about 1e-12 of the score scale, not bit for bit; a
+stream's scores still do not depend on the pass or the worker count.
+Other geometries and callables that are not a MethodSpec take the block
+path.
 
 Where only the argmax is wanted (run_bench), GridEvaluator.best_cells
 finds it without scoring every cell on every pair: under reference:r on
@@ -72,9 +74,10 @@ from .likelihood import (
     _pair_sums,
     _steering,
     linear_form,
-    pair_indices,
+    measured_sides,
+    pair_values,
 )
-from .phase_model import TWO_PI, Position3D, SampleStream, pose_array
+from .phase_model import Position3D, SampleStream, pose_array
 
 DEFAULT_CELL_CAP = 10_000_000
 BLOCK = 65_536  # cell-pose entries scored at a time: 512 KiB of float64 distances
@@ -114,14 +117,6 @@ def _score_shares(score, blocks: list) -> None:
         score(blocks[::shares])
     for future in futures:
         future.result()
-
-
-def _wrap(angles: np.ndarray) -> np.ndarray:
-    """angles folded into [0, 2*pi) in place and without temporaries, as
-    phase_model.wrap_2pi does to within an ulp of 4*pi."""
-    np.fmod(angles, TWO_PI, out=angles)
-    angles += TWO_PI
-    return np.fmod(angles, TWO_PI, out=angles)
 
 
 def _axis_count(lo: float, hi: float, res: float) -> int:
@@ -459,17 +454,18 @@ class GridEvaluator:
     entries, 4 MiB while WORKERS*S*N <= 32,768.
 
     Stacked streams share each block's distances, and MethodSpec builds
-    the pair geometry (pair phasors, or nlf's folded differences) once per
-    block for all of them, so the more streams a pass holds the less the
-    geometry costs per stream.  But each pass holds its (S, M) raw scores
-    and S holograms, and the more streams a block stacks the fewer cells
-    it holds, until numpy's per-call overhead outweighs the work;
-    streams_per_pass balances these on the blocks.  On the track path a
-    chunk's scratch does not grow with the streams, but each stream keeps
-    its (S, M) raw scores and, per chunk, its N phases, N-1 differences and
-    FFT spectra longer than N; so there a pass holds at most PASS_SCORES
-    raw scores and at most PASS_SCORES stacked phases.  run_bench and the CLI's locate
-    and hologram stack their streams in passes of up to streams_per_pass.
+    the pair geometry (pair phasors, or nlf's folded differences, by
+    likelihood.pair_values) once per block for all of them, so the more
+    streams a pass holds the less the geometry costs per stream.  But each
+    pass holds its (S, M) raw scores and S holograms, and the more streams
+    a block stacks the fewer cells it holds, until numpy's per-call
+    overhead outweighs the work; streams_per_pass balances these on the
+    blocks.  On the track path a chunk's scratch does not grow with the
+    streams, but each stream keeps its (S, M) raw scores and, per chunk,
+    its N phases, N-1 differences and FFT spectra longer than N; so there
+    a pass holds at most PASS_SCORES raw scores and at most PASS_SCORES
+    stacked phases.  run_bench and the CLI's locate and hologram stack
+    their streams in passes of up to streams_per_pass.
 
     The track path: when the poses step evenly along one axis (the other
     two coordinates equal for every pose) and the grid's step on that
@@ -492,10 +488,10 @@ class GridEvaluator:
       one stream at a time.
     * nlf, wclf, wslf and tagoram, and every method under misaligned: the
       chunk's pair phasors are formed once for all streams from the
-      windows, window * conj(K_r) under reference:r and conj(A_(n-1)) *
-      A_n under misaligned (nlf: the folded window - kd_r, or kd_n -
-      kd_(n-1)), then likelihood._pair_sums gives each stream's sums, so
-      one stream's scores equal its scores in any pass bit for bit.
+      windows by likelihood.pair_values, as a block's are from its
+      steering phasors (nlf: the folded differences of its window's
+      4*pi*d/lambda), then likelihood._pair_sums gives each stream's sums,
+      so one stream's scores equal its scores in any pass bit for bit.
 
     A share allocates its sequence arrays, and the pair methods' scratch,
     once per raw_scores call and writes into them.  A chunk stays within
@@ -509,13 +505,14 @@ class GridEvaluator:
     stream's product (4*L) and per cell the finish's temporaries (3);
     where groups hold several lines, per cell the copy of the sums that
     the write spreads over a group's lines (the most lines of a group).
-    Chunks are as many whole groups as that holds, so a grid within one
-    share's budget is scored on the calling thread alone, as are boxes
-    whose chunks fit it together.  A pair method whose line exceeds the
-    budget takes segments of at least two cells; a linear method takes a
-    whole line regardless, so its FFT length (scipy.fft.next_fast_len)
-    depends on shapes only, and its scores' last bits not on the budget or
-    WORKERS.
+    A box's groups are cut into the fewest chunks of whole groups that fit
+    it, of near-equal size (71 groups in two chunks are 36 and 35, not 70
+    and 1), so a grid within one share's budget is scored on the calling
+    thread alone, as are boxes whose chunks fit it together.  A pair
+    method whose line exceeds the budget takes segments of at least two
+    cells; a linear method takes a whole line regardless, so its FFT
+    length (scipy.fft.next_fast_len) depends on shapes only, and its
+    scores' last bits not on the budget or WORKERS.
     On the stock plane an 8-stream pass took 26-40 ms for nlf, wclf and
     wslf, 65-95 ms for tagoram and 3-5 ms for clf, slf and sarfid; a
     one-stream wslf hologram of the 509,141-cell volume took 244-337 ms
@@ -610,10 +607,8 @@ class GridEvaluator:
         tagoram weights only the pairs with |r| < reach*sigma*sqrt(2)
         (likelihood._pair_sums): below ERFC_ZERO its sums are truncated."""
         track, n = self._track, len(self.poses)
-        idx_a, idx_b = pair_indices(spec.scheme, n)  # raises as the blocks do
         phases = np.atleast_2d(phases)
         form = linear_form(spec, phases)
-        ref = None if spec.scheme.kind == "misaligned" else spec.scheme.reference_index
         nlf = spec.name == "nlf"
         a, b, p = track.a, track.b, n - 1
         shape = self.region.shape
@@ -628,10 +623,9 @@ class GridEvaluator:
         fixed = (b * (n - 1) + 1 - a) * per_entry
         cap = 6 * (BLOCK // WORKERS)
         if form is None:
-            dphi = phases[:, idx_a] - phases[:, idx_b]
-            sides = dphi if nlf else np.exp(1j * dphi)  # each stream's side of its pairs
+            sides = measured_sides(spec, phases)
             # tagoram's compaction takes up to one more (likelihood._tagoram_sums)
-            per_pair = width + 1 + width * (len(dphi) > 1) + (spec.name == "tagoram")
+            per_pair = width + 1 + width * (len(sides) > 1) + (spec.name == "tagoram")
             per_cell = p * per_pair + a * per_entry + copy
         else:  # imported here: ~30 ms and 1 MiB that the other methods never need
             from scipy.fft import fft, ifft, next_fast_len
@@ -649,8 +643,9 @@ class GridEvaluator:
         for lo, hi, c0, c1 in [(0, groups, 0, ny)] if boxes is None else boxes:
             if form is None:
                 rows = cap // ((c1 - c0) * per_cell + fixed)
-            if rows >= 1:  # whole groups; a grid within one share's budget takes one
-                chunks += [(g, min(g + rows, hi), c0, c1) for g in range(lo, hi, rows)]
+            if rows >= 1:  # whole groups in even chunks; a grid within one share's budget takes one
+                parts = np.array_split(np.arange(lo, hi), -(-(hi - lo) // rows))  # sizes differ by <= 1
+                chunks += [(int(g[0]), int(g[-1]) + 1, c0, c1) for g in parts]
             else:  # segments of one line; a lone last cell joins the previous one
                 cells = max(2, (cap - fixed) // per_cell)
                 edges = [*range(c0, c1, cells), c1]
@@ -669,24 +664,13 @@ class GridEvaluator:
             if form is None:
                 scratch = np.empty((width + 1) * most)
                 # one stream's pairs are the start of its scratch, turned into u in place
-                geometry = scratch if len(dphi) == 1 else np.empty(width * most)
+                geometry = scratch if len(sides) == 1 else np.empty(width * most)
                 geometry = geometry[: width * most].view(seq.dtype)
             windows = {}  # per cell count: entry (line, j, n) is pose n's of cell j
 
             def pair_sums(window):
                 pairs = geometry[: window[..., 0].size * p].reshape(window.shape[:2] + (p,))
-                if ref is None and nlf:  # folded kd_n - kd_(n-1)
-                    np.subtract(window[..., 1:], window[..., :-1], out=pairs)
-                elif ref is None:  # conj(A_(n-1)) * A_n
-                    np.conjugate(window[..., :-1], out=pairs)
-                    pairs *= window[..., 1:]
-                else:  # nlf: folded kd_n - kd_r; the rest: A_n * conj(A_r)
-                    at_ref = window[..., ref, None] if nlf else np.conjugate(window[..., ref, None])
-                    combine = np.subtract if nlf else np.multiply
-                    combine(window[..., :ref], at_ref, out=pairs[..., :ref])
-                    combine(window[..., ref + 1 :], at_ref, out=pairs[..., ref:])
-                if nlf:
-                    _wrap(pairs)
+                pair_values(spec.scheme, window, out=pairs, fold=nlf)
                 for side in sides:
                     yield _pair_sums(spec, pairs, side, scratch, reach=reach)
 
@@ -851,9 +835,7 @@ class GridEvaluator:
             and self._track is not None
         ):
             return None
-        track, n = self._track, len(self.poses)
-        pair_indices(method.scheme, n)  # raises as a full pass does
-        p = n - 1
+        track, p = self._track, len(self.poses) - 1
         if method.name == "tagoram":
             if BOUND_REACH * method.tagoram_sigma * math.sqrt(2.0) >= math.pi:
                 return None  # the cheap pass would weight every pair

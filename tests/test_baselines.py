@@ -1,7 +1,7 @@
 """SARFID coherent-sum and Tagoram CDF-weighted baselines.
 
-The complex-sum and erfc oracles are the references for sarfid_batch and
-for objective_batch's tagoram branch; tagoram's pair sums, which weight
+The complex-sum and erfc oracles are the references for objective_batch's
+sarfid and tagoram branches; tagoram's pair sums, which weight
 only the pairs whose erfc weight can be non-zero, are checked bit for bit
 against the same formula on every pair.
 """
@@ -30,7 +30,6 @@ from phaseloc import (
     evaluate_hologram,
     linear_track,
     predict_phase,
-    sarfid_batch,
     synthesize,
     wrap_2pi,
 )
@@ -47,7 +46,7 @@ def candidate_dists(poses, cand):
 
 
 def sarfid_score(phases, poses, cand):
-    return float(sarfid_batch(np.asarray(phases), candidate_dists(poses, cand), LAM)[0])
+    return float(MethodSpec("sarfid")(np.asarray(phases), candidate_dists(poses, cand), LAM)[0])
 
 
 def tagoram_score(phases, poses, cand, sigma):

@@ -304,6 +304,15 @@ class TestPhaseLogs:
         with pytest.raises(LogFormatError, match="line 2"):
             ingest_log(path)
 
+    @pytest.mark.parametrize("rows", ["", "T,1.4,0.0,0.0,866.9e6,1.0,radians\n"], ids=["no-reads", "one-read"])
+    def test_unknown_unit_argument_rejected_before_reading(self, tmp_path, rows):
+        # the caller's argument is at fault, not the file, whatever it holds
+        path = tmp_path / "log.csv"
+        path.write_text("tag_id,ant_x,ant_y,ant_z,freq_hz,phase,phase_unit\n" + rows)
+        with pytest.raises(ValueError, match="unknown phase unit 'degrees'") as caught:
+            ingest_log(path, unit="degrees")
+        assert not isinstance(caught.value, LogFormatError)
+
     def test_malformed_number_reports_line(self, tmp_path):
         path = tmp_path / "log.csv"
         path.write_text(

@@ -5,12 +5,14 @@ checks score two reads whose difference is the pair under test.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from numpy.lib.stride_tricks import sliding_window_view
 
 from phaseloc import (
     BRANCH_NEAREST,
@@ -30,7 +32,7 @@ from phaseloc import (
     wrap_2pi,
 )
 from phaseloc.io_eval import LogFormatError, ingest_log
-from phaseloc.likelihood import pair_indices
+from phaseloc.likelihood import pair_indices, pair_values
 
 TWO_PI = 2.0 * math.pi
 CARRIER = CarrierConfig(866.9e6)
@@ -73,6 +75,57 @@ class TestBuildDifferentials:
     def test_reference_middle(self):
         a, b = pair_indices(DifferentialScheme.reference(2), 4)
         assert list(zip(a, b)) == [(0, 2), (1, 2), (3, 2)]
+
+    @pytest.mark.parametrize("shape", [(41,), (3, 41), (2, 5, 41)], ids=["one", "stacked", "blocks"])
+    @pytest.mark.parametrize(
+        "scheme",
+        [DifferentialScheme.reference(0), DifferentialScheme.reference(17),
+         DifferentialScheme.reference(40), DifferentialScheme.misaligned()],
+        ids=["first", "middle", "last", "misaligned"],
+    )
+    def test_pair_values_match_index_arrays(self, scheme, shape):
+        # the slices form pair_indices' pairs: reference 0 and N-1 leave
+        # one slice empty, and leading axes (streams, cells) ride along
+        rng = np.random.default_rng(11)
+        a, b = pair_indices(scheme, shape[-1])
+        phases = rng.uniform(0.0, TWO_PI, shape)
+        assert np.array_equal(pair_values(scheme, phases), phases[..., a] - phases[..., b])
+        # pair phasors, bit for bit in each scheme's operand order
+        steering = np.exp(-1j * rng.uniform(0.0, 60.0, shape))
+        if scheme.kind == "misaligned":
+            want = np.conjugate(steering[..., b]) * steering[..., a]
+        else:
+            want = steering[..., a] * np.conjugate(steering[..., b])
+        assert np.array_equal(pair_values(scheme, steering), want)
+        # nlf's folded kd differences: wrap_2pi's to within an ulp of 4*pi, across the 0/2*pi seam
+        kd = rng.uniform(0.0, 60.0, shape)
+        folded = pair_values(scheme, kd, fold=True)
+        gap = np.abs(folded - wrap_2pi(kd[..., a] - kd[..., b]))
+        assert np.all(np.minimum(gap, TWO_PI - gap) <= np.spacing(4.0 * math.pi))
+        assert np.all((folded >= 0.0) & (folded < TWO_PI))
+
+    @pytest.mark.parametrize("scheme", [DifferentialScheme.reference(3), DifferentialScheme.misaligned()])
+    def test_pair_values_read_windows_into_out(self, scheme):
+        # a track's cells read overlapping windows of one sequence
+        seq = np.exp(1j * np.random.default_rng(5).uniform(0.0, TWO_PI, (2, 30)))
+        window = sliding_window_view(seq, 8, axis=-1)[:, ::2]
+        out = np.empty(window.shape[:-1] + (7,), dtype=complex)
+        assert pair_values(scheme, window, out=out) is out
+        assert np.array_equal(out, pair_values(scheme, np.ascontiguousarray(window)))
+
+    @pytest.mark.parametrize(
+        "scheme, n, message",
+        [
+            (DifferentialScheme.misaligned(), 1, "need at least 2 samples, got 1"),
+            (DifferentialScheme.reference(0), 1, "need at least 2 samples, got 1"),
+            (DifferentialScheme.reference(4), 4, "reference index 4 out of range for 4 samples"),
+            (DifferentialScheme.reference(-1), 4, "reference index -1 out of range for 4 samples"),
+        ],
+    )
+    def test_pair_values_reject_as_pair_indices(self, scheme, n, message):
+        for form in (lambda: pair_indices(scheme, n), lambda: pair_values(scheme, np.zeros(n))):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                form()
 
     def test_equidistant_candidate_gives_zero_ddist(self):
         poses = [Position3D(1.4, -0.1, 0.0), Position3D(1.4, 0.1, 0.0)]

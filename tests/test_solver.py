@@ -39,7 +39,6 @@ from phaseloc import (
     linear_track,
     objective_batch,
     refine_local,
-    sarfid_batch,
     synthesize,
 )
 from phaseloc.io_eval import resolve_method
@@ -891,22 +890,31 @@ class TestGridEvaluator:
         with pytest.raises(ValueError, match="no streams"):
             ev.holograms([], CLF)
 
-    @pytest.mark.parametrize("stacked", [False, True], ids=["one", "stacked"])
+    @pytest.mark.parametrize(
+        "stacked, path",
+        [(False, "track"), (True, "track"), (False, "blocks"), (True, "blocks")],
+        ids=["one", "stacked", "one-blocks", "stacked-blocks"],
+    )
     @pytest.mark.parametrize("name", METHOD_NAMES)
-    def test_scoring_stays_in_block_budget(self, name, stacked):
+    def test_scoring_stays_in_block_budget(self, name, stacked, path):
         # 27 x 27 x 27 = 19,683 cells x 101 poses: a cached distance matrix
         # alone would take 16 MB, and wslf's temporaries six times that
         region = SearchRegion(x=(0.0, 0.26), y=(-0.13, 0.13), z=(0.0, 0.26), resolution=0.01)
         streams = [noise_free_samples(phi0=0.7 * k, spacing=0.01, y_half=0.5) for k in range(8)]
+        if path == "blocks":  # one pose nudged 1 mm across the track: no track, so cell blocks
+            poses = streams[0].poses.copy()
+            poses[50, 0] += 0.001
+            streams = [SampleStream(poses, s.phases, s.carrier) for s in streams]
         m, n = region.cell_count, len(streams[0])
         assert (m, n) == (19_683, 101)
         tables = 8 * n * sum(region.shape)
-        # hologram scores one stream's (N,) phases from its residuals,
-        # holograms 8 streams' stacked (8, N) phases from steering phasors
+        # hologram scores one stream's (N,) phases, holograms 8 streams'
+        # stacked (8, N) phases against the geometry they share
         count = len(streams) if stacked else 1
         tracemalloc.start()
         try:
             ev = GridEvaluator(region, streams[0].poses)
+            assert (ev._track is None) == (path == "blocks")
             if stacked:
                 ev.holograms(streams, MethodSpec(name))
             else:
@@ -1600,10 +1608,5 @@ def test_method_spec_is_its_own_scorer(name):
     phases = np.random.default_rng(3).uniform(0.0, 2.0 * math.pi, len(poses))
     lam = CARRIER.wavelength
     spec = resolve_method(name)
-    if name == "sarfid":
-        direct = sarfid_batch(phases, dists, lam)
-        with pytest.raises(ValueError, match="sarfid_batch"):
-            objective_batch(phases, dists, spec, lam)
-    else:
-        direct = objective_batch(phases, dists, spec, lam)
+    direct = objective_batch(phases, dists, spec, lam)
     assert np.array_equal(spec(phases, dists, lam), direct)
