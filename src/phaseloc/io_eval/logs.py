@@ -177,9 +177,7 @@ def _columns(table, col, sign_flip, unit, auto_wrap) -> dict[str, SampleStream] 
     x, y, z, freq, phase = (table[f"f{col[name]}"] for name in _NUMBERS)
     if not all(np.isfinite(v).all() for v in (x, y, z, freq, phase)):
         return None
-    if unit:
-        if unit not in _UNITS:
-            return None
+    if unit:  # ingest_log has checked it
         ticks = unit == "ticks"
     else:
         names = table[f"f{col['phase_unit']}"]
