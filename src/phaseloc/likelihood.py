@@ -53,9 +53,10 @@ phasors or convolved along a track.
 On an evenly stepped track, GridEvaluator builds each line of cells'
 steering sequence once and reduces it in one of two ways.  Under
 misaligned, and for nlf, wclf, wslf and tagoram under reference:r, a
-cell's pairs are formed from its window of the sequence and go through
-_pair_sums, with A read from the window instead of computed per cell and
-pose.  Under reference:r clf and slf, and sarfid, are linear in w_n =
+cell's pairs are formed from its window of the sequence (under
+misaligned, where a pair depends on its sequence entry alone, as a
+window of the line's pairs, formed once) and go through _pair_sums,
+with A read from the sequence instead of computed per cell and pose.  Under reference:r clf and slf, and sarfid, are linear in w_n =
 exp(j*phi_n)*A_n, so the sequence is convolved with each stream's
 inputs; linear_form gives those inputs and the finish: sarfid
 |sum_n w_n|/N; clf Re[conj(w_r) * sum_n w_n] - 1; slf 1/2*Re[conj(w_r)^2
@@ -66,12 +67,10 @@ tagoram's weight erfc(|r|/(sigma*sqrt(2))) rounds to exactly 0 from
 |r| = ERFC_ZERO*sigma*sqrt(2) on (0.647 rad at the default sigma, where
 about 70% of a stock hologram's pairs lie), so _pair_sums computes it
 only for the pairs inside that reach, compacted, and writes 0 * cos r
-for the rest: the same terms as weighting every pair, bit for bit.  The
-reach, in units of sigma*sqrt(2), is an argument of _pair_sums: a
-smaller one truncates the sums through the same steps, every pair it
-leaves out having a weight of at most erfc(reach).  The cheap tagoram
-pass of GridEvaluator.best_cells takes 4, where that weight is 1.5e-8
-and 5.4% of a stock hologram's pairs lie inside.
+for the rest: the same terms as weighting every pair, bit for bit.
+Asked for tagoram's majorant instead, _pair_sums sums exp(-(sin r/
+(sigma*sqrt(2)))^2) over the same u, which bounds each pair's term from
+above at every sigma: the cheap pass of GridEvaluator.best_cells.
 
 The pair terms of a C-order (..., M, P) block are summed pairwise per
 row, whatever M and however many streams share it.  A block of one
@@ -327,13 +326,18 @@ def _pair_sums(
     measured: np.ndarray,
     scratch: np.ndarray | None = None,
     nlf_branch: str = BRANCH_NEAREST,
-    reach: float = ERFC_ZERO,
+    majorant: bool = False,
 ) -> np.ndarray:
     """Sums over the last axis of a differential method's pair terms, from
     the geometry every stream shares and the streams' own side of each
     pair, broadcast against it; each method's term is written here once.
-    tagoram weights only the pairs with |r| < reach*sigma*sqrt(2), so below
-    ERFC_ZERO its sums are truncated (see _tagoram_sums).
+    With majorant, tagoram sums exp(-(Im u/(sigma*sqrt(2)))^2) instead,
+    which is at least erfc(|r|/(sigma*sqrt(2))) * cos r for every r: where
+    cos r <= 0 the term is <= 0, elsewhere sin^2 r <= r^2 and erfc x <=
+    exp(-x^2) for x >= 0.  The exponent is (Im u)^2 times -g^2, g =
+    1/(sigma*sqrt(2)) capped at 1e150, clamped at -700: both only raise the
+    bound, and keep the product finite at any sigma (where 2*sigma^2
+    underflows g^2 stays 1e300) and exp clear of its slow subnormal results.
 
     For nlf, pairs holds the folded geometric differences
     wrap(4*pi*(d_a - d_b)/lambda), measured the measured differences
@@ -360,8 +364,7 @@ def _pair_sums(
         return re.sum(axis=-1)
     terms = scratch[2 * size : 3 * size].reshape(shape)
     if spec.name == "tagoram":
-        scale = spec.tagoram_sigma * math.sqrt(2.0)
-        return _tagoram_sums(u, terms, scale, reach * scale)
+        return _tagoram_sums(u, terms, spec.tagoram_sigma * math.sqrt(2.0), majorant)
     if spec.name == "wclf":
         np.abs(re, out=terms)
         terms *= re
@@ -373,28 +376,29 @@ def _pair_sums(
     return -terms.sum(axis=-1)  # sign-symmetric rounding: the sum of the negated terms
 
 
-def _tagoram_sums(u: np.ndarray, terms: np.ndarray, scale: float, reach: float) -> np.ndarray:
+def _tagoram_sums(u: np.ndarray, terms: np.ndarray, scale: float, majorant: bool) -> np.ndarray:
     """Sums over the last axis of erfc(|r|/scale) * cos r, r = angle(u),
-    over the pairs with |r| < reach, with terms, a C-order float64 array of
-    u's shape, as the output; u is spent.
+    or with majorant of exp(-(Im u/scale)^2) (see _pair_sums), with terms,
+    a C-order float64 array of u's shape, as the output; u is spent.
 
-    While reach < pi only the pairs inside it are weighted: they are
-    compacted, go through the steps the full array would (arctan2 into
-    memory apart from its inputs there too, so numpy picks the same loop),
-    and are put back among the other pairs' terms 0 * cos r.  The terms
-    inside equal the full computation's bit for bit, and a pair left out
-    has |r|/scale >= reach/scale, so a weight of at most erfc(reach/scale).
-    From reach = ERFC_ZERO * scale on that weight rounds to 0, so every
-    term, and so every row's pairwise sum, equals the full computation's
-    bit for bit.  Inside reach means |sin r| * cot(reach) < cos r, a test
-    that needs no |u| = 1; a NaN u (NaN in both parts, as from a NaN
-    phase) is outside, and its term 0 * cos r is NaN as well.  Beyond the
-    scratch the compaction takes 1 B per pair and 16 B per pair inside
-    reach; past 7/16 of the pairs inside, every pair is weighted (the full
-    sums, whatever the reach), so at most 8 B per pair.
+    While reach = ERFC_ZERO * scale < pi only the pairs inside it are
+    weighted: they are compacted, go through the steps the full array
+    would (arctan2 into memory apart from its inputs there too, so numpy
+    picks the same loop), and are put back among the other pairs' terms
+    0 * cos r.  A pair left out has |r|/scale >= ERFC_ZERO, where erfc
+    rounds to 0, so every term, and so every row's pairwise sum, equals the
+    full computation's bit for bit.  Inside reach means |sin r| *
+    cot(reach) < cos r, a test that needs no |u| = 1; a NaN u (NaN in both
+    parts, as from a NaN phase) is outside, and its term 0 * cos r is NaN
+    as well.  Beyond the scratch the compaction takes 1 B per pair and 16 B
+    per pair inside reach; past 7/16 of the pairs inside, every pair is
+    weighted, so at most 8 B per pair.
     """
     re, im = u.real, u.imag
-    reach *= 1.0 + 1e-9  # covers arctan2's, cot's and the division's rounding
+    if majorant:  # 1/scale capped so that its square stays finite
+        np.multiply(np.square(im, out=terms), -min(1.0 / scale, 1e150) ** 2, out=terms)
+        return np.exp(np.maximum(terms, -700.0, out=terms), out=terms).sum(axis=-1)
+    reach = ERFC_ZERO * scale * (1.0 + 1e-9)  # covers arctan2's, cot's and the division's rounding
     if reach < math.pi:
         np.multiply(np.abs(im, out=terms), 1.0 / math.tan(reach), out=terms)
         inside = np.less(terms, re).reshape(-1)

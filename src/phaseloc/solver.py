@@ -31,8 +31,10 @@ builds its lines' sequences once, and only the reduction differs: under
 reference:r clf and slf, and sarfid, are linear in the steering phasors
 (likelihood.LinearForm), so each convolves a line with every stream's
 inputs by FFT; the other methods, and every method under misaligned, form
-each cell's pairs from a sliding window of it by likelihood.pair_values,
-the rule the cell blocks use.  No cell and pose pays a sqrt, cos or sin.
+their pairs by likelihood.pair_values, the rule the cell blocks use:
+each cell's from a sliding window of the line, or under misaligned, where
+a pair depends on its sequence entry alone, each line's once, which
+cells then read windows of.  No cell and pose pays a sqrt, cos or sin.
 A read depends on a cell only through its distances to the poses, so
 lines at one distance from the track axis score alike under every
 method: each such distance is scored once and its sums written to all
@@ -49,10 +51,10 @@ the cells whose bound can still reach the best full score are scored in
 full, bit for bit as in the full pass.  wclf and wslf weight each clf or
 slf pair term by a weight in [0, 1], and nlf's -r^2 lies below 2*cos r -
 2, so a scaled clf or slf FFT pass bounds nlf, wclf and wslf (the
-sandwich); tagoram's sum over the pairs within 4*sigma*sqrt(2), the
-rest weighing at most erfc(4) each, bounds tagoram.  The FFT methods,
-whose passes are already cheap, and every other case score the
-holograms.
+sandwich); tagoram's term erfc(|r|/(sigma*sqrt(2))) * cos r lies below
+exp(-sin^2 r/(2*sigma^2)) at every sigma, so the sum of that Gaussian
+majorant bounds tagoram.  The FFT methods, whose passes are already
+cheap, and every other case score the holograms.
 """
 
 from __future__ import annotations
@@ -66,10 +68,8 @@ from functools import cached_property
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import ndimage
-from scipy.special import erfc
 
 from .likelihood import (
-    ERFC_ZERO,
     MethodSpec,
     _pair_sums,
     _steering,
@@ -85,7 +85,6 @@ PASS_CELLS = 32  # fewest cells per block in a pass of streams_per_pass streams
 PASS_SCORES = 1 << 20  # most raw scores a pass of streams_per_pass streams holds: 8 MiB
 PEAK_THRESHOLD = 0.999  # find_peak_regions' cut; rack-plane ridge saddles sit near 0.99
 TRACK_ULPS = 8  # most a track's poses and cells may stray from even steps, in ulps
-BOUND_REACH = 4.0  # best_cells bounds tagoram from the pairs with |r| < 4*sigma*sqrt(2)
 BOUND_GAP = 5  # best_cells' boxes join cells fewer than 5 apart along the track
 TERM_ULPS = 32  # most a computed phasor strays from its exact value, in eps
 # least pair term of the methods best_cells bounds
@@ -280,8 +279,19 @@ def _bound_slack(name: str, p: int, span: int = 0, kd_max: float = 0.0) -> float
     order of summing p terms of magnitude at most t = -t_min errs by at
     most (p - 1)*eps/2 times their magnitudes' sum: eps*t*p^2 covers it.
 
-    cheap: for tagoram, the truncated sum of the full pass's own terms
-    (bit for bit), so its summation alone: eps*t*p^2.  For the others, the
+    cheap: for tagoram, the majorant's.  Both passes read the same
+    computed pair phasor u = rho*exp(j*theta), rho within d =
+    4*TERM_ULPS*eps of 1 (above).  With s = sigma*sqrt(2) and y =
+    (theta/s)^2, its exact full term erfc(|theta|/s)*rho*cos theta is <= 0
+    where cos theta <= 0 and at most rho*exp(-y) <= exp(-y) + d elsewhere,
+    and the exact majorant exp(-(rho*sin theta/s)^2) falls short of
+    exp(-y) by at most exp(-y)*(rho^2 - 1)*y <= (2*d + d^2)/e <= d: 2*d
+    per pair.  The full term's rounding (arctan2, the division, erfc,
+    whose absolute error is about eps, and the product) lies within the
+    8*TERM_ULPS*eps above; the majorant's, exp within TERM_ULPS*eps and
+    its exponent within 3*eps*y (1/s and its square, (Im u)^2, their
+    product), which moves exp(-y) by at most 3*eps/e, within
+    2*TERM_ULPS*eps; its summation eps*t*p^2.  For the others, the
     sandwich's scale times the error of the clf or slf pass, which sums
     y = sum_n exp(j*phi_n)*K_n (K = A, or A^2 for slf) by convolving each
     line's sequence with a stream's inputs, and finishes with
@@ -317,7 +327,7 @@ def _bound_slack(name: str, p: int, span: int = 0, kd_max: float = 0.0) -> float
     eps, n, t = _EPS, p + 1, -_TERM_MIN[name]
     summed = eps * t * p * p
     full = 8 * TERM_ULPS * eps * p + summed
-    cheap = summed  # tagoram's truncated sum
+    cheap = 10 * TERM_ULPS * eps * p + summed  # tagoram's majorant
     if name in _SANDWICH:
         phasors = 5 * TERM_ULPS * eps * n
         fft = 8 * eps * math.log2(2 * span) * (3 * math.sqrt(2 * span) * n + 2 * span * math.sqrt(n))
@@ -492,6 +502,10 @@ class GridEvaluator:
       steering phasors (nlf: the folded differences of its window's
       4*pi*d/lambda), then likelihood._pair_sums gives each stream's sums,
       so one stream's scores equal its scores in any pass bit for bit.
+      Under misaligned a pair depends on its sequence entry alone, so
+      pair_values forms each line's pairs once, from each entry's stride-b
+      two-read window, and each cell reads a window of those: the same
+      operations on the same values, so the same bits.
 
     A share allocates its sequence arrays, and the pair methods' scratch,
     once per raw_scores call and writes into them.  A chunk stays within
@@ -499,7 +513,7 @@ class GridEvaluator:
     other 2 leave room for the buffers numpy allocates for each operation
     on a window or a broadcast operand (up to 3 x 8192 entries).  It takes
     per sequence entry its distance and steering phasor (at most 3
-    entries), and either per cell and pair u and the terms (3; 5 with
+    entries; 5 under misaligned, with its pair), and either per cell and pair u and the terms (3; 5 with
     several streams, which also share the pair phasors; tagoram's
     compaction one more), or per line of FFT length L its spectrum and a
     stream's product (4*L) and per cell the finish's temporaries (3);
@@ -518,13 +532,17 @@ class GridEvaluator:
     one-stream wslf hologram of the 509,141-cell volume took 244-337 ms
     with each radius scored once, against 262-357 ms line by line (2-core
     VM).  Under misaligned, which no stock scene runs, a 6-stream pass
-    took 16-20 ms for clf, 22-28 ms for slf, 24-26 ms for nlf and 26-34 ms
-    for wclf and wslf (2-core VM; 18-48 ms on one CPU).
+    took 12-19 ms for nlf, 13-18 ms for clf, 16-22 ms for slf, 18-24 ms
+    for wclf and 22-36 ms for wslf with each line's pairs formed once,
+    against 20-40, 14-23, 17-32, 17-33 and 21-49 ms with each cell's
+    (2-core VM, fresh processes in four alternating rounds).
 
     best_cells gives each stream's hologram argmax from bounds for nlf,
     wclf, wslf and tagoram under reference:r on a track (see its
     docstring): nlf, wclf and wslf from a clf or slf FFT pass their
-    weights sandwich, tagoram from its truncated pass.
+    weights sandwich, tagoram from a pass of its Gaussian majorant, which
+    reads the full pass's u and takes per pair one square, product, clamp
+    and exp.
 
     A method is any callable taking (phases, dists, wavelength) and
     returning one score per row of dists; MethodSpec objects are such
@@ -593,7 +611,7 @@ class GridEvaluator:
         out: np.ndarray,
         wavelength: float,
         boxes: list | None = None,
-        reach: float = ERFC_ZERO,
+        majorant: bool = False,
     ) -> None:
         """Write spec's (S, M) scores into out from one sequence per line of
         cells, in chunks dealt to the shares: methods with a LinearForm
@@ -604,12 +622,12 @@ class GridEvaluator:
         to those groups' cells c0..c1 along the track (counted from the
         line's far end; c1 - c0 >= 2), cut into chunks within the budget;
         no other cell of out is written.  The default is the whole grid.
-        tagoram weights only the pairs with |r| < reach*sigma*sqrt(2)
-        (likelihood._pair_sums): below ERFC_ZERO its sums are truncated."""
+        With majorant, tagoram writes the sums of its majorant
+        (likelihood._pair_sums) instead of its scores."""
         track, n = self._track, len(self.poses)
         phases = np.atleast_2d(phases)
         form = linear_form(spec, phases)
-        nlf = spec.name == "nlf"
+        nlf, misaligned = spec.name == "nlf", spec.scheme.kind == "misaligned"
         a, b, p = track.a, track.b, n - 1
         shape = self.region.shape
         ny, nv = shape[track.axis], shape[max(ax for ax in range(3) if ax != track.axis)]
@@ -618,8 +636,9 @@ class GridEvaluator:
         copy = int(np.diff(track.starts).max()) if len(track.members) > groups else 0
         width = 1 if nlf else 2  # float64 entries per pair or sequence value
         # float64 entries a chunk takes, within 6 of a share's 8 arrays (see
-        # GridEvaluator); nlf's pairs take residuals and lo instead of u
-        per_entry = 1 + (not nlf) * width
+        # GridEvaluator); nlf's pairs take residuals and lo instead of u;
+        # under misaligned each sequence entry also holds its pair
+        per_entry = 1 + (not nlf) * width + misaligned * width
         fixed = (b * (n - 1) + 1 - a) * per_entry
         cap = 6 * (BLOCK // WORKERS)
         if form is None:
@@ -664,15 +683,20 @@ class GridEvaluator:
             if form is None:
                 scratch = np.empty((width + 1) * most)
                 # one stream's pairs are the start of its scratch, turned into u in place
-                geometry = scratch if len(sides) == 1 else np.empty(width * most)
+                geometry = np.empty(width * most) if len(sides) > 1 and not misaligned else scratch
                 geometry = geometry[: width * most].view(seq.dtype)
-            windows = {}  # per cell count: entry (line, j, n) is pose n's of cell j
+                # under misaligned, entry e's pair, and the stride-b two reads it pairs
+                pair_line = np.empty((rows, span), dtype=seq.dtype) if misaligned else None
+                twos = sliding_window_view(seq, b + 1, axis=-1)[..., ::b] if misaligned else None
+            windows = {}  # per cell count: entry (line, j, k) is pose k's of cell j (misaligned: pair k's)
 
             def pair_sums(window):
-                pairs = geometry[: window[..., 0].size * p].reshape(window.shape[:2] + (p,))
-                pair_values(spec.scheme, window, out=pairs, fold=nlf)
+                pairs = window  # under misaligned, windows of the line's pairs
+                if not misaligned:
+                    pairs = geometry[: window[..., 0].size * p].reshape(window.shape[:2] + (p,))
+                    pair_values(spec.scheme, window, out=pairs, fold=nlf)
                 for side in sides:
-                    yield _pair_sums(spec, pairs, side, scratch, reach=reach)
+                    yield _pair_sums(spec, pairs, side, scratch, majorant=majorant)
 
             def convolved(window, line):
                 if form.power == 2:
@@ -688,8 +712,9 @@ class GridEvaluator:
                 h, count = hi - lo, c1 - c0
                 used = a * (count - 1) + b * (n - 1) + 1  # sequence entries the cells read
                 line = seq[:h, :used]
-                if count not in windows:
-                    view = sliding_window_view(seq[:, :used], b * (n - 1) + 1, axis=-1)
+                if count not in windows:  # a pair's entry is its first read's
+                    reads = pair_line[:, : used - b] if misaligned else seq[:, :used]
+                    view = sliding_window_view(reads, b * (p - misaligned) + 1, axis=-1)
                     windows[count] = view[:, ::a, ::b]
                 d = dists[:h, :used]
                 np.add(track.cross[lo:hi, None], track.sq_offsets[a * c0 : a * c0 + used], out=d)
@@ -698,6 +723,8 @@ class GridEvaluator:
                     d *= 4.0 * math.pi / wavelength
                 else:
                     _steering(d, wavelength, out=line)
+                if misaligned:  # a pair depends on its sequence entry alone: each line's pairs once
+                    pair_values(spec.scheme, twos[:h, : used - b], out=pair_line[:h, : used - b, None], fold=nlf)
                 window = windows[count][:h]
                 lines = track.members[track.starts[lo] : track.starts[hi]]
                 iu, iv = np.divmod(lines, nv)
@@ -762,9 +789,9 @@ class GridEvaluator:
         arrays: the bounds, and the full scores, -inf where not scored.
 
         Every other case scores the holograms: clf, slf and sarfid, whose
-        FFT passes cost about 4.5 ms on the stock plane; tagoram where
-        BOUND_REACH*sigma*sqrt(2) >= pi; misaligned, where the sandwich
-        holds but prunes little; off-track poses and plain callables.
+        FFT passes cost about 4.5 ms on the stock plane; misaligned, where
+        the sandwich holds but prunes little; off-track poses and plain
+        callables.
         """
         phases, wavelength = self._stacked(streams)
         plan = self._bound_plan(method, wavelength)
@@ -821,13 +848,9 @@ class GridEvaluator:
         ordinary full pass, one FFT pass, scaled; the width is
         _bound_slack's rounding slack.
 
-        tagoram: its sums over the pairs with |r| < BOUND_REACH*sigma*
-        sqrt(2), through the full pass's chunks, so each such pair's term
-        is the full pass's bit for bit and each other pair's term there
-        weighs at most erfc(BOUND_REACH) (1.5e-8): the full score is at
-        most the sum + P*erfc(BOUND_REACH) + slack.  From
-        BOUND_REACH*sigma*sqrt(2) >= pi the cheap pass would weight every
-        pair, so tagoram takes the holograms."""
+        tagoram: the sums of its majorant exp(-(Im u/(sigma*sqrt(2)))^2)
+        (likelihood._pair_sums), through the full pass's chunks and from
+        the same pair phasors u, at every sigma; the width is the slack."""
         if not (
             isinstance(method, MethodSpec)
             and method.name in _TERM_MIN
@@ -837,12 +860,10 @@ class GridEvaluator:
             return None
         track, p = self._track, len(self.poses) - 1
         if method.name == "tagoram":
-            if BOUND_REACH * method.tagoram_sigma * math.sqrt(2.0) >= math.pi:
-                return None  # the cheap pass would weight every pair
-            width = p * float(erfc(BOUND_REACH)) * (1.0 + TERM_ULPS * _EPS) + _bound_slack("tagoram", p)
+            width = _bound_slack("tagoram", p)
 
             def cheap(phases, out):
-                self._track_scores(method, phases, out, wavelength, reach=BOUND_REACH)
+                self._track_scores(method, phases, out, wavelength, majorant=True)
 
         else:
             name, scale, offset = _SANDWICH[method.name]

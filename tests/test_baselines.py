@@ -3,7 +3,8 @@
 The complex-sum and erfc oracles are the references for objective_batch's
 sarfid and tagoram branches; tagoram's pair sums, which weight
 only the pairs whose erfc weight can be non-zero, are checked bit for bit
-against the same formula on every pair.
+against the same formula on every pair, and its Gaussian majorant is
+checked to bound every pair's term.
 """
 
 import cmath
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from scipy.special import erfc
 
 import phaseloc.likelihood as likelihood_mod
+import phaseloc.solver as solver_mod
 
 from phaseloc import (
     CarrierConfig,
@@ -287,3 +289,31 @@ class TestTagoramSkip:
                             [np.nextafter(ERFC_ZERO, math.inf), math.inf]])
         assert not erfc(x).any()
         assert math.erfc(ERFC_ZERO) == 0.0
+
+
+# the smallest sigma MethodSpec accepts: pi/(sigma*sqrt(2)) must stay finite
+SIGMA_MIN = math.nextafter(math.pi / math.sqrt(2.0) / np.finfo(float).max, math.inf)
+
+
+class TestTagoramMajorant:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        exponent=st.floats(math.log10(SIGMA_MIN), 1.0),
+        angles=st.lists(st.floats(-math.pi, math.pi), min_size=1, max_size=40),
+        data=st.data(),
+    )
+    def test_majorant_bounds_every_pair_term(self, exponent, angles, data):
+        # erfc(|r|/(sigma*sqrt(2))) * cos r <= exp(-(sin r/(sigma*sqrt(2)))^2)
+        # + the per-pair slack of best_cells' width, for pair phasors up to
+        # 4*TERM_ULPS eps off the unit circle (2 eps left for their rounding)
+        sigma = max(10.0**exponent, SIGMA_MIN)
+        spec = MethodSpec("tagoram", tagoram_sigma=sigma)
+        off = 4 * solver_mod.TERM_ULPS - 2
+        ulps = data.draw(st.lists(st.integers(-off, off), min_size=len(angles), max_size=len(angles)))
+        u = (1.0 + np.array(ulps) * 2.0**-52) * np.exp(1j * np.array(angles))
+        full = likelihood_mod._tagoram_terms(u.real, u.imag, sigma * math.sqrt(2.0), out=np.empty(len(u)))
+        # one pair per row: each row's sum is its pair's majorant term, u * 1 being u
+        bound = _pair_sums(spec, u[:, None], np.ones(1, complex), majorant=True)
+        slack = 18 * solver_mod.TERM_ULPS * 2.0**-52  # _bound_slack's full and cheap terms per pair
+        assert (full <= bound + slack).all(), (sigma, u[full > bound + slack])
+        assert (bound > 0.0).all() and (bound <= 1.0).all()

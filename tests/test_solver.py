@@ -42,7 +42,7 @@ from phaseloc import (
     synthesize,
 )
 from phaseloc.io_eval import resolve_method
-from phaseloc.likelihood import DEFAULT_TAGORAM_SIGMA, ERFC_ZERO, linear_form, pair_indices
+from phaseloc.likelihood import DEFAULT_TAGORAM_SIGMA, linear_form, pair_indices
 from phaseloc.phase_model import squared_norm_rows
 
 CARRIER = CarrierConfig(866.9e6)
@@ -1382,14 +1382,11 @@ def best_cell_scenes(draw):
     return region, poses, streams, draw(st.integers(0, n - 1)), route
 
 
-# tagoram's cheap pass reaches pi from this sigma on: best_cells scores its holograms
-REACHING_PI = math.pi / (solver_mod.BOUND_REACH * math.sqrt(2.0))
-
-
 def best_cell_specs(ref, route):
     """The seven methods, the five likelihoods under reference:ref (or
-    misaligned), tagoram also at a tiny sigma and at one whose cheap reach
-    passes pi; plain callables for the callable routes."""
+    misaligned), tagoram also at a tiny sigma and at a wide one (0.6, which
+    its old truncated bound could not take); plain callables for the
+    callable routes."""
     scheme = DifferentialScheme.misaligned() if route == "misaligned" else DifferentialScheme.reference(ref)
     specs = [MethodSpec(name, scheme) for name in ("nlf", "clf", "slf", "wclf", "wslf")]
     specs += [MethodSpec("sarfid")]
@@ -1457,38 +1454,39 @@ class TestBestCells:
             with mock.patch.object(GridEvaluator, "_track_scores", autospec=True,
                                    side_effect=GridEvaluator._track_scores) as passes:
                 assert ev.best_cells(streams, method) == want, method
-            if getattr(method, "tagoram_sigma", 0.0) >= REACHING_PI and ev._track is not None:
-                # the holograms' one full pass, no cheap one
-                assert [call.kwargs for call in passes.call_args_list] == [{}], method
+            if getattr(method, "name", "") == "tagoram" and ev._track is not None:
+                # at every sigma the bound: the majorant's cheap pass first
+                assert passes.call_args_list[0].kwargs == {"majorant": True}, method
             # one stream is a pass of one
             assert ev.best_cells(streams[-1:], method) == want[-1:], method
 
     @pytest.mark.parametrize("seed", [200, 400, 600])
     def test_bounds_leave_few_cells_on_the_stock_plane(self, seed):
-        # the cheap pass (a full clf or slf pass, or tagoram's truncated one)
-        # leaves few cells to score in full, and no stream needs its
-        # hologram: mc-plane's two tags, and six tags, two pairs of them
-        # sharing a column or a line
+        # the cheap pass (a full clf or slf pass, or tagoram's majorant pass,
+        # also at sigma 0.6) leaves few cells to score in full, and no stream
+        # needs its hologram: mc-plane's two tags, and six tags, two pairs of
+        # them sharing a column or a line
         ev = GridEvaluator(STOCK_PLANE, STOCK_TRACK)
         real = GridEvaluator._track_scores
 
-        def spy(self, spec, phases, out, wavelength, boxes=None, reach=ERFC_ZERO):
-            assert spec != bounded or boxes is not None or reach != ERFC_ZERO, "a full pass"
+        def spy(self, spec, phases, out, wavelength, boxes=None, majorant=False):
+            assert spec != bounded or boxes is not None or majorant, "a full pass"
             if boxes is not None:
                 boxes_seen.append((len(phases), boxes))
-            return real(self, spec, phases, out, wavelength, boxes=boxes, reach=reach)
+            return real(self, spec, phases, out, wavelength, boxes=boxes, majorant=majorant)
 
+        ref = DifferentialScheme.reference(seed % 101)
+        bounded_specs = [MethodSpec(name, ref) for name in ("nlf", "wclf", "wslf")]
+        bounded_specs += [MethodSpec("tagoram"), MethodSpec("tagoram", tagoram_sigma=0.6)]
         for streams in (stock_streams(seed), stock_streams(seed, 2, SIX_TAGS)):
-            for name in ("nlf", "wclf", "wslf", "tagoram"):
-                scheme = DifferentialScheme.reference(0 if name == "tagoram" else seed % 101)
-                bounded = MethodSpec(name, scheme)
+            for bounded in bounded_specs:
                 want = [int(np.argmax(h.scores)) for h in ev.holograms(streams, bounded)]
                 boxes_seen = []
                 with mock.patch.object(GridEvaluator, "_track_scores", spy):
-                    assert ev.best_cells(streams, bounded) == want, name
+                    assert ev.best_cells(streams, bounded) == want, bounded
                 cells = sum(rows * (hi - lo) * (c1 - c0) for rows, seen in boxes_seen
                             for lo, hi, c0, c1 in seen)
-                assert cells <= 0.1 * len(streams) * STOCK_PLANE.cell_count, (name, boxes_seen)
+                assert cells <= 0.1 * len(streams) * STOCK_PLANE.cell_count, (bounded, boxes_seen)
 
     @pytest.mark.parametrize("seed", [200, 400, 600])
     def test_sandwich_bounds_hold_every_full_score(self, seed):
@@ -1513,19 +1511,34 @@ class TestBestCells:
 
     @pytest.mark.parametrize("seed", [200, 400, 600])
     def test_tagoram_bounds_hold_every_full_score(self, seed):
-        # every cell's full raw score is at most its truncated sum plus the
-        # plan's width, and at least the sum less that width
+        # every cell's full raw score is at most its majorant sum plus the
+        # plan's width, at sigmas from 1e-3 to 0.6, also for streams whose
+        # reference read jumped by pi
         ev = GridEvaluator(STOCK_PLANE, STOCK_TRACK)
         phases = np.stack([s.phases for s in stock_streams(seed)])
-        for sigma in (DEFAULT_TAGORAM_SIGMA, 1e-3):
+        jumped = phases[:3].copy()
+        jumped[:, 0] = np.mod(jumped[:, 0] + math.pi, 2.0 * math.pi)
+        stacked = np.vstack([phases, jumped])
+        for sigma in (DEFAULT_TAGORAM_SIGMA, 1e-3, 0.6):
             spec = MethodSpec("tagoram", tagoram_sigma=sigma)
             plan = ev._bound_plan(spec, CARRIER.wavelength)
-            cheap = np.empty((len(phases), STOCK_PLANE.cell_count))
-            plan.cheap(phases, cheap)
-            full = ev.raw_scores(phases, spec, CARRIER.wavelength)
-            assert (cheap - plan.width <= full).all() and (full <= cheap + plan.width).all(), sigma
-            assert plan.width < 2e-6, sigma
-            assert not np.array_equal(cheap, full), sigma  # the pass is truncated
+            cheap = np.empty((len(stacked), STOCK_PLANE.cell_count))
+            plan.cheap(stacked, cheap)
+            full = ev.raw_scores(stacked, spec, CARRIER.wavelength)
+            assert (full <= cheap + plan.width).all(), sigma
+            assert 0.0 < plan.width < 1e-9, (sigma, plan.width)
+            assert (full >= plan.floor).all(), sigma
+
+    def test_tiny_sigma_gives_the_holograms_argmax(self):
+        # at sigma 1e-300 the majorant's Im u/(sigma*sqrt(2)) reaches 1e300:
+        # clamped, its square stays finite and the pass raises no warning
+        ev = GridEvaluator(STOCK_PLANE, STOCK_TRACK)
+        streams, spec = stock_streams(200, 2), MethodSpec("tagoram", tagoram_sigma=1e-300)
+        want = [int(np.argmax(h.scores)) for h in ev.holograms(streams, spec)]
+        with mock.patch.object(GridEvaluator, "_track_scores", autospec=True,
+                               side_effect=GridEvaluator._track_scores) as passes:
+            assert ev.best_cells(streams, spec) == want
+        assert passes.call_args_list[0].kwargs == {"majorant": True}
 
     def test_one_sided_width_is_all_the_route_relies_on(self):
         # a cell's bound may lie anywhere at or above its full score: here
