@@ -56,7 +56,8 @@ misaligned, and for nlf, wclf, wslf and tagoram under reference:r, a
 cell's pairs are formed from its window of the sequence (under
 misaligned, where a pair depends on its sequence entry alone, as a
 window of the line's pairs, formed once) and go through _pair_sums,
-with A read from the sequence instead of computed per cell and pose.  Under reference:r clf and slf, and sarfid, are linear in w_n =
+with A read from the sequence instead of computed per cell and pose.
+Under reference:r clf and slf, and sarfid, are linear in w_n =
 exp(j*phi_n)*A_n, so the sequence is convolved with each stream's
 inputs; linear_form gives those inputs and the finish: sarfid
 |sum_n w_n|/N; clf Re[conj(w_r) * sum_n w_n] - 1; slf 1/2*Re[conj(w_r)^2

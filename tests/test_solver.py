@@ -1530,15 +1530,17 @@ class TestBestCells:
             assert (full >= plan.floor).all(), sigma
 
     def test_tiny_sigma_gives_the_holograms_argmax(self):
-        # at sigma 1e-300 the majorant's Im u/(sigma*sqrt(2)) reaches 1e300:
-        # clamped, its square stays finite and the pass raises no warning
+        # at sigma 1e-300, 2*sigma^2 underflows: the majorant's capped gain
+        # keeps every value finite, so the pass raises no warning (pytest
+        # makes warnings errors), and every stream falls back to its hologram
         ev = GridEvaluator(STOCK_PLANE, STOCK_TRACK)
         streams, spec = stock_streams(200, 2), MethodSpec("tagoram", tagoram_sigma=1e-300)
         want = [int(np.argmax(h.scores)) for h in ev.holograms(streams, spec)]
         with mock.patch.object(GridEvaluator, "_track_scores", autospec=True,
                                side_effect=GridEvaluator._track_scores) as passes:
             assert ev.best_cells(streams, spec) == want
-        assert passes.call_args_list[0].kwargs == {"majorant": True}
+        calls = [call.kwargs for call in passes.call_args_list]
+        assert calls[0] == {"majorant": True} and calls[-1] == {}, calls  # the bound, then the holograms
 
     def test_one_sided_width_is_all_the_route_relies_on(self):
         # a cell's bound may lie anywhere at or above its full score: here
