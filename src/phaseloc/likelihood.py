@@ -53,25 +53,20 @@ phasors or convolved along a track.
 On an evenly stepped track, GridEvaluator builds each line of cells'
 steering sequence once and reduces it in one of two ways.  Under
 misaligned, and for nlf, wclf, wslf and tagoram under reference:r, a
-cell's pairs are formed from its window of the sequence (under
-misaligned, where a pair depends on its sequence entry alone, as a
-window of the line's pairs, formed once) and go through _pair_sums,
-with A read from the sequence instead of computed per cell and pose.
-Under reference:r clf and slf, and sarfid, are linear in w_n =
-exp(j*phi_n)*A_n, so the sequence is convolved with each stream's
-inputs; linear_form gives those inputs and the finish: sarfid
-|sum_n w_n|/N; clf Re[conj(w_r) * sum_n w_n] - 1; slf 1/2*Re[conj(w_r)^2
-* sum_n w_n^2] - 1/2 - P/2, since -sin^2 x = (cos 2x - 1)/2 over P = N-1
-pairs.  It agrees with the cell blocks to about 1e-12 of the score scale.
+cell's pairs are formed from its window of the sequence by pair_values
+and go through _pair_sums, with A read from the sequence instead of
+computed per cell and pose.  Under reference:r clf and slf, and sarfid,
+are linear in w_n = exp(j*phi_n)*A_n, so the sequence is convolved with
+each stream's inputs; linear_form gives those inputs and the finish:
+sarfid |sum_n w_n|/N; clf Re[conj(w_r) * sum_n w_n] - 1; slf
+1/2*Re[conj(w_r)^2 * sum_n w_n^2] - 1/2 - P/2, since -sin^2 x = (cos 2x -
+1)/2 over P = N-1 pairs.  It agrees with the cell blocks to about 1e-12
+of the score scale.
 
-tagoram's weight erfc(|r|/(sigma*sqrt(2))) rounds to exactly 0 from
-|r| = ERFC_ZERO*sigma*sqrt(2) on (0.647 rad at the default sigma, where
-about 70% of a stock hologram's pairs lie), so _pair_sums computes it
-only for the pairs inside that reach, compacted, and writes 0 * cos r
-for the rest: the same terms as weighting every pair, bit for bit.
-Asked for tagoram's majorant instead, _pair_sums sums exp(-(sin r/
-(sigma*sqrt(2)))^2) over the same u, which bounds each pair's term from
-above at every sigma: the cheap pass of GridEvaluator.best_cells.
+Asked for tagoram's majorant instead of its term, _pair_sums sums
+exp(-(sin r/(sigma*sqrt(2)))^2) over the same u, which bounds each pair's
+term from above at every sigma: the cheap pass of
+GridEvaluator.best_cells.
 
 The pair terms of a C-order (..., M, P) block are summed pairwise per
 row, whatever M and however many streams share it.  A block of one
@@ -87,7 +82,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
 
 from .phase_model import TWO_PI, wrap_2pi
 from .synthesis import DEFAULT_SIGMA_INTERCEPT, DEFAULT_SIGMA_SLOPE
@@ -101,9 +95,6 @@ BRANCH_NEAREST = "nearest"
 
 # Constant-sigma noise model evaluated at the default 1.4 m standoff.
 DEFAULT_TAGORAM_SIGMA = DEFAULT_SIGMA_SLOPE * 1.4 + DEFAULT_SIGMA_INTERCEPT
-# The true erfc falls below half the smallest subnormal, so any correctly
-# rounded erfc returns 0, from x = 27.22601711...; scipy's already from 26.64.
-ERFC_ZERO = 27.23
 
 
 class SamplingConditionError(ValueError):
@@ -332,13 +323,14 @@ def _pair_sums(
     """Sums over the last axis of a differential method's pair terms, from
     the geometry every stream shares and the streams' own side of each
     pair, broadcast against it; each method's term is written here once.
-    With majorant, tagoram sums exp(-(Im u/(sigma*sqrt(2)))^2) instead,
-    which is at least erfc(|r|/(sigma*sqrt(2))) * cos r for every r: where
-    cos r <= 0 the term is <= 0, elsewhere sin^2 r <= r^2 and erfc x <=
-    exp(-x^2) for x >= 0.  The exponent is (Im u)^2 times -g^2, g =
-    1/(sigma*sqrt(2)) capped at 1e150, clamped at -700: both only raise the
-    bound, and keep the product finite at any sigma (where 2*sigma^2
-    underflows g^2 stays 1e300) and exp clear of its slow subnormal results.
+    tagoram's term is erfc(|r|/(sigma*sqrt(2))) * cos r, r = atan2(sin r,
+    cos r).  With majorant, tagoram sums exp(-(Im u/(sigma*sqrt(2)))^2)
+    instead, which is at least that for every r: where cos r <= 0 the term
+    is <= 0, elsewhere sin^2 r <= r^2 and erfc x <= exp(-x^2) for x >= 0.
+    The exponent is (Im u)^2 times -g^2, g = 1/(sigma*sqrt(2)) capped at
+    1e150, clamped at -700: both only raise the bound, and keep the product
+    finite at any sigma (where 2*sigma^2 underflows g^2 stays 1e300) and
+    exp clear of its slow subnormal results.
 
     For nlf, pairs holds the folded geometric differences
     wrap(4*pi*(d_a - d_b)/lambda), measured the measured differences
@@ -347,10 +339,9 @@ def _pair_sums(
     u = pairs * exp(j*dphi) = exp(j*r) gives cos r and sin r as its real
     and imaginary parts.  Every array of the broadcast shape is written,
     in C order, into scratch, a float64 buffer of at least three times its
-    size (two for nlf), or into one such buffer allocated here; tagoram's
-    compaction allocates at most one more float64 per pair beside it.
-    pairs may be the start of scratch itself, which then takes u (or
-    nlf's residuals) in place.
+    size (two for nlf), or into one such buffer allocated here.  pairs may
+    be the start of scratch itself, which then takes u (or nlf's
+    residuals) in place.
     """
     shape = np.broadcast_shapes(pairs.shape, measured.shape)
     size = math.prod(shape)
@@ -365,7 +356,17 @@ def _pair_sums(
         return re.sum(axis=-1)
     terms = scratch[2 * size : 3 * size].reshape(shape)
     if spec.name == "tagoram":
-        return _tagoram_sums(u, terms, spec.tagoram_sigma * math.sqrt(2.0), majorant)
+        scale = spec.tagoram_sigma * math.sqrt(2.0)
+        if majorant:  # 1/scale capped so that its square stays finite
+            np.multiply(np.square(im, out=terms), -min(1.0 / scale, 1e150) ** 2, out=terms)
+            return np.exp(np.maximum(terms, -700.0, out=terms), out=terms).sum(axis=-1)
+        from scipy.special import erfc  # imported here: ~225 ms that the other methods never need
+
+        np.abs(np.arctan2(im, re, out=terms), out=terms)
+        terms /= scale
+        erfc(terms, out=terms)
+        terms *= re
+        return terms.sum(axis=-1)
     if spec.name == "wclf":
         np.abs(re, out=terms)
         terms *= re
@@ -375,52 +376,6 @@ def _pair_sums(
         weights = np.negative(terms, out=scratch[:size].reshape(shape))
         terms *= np.exp(weights, out=weights)
     return -terms.sum(axis=-1)  # sign-symmetric rounding: the sum of the negated terms
-
-
-def _tagoram_sums(u: np.ndarray, terms: np.ndarray, scale: float, majorant: bool) -> np.ndarray:
-    """Sums over the last axis of erfc(|r|/scale) * cos r, r = angle(u),
-    or with majorant of exp(-(Im u/scale)^2) (see _pair_sums), with terms,
-    a C-order float64 array of u's shape, as the output; u is spent.
-
-    While reach = ERFC_ZERO * scale < pi only the pairs inside it are
-    weighted: they are compacted, go through the steps the full array
-    would (arctan2 into memory apart from its inputs there too, so numpy
-    picks the same loop), and are put back among the other pairs' terms
-    0 * cos r.  A pair left out has |r|/scale >= ERFC_ZERO, where erfc
-    rounds to 0, so every term, and so every row's pairwise sum, equals the
-    full computation's bit for bit.  Inside reach means |sin r| *
-    cot(reach) < cos r, a test that needs no |u| = 1; a NaN u (NaN in both
-    parts, as from a NaN phase) is outside, and its term 0 * cos r is NaN
-    as well.  Beyond the scratch the compaction takes 1 B per pair and 16 B
-    per pair inside reach; past 7/16 of the pairs inside, every pair is
-    weighted, so at most 8 B per pair.
-    """
-    re, im = u.real, u.imag
-    if majorant:  # 1/scale capped so that its square stays finite
-        np.multiply(np.square(im, out=terms), -min(1.0 / scale, 1e150) ** 2, out=terms)
-        return np.exp(np.maximum(terms, -700.0, out=terms), out=terms).sum(axis=-1)
-    reach = ERFC_ZERO * scale * (1.0 + 1e-9)  # covers arctan2's, cot's and the division's rounding
-    if reach < math.pi:
-        np.multiply(np.abs(im, out=terms), 1.0 / math.tan(reach), out=terms)
-        inside = np.less(terms, re).reshape(-1)
-        count = np.count_nonzero(inside)
-        if 16 * count <= 7 * terms.size:
-            near = u.reshape(-1)[inside]
-            np.multiply(re, 0.0, out=terms)
-            weights = u.reshape(-1).view(np.float64)[:count]  # u's first floats, now free
-            terms.reshape(-1)[inside] = _tagoram_terms(near.real, near.imag, scale, out=weights)
-            return terms.sum(axis=-1)
-    return _tagoram_terms(re, im, scale, out=terms).sum(axis=-1)
-
-
-def _tagoram_terms(re: np.ndarray, im: np.ndarray, scale: float, out: np.ndarray) -> np.ndarray:
-    """erfc(|atan2(im, re)|/scale) * re, written into out."""
-    terms = np.arctan2(im, re, out=out)
-    np.abs(terms, out=terms)
-    terms /= scale
-    erfc(terms, out=terms)
-    terms *= re
-    return terms
 
 
 def _nlf_scores(res: np.ndarray, nlf_branch: str, lo: np.ndarray) -> np.ndarray:

@@ -31,10 +31,9 @@ builds its lines' sequences once, and only the reduction differs: under
 reference:r clf and slf, and sarfid, are linear in the steering phasors
 (likelihood.LinearForm), so each convolves a line with every stream's
 inputs by FFT; the other methods, and every method under misaligned, form
-their pairs by likelihood.pair_values, the rule the cell blocks use:
-each cell's from a sliding window of the line, or under misaligned, where
-a pair depends on its sequence entry alone, each line's once, which
-cells then read windows of.  No cell and pose pays a sqrt, cos or sin.
+each cell's pairs from its sliding window of the line by
+likelihood.pair_values, the rule the cell blocks use.  No cell and pose
+pays a sqrt, cos or sin.
 A read depends on a cell only through its distances to the poses, so
 lines at one distance from the track axis score alike under every
 method: each such distance is scored once and its sums written to all
@@ -67,7 +66,6 @@ from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy import ndimage
 
 from .likelihood import (
     MethodSpec,
@@ -502,10 +500,6 @@ class GridEvaluator:
       steering phasors (nlf: the folded differences of its window's
       4*pi*d/lambda), then likelihood._pair_sums gives each stream's sums,
       so one stream's scores equal its scores in any pass bit for bit.
-      Under misaligned a pair depends on its sequence entry alone, so
-      pair_values forms each line's pairs once, from each entry's stride-b
-      two-read window, and each cell reads a window of those: the same
-      operations on the same values, so the same bits.
 
     A share allocates its sequence arrays, and the pair methods' scratch,
     once per raw_scores call and writes into them.  A chunk stays within
@@ -513,9 +507,9 @@ class GridEvaluator:
     other 2 leave room for the buffers numpy allocates for each operation
     on a window or a broadcast operand (up to 3 x 8192 entries).  It takes
     per sequence entry its distance and steering phasor (at most 3
-    entries; 5 under misaligned, with its pair), and either per cell and pair u and the terms (3; 5 with
-    several streams, which also share the pair phasors; tagoram's
-    compaction one more), or per line of FFT length L its spectrum and a
+    entries, under every scheme), and either per cell and pair u and the
+    terms (3; 5 with several streams, which also share the pair phasors),
+    or per line of FFT length L its spectrum and a
     stream's product (4*L) and per cell the finish's temporaries (3);
     where groups hold several lines, per cell the copy of the sums that
     the write spreads over a group's lines (the most lines of a group).
@@ -627,7 +621,7 @@ class GridEvaluator:
         track, n = self._track, len(self.poses)
         phases = np.atleast_2d(phases)
         form = linear_form(spec, phases)
-        nlf, misaligned = spec.name == "nlf", spec.scheme.kind == "misaligned"
+        nlf = spec.name == "nlf"
         a, b, p = track.a, track.b, n - 1
         shape = self.region.shape
         ny, nv = shape[track.axis], shape[max(ax for ax in range(3) if ax != track.axis)]
@@ -636,15 +630,13 @@ class GridEvaluator:
         copy = int(np.diff(track.starts).max()) if len(track.members) > groups else 0
         width = 1 if nlf else 2  # float64 entries per pair or sequence value
         # float64 entries a chunk takes, within 6 of a share's 8 arrays (see
-        # GridEvaluator); nlf's pairs take residuals and lo instead of u;
-        # under misaligned each sequence entry also holds its pair
-        per_entry = 1 + (not nlf) * width + misaligned * width
+        # GridEvaluator); nlf's pairs take residuals and lo instead of u
+        per_entry = 1 + (not nlf) * width
         fixed = (b * (n - 1) + 1 - a) * per_entry
         cap = 6 * (BLOCK // WORKERS)
         if form is None:
             sides = measured_sides(spec, phases)
-            # tagoram's compaction takes up to one more (likelihood._tagoram_sums)
-            per_pair = width + 1 + width * (len(sides) > 1) + (spec.name == "tagoram")
+            per_pair = width + 1 + width * (len(sides) > 1)
             per_cell = p * per_pair + a * per_entry + copy
         else:  # imported here: ~30 ms and 1 MiB that the other methods never need
             from scipy.fft import fft, ifft, next_fast_len
@@ -681,20 +673,17 @@ class GridEvaluator:
             dists = np.empty((rows, span))  # and nlf's phases 4*pi*d/lambda
             seq = dists if nlf else np.empty((rows, span), dtype=complex)
             if form is None:
-                scratch = np.empty((width + 1) * most)
-                # one stream's pairs are the start of its scratch, turned into u in place
-                geometry = np.empty(width * most) if len(sides) > 1 and not misaligned else scratch
-                geometry = geometry[: width * most].view(seq.dtype)
-                # under misaligned, entry e's pair, and the stride-b two reads it pairs
-                pair_line = np.empty((rows, span), dtype=seq.dtype) if misaligned else None
-                twos = sliding_window_view(seq, b + 1, axis=-1)[..., ::b] if misaligned else None
-            windows = {}  # per cell count: entry (line, j, k) is pose k's of cell j (misaligned: pair k's)
+                # several streams' pairs follow the scratch, in one buffer, so that
+                # malloc keeps its pages for the next call; one stream's pairs are
+                # the start of its scratch, turned into u in place
+                several = len(sides) > 1
+                scratch = np.empty((width + 1 + width * several) * most)
+                geometry = scratch[several * (width + 1) * most :][: width * most].view(seq.dtype)
+            windows = {}  # per cell count: entry (line, j, k) is pose k's of cell j
 
             def pair_sums(window):
-                pairs = window  # under misaligned, windows of the line's pairs
-                if not misaligned:
-                    pairs = geometry[: window[..., 0].size * p].reshape(window.shape[:2] + (p,))
-                    pair_values(spec.scheme, window, out=pairs, fold=nlf)
+                pairs = geometry[: window[..., 0].size * p].reshape(window.shape[:2] + (p,))
+                pair_values(spec.scheme, window, out=pairs, fold=nlf)
                 for side in sides:
                     yield _pair_sums(spec, pairs, side, scratch, majorant=majorant)
 
@@ -712,10 +701,8 @@ class GridEvaluator:
                 h, count = hi - lo, c1 - c0
                 used = a * (count - 1) + b * (n - 1) + 1  # sequence entries the cells read
                 line = seq[:h, :used]
-                if count not in windows:  # a pair's entry is its first read's
-                    reads = pair_line[:, : used - b] if misaligned else seq[:, :used]
-                    view = sliding_window_view(reads, b * (p - misaligned) + 1, axis=-1)
-                    windows[count] = view[:, ::a, ::b]
+                if count not in windows:
+                    windows[count] = sliding_window_view(seq[:, :used], b * p + 1, axis=-1)[:, ::a, ::b]
                 d = dists[:h, :used]
                 np.add(track.cross[lo:hi, None], track.sq_offsets[a * c0 : a * c0 + used], out=d)
                 np.sqrt(d, out=d)
@@ -723,8 +710,6 @@ class GridEvaluator:
                     d *= 4.0 * math.pi / wavelength
                 else:
                     _steering(d, wavelength, out=line)
-                if misaligned:  # a pair depends on its sequence entry alone: each line's pairs once
-                    pair_values(spec.scheme, twos[:h, : used - b], out=pair_line[:h, : used - b, None], fold=nlf)
                 window = windows[count][:h]
                 lines = track.members[track.starts[lo] : track.starts[hi]]
                 iu, iv = np.divmod(lines, nv)
@@ -985,6 +970,8 @@ def find_peak_regions(holo: Hologram) -> list[tuple[int, float]]:
     cells = np.flatnonzero(above)
     if not cells.size:
         return []
+    from scipy import ndimage  # imported here: ~50 ms that scoring alone never needs
+
     # only the bounding box of the cells above the cut is labelled: it holds every component
     at = np.unravel_index(cells, above.shape)
     box = tuple(slice(i.min(), i.max() + 1) for i in at)

@@ -1133,6 +1133,23 @@ class TestCli:
     def test_help_exits_zero(self, capsys):
         assert cli(["--help"]) == 0
 
+    def test_imports_leave_scipy_special_and_ndimage_out(self):
+        # tagoram's erfc and find_peak_regions' labelling import them when
+        # first called, so a fresh command that needs neither never pays
+        code = (
+            "import sys\n"
+            "wanted = ('scipy.special', 'scipy.ndimage')\n"
+            "import phaseloc\n"
+            "print([m for m in wanted if m in sys.modules])\n"
+            "import phaseloc.io_eval.cli\n"
+            "print([m for m in wanted if m in sys.modules])\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                              timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split("\n") == ["[]", "[]", ""]
+
     def test_simulate_ticks_then_locate(self, config_path, tmp_path, capsys):
         log = tmp_path / "ticks.csv"
         assert cli([
