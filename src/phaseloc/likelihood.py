@@ -63,7 +63,9 @@ sarfid |sum_n w_n|/N; clf Re[conj(w_r) * sum_n w_n] - 1; slf
 1)/2 over P = N-1 pairs.  It agrees with the cell blocks to about 1e-12
 of the score scale.
 
-Asked for tagoram's majorant instead of its term, _pair_sums sums
+tagoram weights every pair's cos r by erfc(|r|/(sigma*sqrt(2))), through
+the same steps for every pair; scipy.special is imported when tagoram is
+first scored.  Asked for tagoram's majorant instead, _pair_sums sums
 exp(-(sin r/(sigma*sqrt(2)))^2) over the same u, which bounds each pair's
 term from above at every sigma: the cheap pass of
 GridEvaluator.best_cells.

@@ -501,15 +501,15 @@ class GridEvaluator:
       4*pi*d/lambda), then likelihood._pair_sums gives each stream's sums,
       so one stream's scores equal its scores in any pass bit for bit.
 
-    A share allocates its sequence arrays, and the pair methods' scratch,
-    once per raw_scores call and writes into them.  A chunk stays within
-    6 of the share's 8 arrays of BLOCK // WORKERS float64 entries; the
-    other 2 leave room for the buffers numpy allocates for each operation
-    on a window or a broadcast operand (up to 3 x 8192 entries).  It takes
-    per sequence entry its distance and steering phasor (at most 3
-    entries, under every scheme), and either per cell and pair u and the
-    terms (3; 5 with several streams, which also share the pair phasors),
-    or per line of FFT length L its spectrum and a
+    A share allocates its sequence arrays, and the pair methods' scratch
+    and pairs in one buffer, once per raw_scores call and writes into
+    them.  A chunk stays within 6 of the share's 8 arrays of BLOCK //
+    WORKERS float64 entries; the other 2 leave room for the buffers numpy
+    allocates for each operation on a window or a broadcast operand (up to
+    3 x 8192 entries).  Under every scheme it takes per sequence entry its
+    distance and steering phasor (at most 3 entries), and either per cell
+    and pair u and the terms (3; 5 with several streams, which also share
+    the pair phasors), or per line of FFT length L its spectrum and a
     stream's product (4*L) and per cell the finish's temporaries (3);
     where groups hold several lines, per cell the copy of the sums that
     the write spreads over a group's lines (the most lines of a group).
@@ -522,14 +522,13 @@ class GridEvaluator:
     length (scipy.fft.next_fast_len) depends on shapes only, and its
     scores' last bits not on the budget or WORKERS.
     On the stock plane an 8-stream pass took 26-40 ms for nlf, wclf and
-    wslf, 65-95 ms for tagoram and 3-5 ms for clf, slf and sarfid; a
+    wslf, 72-114 ms for tagoram and 3-5 ms for clf, slf and sarfid; a
     one-stream wslf hologram of the 509,141-cell volume took 244-337 ms
     with each radius scored once, against 262-357 ms line by line (2-core
     VM).  Under misaligned, which no stock scene runs, a 6-stream pass
-    took 12-19 ms for nlf, 13-18 ms for clf, 16-22 ms for slf, 18-24 ms
-    for wclf and 22-36 ms for wslf with each line's pairs formed once,
-    against 20-40, 14-23, 17-32, 17-33 and 21-49 ms with each cell's
-    (2-core VM, fresh processes in four alternating rounds).
+    took 15-23 ms for nlf, 12-18 ms for clf, 14-21 ms for slf, 15-23 ms
+    for wclf and 19-29 ms for wslf (2-core VM, medians of 7 in fresh
+    processes, four alternating rounds).
 
     best_cells gives each stream's hologram argmax from bounds for nlf,
     wclf, wslf and tagoram under reference:r on a track (see its

@@ -1247,13 +1247,17 @@ class TestTrackPath:
             assert np.array_equal(ev.raw_scores(phases[9:], spec, lam)[0], last), spec
 
     def test_track_scoring_takes_few_page_faults(self):
-        # Scratch is allocated once per share and call and written in place,
-        # so repeated scoring reuses pages.  On the stock plane the block
-        # path took 2,000-3,300 minor faults per one-stream wslf hologram
-        # and 555-17,550 per 8-stream wclf pass (2-core VM, also under
-        # taskset -c 0); the track path takes 0-90, and 127-137 for an
-        # 8-stream misaligned nlf pass, whose window operands numpy
-        # buffers on every call.  Bound: 256.
+        # Scratch is allocated once per share and call, in one buffer, and
+        # written in place, so repeated scoring reuses pages.  On the stock
+        # plane the block path took 2,000-3,300 minor faults per one-stream
+        # wslf hologram and 555-17,550 per 8-stream wclf pass (2-core VM,
+        # also under taskset -c 0); the track path takes 0-2, and 137-159
+        # per 8-stream misaligned nlf pass over the five after the warm-up:
+        # the first of them takes about 790 while malloc moves the buffer
+        # from fresh mappings onto its heap, the others 0-1.  Scratch and
+        # pairs in two buffers, whose sum passes glibc's trim threshold,
+        # would take fresh pages on every call: 430-700 per 8-stream pass
+        # in a fresh process.  Bound: 256.
         resource = pytest.importorskip("resource")
         region = SearchRegion(x=(0.0, 0.0), y=(-0.5, 0.5), z=(0.0, 0.7), resolution=0.01)
         poses = linear_track(x=1.4, z=0.0, y_start=-0.5, y_stop=0.5, spacing=0.01).as_array()
