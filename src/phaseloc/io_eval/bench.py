@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import time
 from dataclasses import astuple, dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -94,6 +95,12 @@ class BenchReport:
         return groups
 
     def stats(self) -> dict[tuple[str, str], MethodTagStats]:
+        """Statistics per (method, tag), computed once per report; each call
+        returns a fresh dict, so a caller's changes do not reach the next."""
+        return dict(self._stats)
+
+    @cached_property
+    def _stats(self) -> dict[tuple[str, str], MethodTagStats]:
         groups = self._group(lambda r: (r.method, r.tag_id))
         out: dict[tuple[str, str], MethodTagStats] = {}
         for method in self.methods:

@@ -68,7 +68,9 @@ the same steps for every pair; scipy.special is imported when tagoram is
 first scored.  Asked for tagoram's majorant instead, _pair_sums sums
 exp(-(sin r/(sigma*sqrt(2)))^2) over the same u, which bounds each pair's
 term from above at every sigma: the cheap pass of
-GridEvaluator.best_cells.
+GridEvaluator.best_cells.  That pass runs in float32 from u rounded to
+complex64, with |sin r| shrunk by a bound on the rounding, so it still
+bounds the float64 term.
 
 The pair terms of a C-order (..., M, P) block are summed pairwise per
 row, whatever M and however many streams share it.  A block of one
@@ -97,6 +99,8 @@ BRANCH_NEAREST = "nearest"
 
 # Constant-sigma noise model evaluated at the default 1.4 m standoff.
 DEFAULT_TAGORAM_SIGMA = DEFAULT_SIGMA_SLOPE * 1.4 + DEFAULT_SIGMA_INTERCEPT
+# what tagoram's float32 majorant takes off |Im u| for u's complex64 rounding (_pair_sums)
+_SHRINK = np.float32(8 * np.finfo(np.float32).eps)
 
 
 class SamplingConditionError(ValueError):
@@ -326,13 +330,31 @@ def _pair_sums(
     the geometry every stream shares and the streams' own side of each
     pair, broadcast against it; each method's term is written here once.
     tagoram's term is erfc(|r|/(sigma*sqrt(2))) * cos r, r = atan2(sin r,
-    cos r).  With majorant, tagoram sums exp(-(Im u/(sigma*sqrt(2)))^2)
-    instead, which is at least that for every r: where cos r <= 0 the term
-    is <= 0, elsewhere sin^2 r <= r^2 and erfc x <= exp(-x^2) for x >= 0.
-    The exponent is (Im u)^2 times -g^2, g = 1/(sigma*sqrt(2)) capped at
-    1e150, clamped at -700: both only raise the bound, and keep the product
-    finite at any sigma (where 2*sigma^2 underflows g^2 stays 1e300) and
-    exp clear of its slow subnormal results.
+    cos r).  With majorant, tagoram sums an upper bound of it instead, in
+    single precision (scratch float32, u complex64) and from the same
+    phasors rounded to complex64.  exp(-(g*Im u)^2), g = 1/(sigma*sqrt(2)),
+    is at least the term for every r: where cos r <= 0 the term is <= 0,
+    elsewhere sin^2 r <= r^2 and erfc x <= exp(-x^2) for x >= 0.  The pass
+    takes exp(-g^2*t^2), t = max(0, |Im u| - delta), delta = _SHRINK = 8
+    eps32 (eps32 = 2^-23), which is at least exp(-(g*Im u)^2) of the
+    float64 u the full pass reads:
+    * u: its three phasors (two steering entries and exp(j*dphi)) are
+      float64 values rounded to complex64, within eps32/2 of them, and each
+      of its two complex products errs by at most sqrt(2)*gamma_2 < 1.42
+      eps32 (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
+      ed., Lemma 3.5); so |Im u| exceeds the float64 one by under 4.4 eps32;
+    * t: |Im u| - delta rounds by at most eps32/2, so a positive t lies at
+      least m = 3 eps32 below the float64 |Im u|;
+    * the exponent: squaring t and multiplying by g^2 round by eps32/2
+      each, and g^2 is rounded toward zero from its float64 value (within
+      2 float64 eps of the exact one), so they raise g^2*t^2 by a factor
+      below 1 + 1.01 eps32, which m covers for t <= 2: (t + m)^2 >=
+      t^2*(1 + 1.01 eps32).  Underflows in t^2 lose less than m^2.
+    g is capped at 1e19, so g^2 stays finite in float32, and t at
+    min(sqrt(87)/g, 2), which clamps the exponent at about -87 and keeps
+    exp clear of its slow subnormal results; both only raise the bound.
+    The terms are summed in float64; what is left, float32 exp's rounding,
+    is solver._bound_slack's.
 
     For nlf, pairs holds the folded geometric differences
     wrap(4*pi*(d_a - d_b)/lambda), measured the measured differences
@@ -340,28 +362,39 @@ def _pair_sums(
     holds the pair phasors A_a * conj(A_b), measured exp(j*dphi), and
     u = pairs * exp(j*dphi) = exp(j*r) gives cos r and sin r as its real
     and imaginary parts.  Every array of the broadcast shape is written,
-    in C order, into scratch, a float64 buffer of at least three times its
-    size (two for nlf), or into one such buffer allocated here.  pairs may
+    in C order, into scratch, a float64 buffer (float32 for the majorant)
+    of at least three times its size (two for nlf), or into one such
+    buffer allocated here.  pairs may
     be the start of scratch itself, which then takes u (or nlf's
     residuals) in place.
     """
     shape = np.broadcast_shapes(pairs.shape, measured.shape)
     size = math.prod(shape)
     if scratch is None:
-        scratch = np.empty((2 if spec.name == "nlf" else 3) * size)
+        scratch = np.empty((2 if spec.name == "nlf" else 3) * size, dtype=np.float32 if majorant else float)
     if spec.name == "nlf":
         res = np.subtract(measured, pairs, out=scratch[:size].reshape(shape))
         return _nlf_scores(res, nlf_branch, scratch[size : 2 * size].reshape(shape))
-    u = np.multiply(pairs, measured, out=scratch[: 2 * size].view(complex).reshape(shape))
+    phasor = np.result_type(scratch.dtype, np.complex64)  # complex64 for a float32 scratch
+    u = np.multiply(pairs, measured, out=scratch[: 2 * size].view(phasor).reshape(shape))
     re, im = u.real, u.imag
     if spec.name == "clf":
         return re.sum(axis=-1)
     terms = scratch[2 * size : 3 * size].reshape(shape)
     if spec.name == "tagoram":
         scale = spec.tagoram_sigma * math.sqrt(2.0)
-        if majorant:  # 1/scale capped so that its square stays finite
-            np.multiply(np.square(im, out=terms), -min(1.0 / scale, 1e150) ** 2, out=terms)
-            return np.exp(np.maximum(terms, -700.0, out=terms), out=terms).sum(axis=-1)
+        if majorant:  # g capped so that g^2 stays finite in float32
+            g = min(1.0 / scale, 1e19)
+            g2 = np.float32(g * g)
+            if g2 > g * g:  # rounded toward zero, so the exponent never grows
+                g2 = np.nextafter(g2, np.float32(0.0))
+            reach = np.float32(min(math.sqrt(87.0) * max(scale, 1e-19), 2.0))  # sqrt(87)/g, or 2
+            np.abs(im, out=terms)
+            np.subtract(terms, _SHRINK, out=terms)
+            np.clip(terms, np.float32(0.0), reach, out=terms)  # t
+            np.multiply(np.square(terms, out=terms), -g2, out=terms)
+            # summed in float64: einsum casts faster than sum(dtype=float)
+            return np.einsum("...p->...", np.exp(terms, out=terms), dtype=float)
         from scipy.special import erfc  # imported here: ~225 ms that the other methods never need
 
         np.abs(np.arctan2(im, re, out=terms), out=terms)

@@ -52,8 +52,11 @@ slf pair term by a weight in [0, 1], and nlf's -r^2 lies below 2*cos r -
 2, so a scaled clf or slf FFT pass bounds nlf, wclf and wslf (the
 sandwich); tagoram's term erfc(|r|/(sigma*sqrt(2))) * cos r lies below
 exp(-sin^2 r/(2*sigma^2)) at every sigma, so the sum of that Gaussian
-majorant bounds tagoram.  The FFT methods, whose passes are already
-cheap, and every other case score the holograms.
+majorant bounds tagoram.  That pass only prunes, so it runs in single
+precision, with |sin r| shrunk by a bound on the rounding and the
+float32 exp's error in the width; the cells it leaves are scored in
+float64.  The FFT methods, whose passes are already cheap, and every
+other case score the holograms.
 """
 
 from __future__ import annotations
@@ -91,6 +94,7 @@ _TERM_MIN = {"nlf": -4.0 * math.pi**2, "wclf": -1.0, "wslf": -1.0 / math.e, "tag
 # -r^2 <= 2*cos r - 2; |cos r|*cos r <= (1 + cos r)/2; -sin^2 r*exp(-sin^2 r) <= -sin^2 r/e
 _SANDWICH = {"nlf": ("clf", 2.0, -2.0), "wclf": ("clf", 0.5, 0.5), "wslf": ("slf", 1.0 / math.e, 0.0)}
 _EPS = float(np.finfo(float).eps)
+_EPS32 = float(np.finfo(np.float32).eps)
 
 _AXES = ("x", "y", "z")
 
@@ -277,19 +281,23 @@ def _bound_slack(name: str, p: int, span: int = 0, kd_max: float = 0.0) -> float
     order of summing p terms of magnitude at most t = -t_min errs by at
     most (p - 1)*eps/2 times their magnitudes' sum: eps*t*p^2 covers it.
 
-    cheap: for tagoram, the majorant's.  Both passes read the same
-    computed pair phasor u = rho*exp(j*theta), rho within d =
+    cheap: for tagoram, the majorant's.  The full pass reads the
+    computed float64 pair phasor u = rho*exp(j*theta), rho within d =
     4*TERM_ULPS*eps of 1 (above).  With s = sigma*sqrt(2) and y =
     (theta/s)^2, its exact full term erfc(|theta|/s)*rho*cos theta is <= 0
     where cos theta <= 0 and at most rho*exp(-y) <= exp(-y) + d elsewhere,
-    and the exact majorant exp(-(rho*sin theta/s)^2) falls short of
-    exp(-y) by at most exp(-y)*(rho^2 - 1)*y <= (2*d + d^2)/e <= d: 2*d
-    per pair.  The full term's rounding (arctan2, the division, erfc,
-    whose absolute error is about eps, and the product) lies within the
-    8*TERM_ULPS*eps above; the majorant's, exp within TERM_ULPS*eps and
-    its exponent within 3*eps*y (1/s and its square, (Im u)^2, their
-    product), which moves exp(-y) by at most 3*eps/e, within
-    2*TERM_ULPS*eps; its summation eps*t*p^2.  For the others, the
+    and the exact majorant of that u, exp(-(rho*sin theta/s)^2), falls
+    short of exp(-y) by at most exp(-y)*(rho^2 - 1)*y <= (2*d + d^2)/e <=
+    d: 2*d per pair.  The full term's rounding (arctan2, the division,
+    erfc, whose absolute error is about eps, and the product) lies within
+    the 8*TERM_ULPS*eps above.  The majorant pass runs in float32 from u
+    rounded to complex64, and shrinks |Im u| by a bound on that rounding,
+    so that its computed exponent is at least the float64 u's exact one
+    (likelihood._pair_sums derives it); what is left is float32 exp's
+    rounding, TERM_ULPS*eps32 (eps32 = 2^-23) of a value at most 1, per
+    pair.  The terms are summed in float64, within eps*t*p^2.  On the stock
+    plane (P = 100) tagoram's width is 7.6e-4, nearly all of it float32
+    exp's.  For the others, the
     sandwich's scale times the error of the clf or slf pass, which sums
     y = sum_n exp(j*phi_n)*K_n (K = A, or A^2 for slf) by convolving each
     line's sequence with a stream's inputs, and finishes with
@@ -321,11 +329,11 @@ def _bound_slack(name: str, p: int, span: int = 0, kd_max: float = 0.0) -> float
     residual's and the branch's additions of at most 4*pi (4*pi*eps) and
     TWO_PI's error once more (pi*eps).  2*cos moves by at most twice
     that, so 2*p*eps*(kd_max + 10*pi) in all.  On the stock plane (P =
-    100) the sum is below 1e-9."""
+    100) the sum is below 1e-9 for nlf, wclf and wslf."""
     eps, n, t = _EPS, p + 1, -_TERM_MIN[name]
     summed = eps * t * p * p
     full = 8 * TERM_ULPS * eps * p + summed
-    cheap = 10 * TERM_ULPS * eps * p + summed  # tagoram's majorant
+    cheap = (TERM_ULPS * _EPS32 + 8 * TERM_ULPS * eps) * p + summed  # tagoram's majorant
     if name in _SANDWICH:
         phasors = 5 * TERM_ULPS * eps * n
         fft = 8 * eps * math.log2(2 * span) * (3 * math.sqrt(2 * span) * n + 2 * span * math.sqrt(n))
@@ -513,6 +521,10 @@ class GridEvaluator:
     stream's product (4*L) and per cell the finish's temporaries (3);
     where groups hold several lines, per cell the copy of the sums that
     the write spreads over a group's lines (the most lines of a group).
+    tagoram's majorant pass keeps its steering phasors, pairs, u and terms
+    in single precision, so there a sequence entry takes 2 entries and a
+    cell's pair 1.5 (2.5 with several streams): a chunk holds twice the
+    cells.
     A box's groups are cut into the fewest chunks of whole groups that fit
     it, of near-equal size (71 groups in two chunks are 36 and 35, not 70
     and 1), so a grid within one share's budget is scored on the calling
@@ -522,7 +534,8 @@ class GridEvaluator:
     length (scipy.fft.next_fast_len) depends on shapes only, and its
     scores' last bits not on the budget or WORKERS.
     On the stock plane an 8-stream pass took 26-40 ms for nlf, wclf and
-    wslf, 72-114 ms for tagoram and 3-5 ms for clf, slf and sarfid; a
+    wslf, 74-93 ms for tagoram (its majorant pass 18-25 ms) and 3-5 ms
+    for clf, slf and sarfid; a
     one-stream wslf hologram of the 509,141-cell volume took 244-337 ms
     with each radius scored once, against 262-357 ms line by line (2-core
     VM).  Under misaligned, which no stock scene runs, a 6-stream pass
@@ -534,8 +547,9 @@ class GridEvaluator:
     wclf, wslf and tagoram under reference:r on a track (see its
     docstring): nlf, wclf and wslf from a clf or slf FFT pass their
     weights sandwich, tagoram from a pass of its Gaussian majorant, which
-    reads the full pass's u and takes per pair one square, product, clamp
-    and exp.
+    forms u as the full pass does, but in complex64, and takes per pair
+    an absolute value, a subtraction, a clip, a square, a product and an
+    exp in float32.
 
     A method is any callable taking (phases, dists, wavelength) and
     returning one score per row of dists; MethodSpec objects are such
@@ -616,7 +630,10 @@ class GridEvaluator:
         line's far end; c1 - c0 >= 2), cut into chunks within the budget;
         no other cell of out is written.  The default is the whole grid.
         With majorant, tagoram writes the sums of its majorant
-        (likelihood._pair_sums) instead of its scores."""
+        (likelihood._pair_sums) instead of its scores, from the chunk's
+        steering sequence, pairs and each stream's exp(j*dphi) in complex64
+        (the distances and kd stay float64), with twice the cells per
+        chunk."""
         track, n = self._track, len(self.poses)
         phases = np.atleast_2d(phases)
         form = linear_form(spec, phases)
@@ -625,16 +642,22 @@ class GridEvaluator:
         shape = self.region.shape
         ny, nv = shape[track.axis], shape[max(ax for ax in range(3) if ax != track.axis)]
         groups = len(track.cross)
+        # the majorant's phasors, u and terms are single precision: entries of that
+        # size below, `wide` of them to a float64 (distances, sums)
+        real = np.float32 if majorant else np.float64
+        wide = 8 // np.dtype(real).itemsize
         # per cell, the write's copy of a chunk's sums to each line, where groups hold several
-        copy = int(np.diff(track.starts).max()) if len(track.members) > groups else 0
-        width = 1 if nlf else 2  # float64 entries per pair or sequence value
-        # float64 entries a chunk takes, within 6 of a share's 8 arrays (see
+        copy = wide * int(np.diff(track.starts).max()) if len(track.members) > groups else 0
+        width = 1 if nlf else 2  # entries per pair or sequence value
+        # entries a chunk takes, within 6 of a share's 8 arrays (see
         # GridEvaluator); nlf's pairs take residuals and lo instead of u
-        per_entry = 1 + (not nlf) * width
+        per_entry = wide + (not nlf) * width
         fixed = (b * (n - 1) + 1 - a) * per_entry
-        cap = 6 * (BLOCK // WORKERS)
+        cap = 6 * (BLOCK // WORKERS) * wide
         if form is None:
             sides = measured_sides(spec, phases)
+            if majorant:  # tagoram's exp(j*dphi), rounded to the pairs' complex64
+                sides = sides.astype(np.complex64)
             per_pair = width + 1 + width * (len(sides) > 1)
             per_cell = p * per_pair + a * per_entry + copy
         else:  # imported here: ~30 ms and 1 MiB that the other methods never need
@@ -670,13 +693,13 @@ class GridEvaluator:
         def score(chunks):
             rows = max(hi - lo for lo, hi, _, _ in chunks)
             dists = np.empty((rows, span))  # and nlf's phases 4*pi*d/lambda
-            seq = dists if nlf else np.empty((rows, span), dtype=complex)
+            seq = dists if nlf else np.empty((rows, span), dtype=np.result_type(real, np.complex64))
             if form is None:
                 # several streams' pairs follow the scratch, in one buffer, so that
                 # malloc keeps its pages for the next call; one stream's pairs are
                 # the start of its scratch, turned into u in place
                 several = len(sides) > 1
-                scratch = np.empty((width + 1 + width * several) * most)
+                scratch = np.empty((width + 1 + width * several) * most, dtype=real)
                 geometry = scratch[several * (width + 1) * most :][: width * most].view(seq.dtype)
             windows = {}  # per cell count: entry (line, j, k) is pose k's of cell j
 
@@ -833,8 +856,10 @@ class GridEvaluator:
         _bound_slack's rounding slack.
 
         tagoram: the sums of its majorant exp(-(Im u/(sigma*sqrt(2)))^2)
-        (likelihood._pair_sums), through the full pass's chunks and from
-        the same pair phasors u, at every sigma; the width is the slack."""
+        (likelihood._pair_sums), through the full pass's chunk loop, in
+        float32 from u rounded to complex64 with |Im u| shrunk by a bound on
+        that rounding, at every sigma; the width is the slack, nearly all
+        of it float32 exp's rounding."""
         if not (
             isinstance(method, MethodSpec)
             and method.name in _TERM_MIN

@@ -232,7 +232,7 @@ def tagoram_pairs(draw):
     return sigma, pairs, measured[0, 0] if streams == 0 else measured
 
 
-class TestTagoramSkip:
+class TestTagoramFullTerm:
     """tagoram's pair sums against the plain formula on every pair."""
 
     @settings(max_examples=300, deadline=None)
@@ -254,6 +254,18 @@ class TestTagoramSkip:
         assert got[[0, 2]].tobytes() == want[[0, 2]].tobytes() and np.isnan(want[1])
 
 
+def to_complex64(values, rng):
+    """values in complex64, each part rounded down or up at random: either
+    float32 neighbour of the float64 part, not only the nearest."""
+    parts = []
+    for part in (values.real, values.imag):
+        near = part.astype(np.float32)
+        down = np.where(near > part, np.nextafter(near, np.float32(-np.inf)), near)
+        up = np.where(near < part, np.nextafter(near, np.float32(np.inf)), near)
+        parts.append(np.where(rng.random(part.shape) < 0.5, down, up))
+    return parts[0] + np.complex64(1j) * parts[1]
+
+
 # the smallest sigma MethodSpec accepts: pi/(sigma*sqrt(2)) must stay finite
 SIGMA_MIN = math.nextafter(math.pi / math.sqrt(2.0) / np.finfo(float).max, math.inf)
 
@@ -262,21 +274,52 @@ class TestTagoramMajorant:
     @settings(max_examples=300, deadline=None)
     @given(
         exponent=st.floats(math.log10(SIGMA_MIN), 1.0),
-        angles=st.lists(st.floats(-math.pi, math.pi), min_size=1, max_size=40),
-        data=st.data(),
+        residuals=st.lists(st.tuples(st.floats(-math.pi, math.pi), st.booleans()), min_size=1, max_size=40),
+        seed=st.integers(0, 2**32 - 1),
     )
-    def test_majorant_bounds_every_pair_term(self, exponent, angles, data):
-        # erfc(|r|/(sigma*sqrt(2))) * cos r <= exp(-(sin r/(sigma*sqrt(2)))^2)
-        # + the per-pair slack of best_cells' width, for pair phasors up to
-        # 4*TERM_ULPS eps off the unit circle (2 eps left for their rounding)
+    def test_majorant_bounds_every_pair_term(self, exponent, residuals, seed):
+        # the float32 majorant of a pair, from complex64 copies of its three
+        # float64 phasors (A_a, A_b and exp(j*dphi)) that are up to an ulp off
+        # in each part, is at least the float64 term erfc(|r|/(sigma*sqrt(2)))
+        # * cos r of the same phasors less the per-pair slack of best_cells'
+        # width, for phasors up to TERM_ULPS eps off the unit circle.  Residuals
+        # a few sigma from 0 (the flagged ones) are where shrinking |Im u| has
+        # to cover u's float32 rounding
         sigma = max(10.0**exponent, SIGMA_MIN)
         spec = MethodSpec("tagoram", tagoram_sigma=sigma)
-        off = 4 * solver_mod.TERM_ULPS - 2
-        ulps = data.draw(st.lists(st.integers(-off, off), min_size=len(angles), max_size=len(angles)))
-        u = (1.0 + np.array(ulps) * 2.0**-52) * np.exp(1j * np.array(angles))
-        full = tagoram_terms(u, sigma)
-        # one pair per row: each row's sum is its pair's majorant term, u * 1 being u
-        bound = _pair_sums(spec, u[:, None], np.ones(1, complex), majorant=True)
-        slack = 18 * solver_mod.TERM_ULPS * 2.0**-52  # _bound_slack's full and cheap terms per pair
-        assert (full <= bound + slack).all(), (sigma, u[full > bound + slack])
+        r = np.array([min(max(x * sigma * math.sqrt(2.0), -math.pi), math.pi) if near else x
+                      for x, near in residuals])
+        rng, count, ulps = np.random.default_rng(seed), len(r), solver_mod.TERM_ULPS
+        a, b = rng.uniform(-math.pi, math.pi, (2, count))  # the two reads' -4*pi*d/lambda, folded
+        phasors = [(1.0 + rng.integers(-ulps, ulps + 1, count) * 2.0**-52) * np.exp(1j * angle)
+                   for angle in (a, b, r - a + b)]
+        full = tagoram_terms(phasors[0] * np.conjugate(phasors[1]) * phasors[2], sigma)  # u = exp(j*r)
+        at_a, at_b, measured = (to_complex64(phasor, rng) for phasor in phasors)
+        # one pair per row: each row's sum is its pair's majorant term
+        bound = _pair_sums(spec, (at_a * np.conjugate(at_b))[:, None], measured[:, None], majorant=True)
+        # _bound_slack's per pair: float32 exp, and the float64 term's rounding and |u| off 1
+        slack = ulps * (float(np.finfo(np.float32).eps) + 16 * 2.0**-52)
+        assert (full <= bound + slack).all(), (sigma, r[full > bound + slack])
         assert (bound > 0.0).all() and (bound <= 1.0).all()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        exponent=st.floats(math.log10(SIGMA_MIN), 1.0),
+        residuals=st.lists(st.floats(-8.0, 8.0), min_size=1, max_size=40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_shrink_covers_the_stated_rounding(self, exponent, residuals, seed):
+        # the float32 u may lie anywhere within 4.4 float32 eps of the float64
+        # u (likelihood._pair_sums): here it is moved that far, |Im u| outward,
+        # the way that lowers the majorant most, at residuals within 8 sigma
+        # of 0 (where Im u is small, so is its rounding to complex64)
+        sigma = max(10.0**exponent, SIGMA_MIN)
+        spec, eps32 = MethodSpec("tagoram", tagoram_sigma=sigma), float(np.finfo(np.float32).eps)
+        r = np.clip(np.array(residuals) * sigma * math.sqrt(2.0), -math.pi, math.pi)
+        rng, ulps = np.random.default_rng(seed), solver_mod.TERM_ULPS
+        u = (1.0 + rng.integers(-4 * ulps, 4 * ulps + 1, len(r)) * 2.0**-52) * np.exp(1j * r)
+        moved = u + 4.4 * eps32 * np.where(u.imag < 0.0, -1j, 1j)
+        bound = _pair_sums(spec, moved.astype(np.complex64)[:, None], np.ones(1, np.complex64), majorant=True)
+        full = tagoram_terms(u, sigma)
+        slack = ulps * (eps32 + 16 * 2.0**-52)
+        assert (full <= bound + slack).all(), (sigma, r[full > bound + slack])

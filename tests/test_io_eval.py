@@ -738,6 +738,21 @@ class TestBench:
                 assert stats[(m, tag)].median == float(np.median([r.err_combined for r in cell]))
                 assert stats[(m, tag)].mean_z == float(np.mean([r.err_z for r in cell]))
 
+    def test_statistics_are_computed_once_per_report(self, tmp_path):
+        # report.txt and report.csv read the same statistics; a caller's
+        # changes to the dict stats() returned do not reach the next call
+        recs = tuple(TrialRecord(t, m, "X", Position3D(0.0, 0.0, 0.0), 0.1 * t, 0.2, 0.3, 0.4 + t)
+                     for t in range(2) for m in ("a", "b"))
+        report = BenchReport(methods=("a", "b"), tag_ids=("X",), trials=2, base_seed=0,
+                             records=recs, runtime_s=0.0)
+        with mock.patch.object(BenchReport, "_group", autospec=True, side_effect=BenchReport._group) as group:
+            first = report.stats()
+            write_bench_report(report, tmp_path)
+            first.clear()
+            assert report.stats()[("a", "X")].max == 1.4
+        # one grouping for the statistics, one for to_text's method means
+        assert group.call_count == 2, group.call_args_list
+
 
 class TestCli:
     def test_simulate_locate_end_to_end(self, config_path, tmp_path, capsys):

@@ -113,24 +113,6 @@ class TestBuildDifferentials:
         assert pair_values(scheme, window, out=out) is out
         assert np.array_equal(out, pair_values(scheme, np.ascontiguousarray(window)))
 
-    @pytest.mark.parametrize("a, b", [(1, 1), (2, 1), (1, 3)])
-    def test_misaligned_line_pairs_are_the_cells_pairs(self, a, b):
-        # under misaligned a pair depends on its sequence entry alone: a line's
-        # pairs, formed once from each entry's stride-b two reads and read
-        # through each cell's window, equal the pairs of the cell's own window
-        # bit for bit, as phasors and as folded kd differences
-        misaligned, n, cells = DifferentialScheme.misaligned(), 9, 6
-        rng = np.random.default_rng(a + 10 * b)
-        used = a * (cells - 1) + b * (n - 1) + 1
-        for seq, fold in ((np.exp(-1j * rng.uniform(0.0, 60.0, (3, used))), False),
-                          (rng.uniform(0.0, 60.0, (3, used)), True)):
-            per_cell = pair_values(misaligned, sliding_window_view(seq, b * (n - 1) + 1, axis=-1)[:, ::a, ::b],
-                                   fold=fold)
-            line = pair_values(misaligned, sliding_window_view(seq, b + 1, axis=-1)[..., ::b], fold=fold)[..., 0]
-            windows = sliding_window_view(line, b * (n - 2) + 1, axis=-1)[:, ::a, ::b]
-            assert windows.shape == per_cell.shape
-            assert windows.tobytes() == per_cell.tobytes()
-
     @pytest.mark.parametrize(
         "scheme, n, message",
         [

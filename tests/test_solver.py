@@ -1416,6 +1416,29 @@ SIX_TAGS = MC_PLANE_TAGS + tuple(
 )
 
 
+def float64_majorant_sums(phases, sigma):
+    """Each stock-plane cell's sum of tagoram's majorant exp(-(Im u/(sigma*
+    sqrt(2)))^2) for stacked phases, as best_cells' cheap pass took it in
+    float64 (its gain capped at 1e150, its exponent at -700), from the
+    cells' own distances rather than the track's sequences."""
+    dists = np.linalg.norm(STOCK_PLANE.candidates()[:, None] - STOCK_TRACK, axis=-1)
+    steering = np.exp(-4j * math.pi / CARRIER.wavelength * dists)
+    pairs = steering[:, 1:] * np.conjugate(steering[:, :1])  # reference:0
+    gain = min(1.0 / (sigma * math.sqrt(2.0)), 1e150) ** 2
+    return np.stack([
+        np.exp(np.maximum(-gain * np.square((pairs * np.exp(1j * (row[1:] - row[0]))).imag), -700.0)).sum(axis=-1)
+        for row in phases
+    ])
+
+
+def survivors(bounds, full, floor):
+    """Per stream, the cells best_cells scores in full after its first step:
+    those whose bound reaches the best-bounded cell's full score, less the
+    tie margin."""
+    known = full[np.arange(len(full)), bounds.argmax(axis=1)]
+    return np.count_nonzero(bounds >= (known - solver_mod._tie(known, floor))[:, None], axis=1)
+
+
 def stock_streams(seed, trials=4, tags=MC_PLANE_TAGS):
     """The (trial, tag) streams of mc-plane's scene: its noise, jumps and
     two tags, or the given tags."""
@@ -1516,22 +1539,30 @@ class TestBestCells:
     @pytest.mark.parametrize("seed", [200, 400, 600])
     def test_tagoram_bounds_hold_every_full_score(self, seed):
         # every cell's full raw score is at most its majorant sum plus the
-        # plan's width, at sigmas from 1e-3 to 0.6, also for streams whose
-        # reference read jumped by pi
+        # plan's width, at sigmas from 1e-6 to 0.6, also for streams whose
+        # reference read jumped by pi; from 1e-3 up, the float32 pass leaves
+        # no stream more cells to score in full than the float64 sums did
         ev = GridEvaluator(STOCK_PLANE, STOCK_TRACK)
         phases = np.stack([s.phases for s in stock_streams(seed)])
         jumped = phases[:3].copy()
         jumped[:, 0] = np.mod(jumped[:, 0] + math.pi, 2.0 * math.pi)
         stacked = np.vstack([phases, jumped])
-        for sigma in (DEFAULT_TAGORAM_SIGMA, 1e-3, 0.6):
+        p, eps, eps32 = len(STOCK_TRACK) - 1, np.finfo(float).eps, np.finfo(np.float32).eps
+        float64_width = 2 * (18 * solver_mod.TERM_ULPS * p + 2 * p * p) * eps  # its _bound_slack
+        for sigma in (DEFAULT_TAGORAM_SIGMA, 1e-3, 0.3, 0.6, 1e-6):
             spec = MethodSpec("tagoram", tagoram_sigma=sigma)
             plan = ev._bound_plan(spec, CARRIER.wavelength)
             cheap = np.empty((len(stacked), STOCK_PLANE.cell_count))
             plan.cheap(stacked, cheap)
             full = ev.raw_scores(stacked, spec, CARRIER.wavelength)
             assert (full <= cheap + plan.width).all(), sigma
-            assert 0.0 < plan.width < 1e-9, (sigma, plan.width)
+            # twice float32 exp's rounding per pair, and float64 roundings far below 1e-9
+            assert 0.0 < plan.width < 2 * solver_mod.TERM_ULPS * eps32 * p + 1e-9, (sigma, plan.width)
             assert (full >= plan.floor).all(), sigma
+            if sigma >= 1e-3:
+                left = survivors(cheap + plan.width, full, plan.floor)
+                before = survivors(float64_majorant_sums(stacked, sigma) + float64_width, full, -p - float64_width)
+                assert (left <= before).all(), (sigma, left, before)
 
     def test_tiny_sigma_gives_the_holograms_argmax(self):
         # at sigma 1e-300, 2*sigma^2 underflows: the majorant's capped gain
