@@ -644,8 +644,7 @@ class GridEvaluator:
         groups = len(track.cross)
         # the majorant's phasors, u and terms are single precision: entries of that
         # size below, `wide` of them to a float64 (distances, sums)
-        real = np.float32 if majorant else np.float64
-        wide = 8 // np.dtype(real).itemsize
+        real, wide = (np.float32, 2) if majorant else (np.float64, 1)
         # per cell, the write's copy of a chunk's sums to each line, where groups hold several
         copy = wide * int(np.diff(track.starts).max()) if len(track.members) > groups else 0
         width = 1 if nlf else 2  # entries per pair or sequence value

@@ -268,6 +268,9 @@ def to_complex64(values, rng):
 
 # the smallest sigma MethodSpec accepts: pi/(sigma*sqrt(2)) must stay finite
 SIGMA_MIN = math.nextafter(math.pi / math.sqrt(2.0) / np.finfo(float).max, math.inf)
+EPS32 = float(np.finfo(np.float32).eps)
+# _bound_slack's per pair: float32 exp's rounding, and the float64 term's and |u| off 1
+PAIR_SLACK = solver_mod.TERM_ULPS * (EPS32 + 16 * 2.0**-52)
 
 
 class TestTagoramMajorant:
@@ -297,9 +300,7 @@ class TestTagoramMajorant:
         at_a, at_b, measured = (to_complex64(phasor, rng) for phasor in phasors)
         # one pair per row: each row's sum is its pair's majorant term
         bound = _pair_sums(spec, (at_a * np.conjugate(at_b))[:, None], measured[:, None], majorant=True)
-        # _bound_slack's per pair: float32 exp, and the float64 term's rounding and |u| off 1
-        slack = ulps * (float(np.finfo(np.float32).eps) + 16 * 2.0**-52)
-        assert (full <= bound + slack).all(), (sigma, r[full > bound + slack])
+        assert (full <= bound + PAIR_SLACK).all(), (sigma, r[full > bound + PAIR_SLACK])
         assert (bound > 0.0).all() and (bound <= 1.0).all()
 
     @settings(max_examples=300, deadline=None)
@@ -314,12 +315,11 @@ class TestTagoramMajorant:
         # the way that lowers the majorant most, at residuals within 8 sigma
         # of 0 (where Im u is small, so is its rounding to complex64)
         sigma = max(10.0**exponent, SIGMA_MIN)
-        spec, eps32 = MethodSpec("tagoram", tagoram_sigma=sigma), float(np.finfo(np.float32).eps)
+        spec = MethodSpec("tagoram", tagoram_sigma=sigma)
         r = np.clip(np.array(residuals) * sigma * math.sqrt(2.0), -math.pi, math.pi)
         rng, ulps = np.random.default_rng(seed), solver_mod.TERM_ULPS
         u = (1.0 + rng.integers(-4 * ulps, 4 * ulps + 1, len(r)) * 2.0**-52) * np.exp(1j * r)
-        moved = u + 4.4 * eps32 * np.where(u.imag < 0.0, -1j, 1j)
+        moved = u + 4.4 * EPS32 * np.where(u.imag < 0.0, -1j, 1j)
         bound = _pair_sums(spec, moved.astype(np.complex64)[:, None], np.ones(1, np.complex64), majorant=True)
         full = tagoram_terms(u, sigma)
-        slack = ulps * (eps32 + 16 * 2.0**-52)
-        assert (full <= bound + slack).all(), (sigma, r[full > bound + slack])
+        assert (full <= bound + PAIR_SLACK).all(), (sigma, r[full > bound + PAIR_SLACK])
