@@ -220,12 +220,15 @@ def _locate_jobs(evaluator, methods, jobs, truth, per_pass) -> dict[tuple, Trial
     """Records keyed by (trial, method index, tag) for (trial, tag,
     stream) jobs, each method scoring up to per_pass streams at a time.
     A record holds only the argmax cell, so GridEvaluator.best_cells
-    finds it without the holograms where bounds allow."""
+    finds it without the holograms where bounds allow.  Every method
+    scores one batch before the next batch starts, so the methods that
+    read one FFT pass of a batch (clf, slf, sarfid and the nlf, wclf and
+    wslf bounds) find it still kept by the evaluator."""
     records = {}
     region = evaluator.region
-    for k, (method_name, spec) in enumerate(methods):
-        for lo in range(0, len(jobs), per_pass):
-            batch = jobs[lo:lo + per_pass]
+    for lo in range(0, len(jobs), per_pass):
+        batch = jobs[lo:lo + per_pass]
+        for k, (method_name, spec) in enumerate(methods):
             try:
                 cells = evaluator.best_cells([samples for _, _, samples in batch], spec)
             except Exception as exc:

@@ -55,8 +55,12 @@ exp(-sin^2 r/(2*sigma^2)) at every sigma, so the sum of that Gaussian
 majorant bounds tagoram.  That pass only prunes, so it runs in single
 precision, with |sin r| shrunk by a bound on the rounding and the
 float32 exp's error in the width; the cells it leaves are scored in
-float64.  The FFT methods, whose passes are already cheap, and every
-other case score the holograms.
+float64.  clf, slf and sarfid take the argmax of their full FFT pass, and
+one pass per power serves every method that reads it: GridEvaluator keeps
+the raw scores while the same stack of streams comes back, and the power-1
+pass finishes clf and sarfid (whose inputs and power are clf's bit for
+bit) and bounds nlf and wclf, the power-2 pass finishes slf and bounds
+wslf.  Every other case scores the holograms.
 """
 
 from __future__ import annotations
@@ -93,6 +97,8 @@ _TERM_MIN = {"nlf": -4.0 * math.pi**2, "wclf": -1.0, "wslf": -1.0 / math.e, "tag
 # per pair, term <= scale * (the cheap method's term) + offset, for any residual r:
 # -r^2 <= 2*cos r - 2; |cos r|*cos r <= (1 + cos r)/2; -sin^2 r*exp(-sin^2 r) <= -sin^2 r/e
 _SANDWICH = {"nlf": ("clf", 2.0, -2.0), "wclf": ("clf", 0.5, 0.5), "wslf": ("slf", 1.0 / math.e, 0.0)}
+# the methods best_cells reads from kept FFT passes (GridEvaluator._shared_scores)
+_SHARED = ("clf", "slf", "sarfid")
 _EPS = float(np.finfo(float).eps)
 _EPS32 = float(np.finfo(np.float32).eps)
 
@@ -549,7 +555,12 @@ class GridEvaluator:
     weights sandwich, tagoram from a pass of its Gaussian majorant, which
     forms u as the full pass does, but in complex64, and takes per pair
     an absolute value, a subtraction, a clip, a square, a product and an
-    exp in float32.
+    exp in float32.  It keeps the raw scores of its FFT passes while a
+    stack of streams is current (_shared_scores), so that clf, slf and
+    sarfid and the sandwich's bounds share one pass per power: up to
+    three (S, M) float64 arrays, clf's, sarfid's and slf's, beyond the
+    budget above, until another stack replaces them.  So an evaluator is
+    not for concurrent best_cells calls.
 
     A method is any callable taking (phases, dists, wavelength) and
     returning one score per row of dists; MethodSpec objects are such
@@ -567,6 +578,9 @@ class GridEvaluator:
             # every cell's pair phasors are then 1 up to rounding, so the argmax would be noise
             raise ValueError("poses hold fewer than two distinct positions")
         self._sq = [(region.axis_cells(a)[:, None] - self.poses[None, :, a]) ** 2 for a in range(3)]
+        # best_cells' linear raw scores of the current stack: its key, and per
+        # method name the scheme they were scored under and the (S, M) scores
+        self._stack_key, self._stored = None, {}
 
     @cached_property
     def _track(self) -> _Track | None:
@@ -619,11 +633,15 @@ class GridEvaluator:
         wavelength: float,
         boxes: list | None = None,
         majorant: bool = False,
+        also: tuple = (),
     ) -> None:
         """Write spec's (S, M) scores into out from one sequence per line of
         cells, in chunks dealt to the shares: methods with a LinearForm
         convolve each line with every stream's inputs, the others form each
         cell's pairs from its sliding window of the line and sum their terms.
+        also holds (spec, out) pairs of further methods whose LinearForm has
+        spec's inputs and power (sarfid's and clf's): each is finished from
+        the same convolutions into its own out.
 
         boxes, (group lo, group hi, c0, c1) each, limits the cells scored
         to those groups' cells c0..c1 along the track (counted from the
@@ -687,7 +705,12 @@ class GridEvaluator:
                 chunks += [(g, g + 1, s0, s1) for g in range(lo, hi) for s0, s1 in segments]
         most = max((hi - lo) * (c1 - c0) for lo, hi, c0, c1 in chunks) * p  # pair entries
         span = a * (max(c1 - c0 for _, _, c0, c1 in chunks) - 1) + b * (n - 1) + 1  # per line
-        grid = np.moveaxis(out.reshape(-1, *shape), 1 + track.axis, -1)
+
+        def as_grid(out):
+            return np.moveaxis(out.reshape(-1, *shape), 1 + track.axis, -1)
+
+        grid = as_grid(out)
+        finishes = [(form, grid)] + [(linear_form(other, phases), as_grid(dest)) for other, dest in also]
 
         def score(chunks):
             rows = max(hi - lo for lo, hi, _, _ in chunks)
@@ -705,18 +728,19 @@ class GridEvaluator:
             def pair_sums(window):
                 pairs = geometry[: window[..., 0].size * p].reshape(window.shape[:2] + (p,))
                 pair_values(spec.scheme, window, out=pairs, fold=nlf)
-                for side in sides:
-                    yield _pair_sums(spec, pairs, side, scratch, majorant=majorant)
+                for s, side in enumerate(sides):
+                    yield grid[s], _pair_sums(spec, pairs, side, scratch, majorant=majorant)
 
             def convolved(window, line):
                 if form.power == 2:
                     np.square(line, out=line)
-                at_anchor = None if form.anchor is None else window[..., form.anchor]
                 spectrum = fft(line, size, axis=-1)
                 conv = np.empty_like(spectrum)  # every stream's product, inverted in place
                 for s, stream in enumerate(spectra):
                     conv = ifft(np.multiply(spectrum, stream, out=conv), axis=-1, overwrite_x=True)
-                    yield form.finish(conv[:, at_cells], at_anchor, s)
+                    for done, dest in finishes:
+                        at_anchor = None if done.anchor is None else window[..., done.anchor]
+                        yield dest[s], done.finish(conv[:, at_cells], at_anchor, s)
 
             for lo, hi, c0, c1 in chunks:
                 h, count = hi - lo, c1 - c0
@@ -739,8 +763,8 @@ class GridEvaluator:
                 at = slice(None) if len(lines) == h else np.repeat(np.arange(h), sizes)
                 cols = slice(c0, c1) if track.flip else slice(ny - c1, ny - c0)
                 results = pair_sums(window) if form is None else convolved(window, line)
-                for s, sums in enumerate(results):
-                    grid[s, iu, iv, cols] = (sums if track.flip else sums[:, ::-1])[at]
+                for dest, sums in results:
+                    dest[iu, iv, cols] = (sums if track.flip else sums[:, ::-1])[at]
 
         if form is None and sum((hi - lo) * ((c1 - c0) * per_cell + fixed)
                                 for lo, hi, c0, c1 in chunks) <= cap:
@@ -791,15 +815,22 @@ class GridEvaluator:
         has been scored in full: a stream where a lower-index cell does
         falls back to its hologram, as does one whose bounds leave more
         than a quarter of the grid after the first step.  The fallback
-        streams share one pass.  Beside the tables it holds two (S, M)
-        arrays: the bounds, and the full scores, -inf where not scored.
+        streams share one pass.  Beside the tables and the kept FFT passes
+        it holds two (S, M) arrays: the bounds, and the full scores, -inf
+        where not scored.
 
-        Every other case scores the holograms: clf, slf and sarfid, whose
-        FFT passes cost about 4.5 ms on the stock plane; misaligned, where
-        the sandwich holds but prunes little; off-track poses and plain
+        clf, slf and sarfid under reference:r on a track take the argmax of
+        their raw scores from the shared FFT pass of their power (2.3-3.1 ms
+        for 8 streams on the stock plane), which the evaluator keeps
+        while the stack is current: the power-1 pass gives clf, sarfid and
+        the nlf and wclf bounds, the power-2 pass slf and the wslf bound.
+        Every other case scores the holograms: misaligned, where the
+        sandwich holds but prunes little; off-track poses and plain
         callables.
         """
         phases, wavelength = self._stacked(streams)
+        if self._referenced_on_track(method) and method.name in _SHARED:
+            return [self._best_cell(row) for row in self._shared_scores(method, phases, wavelength)]
         plan = self._bound_plan(method, wavelength)
         if plan is None:
             return [self._best_cell(row) for row in self.raw_scores(phases, method, wavelength)]
@@ -851,20 +882,16 @@ class GridEvaluator:
         pair term is at most an affine function of the clf or slf term of
         the same pair (_SANDWICH), and the full score at most scale*(the
         clf or slf score) + offset*P.  The cheap pass is that method's
-        ordinary full pass, one FFT pass, scaled; the width is
-        _bound_slack's rounding slack.
+        ordinary full pass, one FFT pass shared with clf, slf and sarfid
+        (_shared_scores), scaled; the width is _bound_slack's rounding
+        slack.
 
         tagoram: the sums of its majorant exp(-(Im u/(sigma*sqrt(2)))^2)
         (likelihood._pair_sums), through the full pass's chunk loop, in
         float32 from u rounded to complex64 with |Im u| shrunk by a bound on
         that rounding, at every sigma; the width is the slack, nearly all
         of it float32 exp's rounding."""
-        if not (
-            isinstance(method, MethodSpec)
-            and method.name in _TERM_MIN
-            and method.scheme.kind == "reference"
-            and self._track is not None
-        ):
+        if not (self._referenced_on_track(method) and method.name in _TERM_MIN):
             return None
         track, p = self._track, len(self.poses) - 1
         if method.name == "tagoram":
@@ -881,11 +908,39 @@ class GridEvaluator:
             width = _bound_slack(method.name, p, span, kd_max)
 
             def cheap(phases, out):
-                self._track_scores(lower, phases, out, wavelength)
-                out *= scale
+                np.multiply(self._shared_scores(lower, phases, wavelength), scale, out=out)
                 out += offset * p
 
         return _BoundPlan(cheap, width, p * _TERM_MIN[method.name] - width)
+
+    def _referenced_on_track(self, method) -> bool:
+        """Whether method is a MethodSpec under reference:r and the poses
+        form a track: where best_cells reads bounds or shared passes."""
+        return (
+            isinstance(method, MethodSpec)
+            and method.scheme.kind == "reference"
+            and self._track is not None
+        )
+
+    def _shared_scores(self, spec: MethodSpec, phases: np.ndarray, wavelength: float) -> np.ndarray:
+        """clf's, slf's or sarfid's (S, M) raw scores of (S, N) phases under
+        reference:r on a track, kept while the stack is current: the same
+        phases' bytes and wavelength.  A miss runs one FFT pass, power 2 for
+        slf, else power 1, which writes clf at spec's anchor (reference:0
+        for sarfid) and sarfid, and keeps them under the method's name and
+        scheme in place of earlier ones; another stack drops them all.  The
+        scores are those of raw_scores bit for bit; callers only read them."""
+        key = (phases.shape, phases.tobytes(), wavelength)
+        if key != self._stack_key:
+            self._stack_key, self._stored = key, {}
+        kept = self._stored.get(spec.name)
+        if kept is None or kept[0] != spec.scheme:
+            # sarfid's inputs and power are clf's, so one power-1 pass finishes both
+            specs = [spec] if spec.name == "slf" else [MethodSpec("clf", spec.scheme), MethodSpec("sarfid")]
+            outs = [np.empty((len(phases), self.region.cell_count)) for _ in specs]
+            self._track_scores(specs[0], phases, outs[0], wavelength, also=tuple(zip(specs[1:], outs[1:])))
+            self._stored.update((s.name, (s.scheme, out)) for s, out in zip(specs, outs))
+        return self._stored[spec.name][1]
 
     @cached_property
     def _cell_slots(self) -> tuple[np.ndarray, np.ndarray]:

@@ -54,6 +54,7 @@ from phaseloc.io_eval import (
 )
 from phaseloc.io_eval.bench import BenchReport, TrialRecord
 from phaseloc.io_eval.cli import cli
+from phaseloc.likelihood import linear_form
 
 TWO_PI = 2.0 * math.pi
 
@@ -610,6 +611,28 @@ class TestMethodResolution:
             parse_scheme("adjacent")
 
 
+# mc-plane's scene: the stock plane's 7171 cells under 101 poses, two noisy tags with jumps
+STOCK_SCENE = Scenario(
+    tags=(TagTruth("T01", Position3D(0.0, 0.12, 0.24), phi0=1.9),
+          TagTruth("T02", Position3D(0.0, -0.1, 0.4), phi0=4.0)),
+    trajectory=linear_track(x=1.4, z=0.0, y_start=-0.5, y_stop=0.5, spacing=0.01),
+    carrier=CarrierConfig(866.9e6),
+    noise=NoiseModel(sigma_slope=0.006, sigma_intercept=0.0084),
+    jump_probability=0.05,
+    rng_seed=1,
+)
+STOCK_REGION = SearchRegion(x=(0.0, 0.0), y=(-0.5, 0.5), z=(0.0, 0.7), resolution=0.01)
+
+
+def seven_methods(ref):
+    """The seven methods as bench resolves them, the five likelihoods under
+    reference:ref; sarfid and tagoram take only reference:0."""
+    scheme = DifferentialScheme.reference(ref)
+    return [(name, resolve_method(name, scheme if name not in ("sarfid", "tagoram")
+                                  else DifferentialScheme.reference(0)))
+            for name in ("nlf", "clf", "slf", "wclf", "wslf", "sarfid", "tagoram")]
+
+
 class TestBench:
     def bench_inputs(self, config_path):
         scenario, region = load_scenario(config_path)
@@ -698,6 +721,45 @@ class TestBench:
         assert [(r.trial, r.method, r.tag_id) for r in records] == [
             (t, name, tag) for t in range(5) for name, _ in methods for tag in ("T01", "T02", "T03")
         ]
+
+    @pytest.mark.parametrize("ref", [0, 37])
+    def test_methods_together_give_each_method_alone_records(self, ref):
+        # in one run the methods read shared FFT passes; each method's
+        # records equal those of a run of that method alone
+        methods = seven_methods(ref)
+        together = run_bench(STOCK_SCENE, STOCK_REGION, methods, trials=4, base_seed=5).records
+        for name, spec in methods:
+            alone = run_bench(STOCK_SCENE, STOCK_REGION, [(name, spec)], trials=4, base_seed=5).records
+            assert [r for r in together if r.method == name] == list(alone), name
+
+    @pytest.mark.parametrize("per_pass", [None, 4, 1])
+    def test_one_fft_pass_per_power_and_batch(self, per_pass):
+        # a seven-method run convolves each batch's stack once at power 1
+        # (clf, sarfid, and nlf's and wclf's bounds) and once at power 2
+        # (slf, and wslf's bound): 4 trials of 2 tags are one batch of 8
+        # streams, in passes of 4 two, and in passes of 1 eight, two per
+        # synthesized trial
+        real_pass, real_best = GridEvaluator._track_scores, GridEvaluator.best_cells
+        stacks, passes = set(), []
+
+        def best_cells(self, streams, method):
+            stacks.add(np.stack([s.phases for s in streams]).tobytes())
+            return real_best(self, streams, method)
+
+        def track_scores(self, spec, phases, out, wavelength, **options):
+            form = linear_form(spec, phases)
+            if form is not None:
+                passes.append((form.power, phases.tobytes()))
+            return real_pass(self, spec, phases, out, wavelength, **options)
+
+        with contextlib.ExitStack() as stack:
+            stack.enter_context(mock.patch.object(GridEvaluator, "best_cells", best_cells))
+            stack.enter_context(mock.patch.object(GridEvaluator, "_track_scores", track_scores))
+            if per_pass is not None:
+                stack.enter_context(mock.patch.object(GridEvaluator, "streams_per_pass", per_pass))
+            run_bench(STOCK_SCENE, STOCK_REGION, seven_methods(0), trials=4)
+        assert len(stacks) == {None: 1, 4: 2, 1: 8}[per_pass]
+        assert sorted(passes) == sorted((power, stack) for stack in stacks for power in (1, 2))
 
     def test_memory_does_not_grow_with_trials(self, config_path):
         # passes of 4 streams: 2 trials of the scenario's 2 tags at a time

@@ -1496,11 +1496,11 @@ class TestBestCells:
         ev = GridEvaluator(STOCK_PLANE, STOCK_TRACK)
         real = GridEvaluator._track_scores
 
-        def spy(self, spec, phases, out, wavelength, boxes=None, majorant=False):
+        def spy(self, spec, phases, out, wavelength, boxes=None, majorant=False, also=()):
             assert spec != bounded or boxes is not None or majorant, "a full pass"
             if boxes is not None:
                 boxes_seen.append((len(phases), boxes))
-            return real(self, spec, phases, out, wavelength, boxes=boxes, majorant=majorant)
+            return real(self, spec, phases, out, wavelength, boxes=boxes, majorant=majorant, also=also)
 
         ref = DifferentialScheme.reference(seed % 101)
         bounded_specs = [MethodSpec(name, ref) for name in ("nlf", "wclf", "wslf")]
@@ -1638,6 +1638,48 @@ class TestBestCells:
                     ev._track_scores(spec, stacked, out, CARRIER.wavelength, boxes=boxes)
                 assert np.array_equal(out[:, inside], want[:, inside]), (spec, block)
                 assert np.isnan(out[:, ~inside]).all(), spec
+
+    def test_kept_scores_follow_the_stack(self):
+        # one evaluator scores stacks A, B, A, then A's phases at another
+        # wavelength, then A, with the methods interleaved and clf under
+        # two references: every result, and every score kept, equals a
+        # fresh evaluator's
+        ev = GridEvaluator(STOCK_PLANE, STOCK_TRACK)
+        a, b = stock_streams(200, 2), stock_streams(400, 2)
+        far = [SampleStream(s.poses, s.phases, CarrierConfig(915e6)) for s in a]
+        mid = DifferentialScheme.reference(37)
+        specs = [MethodSpec("nlf"), MethodSpec("sarfid"), MethodSpec("slf"), MethodSpec("clf", mid),
+                 MethodSpec("wslf"), MethodSpec("clf"), MethodSpec("wclf", mid), MethodSpec("sarfid")]
+        for k, streams in enumerate((a, b, a, far, a)):
+            phases, wavelength = np.stack([s.phases for s in streams]), streams[0].carrier.wavelength
+            for spec in specs[k:] + specs[:k]:
+                fresh = GridEvaluator(STOCK_PLANE, STOCK_TRACK)
+                assert ev.best_cells(streams, spec) == fresh.best_cells(streams, spec), (k, spec)
+                for name, (scheme, kept) in ev._stored.items():
+                    want = fresh.raw_scores(phases, MethodSpec(name, scheme), wavelength)
+                    assert np.array_equal(kept, want), (k, spec, name)
+            assert len(ev._stored) <= 3
+
+    @pytest.mark.parametrize("route", ["misaligned", "off-track", "callable"])
+    def test_other_routes_keep_no_scores(self, route):
+        # misaligned, off-track poses and plain callables score their
+        # holograms, and neither read nor keep shared FFT passes
+        poses = STOCK_TRACK
+        if route == "off-track":
+            poses = STOCK_TRACK.copy()
+            poses[50, 0] += 1e-3
+        streams = [SampleStream(poses, s.phases, s.carrier) for s in stock_streams(200, 2)]
+        ev = GridEvaluator(STOCK_PLANE, poses)
+        specs = best_cell_specs(37, "track")
+        if route == "misaligned":  # the likelihoods; sarfid and tagoram take only reference:0
+            specs = best_cell_specs(37, route)[:5]
+        elif route == "callable":
+            specs = best_cell_specs(37, route)[:6]
+        with mock.patch.object(GridEvaluator, "_shared_scores", side_effect=AssertionError("shared pass")):
+            for spec in specs:
+                want = [int(np.argmax(h.scores)) for h in ev.holograms(streams, spec)]
+                assert ev.best_cells(streams, spec) == want, spec
+        assert ev._stack_key is None and ev._stored == {}
 
     def test_failing_method_fails_as_the_full_pass(self):
         ev = GridEvaluator(STOCK_PLANE, STOCK_TRACK)
