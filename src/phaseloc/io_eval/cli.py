@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..likelihood import DEFAULT_TAGORAM_SIGMA, METHOD_NAMES
+from ..likelihood import DEFAULT_TAGORAM_SIGMA, METHOD_NAMES, DifferentialScheme
 from ..solver import GridEvaluator, SearchRegion, argmax_estimate
 from ..synthesis import synthesize
 from .bench import parse_scheme, resolve_method, run_bench, write_bench_report
@@ -80,13 +80,19 @@ def _build_region(args, config_region) -> SearchRegion:
 
 
 def _resolve_method_args(args):
+    """(name, spec) per listed method.  --scheme applies to the five
+    likelihoods; beside one of them sarfid and tagoram stay at reference:0,
+    and without one the scheme goes to every method, which rejects any
+    other scheme, so the flag is never silently ignored."""
     names = args.method.split(",")
     if args.tagoram_sigma is not None and "tagoram" not in names:
         raise UsageError("--tagoram-sigma needs the tagoram method")
     sigma = DEFAULT_TAGORAM_SIGMA if args.tagoram_sigma is None else args.tagoram_sigma
+    fixed = ("sarfid", "tagoram") if set(names) - {"sarfid", "tagoram"} else ()
     try:
         scheme = parse_scheme(args.scheme)
-        return [(name, resolve_method(name, scheme, sigma)) for name in names]
+        return [(name, resolve_method(name, DifferentialScheme.reference(0) if name in fixed else scheme, sigma))
+                for name in names]
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -215,7 +221,8 @@ def _cmd_bench(args) -> int:
     scenario, config_region = load_scenario(args.config, seed_override=args.seed)
     region = _build_region(args, config_region)
     methods = _resolve_method_args(args)
-    index, poses = methods[0][1].scheme.reference_index, len(scenario.trajectory.poses)
+    index = max(spec.scheme.reference_index for _, spec in methods)
+    poses = len(scenario.trajectory.poses)
     if index >= poses:
         raise UsageError(f"--scheme reference:{index} is out of range for {poses} poses")
     report = run_bench(scenario, region, methods, trials=args.trials, base_seed=args.seed)

@@ -65,12 +65,19 @@ of the score scale.
 
 tagoram weights every pair's cos r by erfc(|r|/(sigma*sqrt(2))), through
 the same steps for every pair; scipy.special is imported when tagoram is
-first scored.  Asked for tagoram's majorant instead, _pair_sums sums
-exp(-(sin r/(sigma*sqrt(2)))^2) over the same u, which bounds each pair's
-term from above at every sigma: the cheap pass of
-GridEvaluator.best_cells.  That pass runs in float32 from u rounded to
-complex64, with |sin r| shrunk by a bound on the rounding, so it still
-bounds the float64 term.
+first scored.  Two kinds of bound on that term serve
+GridEvaluator.best_cells.  Fejer kernels of r cost nothing once clf and
+slf are scored: ((1 + 2*cos r)/3)^2 = (3 + 4*cos r + 2*cos 2r)/9 >=
+erfc(|r|/(sigma*sqrt(2))) * cos r for sigma up to about 7.11 (erfc grows
+with sigma, and at 7.2 the term exceeds it near r = 0.92), and ((1 + cos
+r)/2)^2 >= max(0, cos r) >= the term at every sigma; with cos 2r = 1 -
+2*sin^2 r, their sums over P pairs are (5*P + 4*(clf + slf))/9 and (2*P
++ 2*clf + slf)/4 of the clf and slf scores.  Both equal the term at r =
+0 only, so where they do not prune, _pair_sums, asked for tagoram's
+majorant, sums exp(-(sin r/(sigma*sqrt(2)))^2) over the same u, which
+bounds each pair's term from above at every sigma.  That pass runs in
+float32 from u rounded to complex64, with |sin r| shrunk by a bound on
+the rounding, so it still bounds the float64 term.
 
 The pair terms of a C-order (..., M, P) block are summed pairwise per
 row, whatever M and however many streams share it.  A block of one

@@ -47,20 +47,24 @@ Where only the argmax is wanted (run_bench), GridEvaluator.best_cells
 finds it without scoring every cell on every pair: under reference:r on
 a track, a cheap pass bounds each cell's full score from above, and only
 the cells whose bound can still reach the best full score are scored in
-full, bit for bit as in the full pass.  wclf and wslf weight each clf or
-slf pair term by a weight in [0, 1], and nlf's -r^2 lies below 2*cos r -
-2, so a scaled clf or slf FFT pass bounds nlf, wclf and wslf (the
-sandwich); tagoram's term erfc(|r|/(sigma*sqrt(2))) * cos r lies below
-exp(-sin^2 r/(2*sigma^2)) at every sigma, so the sum of that Gaussian
-majorant bounds tagoram.  That pass only prunes, so it runs in single
-precision, with |sin r| shrunk by a bound on the rounding and the
-float32 exp's error in the width; the cells it leaves are scored in
-float64.  clf, slf and sarfid take the argmax of their full FFT pass, and
-one pass per power serves every method that reads it: GridEvaluator keeps
-the raw scores while the same stack of streams comes back, and the power-1
-pass finishes clf and sarfid (whose inputs and power are clf's bit for
-bit) and bounds nlf and wclf, the power-2 pass finishes slf and bounds
-wslf.  Every other case scores the holograms.
+full, each (stream, cell) pair on its own, bit for bit as in the full
+pass.  wclf and wslf weight each clf or slf pair term by a weight in [0,
+1], and nlf's -r^2 lies below 2*cos r - 2, so a scaled clf or slf FFT
+pass bounds nlf, wclf and wslf (the sandwich).  tagoram's term
+erfc(|r|/(sigma*sqrt(2))) * cos r lies below the Fejer kernel ((1 + 2*cos
+r)/3)^2 up to sigma FEJER_SIGMA, and below ((1 + cos r)/2)^2 at every
+sigma, both sums of the clf and slf terms, so the same two passes give a
+free pre-bound; it is tight only near r = 0, so tagoram's Gaussian
+majorant exp(-sin^2 r/(2*sigma^2)) is summed only in each stream's
+windows, the cells whose pre-bound still reaches a full score.  That
+pass only prunes, so it runs in single precision, with |sin r| shrunk by
+a bound on the rounding and the float32 exp's error in the width.  clf,
+slf and sarfid take the argmax of their full FFT pass, and one pass per
+power serves every method that reads it: GridEvaluator keeps the raw
+scores while the same stack of streams comes back, and the power-1 pass
+finishes clf and sarfid (whose inputs and power are clf's bit for bit)
+and bounds nlf, wclf and tagoram, the power-2 pass finishes slf and
+bounds wslf and tagoram.  Every other case scores the holograms.
 """
 
 from __future__ import annotations
@@ -90,13 +94,17 @@ PASS_CELLS = 32  # fewest cells per block in a pass of streams_per_pass streams
 PASS_SCORES = 1 << 20  # most raw scores a pass of streams_per_pass streams holds: 8 MiB
 PEAK_THRESHOLD = 0.999  # find_peak_regions' cut; rack-plane ridge saddles sit near 0.99
 TRACK_ULPS = 8  # most a track's poses and cells may stray from even steps, in ulps
-BOUND_GAP = 5  # best_cells' boxes join cells fewer than 5 apart along the track
 TERM_ULPS = 32  # most a computed phasor strays from its exact value, in eps
+FEJER_SIGMA = 7.0  # most tagoram sigma its order-3 Fejer pre-bound takes (it holds to 7.11)
 # least pair term of the methods best_cells bounds
 _TERM_MIN = {"nlf": -4.0 * math.pi**2, "wclf": -1.0, "wslf": -1.0 / math.e, "tagoram": -1.0}
-# per pair, term <= scale * (the cheap method's term) + offset, for any residual r:
-# -r^2 <= 2*cos r - 2; |cos r|*cos r <= (1 + cos r)/2; -sin^2 r*exp(-sin^2 r) <= -sin^2 r/e
-_SANDWICH = {"nlf": ("clf", 2.0, -2.0), "wclf": ("clf", 0.5, 0.5), "wslf": ("slf", 1.0 / math.e, 0.0)}
+# per pair, term <= w_clf * (clf term) + w_slf * (slf term) + offset, for any residual r, as
+# (w_clf, w_slf, offset): -r^2 <= 2*cos r - 2; |cos r|*cos r <= (1 + cos r)/2;
+# -sin^2 r*exp(-sin^2 r) <= -sin^2 r/e
+_SANDWICH = {"nlf": (2.0, 0.0, -2.0), "wclf": (0.5, 0.0, 0.5), "wslf": (0.0, 1.0 / math.e, 0.0)}
+# tagoram's pre-bounds in that form, with cos 2r = 1 + 2*(slf term): ((1 + 2*cos r)/3)^2 = (3 +
+# 4*cos r + 2*cos 2r)/9 up to sigma FEJER_SIGMA, and ((1 + cos r)/2)^2 >= max(0, cos r) above
+_FEJER = ((4.0 / 9.0, 4.0 / 9.0, 5.0 / 9.0), (0.5, 0.25, 0.5))
 # the methods best_cells reads from kept FFT passes (GridEvaluator._shared_scores)
 _SHARED = ("clf", "slf", "sarfid")
 _EPS = float(np.finfo(float).eps)
@@ -143,7 +151,8 @@ class SearchRegion:
     min and step by the per-axis resolution; max is included when the
     span divides evenly, and no centre lies beyond it: where min + k*res
     rounds above max (0.7000000000000001 for [0, 0.7] at 0.01), the last
-    centre is max.
+    centre is max.  The shape and the read-only axis cells are computed
+    once, when first asked for, and kept with the region.
     """
 
     x: tuple[float, float]
@@ -175,12 +184,19 @@ class SearchRegion:
         return (self.x, self.y, self.z)
 
     def axis_cells(self, axis: int) -> np.ndarray:
-        lo, hi = self.bounds[axis]
-        if lo == hi:
-            return np.array([lo], dtype=float)
-        return np.minimum(lo + self.resolution[axis] * np.arange(self.shape[axis]), hi)
+        """The cell centres on one axis, read-only: computed once per region."""
+        return self._axis_cells[axis]
 
-    @property
+    @cached_property
+    def _axis_cells(self) -> tuple[np.ndarray, ...]:
+        cells = []
+        for (lo, hi), r, count in zip(self.bounds, self.resolution, self.shape):
+            axis = np.array([lo], dtype=float) if lo == hi else np.minimum(lo + r * np.arange(count), hi)
+            axis.setflags(write=False)
+            cells.append(axis)
+        return tuple(cells)
+
+    @cached_property
     def shape(self) -> tuple[int, int, int]:
         return tuple(_axis_count(lo, hi, r) for (lo, hi), r in zip(self.bounds, self.resolution))
 
@@ -268,7 +284,7 @@ class _Track:
     starts: np.ndarray  # group g's lines are members[starts[g]:starts[g + 1]]
 
 
-def _bound_slack(name: str, p: int, span: int = 0, kd_max: float = 0.0) -> float:
+def _bound_slack(name: str, p: int, span: int, kd_max: float = 0.0) -> float:
     """What best_cells adds to method name's cheap bound over p pairs
     (n = p + 1 reads) for rounding: the sum of the terms below, doubled,
     which covers the bound's own scaling, addition and comparison.  The
@@ -279,35 +295,19 @@ def _bound_slack(name: str, p: int, span: int = 0, kd_max: float = 0.0) -> float
     (and a squaring) on a phasor.
 
     full: the full pass's term and summation rounding.  A pair phasor
-    A_n*conj(A_r)*exp(j*dphi) lies within 4*TERM_ULPS*eps of exp(j*r) (three
-    phasors, two products, dphi's subtraction), and wclf's and wslf's
-    terms move by at most twice that, plus their own rounding; nlf's term
-    is its computed residual's square, within eps*4*pi^2 < TERM_ULPS*eps.
-    So each term lies within 8*TERM_ULPS*eps of the exact term, and any
-    order of summing p terms of magnitude at most t = -t_min errs by at
-    most (p - 1)*eps/2 times their magnitudes' sum: eps*t*p^2 covers it.
+    A_n*conj(A_r)*exp(j*dphi) lies within d = 4*TERM_ULPS*eps of exp(j*r)
+    (three phasors, two products, dphi's subtraction), and wclf's and
+    wslf's terms move by at most twice that, plus their own rounding;
+    nlf's term is its computed residual's square, within eps*4*pi^2 <
+    TERM_ULPS*eps.  So each term lies within 8*TERM_ULPS*eps of the exact
+    term, and any order of summing p terms of magnitude at most t = -t_min
+    errs by at most (p - 1)*eps/2 times their magnitudes' sum: eps*t*p^2
+    covers it.
 
-    cheap: for tagoram, the majorant's.  The full pass reads the
-    computed float64 pair phasor u = rho*exp(j*theta), rho within d =
-    4*TERM_ULPS*eps of 1 (above).  With s = sigma*sqrt(2) and y =
-    (theta/s)^2, its exact full term erfc(|theta|/s)*rho*cos theta is <= 0
-    where cos theta <= 0 and at most rho*exp(-y) <= exp(-y) + d elsewhere,
-    and the exact majorant of that u, exp(-(rho*sin theta/s)^2), falls
-    short of exp(-y) by at most exp(-y)*(rho^2 - 1)*y <= (2*d + d^2)/e <=
-    d: 2*d per pair.  The full term's rounding (arctan2, the division,
-    erfc, whose absolute error is about eps, and the product) lies within
-    the 8*TERM_ULPS*eps above.  The majorant pass runs in float32 from u
-    rounded to complex64, and shrinks |Im u| by a bound on that rounding,
-    so that its computed exponent is at least the float64 u's exact one
-    (likelihood._pair_sums derives it); what is left is float32 exp's
-    rounding, TERM_ULPS*eps32 (eps32 = 2^-23) of a value at most 1, per
-    pair.  The terms are summed in float64, within eps*t*p^2.  On the stock
-    plane (P = 100) tagoram's width is 7.6e-4, nearly all of it float32
-    exp's.  For the others, the
-    sandwich's scale times the error of the clf or slf pass, which sums
-    y = sum_n exp(j*phi_n)*K_n (K = A, or A^2 for slf) by convolving each
-    line's sequence with a stream's inputs, and finishes with
-    conj(exp(j*phi_r)*K_r)*y:
+    cheap: for nlf, wclf and wslf, the sandwich's weights times the error
+    of the clf or slf pass, which sums y = sum_n exp(j*phi_n)*K_n (K = A,
+    or A^2 for slf) by convolving each line's sequence with a stream's
+    inputs, and finishes with conj(exp(j*phi_r)*K_r)*y:
     * phasors: each input and each sequence entry within TERM_ULPS*eps of
       its exact value, so y within 2*TERM_ULPS*eps*N, and the finish's
       product of |y| <= N by two more such phasors within (2*TERM_ULPS +
@@ -326,6 +326,35 @@ def _bound_slack(name: str, p: int, span: int = 0, kd_max: float = 0.0) -> float
       <= 2*eps <= kappa, every sum errs by at most kappa*(3*sqrt(L)*N +
       L*sqrt(N)) to first order.
 
+    For tagoram, the larger of its two bounds' slack (best_cells takes
+    the smaller bound where it has both).  The full pass reads the
+    computed float64 pair phasor u = rho*exp(j*theta), rho within d of 1
+    and theta within about d of r; with s = sigma*sqrt(2), its exact full
+    term erfc(|theta|/s)*rho*cos theta is <= 0 where cos theta <= 0, and
+    the full term's rounding (arctan2, the division, erfc, whose absolute
+    error is about eps, and the product) lies within the 8*TERM_ULPS*eps
+    above; erfc moves by at most 0.49 of a relative error in its
+    argument, since x*exp(-x^2) <= 1/sqrt(2*e).
+    * The Fejer pre-bound F(r), ((1 + 2*cos r)/3)^2 (at sigma <=
+      FEJER_SIGMA) or ((1 + cos r)/2)^2, is at least erfc(|theta|/s)*cos
+      theta at theta itself, so the term is at most rho*F(theta) <=
+      F(theta) + d, and F, whose slope in cos is at most 4/3, moves by at
+      most 4*d/3 from theta to r: 3*d per pair.  F is summed from the clf
+      and slf passes at weights 4/9 each (1/2 and 1/4 above FEJER_SIGMA),
+      so it adds 8/9 of their phasors + fft.
+    * The majorant: where cos theta > 0 the term is at most rho*exp(-y)
+      <= exp(-y) + d, y = (theta/s)^2, and the exact majorant of that u,
+      exp(-(rho*sin theta/s)^2), falls short of exp(-y) by at most
+      exp(-y)*(rho^2 - 1)*y <= (2*d + d^2)/e <= d: 2*d per pair.  The
+      majorant pass runs in float32 from u rounded to complex64, and
+      shrinks |Im u| by a bound on that rounding, so that its computed
+      exponent is at least the float64 u's exact one
+      (likelihood._pair_sums derives it); what is left is float32 exp's
+      rounding, TERM_ULPS*eps32 (eps32 = 2^-23) of a value at most 1, per
+      pair.  The terms are summed in float64, within eps*t*p^2.  On the
+      stock plane (P = 100) tagoram's width is 7.6e-4, nearly all of it
+      float32 exp's.
+
     gap, nlf only: nlf folds each geometric difference, fl(kd_n - kd_r)
     folded by fmod into [0, 2*pi), and its residual dphi - fold (or that
     + 2*pi) differs from r + 2*pi*k by at most eps*(kd_max + 10*pi): the
@@ -339,11 +368,14 @@ def _bound_slack(name: str, p: int, span: int = 0, kd_max: float = 0.0) -> float
     eps, n, t = _EPS, p + 1, -_TERM_MIN[name]
     summed = eps * t * p * p
     full = 8 * TERM_ULPS * eps * p + summed
-    cheap = (TERM_ULPS * _EPS32 + 8 * TERM_ULPS * eps) * p + summed  # tagoram's majorant
-    if name in _SANDWICH:
-        phasors = 5 * TERM_ULPS * eps * n
-        fft = 8 * eps * math.log2(2 * span) * (3 * math.sqrt(2 * span) * n + 2 * span * math.sqrt(n))
-        cheap = _SANDWICH[name][1] * (phasors + fft)
+    phasors = 5 * TERM_ULPS * eps * n
+    fft = 8 * eps * math.log2(2 * span) * (3 * math.sqrt(2 * span) * n + 2 * span * math.sqrt(n))
+    if name == "tagoram":
+        fejer = 12 * TERM_ULPS * eps * p + sum(_FEJER[0][:2]) * (phasors + fft)
+        majorant = (TERM_ULPS * _EPS32 + 8 * TERM_ULPS * eps) * p + summed
+        cheap = max(fejer, majorant)
+    else:
+        cheap = sum(_SANDWICH[name][:2]) * (phasors + fft)
     gap = 2 * p * eps * (kd_max + 10 * math.pi) if name == "nlf" else 0.0
     return 2.0 * (full + cheap + gap)
 
@@ -352,8 +384,9 @@ def _bound_slack(name: str, p: int, span: int = 0, kd_max: float = 0.0) -> float
 class _BoundPlan:
     """How best_cells bounds a method's full raw scores: cheap(phases, out)
     writes every cell's cheap score for (S, N) phases into (S, M) out, and
-    a cell's full score is at most its cheap score + width.  floor is at
-    most any cell's full score."""
+    a cell's full score is at most its cheap score + width.  cheap returns
+    None, or the (streams, cells, scores) it scored in full on the way.
+    floor is at most any cell's full score."""
 
     cheap: object
     width: float
@@ -366,22 +399,6 @@ def _tie(top: float, floor: float) -> float:
     into its maximum, ulp(top - raw_min) <= eps*(top - floor), and more
     than the rounding of top - margin, eps*|top|."""
     return 4.0 * _EPS * (top - floor + abs(top))
-
-
-def _survivor_boxes(group: np.ndarray, column: np.ndarray, ny: int) -> list:
-    """_track_scores boxes holding the given (group, column) cells: one per
-    run of columns less than BOUND_GAP apart, over the groups it meets, at
-    least two columns wide."""
-    cols = np.unique(column)
-    cuts = np.flatnonzero(np.diff(cols) >= BOUND_GAP) + 1
-    boxes = []
-    for run in np.split(cols, cuts):
-        c0, c1 = int(run[0]), int(run[-1]) + 1
-        if c1 - c0 < 2:
-            c0, c1 = (c0, c0 + 2) if c0 + 2 <= ny else (c1 - 2, c1)
-        inside = (column >= run[0]) & (column <= run[-1])
-        boxes.append((int(group[inside].min()), int(group[inside].max()) + 1, c0, c1))
-    return boxes
 
 
 def _radius_groups(cross: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -531,17 +548,16 @@ class GridEvaluator:
     in single precision, so there a sequence entry takes 2 entries and a
     cell's pair 1.5 (2.5 with several streams): a chunk holds twice the
     cells.
-    A box's groups are cut into the fewest chunks of whole groups that fit
-    it, of near-equal size (71 groups in two chunks are 36 and 35, not 70
-    and 1), so a grid within one share's budget is scored on the calling
-    thread alone, as are boxes whose chunks fit it together.  A pair
-    method whose line exceeds the budget takes segments of at least two
-    cells; a linear method takes a whole line regardless, so its FFT
+    The groups are cut into the fewest chunks of whole groups that fit
+    the budget, of near-equal size (71 groups in two chunks are 36 and 35,
+    not 70 and 1), so a grid within one share's budget is scored on the
+    calling thread alone, as are windowed chunks that fit it together.  A
+    pair method whose line exceeds the budget takes segments of at least
+    two cells; a linear method takes a whole line regardless, so its FFT
     length (scipy.fft.next_fast_len) depends on shapes only, and its
     scores' last bits not on the budget or WORKERS.
     On the stock plane an 8-stream pass took 26-40 ms for nlf, wclf and
-    wslf, 74-93 ms for tagoram (its majorant pass 18-25 ms) and 3-5 ms
-    for clf, slf and sarfid; a
+    wslf, 74-93 ms for tagoram and 3-5 ms for clf, slf and sarfid; a
     one-stream wslf hologram of the 509,141-cell volume took 244-337 ms
     with each radius scored once, against 262-357 ms line by line (2-core
     VM).  Under misaligned, which no stock scene runs, a 6-stream pass
@@ -552,15 +568,21 @@ class GridEvaluator:
     best_cells gives each stream's hologram argmax from bounds for nlf,
     wclf, wslf and tagoram under reference:r on a track (see its
     docstring): nlf, wclf and wslf from a clf or slf FFT pass their
-    weights sandwich, tagoram from a pass of its Gaussian majorant, which
-    forms u as the full pass does, but in complex64, and takes per pair
-    an absolute value, a subtraction, a clip, a square, a product and an
-    exp in float32.  It keeps the raw scores of its FFT passes while a
+    weights sandwich, tagoram from a Fejer pre-bound summed from both
+    passes and, inside each stream's windows of it, a pass of its
+    Gaussian majorant, which forms u as the full pass does, but in
+    complex64, and takes per pair an absolute value, a subtraction, a
+    clip, a square, a product and an exp in float32.  On mc-plane's
+    8-stream stacks the windows held a median of about 17% of a stream's
+    cells, and the majorant pass took 9-11 ms of tagoram's 12 ms (2-core
+    VM).  The cells the bounds leave are scored one (stream, cell) pair
+    at a time (_track_scores' cells): 0.2-1.3 ms per call for 3-171
+    pairs.  best_cells keeps the raw scores of its FFT passes while a
     stack of streams is current (_shared_scores), so that clf, slf and
-    sarfid and the sandwich's bounds share one pass per power: up to
-    three (S, M) float64 arrays, clf's, sarfid's and slf's, beyond the
-    budget above, until another stack replaces them.  So an evaluator is
-    not for concurrent best_cells calls.
+    sarfid and the bounds share one pass per power: up to three (S, M)
+    float64 arrays, clf's, sarfid's and slf's, beyond the budget above,
+    until another stack replaces them.  So an evaluator is not for
+    concurrent best_cells calls.
 
     A method is any callable taking (phases, dists, wavelength) and
     returning one score per row of dists; MethodSpec objects are such
@@ -631,9 +653,10 @@ class GridEvaluator:
         phases: np.ndarray,
         out: np.ndarray,
         wavelength: float,
-        boxes: list | None = None,
         majorant: bool = False,
         also: tuple = (),
+        windows: tuple | None = None,
+        cells: tuple | None = None,
     ) -> None:
         """Write spec's (S, M) scores into out from one sequence per line of
         cells, in chunks dealt to the shares: methods with a LinearForm
@@ -643,20 +666,62 @@ class GridEvaluator:
         spec's inputs and power (sarfid's and clf's): each is finished from
         the same convolutions into its own out.
 
-        boxes, (group lo, group hi, c0, c1) each, limits the cells scored
-        to those groups' cells c0..c1 along the track (counted from the
-        line's far end; c1 - c0 >= 2), cut into chunks within the budget;
-        no other cell of out is written.  The default is the whole grid.
         With majorant, tagoram writes the sums of its majorant
         (likelihood._pair_sums) instead of its scores, from the chunk's
         steering sequence, pairs and each stream's exp(j*dphi) in complex64
         (the distances and kd stay float64), with twice the cells per
-        chunk."""
+        chunk.  windows, two (S, groups) arrays lo and hi of columns counted
+        from the line's far end, limits stream s's sums in group g to
+        columns lo..hi (none where hi <= lo): a chunk forms its pairs over
+        the union of every stream's windows in its groups, once, and each
+        stream sums its own union, a slice of them.  No other cell of out
+        is written.
+
+        cells, (streams, flat cells) of K stream-cells, scores exactly
+        those, for a method without a LinearForm, into (K,) out.  Each
+        group the cells touch gets its whole sequence, each cell's N
+        entries a*j + b*n are gathered from it, and one _pair_sums call
+        takes every row with its own stream's side, so every entry goes
+        through the chunk loop's operations and each score equals its
+        full-pass one bit for bit.  Rows go in chunks of at least two
+        within a share's budget (numpy multiplies a one-element complex
+        array without fused multiply-adds), dealt to the shares."""
         track, n = self._track, len(self.poses)
         phases = np.atleast_2d(phases)
         form = linear_form(spec, phases)
         nlf = spec.name == "nlf"
         a, b, p = track.a, track.b, n - 1
+        cap = 6 * (BLOCK // WORKERS) * (2 if majorant else 1)  # within 6 of a share's 8 arrays
+        if cells is not None:
+            streams, at = cells
+            group, column = self._cell_slots
+            sides = measured_sides(spec, phases)
+            # a row's entries, and per pair its geometry, its side and _pair_sums'
+            # scratch; and, where each row reads a group of its own, that group's sequence
+            span = len(track.sq_offsets)
+            per_row = n + 4 * p + span if nlf else 2 * n + 7 * p + 3 * span
+            order = np.argsort(group[at], kind="stable")  # a group's rows together
+            if len(order) == 1:  # scored twice: a one-row call would round apart
+                order = np.repeat(order, 2)
+            edges = [*range(0, len(order), max(2, cap // per_row)), len(order)]
+            if edges[-1] - edges[-2] == 1:  # a lone last row joins the previous chunk
+                del edges[-2]
+
+            def score_rows(chunks):
+                for lo, hi in chunks:
+                    k = order[lo:hi]
+                    touched, line = np.unique(group[at[k]], return_inverse=True)
+                    seq = np.add(track.cross[touched, None], track.sq_offsets)  # as a chunk builds it
+                    np.sqrt(seq, out=seq)
+                    if nlf:
+                        seq *= 4.0 * math.pi / wavelength
+                    else:
+                        seq = _steering(seq, wavelength, out=np.empty(seq.shape, dtype=complex))
+                    entries = seq[line[:, None], a * column[at[k], None] + b * np.arange(n)]
+                    out[k] = _pair_sums(spec, pair_values(spec.scheme, entries, fold=nlf), sides[streams[k]])
+
+            _score_shares(score_rows, list(zip(edges[:-1], edges[1:])))
+            return
         shape = self.region.shape
         ny, nv = shape[track.axis], shape[max(ax for ax in range(3) if ax != track.axis)]
         groups = len(track.cross)
@@ -666,17 +731,16 @@ class GridEvaluator:
         # per cell, the write's copy of a chunk's sums to each line, where groups hold several
         copy = wide * int(np.diff(track.starts).max()) if len(track.members) > groups else 0
         width = 1 if nlf else 2  # entries per pair or sequence value
-        # entries a chunk takes, within 6 of a share's 8 arrays (see
-        # GridEvaluator); nlf's pairs take residuals and lo instead of u
+        # entries a chunk takes (see GridEvaluator); nlf's pairs take residuals and lo instead of u
         per_entry = wide + (not nlf) * width
         fixed = (b * (n - 1) + 1 - a) * per_entry
-        cap = 6 * (BLOCK // WORKERS) * wide
         if form is None:
             sides = measured_sides(spec, phases)
             if majorant:  # tagoram's exp(j*dphi), rounded to the pairs' complex64
                 sides = sides.astype(np.complex64)
             per_pair = width + 1 + width * (len(sides) > 1)
             per_cell = p * per_pair + a * per_entry + copy
+            rows = cap // (ny * per_cell + fixed)
         else:  # imported here: ~30 ms and 1 MiB that the other methods never need
             from scipy.fft import fft, ifft, next_fast_len
 
@@ -689,20 +753,22 @@ class GridEvaluator:
             at_cells = slice(b * (taps - 1), length, a)
             # whole lines even beyond the budget, so FFT lengths depend on shapes only
             rows = max(1, cap // (ny * (a * per_entry + 3 + copy) + fixed + 4 * size))
-        chunks = []
-        for lo, hi, c0, c1 in [(0, groups, 0, ny)] if boxes is None else boxes:
-            if form is None:
-                rows = cap // ((c1 - c0) * per_cell + fixed)
-            if rows >= 1:  # whole groups in even chunks; a grid within one share's budget takes one
-                parts = np.array_split(np.arange(lo, hi), -(-(hi - lo) // rows))  # sizes differ by <= 1
-                chunks += [(int(g[0]), int(g[-1]) + 1, c0, c1) for g in parts]
-            else:  # segments of one line; a lone last cell joins the previous one
-                cells = max(2, (cap - fixed) // per_cell)
-                edges = [*range(c0, c1, cells), c1]
-                if edges[-1] - edges[-2] == 1:
-                    del edges[-2]
-                segments = list(zip(edges[:-1], edges[1:]))
-                chunks += [(g, g + 1, s0, s1) for g in range(lo, hi) for s0, s1 in segments]
+        if rows >= 1:  # whole groups in even chunks; a grid within one share's budget takes one
+            parts = np.array_split(np.arange(groups), -(-groups // rows))  # sizes differ by <= 1
+            chunks = [(int(g[0]), int(g[-1]) + 1, 0, ny) for g in parts]
+        else:  # segments of one line; a lone last cell joins the previous one
+            step = max(2, (cap - fixed) // per_cell)
+            edges = [*range(0, ny, step), ny]
+            if edges[-1] - edges[-2] == 1:
+                del edges[-2]
+            chunks = [(g, g + 1, s0, s1) for g in range(groups) for s0, s1 in zip(edges[:-1], edges[1:])]
+        if windows is not None:  # each chunk's columns: the union of its groups' windows
+            lo_w, hi_w = windows
+            chunks = [(lo, hi, max(c0, int(lo_w[:, lo:hi].min())), min(c1, int(hi_w[:, lo:hi].max())))
+                      for lo, hi, c0, c1 in chunks]
+            chunks = [chunk for chunk in chunks if chunk[3] > chunk[2]]
+            if not chunks:
+                return
         most = max((hi - lo) * (c1 - c0) for lo, hi, c0, c1 in chunks) * p  # pair entries
         span = a * (max(c1 - c0 for _, _, c0, c1 in chunks) - 1) + b * (n - 1) + 1  # per line
 
@@ -723,15 +789,21 @@ class GridEvaluator:
                 several = len(sides) > 1
                 scratch = np.empty((width + 1 + width * several) * most, dtype=real)
                 geometry = scratch[several * (width + 1) * most :][: width * most].view(seq.dtype)
-            windows = {}  # per cell count: entry (line, j, k) is pose k's of cell j
+            views = {}  # per cell count: entry (line, j, k) is pose k's of cell j
 
-            def pair_sums(window):
+            def pair_sums(window, lo, hi, c0, c1):
                 pairs = geometry[: window[..., 0].size * p].reshape(window.shape[:2] + (p,))
                 pair_values(spec.scheme, window, out=pairs, fold=nlf)
                 for s, side in enumerate(sides):
-                    yield grid[s], _pair_sums(spec, pairs, side, scratch, majorant=majorant)
+                    k0, k1 = c0, c1
+                    if windows is not None:  # this stream's union, within the chunk's
+                        k0, k1 = max(c0, int(lo_w[s, lo:hi].min())), min(c1, int(hi_w[s, lo:hi].max()))
+                        if k1 <= k0:
+                            continue
+                    own = pairs[:, k0 - c0 : k1 - c0]
+                    yield grid[s], _pair_sums(spec, own, side, scratch, majorant=majorant), k0, k1
 
-            def convolved(window, line):
+            def convolved(window, line, c0, c1):
                 if form.power == 2:
                     np.square(line, out=line)
                 spectrum = fft(line, size, axis=-1)
@@ -740,14 +812,14 @@ class GridEvaluator:
                     conv = ifft(np.multiply(spectrum, stream, out=conv), axis=-1, overwrite_x=True)
                     for done, dest in finishes:
                         at_anchor = None if done.anchor is None else window[..., done.anchor]
-                        yield dest[s], done.finish(conv[:, at_cells], at_anchor, s)
+                        yield dest[s], done.finish(conv[:, at_cells], at_anchor, s), c0, c1
 
             for lo, hi, c0, c1 in chunks:
                 h, count = hi - lo, c1 - c0
                 used = a * (count - 1) + b * (n - 1) + 1  # sequence entries the cells read
                 line = seq[:h, :used]
-                if count not in windows:
-                    windows[count] = sliding_window_view(seq[:, :used], b * p + 1, axis=-1)[:, ::a, ::b]
+                if count not in views:
+                    views[count] = sliding_window_view(seq[:, :used], b * p + 1, axis=-1)[:, ::a, ::b]
                 d = dists[:h, :used]
                 np.add(track.cross[lo:hi, None], track.sq_offsets[a * c0 : a * c0 + used], out=d)
                 np.sqrt(d, out=d)
@@ -755,20 +827,23 @@ class GridEvaluator:
                     d *= 4.0 * math.pi / wavelength
                 else:
                     _steering(d, wavelength, out=line)
-                window = windows[count][:h]
+                window = views[count][:h]
                 lines = track.members[track.starts[lo] : track.starts[hi]]
                 iu, iv = np.divmod(lines, nv)
                 # each group's sums go to every line of the group
                 sizes = np.diff(track.starts[lo : hi + 1])
                 at = slice(None) if len(lines) == h else np.repeat(np.arange(h), sizes)
-                cols = slice(c0, c1) if track.flip else slice(ny - c1, ny - c0)
-                results = pair_sums(window) if form is None else convolved(window, line)
-                for dest, sums in results:
+                if form is None:
+                    results = pair_sums(window, lo, hi, c0, c1)
+                else:
+                    results = convolved(window, line, c0, c1)
+                for dest, sums, k0, k1 in results:
+                    cols = slice(k0, k1) if track.flip else slice(ny - k1, ny - k0)
                     dest[iu, iv, cols] = (sums if track.flip else sums[:, ::-1])[at]
 
         if form is None and sum((hi - lo) * ((c1 - c0) * per_cell + fixed)
                                 for lo, hi, c0, c1 in chunks) <= cap:
-            score(chunks)  # boxes within one share's budget: the calling thread alone, as one chunk
+            score(chunks)  # chunks within one share's budget: the calling thread alone, as one
         else:
             _score_shares(score, chunks)
 
@@ -801,12 +876,10 @@ class GridEvaluator:
         lie.  Each stream's best-bounded cell is scored in full, which is a
         lower bound on its best full score; then every cell whose bound
         still reaches that less the tie margin is scored in full, and no
-        other cell can win.  Each step scores boxes around every stream's
-        cells (_survivor_boxes), each box for the streams with a cell in it;
-        streams whose cells lie together share a pass.  Full scores are
-        those of the full pass's chunks cut smaller, so bit for bit as
-        there, and the lowest flat index reaching the best of them, raw_max,
-        is the argmax of the raw scores.
+        other cell can win.  Each step scores exactly those (stream, cell)
+        pairs, in one _track_scores call for all streams, bit for bit as
+        in the full pass, and the lowest flat index reaching the best of
+        them, raw_max, is the argmax of the raw scores.
 
         The hologram normalizes by raw_max - raw_min, and rounding can
         merge a score just below raw_max into 1.0, where the lower index
@@ -817,16 +890,16 @@ class GridEvaluator:
         than a quarter of the grid after the first step.  The fallback
         streams share one pass.  Beside the tables and the kept FFT passes
         it holds two (S, M) arrays: the bounds, and the full scores, -inf
-        where not scored.
+        where not scored; tagoram's cheap pass holds a third, its majorant.
 
         clf, slf and sarfid under reference:r on a track take the argmax of
         their raw scores from the shared FFT pass of their power (2.3-3.1 ms
         for 8 streams on the stock plane), which the evaluator keeps
         while the stack is current: the power-1 pass gives clf, sarfid and
-        the nlf and wclf bounds, the power-2 pass slf and the wslf bound.
-        Every other case scores the holograms: misaligned, where the
-        sandwich holds but prunes little; off-track poses and plain
-        callables.
+        the nlf, wclf and tagoram bounds, the power-2 pass slf and the wslf
+        and tagoram bounds.  Every other case scores the holograms:
+        misaligned, where the sandwich holds but prunes little; off-track
+        poses and plain callables.
         """
         phases, wavelength = self._stacked(streams)
         if self._referenced_on_track(method) and method.name in _SHARED:
@@ -836,30 +909,25 @@ class GridEvaluator:
             return [self._best_cell(row) for row in self.raw_scores(phases, method, wavelength)]
         m, rows = self.region.cell_count, np.arange(len(phases))
         bounds = np.empty((len(phases), m))
-        plan.cheap(phases, bounds)
-        bounds += plan.width
-        group, column = self._cell_slots
-        ny = self.region.shape[self._track.axis]
         raw = np.full_like(bounds, -np.inf)  # full scores where scored
+        scored = plan.cheap(phases, bounds)
+        if scored is not None:
+            at, cells, sums = scored
+            raw[at, cells] = sums
+        bounds += plan.width
 
-        def score(cells):  # the (S, M) cells marked, by the streams with a cell in each box
-            marked, passes = cells.any(axis=0), {}
-            for box in _survivor_boxes(group[marked], column[marked], ny) if marked.any() else []:
-                lo, hi, c0, c1 = box
-                inside = (group >= lo) & (group < hi) & (column >= c0) & (column < c1)
-                passes.setdefault(tuple(np.flatnonzero(cells[:, inside].any(axis=1))), []).append(box)
-            for at, boxes in passes.items():
-                out = raw[list(at)]
-                self._track_scores(method, phases[list(at)], out, wavelength, boxes=boxes)
-                raw[list(at)] = out
+        def score(flat):  # the (S, M) cells at these flat indices, in one call
+            if len(flat):
+                sums = np.empty(len(flat))
+                self._track_scores(method, phases, sums, wavelength, cells=np.divmod(flat, m))
+                raw.flat[flat] = sums
 
-        first = np.zeros(bounds.shape, dtype=bool)
-        first[rows, np.argmax(bounds, axis=1)] = True
-        score(first)
+        first = rows * m + np.argmax(bounds, axis=1)
+        score(first[raw.flat[first] == -np.inf])
         known = raw.max(axis=1)  # at most each stream's best full score
-        left = (bounds >= (known - _tie(known, plan.floor))[:, None]) & (raw == -np.inf)
-        few = np.count_nonzero(left, axis=1) <= m // 4
-        score(left & few[:, None])
+        left = np.flatnonzero((bounds >= (known - _tie(known, plan.floor))[:, None]) & (raw == -np.inf))
+        few = np.bincount(left // m, minlength=len(phases)) <= m // 4
+        score(left[few[left // m]])
         top = raw.max(axis=1)
         best = np.argmax(raw >= (top - _tie(top, plan.floor))[:, None], axis=1)
         # where a lower-index cell nearly ties top, or too many cells were left: the holograms
@@ -880,38 +948,69 @@ class GridEvaluator:
         each pair term weighted by |cos r| or exp(-sin^2 r), both in [0, 1],
         and nlf's -r^2 lies below 2*cos r - 2 on every branch of r; so each
         pair term is at most an affine function of the clf or slf term of
-        the same pair (_SANDWICH), and the full score at most scale*(the
-        clf or slf score) + offset*P.  The cheap pass is that method's
-        ordinary full pass, one FFT pass shared with clf, slf and sarfid
+        the same pair (_SANDWICH), and the full score at most that function
+        of the clf or slf score.  The cheap pass is that method's ordinary
+        full pass, one FFT pass shared with clf, slf and sarfid
         (_shared_scores), scaled; the width is _bound_slack's rounding
         slack.
 
-        tagoram: the sums of its majorant exp(-(Im u/(sigma*sqrt(2)))^2)
-        (likelihood._pair_sums), through the full pass's chunk loop, in
-        float32 from u rounded to complex64 with |Im u| shrunk by a bound on
-        that rounding, at every sigma; the width is the slack, nearly all
-        of it float32 exp's rounding."""
+        tagoram: a Fejer kernel of r bounds its term in the same way, from
+        both passes (_FEJER): ((1 + 2*cos r)/3)^2 up to sigma FEJER_SIGMA,
+        ((1 + cos r)/2)^2 above it.  That pre-bound is tight only near r =
+        0, so within it the sums of the majorant exp(-(Im u/(sigma*
+        sqrt(2)))^2) (likelihood._pair_sums) take over, in float32 through
+        the full pass's chunk loop: each stream's best pre-bound cell is
+        scored in full, and in each group the columns whose pre-bound still
+        reaches that score less the tie margin form the stream's window;
+        a cell's cheap score is the smaller of the two inside it, the
+        pre-bound outside.  The pre-bound is the same on every line of a
+        group (the passes write a group's sums to each of its lines), so
+        one line gives each group's columns.  The width, _bound_slack's,
+        covers both bounds, nearly all of it float32 exp's rounding."""
         if not (self._referenced_on_track(method) and method.name in _TERM_MIN):
             return None
-        track, p = self._track, len(self.poses) - 1
+        track, p, ny = self._track, len(self.poses) - 1, self.region.shape[self._track.axis]
+        span = track.a * (ny - 1) + track.b * p + 1
         if method.name == "tagoram":
-            width = _bound_slack("tagoram", p)
-
-            def cheap(phases, out):
-                self._track_scores(method, phases, out, wavelength, majorant=True)
-
+            width = _bound_slack("tagoram", p, span)
+            w_clf, w_slf, offset = _FEJER[method.tagoram_sigma > FEJER_SIGMA]
         else:
-            name, scale, offset = _SANDWICH[method.name]
-            lower = MethodSpec(name, method.scheme)
-            span = track.a * (self.region.shape[track.axis] - 1) + track.b * p + 1
             kd_max = 4.0 * math.pi / wavelength * math.sqrt(track.cross.max() + track.sq_offsets.max())
             width = _bound_slack(method.name, p, span, kd_max)
+            w_clf, w_slf, offset = _SANDWICH[method.name]
+        floor = p * _TERM_MIN[method.name] - width
+        lower = [(w, MethodSpec(name, method.scheme)) for w, name in ((w_clf, "clf"), (w_slf, "slf")) if w]
 
-            def cheap(phases, out):
-                np.multiply(self._shared_scores(lower, phases, wavelength), scale, out=out)
-                out += offset * p
+        def sandwich(phases, out):
+            for k, (w, spec) in enumerate(lower):
+                kept = self._shared_scores(spec, phases, wavelength)
+                if k:
+                    out += w * kept
+                else:
+                    np.multiply(kept, w, out=out)
+            out += offset * p
 
-        return _BoundPlan(cheap, width, p * _TERM_MIN[method.name] - width)
+        if method.name != "tagoram":
+            return _BoundPlan(sandwich, width, floor)
+
+        def cheap(phases, out):
+            sandwich(phases, out)
+            at, cells = np.arange(len(phases)), np.argmax(out, axis=1)
+            known = np.empty(len(phases))
+            self._track_scores(method, phases, known, wavelength, cells=(at, cells))
+            group, column = self._cell_slots  # out is alike on every line of a group: one line each
+            lines = np.empty((len(track.cross), ny), dtype=np.intp)
+            lines[group, column] = np.arange(out.shape[1])
+            reach = out[:, lines] + width >= (known - _tie(known, floor))[:, None, None]
+            some = reach.any(axis=-1)
+            lo = np.where(some, np.argmax(reach, axis=-1), ny)
+            hi = np.where(some, ny - np.argmax(reach[..., ::-1], axis=-1), 0)
+            sums = np.full_like(out, np.inf)
+            self._track_scores(method, phases, sums, wavelength, majorant=True, windows=(lo, hi))
+            np.minimum(out, sums, out=out)
+            return at, cells, known
+
+        return _BoundPlan(cheap, width, floor)
 
     def _referenced_on_track(self, method) -> bool:
         """Whether method is a MethodSpec under reference:r and the poses
@@ -945,7 +1044,7 @@ class GridEvaluator:
     @cached_property
     def _cell_slots(self) -> tuple[np.ndarray, np.ndarray]:
         """Each cell's track group and its index along the track counted
-        from the line's far end, as _track_scores' boxes count cells."""
+        from the line's far end, as _track_scores' windows count cells."""
         track, shape = self._track, self.region.shape
         at = np.unravel_index(np.arange(self.region.cell_count), shape)
         u, v = (ax for ax in range(3) if ax != track.axis)

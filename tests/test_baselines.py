@@ -323,3 +323,43 @@ class TestTagoramMajorant:
         bound = _pair_sums(spec, moved.astype(np.complex64)[:, None], np.ones(1, np.complex64), majorant=True)
         full = tagoram_terms(u, sigma)
         assert (full <= bound + PAIR_SLACK).all(), (sigma, r[full > bound + PAIR_SLACK])
+
+
+# the Fejer pre-bound's slack per pair (solver._bound_slack): 3*d, d = 4*TERM_ULPS eps
+FEJER_SLACK = 12 * solver_mod.TERM_ULPS * 2.0**-52
+RESIDUALS = np.linspace(-math.pi, math.pi, 200_001)
+
+
+def fejer_bounds(form):
+    """tagoram's pre-bound of a pair at each of RESIDUALS, summed from its
+    clf and slf terms cos r and -sin^2 r at the form's weights."""
+    w_clf, w_slf, offset = form
+    return w_clf * np.cos(RESIDUALS) - w_slf * np.square(np.sin(RESIDUALS)) + offset
+
+
+def perturbed_terms(sigma):
+    """tagoram's term at each of RESIDUALS, from pair phasors up to 4
+    TERM_ULPS eps off the unit circle, as the full pass may read them."""
+    ulps = 4 * solver_mod.TERM_ULPS
+    rho = 1.0 + np.random.default_rng(5).integers(-ulps, ulps + 1, len(RESIDUALS)) * 2.0**-52
+    return tagoram_terms(rho * np.exp(1j * RESIDUALS), sigma)
+
+
+class TestTagoramFejer:
+    @pytest.mark.parametrize("sigma", np.geomspace(1e-6, solver_mod.FEJER_SIGMA, 25))
+    def test_order_three_bounds_every_pair_up_to_its_limit(self, sigma):
+        # ((1 + 2*cos r)/3)^2 >= erfc(|r|/(sigma*sqrt(2))) * cos r from sigma
+        # 1e-6 to FEJER_SIGMA; both are 1 at r = 0, where the slack covers rounding
+        over = perturbed_terms(sigma) - fejer_bounds(solver_mod._FEJER[0])
+        assert over.max() <= FEJER_SLACK, (sigma, RESIDUALS[over.argmax()])
+
+    def test_order_three_fails_past_its_limit(self):
+        # it holds up to sigma 7.11: at 7.2 the term exceeds it by 7e-4 near r = 0.92
+        over = perturbed_terms(7.2) - fejer_bounds(solver_mod._FEJER[0])
+        assert over.max() > 1e-4
+
+    @pytest.mark.parametrize("sigma", [solver_mod.FEJER_SIGMA, 7.2, 8.0, 100.0, 1e6, 1e300])
+    def test_order_two_bounds_every_pair_at_any_sigma(self, sigma):
+        # ((1 + cos r)/2)^2 >= max(0, cos r) >= the term, whatever sigma
+        over = perturbed_terms(sigma) - fejer_bounds(solver_mod._FEJER[1])
+        assert over.max() <= FEJER_SLACK, (sigma, RESIDUALS[over.argmax()])

@@ -906,6 +906,31 @@ class TestCli:
         methods = {line.split(",")[0] for line in summary[1:]}
         assert methods == {"wclf", "wslf", "sarfid", "tagoram"}
 
+    def test_scheme_goes_to_the_likelihoods_beside_the_baselines(self, config_path, tmp_path, capsys):
+        # with a likelihood listed, --scheme goes to the five likelihoods and
+        # sarfid and tagoram stay at reference:0: each method's records equal
+        # a run of it alone; with none listed, or an index past the poses
+        # (31 here) for any method, it is a usage error
+        def run(out, methods, *scheme):
+            return cli(["bench", "--config", str(config_path), "--method", methods, *scheme,
+                        "--trials", "2", "--seed", "3", "--out", str(tmp_path / out)])
+
+        def rows(out, method):
+            lines = (tmp_path / out / "errors.csv").read_text().splitlines()[1:]
+            return [line for line in lines if line.split(",")[1] == method]
+
+        assert run("seven", "nlf,clf,slf,wclf,wslf,sarfid,tagoram", "--scheme", "reference:17") == 0
+        for name in ("nlf", "clf", "slf", "wclf", "wslf", "sarfid", "tagoram"):
+            scheme = ["--scheme", "reference:17"] if name not in ("sarfid", "tagoram") else []
+            assert run(name, name, *scheme) == 0
+            assert rows("seven", name) == rows(name, name) != [], name
+        capsys.readouterr()
+        for methods, scheme in (("sarfid,tagoram", "reference:17"), ("sarfid", "misaligned"),
+                                ("sarfid,clf", "reference:31")):
+            assert run("refused", methods, "--scheme", scheme) == 1
+            assert "usage error" in capsys.readouterr().err
+        assert not (tmp_path / "refused").exists()
+
     def test_wnlf_is_usage_error(self, config_path, tmp_path, capsys):
         log = tmp_path / "log.csv"
         cli(["simulate", "--config", str(config_path), "--seed", "7", "--out", str(log)])

@@ -85,6 +85,20 @@ class TestSearchRegion:
         assert r.shape == (1, 1, 1)
         assert r.position_at(0) == Position3D(0.0, 0.2, 0.3)
 
+    def test_shape_and_axis_cells_are_kept(self):
+        # computed once per region: later calls, position_at's too, read the
+        # kept shape and read-only axis cells
+        r = SearchRegion(x=(0.0, 0.0), y=(-0.5, 0.5), z=(0.0, 0.7), resolution=0.01)
+        cells = [r.axis_cells(axis) for axis in range(3)]
+        with mock.patch.object(solver_mod, "_axis_count", side_effect=AssertionError("recounted")):
+            assert r.shape == (1, 101, 71) and r.shape is r.shape
+            assert all(r.axis_cells(axis) is cells[axis] for axis in range(3))
+            assert r.position_at(3 * 71 + 5) == Position3D(0.0, cells[1][3], cells[2][5])
+        for axis in cells:
+            with pytest.raises(ValueError, match="read-only"):
+                axis[0] = 1.0
+        assert r == SearchRegion(x=(0.0, 0.0), y=(-0.5, 0.5), z=(0.0, 0.7), resolution=0.01)
+
     def test_grid_hits_exact_centimeters(self):
         r = SearchRegion(x=(0.0, 0.0), y=(-0.7, 0.7), z=(0.0, 0.7), resolution=0.01)
         ys = r.axis_cells(1)
@@ -1431,11 +1445,14 @@ def float64_majorant_sums(phases, sigma):
     ])
 
 
-def survivors(bounds, full, floor):
+def survivors(bounds, full, floor, scored=None):
     """Per stream, the cells best_cells scores in full after its first step:
-    those whose bound reaches the best-bounded cell's full score, less the
-    tie margin."""
+    those whose bound reaches the best full score known by then, the
+    best-bounded cell's or the one the cheap pass scored (scored, per
+    stream), less the tie margin."""
     known = full[np.arange(len(full)), bounds.argmax(axis=1)]
+    if scored is not None:
+        known = np.maximum(known, scored)
     return np.count_nonzero(bounds >= (known - solver_mod._tie(known, floor))[:, None], axis=1)
 
 
@@ -1482,8 +1499,8 @@ class TestBestCells:
                                    side_effect=GridEvaluator._track_scores) as passes:
                 assert ev.best_cells(streams, method) == want, method
             if getattr(method, "name", "") == "tagoram" and ev._track is not None:
-                # at every sigma the bound: the majorant's cheap pass first
-                assert passes.call_args_list[0].kwargs == {"majorant": True}, method
+                # at every sigma the bound: the majorant's pass inside the pre-bound's windows
+                assert any(call.kwargs.get("majorant") for call in passes.call_args_list), method
             # one stream is a pass of one
             assert ev.best_cells(streams[-1:], method) == want[-1:], method
 
@@ -1496,11 +1513,12 @@ class TestBestCells:
         ev = GridEvaluator(STOCK_PLANE, STOCK_TRACK)
         real = GridEvaluator._track_scores
 
-        def spy(self, spec, phases, out, wavelength, boxes=None, majorant=False, also=()):
-            assert spec != bounded or boxes is not None or majorant, "a full pass"
-            if boxes is not None:
-                boxes_seen.append((len(phases), boxes))
-            return real(self, spec, phases, out, wavelength, boxes=boxes, majorant=majorant, also=also)
+        def spy(self, spec, phases, out, wavelength, majorant=False, also=(), windows=None, cells=None):
+            assert spec != bounded or cells is not None or majorant, "a full pass"
+            if cells is not None:
+                cells_seen.append(len(cells[0]))
+            return real(self, spec, phases, out, wavelength, majorant=majorant, also=also,
+                        windows=windows, cells=cells)
 
         ref = DifferentialScheme.reference(seed % 101)
         bounded_specs = [MethodSpec(name, ref) for name in ("nlf", "wclf", "wslf")]
@@ -1508,12 +1526,10 @@ class TestBestCells:
         for streams in (stock_streams(seed), stock_streams(seed, 2, SIX_TAGS)):
             for bounded in bounded_specs:
                 want = [int(np.argmax(h.scores)) for h in ev.holograms(streams, bounded)]
-                boxes_seen = []
+                cells_seen = []
                 with mock.patch.object(GridEvaluator, "_track_scores", spy):
                     assert ev.best_cells(streams, bounded) == want, bounded
-                cells = sum(rows * (hi - lo) * (c1 - c0) for rows, seen in boxes_seen
-                            for lo, hi, c0, c1 in seen)
-                assert cells <= 0.1 * len(streams) * STOCK_PLANE.cell_count, (bounded, boxes_seen)
+                assert sum(cells_seen) <= 0.1 * len(streams) * STOCK_PLANE.cell_count, (bounded, cells_seen)
 
     @pytest.mark.parametrize("seed", [200, 400, 600])
     def test_sandwich_bounds_hold_every_full_score(self, seed):
@@ -1553,14 +1569,14 @@ class TestBestCells:
             spec = MethodSpec("tagoram", tagoram_sigma=sigma)
             plan = ev._bound_plan(spec, CARRIER.wavelength)
             cheap = np.empty((len(stacked), STOCK_PLANE.cell_count))
-            plan.cheap(stacked, cheap)
+            scored = plan.cheap(stacked, cheap)
             full = ev.raw_scores(stacked, spec, CARRIER.wavelength)
             assert (full <= cheap + plan.width).all(), sigma
             # twice float32 exp's rounding per pair, and float64 roundings far below 1e-9
             assert 0.0 < plan.width < 2 * solver_mod.TERM_ULPS * eps32 * p + 1e-9, (sigma, plan.width)
             assert (full >= plan.floor).all(), sigma
             if sigma >= 1e-3:
-                left = survivors(cheap + plan.width, full, plan.floor)
+                left = survivors(cheap + plan.width, full, plan.floor, scored[2])
                 before = survivors(float64_majorant_sums(stacked, sigma) + float64_width, full, -p - float64_width)
                 assert (left <= before).all(), (sigma, left, before)
 
@@ -1574,8 +1590,11 @@ class TestBestCells:
         with mock.patch.object(GridEvaluator, "_track_scores", autospec=True,
                                side_effect=GridEvaluator._track_scores) as passes:
             assert ev.best_cells(streams, spec) == want
-        calls = [call.kwargs for call in passes.call_args_list]
-        assert calls[0] == {"majorant": True} and calls[-1] == {}, calls  # the bound, then the holograms
+        calls = [(call.args[1].name, sorted(call.kwargs)) for call in passes.call_args_list]
+        # the bound (the pre-bound's clf and slf passes, its best cells in full,
+        # the majorant in its windows), the first step, then the holograms
+        assert calls == [("clf", ["also"]), ("slf", ["also"]), ("tagoram", ["cells"]),
+                         ("tagoram", ["majorant", "windows"]), ("tagoram", ["cells"]), ("tagoram", [])], calls
 
     def test_one_sided_width_is_all_the_route_relies_on(self):
         # a cell's bound may lie anywhere at or above its full score: here
@@ -1609,35 +1628,49 @@ class TestBestCells:
                 assert ev.best_cells(streams, spec) == want, width
 
     @settings(max_examples=60, deadline=None)
-    @given(scene=track_scenes(), data=st.data())
-    def test_boxed_cells_score_as_in_the_full_pass(self, scene, data):
-        # a box's cells equal their raw_scores entries bit for bit, and no
-        # other cell of out is written
-        region, poses, phases, ref = scene
+    @given(scene=st.one_of(track_scenes(), grouped_track_scenes().map(lambda scene: scene[:4]),
+                           st.integers(0, 1000)), data=st.data())
+    def test_scored_cells_are_the_full_pass_scores(self, scene, data):
+        # any (stream, cell) pairs score as their raw_scores entries bit for
+        # bit: on the stock plane (a seed), grids whose radius groups hold
+        # several lines, ascending and descending tracks, a > 1 and b > 1;
+        # one pair (scored twice) or many, in one row chunk or several
+        if isinstance(scene, int):
+            region, poses = STOCK_PLANE, STOCK_TRACK
+            phases, ref = np.stack([s.phases for s in stock_streams(scene, 1)]), 37
+        else:
+            region, poses, phases, ref = scene
         ev = GridEvaluator(region, poses)
-        track = ev._track
-        assert track is not None
-        ny, groups = region.shape[track.axis], len(track.cross)
-        boxes = []
-        for _ in range(data.draw(st.integers(1, 3))):
-            lo = data.draw(st.integers(0, groups - 1))
-            c0 = data.draw(st.integers(0, ny - 2))
-            boxes.append((lo, data.draw(st.integers(lo + 1, groups)), c0, data.draw(st.integers(c0 + 2, ny))))
-        group, column = ev._cell_slots
-        inside = np.zeros(region.cell_count, dtype=bool)
-        for lo, hi, c0, c1 in boxes:
-            inside |= (group >= lo) & (group < hi) & (column >= c0) & (column < c1)
+        assert ev._track is not None
         stacked = np.atleast_2d(phases)
-        for spec in track_specs(ref)[:-2] + [MethodSpec("tagoram")]:
-            if linear_form(spec, stacked) is not None:
-                continue  # clf, slf and sarfid: whole lines by FFT only
-            want = np.atleast_2d(ev.raw_scores(phases, spec, CARRIER.wavelength))
+        pairs = data.draw(st.sets(st.tuples(st.integers(0, len(stacked) - 1),
+                                            st.integers(0, region.cell_count - 1)), min_size=1, max_size=12))
+        at, cells = (np.array(side) for side in zip(*sorted(pairs)))
+        specs = [MethodSpec(name, DifferentialScheme.reference(r)) for name in ("nlf", "wclf", "wslf")
+                 for r in sorted({0, ref})]
+        for spec in specs + [MethodSpec("tagoram")]:
+            want = ev.raw_scores(stacked, spec, CARRIER.wavelength)[at, cells]
             for block in (solver_mod.BLOCK, 64):
-                out = np.full(want.shape, np.nan)
+                out = np.full(len(at), np.nan)
                 with mock.patch.object(solver_mod, "BLOCK", block):
-                    ev._track_scores(spec, stacked, out, CARRIER.wavelength, boxes=boxes)
-                assert np.array_equal(out[:, inside], want[:, inside]), (spec, block)
-                assert np.isnan(out[:, ~inside]).all(), spec
+                    ev._track_scores(spec, stacked, out, CARRIER.wavelength, cells=(at, cells))
+                assert np.array_equal(out, want), (spec, block)
+
+    @pytest.mark.parametrize("sigma", [1e-6, 1e-3, DEFAULT_TAGORAM_SIGMA, 0.6, 8.0])
+    def test_tagoram_alone_gives_the_holograms_argmax(self, sigma):
+        # tagoram on a fresh evaluator pays its own clf and slf passes for its
+        # pre-bound, at sigmas on both sides of FEJER_SIGMA, also for streams
+        # whose reference read jumped by pi
+        streams = stock_streams(400)
+        for s in streams[:3]:
+            phases = s.phases.copy()
+            phases[0] = np.mod(phases[0] + math.pi, 2.0 * math.pi)
+            streams.append(SampleStream(s.poses, np.where(phases < 2.0 * math.pi, phases, 0.0), s.carrier))
+        spec = MethodSpec("tagoram", tagoram_sigma=sigma)
+        want = [int(np.argmax(h.scores)) for h in GridEvaluator(STOCK_PLANE, STOCK_TRACK).holograms(streams, spec)]
+        ev = GridEvaluator(STOCK_PLANE, STOCK_TRACK)
+        assert ev.best_cells(streams, spec) == want
+        assert sorted(ev._stored) == ["clf", "sarfid", "slf"]
 
     def test_kept_scores_follow_the_stack(self):
         # one evaluator scores stacks A, B, A, then A's phases at another
