@@ -573,9 +573,9 @@ class GridEvaluator:
     Gaussian majorant, which forms u as the full pass does, but in
     complex64, and takes per pair an absolute value, a subtraction, a
     clip, a square, a product and an exp in float32.  On mc-plane's
-    8-stream stacks the windows held a median of about 17% of a stream's
-    cells, and the majorant pass took 9-11 ms of tagoram's 12 ms (2-core
-    VM).  The cells the bounds leave are scored one (stream, cell) pair
+    8-stream stacks the windows held a median of 18% of a stream's cells,
+    and the majorant pass took 9-11 ms of tagoram's 12-18 ms (2-core VM,
+    host drift).  The cells the bounds leave are scored one (stream, cell) pair
     at a time (_track_scores' cells): 0.2-1.3 ms per call for 3-171
     pairs.  best_cells keeps the raw scores of its FFT passes while a
     stack of streams is current (_shared_scores), so that clf, slf and
