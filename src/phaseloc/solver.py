@@ -52,7 +52,7 @@ pass.  wclf and wslf weight each clf or slf pair term by a weight in [0,
 1], and nlf's -r^2 lies below 2*cos r - 2, so a scaled clf or slf FFT
 pass bounds nlf, wclf and wslf (the sandwich).  tagoram's term
 erfc(|r|/(sigma*sqrt(2))) * cos r lies below the Fejer kernel ((1 + 2*cos
-r)/3)^2 up to sigma FEJER_SIGMA, and below ((1 + cos r)/2)^2 at every
+r)/3)^2 up to sigma _FEJER_SIGMA, and below ((1 + cos r)/2)^2 at every
 sigma, both sums of the clf and slf terms, so the same two passes give a
 free pre-bound; it is tight only near r = 0, so tagoram's Gaussian
 majorant exp(-sin^2 r/(2*sigma^2)) is summed only in each stream's
@@ -95,7 +95,7 @@ PASS_SCORES = 1 << 20  # most raw scores a pass of streams_per_pass streams hold
 PEAK_THRESHOLD = 0.999  # find_peak_regions' cut; rack-plane ridge saddles sit near 0.99
 TRACK_ULPS = 8  # most a track's poses and cells may stray from even steps, in ulps
 TERM_ULPS = 32  # most a computed phasor strays from its exact value, in eps
-FEJER_SIGMA = 7.0  # most tagoram sigma its order-3 Fejer pre-bound takes (it holds to 7.11)
+_FEJER_SIGMA = 7.0  # most tagoram sigma its order-3 Fejer pre-bound takes (it holds to 7.11)
 # least pair term of the methods best_cells bounds
 _TERM_MIN = {"nlf": -4.0 * math.pi**2, "wclf": -1.0, "wslf": -1.0 / math.e, "tagoram": -1.0}
 # per pair, term <= w_clf * (clf term) + w_slf * (slf term) + offset, for any residual r, as
@@ -103,7 +103,7 @@ _TERM_MIN = {"nlf": -4.0 * math.pi**2, "wclf": -1.0, "wslf": -1.0 / math.e, "tag
 # -sin^2 r*exp(-sin^2 r) <= -sin^2 r/e
 _SANDWICH = {"nlf": (2.0, 0.0, -2.0), "wclf": (0.5, 0.0, 0.5), "wslf": (0.0, 1.0 / math.e, 0.0)}
 # tagoram's pre-bounds in that form, with cos 2r = 1 + 2*(slf term): ((1 + 2*cos r)/3)^2 = (3 +
-# 4*cos r + 2*cos 2r)/9 up to sigma FEJER_SIGMA, and ((1 + cos r)/2)^2 >= max(0, cos r) above
+# 4*cos r + 2*cos 2r)/9 up to sigma _FEJER_SIGMA, and ((1 + cos r)/2)^2 >= max(0, cos r) above
 _FEJER = ((4.0 / 9.0, 4.0 / 9.0, 5.0 / 9.0), (0.5, 0.25, 0.5))
 # the methods best_cells reads from kept FFT passes (GridEvaluator._shared_scores)
 _SHARED = ("clf", "slf", "sarfid")
@@ -336,11 +336,11 @@ def _bound_slack(name: str, p: int, span: int, kd_max: float = 0.0) -> float:
     above; erfc moves by at most 0.49 of a relative error in its
     argument, since x*exp(-x^2) <= 1/sqrt(2*e).
     * The Fejer pre-bound F(r), ((1 + 2*cos r)/3)^2 (at sigma <=
-      FEJER_SIGMA) or ((1 + cos r)/2)^2, is at least erfc(|theta|/s)*cos
+      _FEJER_SIGMA) or ((1 + cos r)/2)^2, is at least erfc(|theta|/s)*cos
       theta at theta itself, so the term is at most rho*F(theta) <=
       F(theta) + d, and F, whose slope in cos is at most 4/3, moves by at
       most 4*d/3 from theta to r: 3*d per pair.  F is summed from the clf
-      and slf passes at weights 4/9 each (1/2 and 1/4 above FEJER_SIGMA),
+      and slf passes at weights 4/9 each (1/2 and 1/4 above _FEJER_SIGMA),
       so it adds 8/9 of their phasors + fft.
     * The majorant: where cos theta > 0 the term is at most rho*exp(-y)
       <= exp(-y) + d, y = (theta/s)^2, and the exact majorant of that u,
@@ -955,7 +955,7 @@ class GridEvaluator:
         slack.
 
         tagoram: a Fejer kernel of r bounds its term in the same way, from
-        both passes (_FEJER): ((1 + 2*cos r)/3)^2 up to sigma FEJER_SIGMA,
+        both passes (_FEJER): ((1 + 2*cos r)/3)^2 up to sigma _FEJER_SIGMA,
         ((1 + cos r)/2)^2 above it.  That pre-bound is tight only near r =
         0, so within it the sums of the majorant exp(-(Im u/(sigma*
         sqrt(2)))^2) (likelihood._pair_sums) take over, in float32 through
@@ -973,7 +973,7 @@ class GridEvaluator:
         span = track.a * (ny - 1) + track.b * p + 1
         if method.name == "tagoram":
             width = _bound_slack("tagoram", p, span)
-            w_clf, w_slf, offset = _FEJER[method.tagoram_sigma > FEJER_SIGMA]
+            w_clf, w_slf, offset = _FEJER[method.tagoram_sigma > _FEJER_SIGMA]
         else:
             kd_max = 4.0 * math.pi / wavelength * math.sqrt(track.cross.max() + track.sq_offsets.max())
             width = _bound_slack(method.name, p, span, kd_max)

@@ -346,10 +346,10 @@ def perturbed_terms(sigma):
 
 
 class TestTagoramFejer:
-    @pytest.mark.parametrize("sigma", np.geomspace(1e-6, solver_mod.FEJER_SIGMA, 25))
+    @pytest.mark.parametrize("sigma", np.geomspace(1e-6, solver_mod._FEJER_SIGMA, 25))
     def test_order_three_bounds_every_pair_up_to_its_limit(self, sigma):
         # ((1 + 2*cos r)/3)^2 >= erfc(|r|/(sigma*sqrt(2))) * cos r from sigma
-        # 1e-6 to FEJER_SIGMA; both are 1 at r = 0, where the slack covers rounding
+        # 1e-6 to _FEJER_SIGMA; both are 1 at r = 0, where the slack covers rounding
         over = perturbed_terms(sigma) - fejer_bounds(solver_mod._FEJER[0])
         assert over.max() <= FEJER_SLACK, (sigma, RESIDUALS[over.argmax()])
 
@@ -358,7 +358,7 @@ class TestTagoramFejer:
         over = perturbed_terms(7.2) - fejer_bounds(solver_mod._FEJER[0])
         assert over.max() > 1e-4
 
-    @pytest.mark.parametrize("sigma", [solver_mod.FEJER_SIGMA, 7.2, 8.0, 100.0, 1e6, 1e300])
+    @pytest.mark.parametrize("sigma", [solver_mod._FEJER_SIGMA, 7.2, 8.0, 100.0, 1e6, 1e300])
     def test_order_two_bounds_every_pair_at_any_sigma(self, sigma):
         # ((1 + cos r)/2)^2 >= max(0, cos r) >= the term, whatever sigma
         over = perturbed_terms(sigma) - fejer_bounds(solver_mod._FEJER[1])

@@ -1659,7 +1659,7 @@ class TestBestCells:
     @pytest.mark.parametrize("sigma", [1e-6, 1e-3, DEFAULT_TAGORAM_SIGMA, 0.6, 8.0])
     def test_tagoram_alone_gives_the_holograms_argmax(self, sigma):
         # tagoram on a fresh evaluator pays its own clf and slf passes for its
-        # pre-bound, at sigmas on both sides of FEJER_SIGMA, also for streams
+        # pre-bound, at sigmas on both sides of _FEJER_SIGMA, also for streams
         # whose reference read jumped by pi
         streams = stock_streams(400)
         for s in streams[:3]:
