@@ -691,7 +691,10 @@ class GridEvaluator:
         form = linear_form(spec, phases)
         nlf = spec.name == "nlf"
         a, b, p = track.a, track.b, n - 1
-        cap = 6 * (BLOCK // WORKERS) * (2 if majorant else 1)  # within 6 of a share's 8 arrays
+        # the majorant's phasors, u and terms are single precision: entries of that
+        # size below, `wide` of them to a float64 (distances, sums)
+        real, wide = (np.float32, 2) if majorant else (np.float64, 1)
+        cap = 6 * (BLOCK // WORKERS) * wide  # within 6 of a share's 8 arrays
         if cells is not None:
             streams, at = cells
             group, column = self._cell_slots
@@ -725,9 +728,6 @@ class GridEvaluator:
         shape = self.region.shape
         ny, nv = shape[track.axis], shape[max(ax for ax in range(3) if ax != track.axis)]
         groups = len(track.cross)
-        # the majorant's phasors, u and terms are single precision: entries of that
-        # size below, `wide` of them to a float64 (distances, sums)
-        real, wide = (np.float32, 2) if majorant else (np.float64, 1)
         # per cell, the write's copy of a chunk's sums to each line, where groups hold several
         copy = wide * int(np.diff(track.starts).max()) if len(track.members) > groups else 0
         width = 1 if nlf else 2  # entries per pair or sequence value

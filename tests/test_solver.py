@@ -42,7 +42,7 @@ from phaseloc import (
     synthesize,
 )
 from phaseloc.io_eval import resolve_method
-from phaseloc.likelihood import DEFAULT_TAGORAM_SIGMA, linear_form, pair_indices
+from phaseloc.likelihood import DEFAULT_TAGORAM_SIGMA, pair_indices
 from phaseloc.phase_model import squared_norm_rows
 
 CARRIER = CarrierConfig(866.9e6)
